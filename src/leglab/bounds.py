@@ -120,17 +120,9 @@ def theorem1_bound(f: BVFunction, x: float, p: int) -> float:
     First term: 28/p (1-x^2)^(-3/2) sum_{k<=p} V(window_k); second term:
     (pi p)^(-1) (1-x^2)^(-1) |jump at x|.  Not applicable at x = +-1.
     """
-    if not -1.0 < x < 1.0:
-        raise ValueError("the variation bound applies only strictly inside (-1, 1)")
     if p < 2:
         raise ValueError("p must be >= 2")
-    var_sum = 0.0
-    for k in range(1, p + 1):
-        lo, hi = variation_window(x, k)
-        var_sum += total_variation(f, max(lo, -1.0), min(hi, 1.0))
-    first = 28.0 / p * (1.0 - x * x) ** -1.5 * var_sum
-    second = abs(f.jump_at(x)) / (math.pi * p * (1.0 - x * x))
-    return first + second
+    return float(theorem1_bound_series(f, x, p).bound[-1])
 
 
 def theorem1_bound_series(f: BVFunction, x: float, pmax: int) -> BoundReport:

@@ -18,9 +18,12 @@ from .runner import ExperimentConfig, run_experiment, run_figures
 def _common(parser: argparse.ArgumentParser, kind: str) -> None:
     parser.add_argument("--config", help="JSON experiment file (overrides inline flags)")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--precision", default="f64", help="f64 | big:<bits> | exact")
     parser.add_argument("--pmax", type=int, default=2200)
-    parser.add_argument("--jobs", type=int, default=1)
+    if kind == "conjecture":
+        # the suite evaluates in float64; its grid points can run in parallel
+        parser.add_argument("--jobs", type=int, default=1)
+    else:
+        parser.add_argument("--precision", default="f64", help="f64 | big:<bits> | exact")
     if kind in ("coeffs", "sweep", "fit", "norm", "gibbs", "bounds", "growth", "fem"):
         parser.add_argument("--family", default="step",
                             help="step | absshift | constrained | powerabs | powershift | spec")
@@ -153,7 +156,6 @@ def main(argv=None) -> int:
         else:
             tol = {"rate": args.rate_tol, "growth": args.growth_tol}
             cfg = ExperimentConfig(id=args.id, kind="conjecture", pmax=args.pmax,
-                                   precision=args.precision,
                                    options={"beta_grid": args.beta_grid, "a_grid": args.a_grid,
                                             "clauses": args.clauses,
                                             "powershift_betas": args.powershift_betas,

@@ -35,7 +35,7 @@ import mpmath
 import numpy as np
 
 from .functions import SingularFunctionSpec, exact_solution_derivative
-from .legendre import gauss_rule, legendre_eval_range
+from .legendre import gauss_rule, legendre_eval, legendre_eval_range
 from .precision import EXACT, F64, FLOAT64, PrecisionContext, PrecisionError, bigfloat
 
 
@@ -404,23 +404,13 @@ def quadrature_oracle_coeffs(f: Callable[[float], float], P: int,
             def integrand(t, k=k):
                 # f must accept mpf input so the node-to-singularity distance
                 # keeps full precision under tanh-sinh clustering
-                return mpmath.mpf(f(t)) * _legendre_mp(k, t)
+                return mpmath.mpf(f(t)) * legendre_eval(k, t, bigfloat(mpmath.mp.prec))
 
             total = mpmath.mpf(0)
             for lo, hi in zip(pts[:-1], pts[1:]):
                 total += mpmath.quad(integrand, [lo, hi])
             coeffs.append(float(total * (2 * k + 1) / 2))
     return LegendreSeries(coeffs, Generator.QUADRATURE_ORACLE, FLOAT64, {"points": len(pts)})
-
-
-def _legendre_mp(k: int, x):
-    pm1 = mpmath.mpf(1)
-    if k == 0:
-        return pm1
-    pk = mpmath.mpf(x)
-    for n in range(1, k):
-        pm1, pk = pk, ((2 * n + 1) * x * pk - n * pm1) / (n + 1)
-    return pk
 
 
 def step_oracle_coeff(a: float, k: int, ctx: PrecisionContext = FLOAT64):
@@ -430,20 +420,14 @@ def step_oracle_coeff(a: float, k: int, ctx: PrecisionContext = FLOAT64):
     above = exact_solution_derivative(a + 1.0, a)
 
     def f_lo(t):
-        return below * _poly_eval_ctx(k, t, ctx)
+        return below * legendre_eval(k, t, ctx)
 
     def f_hi(t):
-        return above * _poly_eval_ctx(k, t, ctx)
+        return above * legendre_eval(k, t, ctx)
 
     with ctx.active():
         val = rule.integrate(f_lo, -1, a) + rule.integrate(f_hi, a, 1)
         return (ctx.convert(2 * k + 1) / 2) * val
-
-
-def _poly_eval_ctx(k, t, ctx):
-    from .legendre import legendre_eval
-
-    return legendre_eval(k, t, ctx)
 
 
 def derivative_coeffs(series: LegendreSeries) -> LegendreSeries:

@@ -68,10 +68,6 @@ class PowerTermFamily(Family):
     beta: float = 0.5
     name: str = field(default="powerterm", init=False)
 
-    @property
-    def interior_rate(self):
-        return 1.0 + self.beta
-
     def exact(self, x):
         d = abs(x - self.a)
         if d == 0.0:
@@ -198,7 +194,7 @@ def clause4_endpoints(beta: float, a: float, tol: ToleranceProfile,
     for x in (-1.0, 1.0):
         params = {"beta": beta, "a": a, "x": x}
         if abs(expected) < 1e-12:
-            v = _bounded_verdict(4, family, x, params, pmax)
+            v = _bounded_verdict(4, params, family.series(pmax + 1, None), x, pmax)
         elif expected > 0:
             fs = measured_rate(family, x, pmax)
             v = _rate_verdict(4, params, fs, expected, tol.rate_tol(beta))
@@ -229,15 +225,15 @@ def clause5_singular_point(beta: float, a: float, tol: ToleranceProfile,
     return v
 
 
-def _bounded_verdict(clause, family, x, params, pmax) -> ConjectureVerdict:
-    series = family.series(pmax + 1, None)
+def _bounded_verdict(clause, params, series, x, pmax) -> ConjectureVerdict:
+    """Rate 0: the float64 partial sums at x stay bounded but keep oscillating."""
     values = partial_sum_values(series, x, pmax, FLOAT64)
     chk = bounded_oscillation_check(values, np.arange(1, pmax + 1),
                                     windows=((pmax // 4, pmax // 2), (pmax // 2, pmax)))
     ok = chk["bounded"] and chk["non_cauchy"]
     return ConjectureVerdict(clause, params, 0.0, 0.0, 0.0,
                              "pass" if ok else "fail", None,
-                             detail=f"bounded non-convergence check: {chk}")
+                             detail=f"rate 0, bounded non-convergence check: {chk}")
 
 
 def _run_parameter_point(args):
@@ -313,13 +309,7 @@ def powershift_suite(beta_grid: Sequence[float],
         for x, expected, clause in cases:
             params = {"beta": beta, "x": x, "family": "powershift"}
             if abs(expected) < 1e-12:
-                values = partial_sum_values(series, x, pmax, eval_ctx)
-                chk = bounded_oscillation_check(values, np.arange(1, pmax + 1),
-                                                windows=((pmax // 4, pmax // 2), (pmax // 2, pmax)))
-                ok = chk["bounded"] and chk["non_cauchy"]
-                verdicts.append(ConjectureVerdict(clause, params, 0.0, 0.0, 0.0,
-                                                  "pass" if ok else "fail", None,
-                                                  detail=f"rate 0: {chk}"))
+                verdicts.append(_bounded_verdict(clause, params, series, x, pmax))
                 continue
             sweep = error_sweep(series, family.exact, x, pmax, eval_ctx)
             try:

@@ -95,7 +95,6 @@ class Family:
     """Common protocol: a named target with exact values and a coefficient generator."""
 
     name = "family"
-    interior_rate: float = 1.0  # decay exponent away from singular/end points
 
     def exact(self, x: float) -> Optional[float]:
         raise NotImplementedError
@@ -116,7 +115,6 @@ class StepDerivativeFamily(Family):
 
     a: float = 0.5
     name: str = field(default="step", init=False)
-    interior_rate = 1.0
 
     def exact(self, x):
         return exact_solution_derivative(x, self.a)
@@ -139,7 +137,6 @@ class AbsShiftFamily(Family):
 
     a: float = 0.5
     name: str = field(default="absshift", init=False)
-    interior_rate = 2.0
 
     def exact(self, x):
         return exact_solution(x, self.a)
@@ -162,7 +159,6 @@ class ConstrainedFamily(Family):
 
     a: float = 0.5
     name: str = field(default="constrained", init=False)
-    interior_rate = 2.0
 
     def exact(self, x):
         return exact_solution(x, self.a)
@@ -185,10 +181,6 @@ class PowerAbsFamily(Family):
 
     beta: float = -0.5
     name: str = field(default="powerabs", init=False)
-
-    @property
-    def interior_rate(self):
-        return 1.0 + self.beta
 
     def exact(self, x):
         if x == 0.0:
@@ -214,10 +206,6 @@ class PowerShiftFamily(Family):
 
     beta: float = 0.5
     name: str = field(default="powershift", init=False)
-
-    @property
-    def interior_rate(self):
-        return 2.0 * self.beta + 1.5
 
     def exact(self, x):
         base = 1.0 + x

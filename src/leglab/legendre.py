@@ -18,24 +18,14 @@ from .precision import FLOAT64, Number, PrecisionContext
 
 def _check_domain(x, ctx: PrecisionContext) -> Number:
     xv = ctx.convert(x)
-    if xv > ctx.one() or xv < -ctx.one():
+    if xv > 1 or xv < -1:
         raise ValueError(f"x = {x} outside [-1, 1]")
     return xv
 
 
 def legendre_eval(k: int, x, ctx: PrecisionContext = FLOAT64) -> Number:
     """Evaluate P_k(x) by the three-term recurrence in the context's arithmetic."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    xv = _check_domain(x, ctx)
-    with ctx.active():
-        pm1 = ctx.one()
-        if k == 0:
-            return pm1
-        pk = xv
-        for n in range(1, k):
-            pm1, pk = pk, ((2 * n + 1) * xv * pk - n * pm1) / (n + 1)
-        return pk
+    return legendre_eval_range(k, x, ctx)[k]
 
 
 def legendre_eval_range(kmax: int, x, ctx: PrecisionContext = FLOAT64) -> list:
@@ -107,6 +97,11 @@ def gauss_rule(order: int, ctx: PrecisionContext = FLOAT64) -> QuadratureRule:
     ctx.require_inexact("gauss_rule")
     if order == 1:
         return QuadratureRule([ctx.zero()], [ctx.convert(2)], 1, ctx)
+
+    def leg_and_deriv(x):
+        P = legendre_eval_range(order, x, ctx)
+        return P[order], order * (P[order - 1] - x * P[order]) / (1 - x * x)
+
     with ctx.active():
         if ctx.mode == "f64":
             guesses = np.cos(np.pi * (4 * np.arange(order // 2) + 3) / (4 * order + 2))
@@ -121,28 +116,21 @@ def gauss_rule(order: int, ctx: PrecisionContext = FLOAT64) -> QuadratureRule:
         for x0 in np.atleast_1d(guesses):
             x = ctx.convert(x0)
             for _ in range(400):
-                pk, dpk = _leg_and_deriv(order, x)
+                pk, dpk = leg_and_deriv(x)
                 dx = pk / dpk
                 x = x - dx
                 if abs(dx) <= tol * max(abs(x), 1):
                     break
-            pk, dpk = _leg_and_deriv(order, x)
+            pk, dpk = leg_and_deriv(x)
             nodes_pos.append(x)
             weights_pos.append(2 / ((1 - x * x) * dpk * dpk))
         # nodes_pos is descending; assemble ascending with mirrored negatives
         nodes = [-t for t in nodes_pos]
         weights = list(weights_pos)
         if order % 2 == 1:
-            _, dp0 = _leg_and_deriv(order, ctx.zero())
+            _, dp0 = leg_and_deriv(ctx.zero())
             nodes.append(ctx.zero())
             weights.append(ctx.convert(2) / (dp0 * dp0))
         nodes.extend(reversed(nodes_pos))
         weights.extend(reversed(weights_pos))
         return QuadratureRule(nodes, weights, order, ctx)
-
-
-def _leg_and_deriv(n: int, x):
-    pm1, pk = 1, x
-    for m in range(1, n):
-        pm1, pk = pk, ((2 * m + 1) * x * pk - m * pm1) / (m + 1)
-    return pk, n * (pm1 - x * pk) / (1 - x * x)

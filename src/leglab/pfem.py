@@ -67,12 +67,19 @@ class Mesh1D:
         return (2.0 * x - (lo + hi)) / (hi - lo)
 
 
+def internal_modes(p: int, xi, ctx: PrecisionContext = FLOAT64) -> list:
+    """Integrated-Legendre shapes N_2..N_p at xi; each vanishes at xi = -1, 1."""
+    Pk = legendre_eval_range(p, xi, ctx)
+    with ctx.active():
+        return [(Pk[k] - Pk[k - 2]) / ctx.sqrt(ctx.convert(2 * (2 * k - 1)))
+                for k in range(2, p + 1)]
+
+
 def internal_mode(k: int, xi: float, ctx: PrecisionContext = FLOAT64):
     """Integrated-Legendre shape N_k, k >= 2; vanishes at xi = -1, 1."""
     if k < 2:
         raise ValueError("internal modes start at k = 2")
-    Pk = legendre_eval_range(k, ctx.convert(xi), ctx)
-    return (Pk[k] - Pk[k - 2]) / ctx.sqrt(ctx.convert(2 * (2 * k - 1)))
+    return internal_modes(k, xi, ctx)[-1]
 
 
 @dataclass
@@ -178,21 +185,9 @@ def assemble_and_solve(mesh: Mesh1D, a: float, ctx: PrecisionContext = FLOAT64) 
             if e == s and p >= 2:
                 he = nodes[e + 1] - nodes[e]
                 xi_a = (2 * av - (nodes[e] + nodes[e + 1])) / he
-                Pk = legendre_eval_range(p, xi_a, ctx)
-                for k in range(2, p + 1):
-                    nk = (Pk[k] - Pk[k - 2]) / ctx.sqrt(ctx.convert(2 * (2 * k - 1)))
-                    coeffs.append(-(he / 2) * nk)
+                coeffs = [-(he / 2) * nk for nk in internal_modes(p, xi_a, ctx)]
             internal.append(coeffs)
     return FemSolution(mesh, float(a), nodal, internal, ctx)
-
-
-def internal_coefficient(mesh: Mesh1D, a: float, k: int, ctx: PrecisionContext = FLOAT64):
-    """Closed-form internal coefficient on the singular element (for tests)."""
-    s = mesh.element_of(a)
-    lo, hi = mesh.nodes[s], mesh.nodes[s + 1]
-    he = hi - lo
-    xi_a = (2 * a - (lo + hi)) / he
-    return -(he / 2.0) * float(internal_mode(k, xi_a, ctx))
 
 
 def element_error_series(sol: FemSolution, x: float, pmax: int) -> ErrorSweep:
@@ -213,20 +208,16 @@ def element_error_series(sol: FemSolution, x: float, pmax: int) -> ErrorSweep:
         xv = ctx.convert(x)
         xi_a = (2 * av - ctx.convert(lo + hi)) / he
         xi_x = (2 * xv - ctx.convert(lo + hi)) / he
-        ua = legendre_eval_range(pmax + 2, xi_a, ctx)
-        ux = legendre_eval_range(pmax + 2, xi_x, ctx)
+        na = internal_modes(pmax + 1, xi_a, ctx)
+        nx = internal_modes(pmax + 1, xi_x, ctx)
         ul, ur = ctx.convert(sol.nodal[s]), ctx.convert(sol.nodal[s + 1])
         linear = ul * (1 - xi_x) / 2 + ur * (1 + xi_x) / 2
         exact = ctx.convert(exact_solution(float(x), a))
         errs = np.empty(pmax)
         total = linear
-        for p in range(1, pmax + 1):
-            k = p + 1
-            norm2 = ctx.convert(2 * (2 * k - 1))
-            nk_a = (ua[k] - ua[k - 2]) / ctx.sqrt(norm2)
-            nk_x = (ux[k] - ux[k - 2]) / ctx.sqrt(norm2)
-            total += -(he / 2) * nk_a * nk_x
-            errs[p - 1] = abs(float(exact - total))
+        for i in range(pmax):
+            total += -(he / 2) * na[i] * nx[i]
+            errs[i] = abs(float(exact - total))
     return ErrorSweep(float(x), np.arange(1, pmax + 1), errs,
                       f"fem element degree sweep a={a:g}", f"pfem1d(a={a:g})")
 

@@ -95,9 +95,6 @@ class PrecisionContext:
             raise PrecisionError("square roots are not rational; use a floating mode")
         return math.sqrt(x)
 
-    def to_float(self, x) -> float:
-        return float(x)
-
     def require_inexact(self, op: str) -> None:
         """Reject exact-rational mode for operations with irrational results."""
         if self.mode == EXACT:

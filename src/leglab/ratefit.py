@@ -303,8 +303,7 @@ class GridTooCoarse(RuntimeError):
 
 
 def gibbs_probe(series: LegendreSeries, exact: Callable[[float], float], a: float,
-                pvalues: Sequence[int], ctx: Optional[PrecisionContext] = None,
-                span: float = 10.0, resolution: int = 50) -> GibbsReport:
+                pvalues: Sequence[int], span: float = 10.0, resolution: int = 50) -> GibbsReport:
     """Locate the overshoot crest next to the singular point for each order.
 
     Scans x on a +-span/p neighborhood of a with spacing 1/(resolution p);
@@ -383,15 +382,9 @@ def weighted_sup_norm(series: LegendreSeries, exact: Callable[[float], float],
     w = (np.abs(1.0 - grid) ** w_right * np.abs(1.0 + grid) ** w_left
          * np.abs(grid - a) ** w_sing)
     fx = np.array([exact(t) for t in grid])
-    coeffs = series.as_floats()
-    pm1 = np.ones_like(grid)
-    pk = grid.copy()
-    running = np.full_like(grid, coeffs[0])
-    sup = np.empty(pmax)
-    for k in range(1, pmax + 1):
-        running = running + coeffs[k] * pk
-        sup[k - 1] = float(np.max(np.abs(fx - running) * w))
-        pm1, pk = pk, ((2 * k + 1) * grid * pk - k * pm1) / (k + 1)
+    coeffs = series.as_floats()[: pmax + 1]
+    running = np.cumsum(coeffs[:, None] * legendre_range_array(pmax, grid), axis=0)
+    sup = np.max(np.abs(fx - running[1:]) * w, axis=1)
     return ErrorSweep(float(a), np.arange(1, pmax + 1), sup,
                       f"weighted sup w={weights}", series.series_id)
 

@@ -231,7 +231,7 @@ def _dispatch(config: ExperimentConfig, writer: ManifestWriter) -> None:
     if kind == "gibbs":
         series = family.series(config.pmax + 1, config.coeff_ctx())
         pvalues = config.options.get("pvalues", [500, 707, 1000, 1414, 2000])
-        report = gibbs_probe(series, family.exact, family.singular_point(), pvalues, eval_ctx)
+        report = gibbs_probe(series, family.exact, family.singular_point(), pvalues)
         path = writer.path(f"{config.id}.gibbs.json")
         with open(path, "w") as fh:
             json.dump(report.to_dict(), fh, indent=1, sort_keys=True)

@@ -20,7 +20,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .coefficients import Generator, LegendreSeries, derivative_coeffs
-from .legendre import legendre_eval_range
 from .precision import F64, FLOAT64, PrecisionContext
 
 
@@ -79,47 +78,89 @@ class NormSweep:
                 fh.write(f"{int(p)},{float(e)!r}\n")
 
 
-def _constrained_order_limit(series: LegendreSeries) -> int:
-    return len(series.coeffs) - 2
+def _running_sums(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, ref=None):
+    """Order check plus the running-sum kernel of the series kind."""
+    if series.generator is Generator.CONSTRAINED_PVERSION:
+        limit = len(series.coeffs) - 2
+        if pmax > limit:
+            raise IndexError(f"order {pmax} exceeds the constrained series order {limit}")
+        return _constrained_sums(series.params["a"], x, pmax, ctx, ref)
+    if pmax > series.degree:
+        raise IndexError(f"order {pmax} exceeds available coefficients (degree {series.degree})")
+    return _prefix_sums(series, x, pmax, ctx, ref)
+
+
+def _prefix_sums(series, x, pmax, ctx, ref=None):
+    """Running sums S_p(x) of c_k P_k(x), p = 0..pmax, fused with the recurrence.
+
+    Returns (d, S): d[p] is the float ref - S_p (S_p itself without ref) and
+    S is S_pmax in the context's number type.  Float64 sums carry Neumaier
+    compensation; big-float sums are rounded to float order by order, so a
+    long sweep holds no big numbers.
+    """
+    d = np.empty(pmax + 1)
+    with ctx.active():
+        xv = ctx.convert(x)
+        if ctx.mode == F64:
+            coeffs = [float(c) for c in series.coeffs[: pmax + 1]]
+            pm1, pk = 0.0, 1.0
+            total, comp = 0.0, 0.0
+            for k in range(pmax + 1):
+                t = coeffs[k] * pk
+                s = total + t
+                comp += (total - s) + t if abs(total) >= abs(t) else (t - s) + total
+                total = s
+                d[k] = total + comp
+                pm1, pk = pk, ((2 * k + 1) * xv * pk - k * pm1) / (k + 1)
+            return (d if ref is None else float(ref) - d), total + comp
+        refv = None if ref is None else ctx.convert(ref)
+        pm1, pk = ctx.zero(), ctx.one()
+        total = ctx.zero()
+        for k in range(pmax + 1):
+            total += ctx.convert(series.coeffs[k]) * pk
+            d[k] = float(total) if refv is None else float(refv - total)
+            pm1, pk = pk, ((2 * k + 1) * xv * pk - k * pm1) / (k + 1)
+        return d, total
+
+
+def _constrained_sums(a, x, pmax, ctx, ref=None):
+    """Running sums of the bumps a_k (P_{k+1}(x) - P_{k-1}(x)) / (2k+1) with
+    a_k = (P_{k-1}(a) - P_{k+1}(a)) / 2, p = 0..pmax; contract of _prefix_sums."""
+    d = np.empty(pmax + 1)
+    with ctx.active():
+        av, xv = ctx.convert(a), ctx.convert(x)
+        pa0, pa1 = ctx.one(), av
+        px0, px1 = ctx.one(), xv
+        total = ctx.zero()
+        if ctx.mode == F64:
+            comp = 0.0
+            d[0] = 0.0
+            for k in range(1, pmax + 1):
+                pa2 = ((2 * k + 1) * av * pa1 - k * pa0) / (k + 1)
+                px2 = ((2 * k + 1) * xv * px1 - k * px0) / (k + 1)
+                t = 0.5 * (pa0 - pa2) * (px2 - px0) / (2 * k + 1)
+                s = total + t
+                comp += (total - s) + t if abs(total) >= abs(t) else (t - s) + total
+                total = s
+                d[k] = total + comp
+                pa0, pa1 = pa1, pa2
+                px0, px1 = px1, px2
+            return (d if ref is None else float(ref) - d), total + comp
+        refv = None if ref is None else ctx.convert(ref)
+        d[0] = 0.0 if refv is None else float(refv)
+        for k in range(1, pmax + 1):
+            pa2 = ((2 * k + 1) * av * pa1 - k * pa0) / (k + 1)
+            px2 = ((2 * k + 1) * xv * px1 - k * px0) / (k + 1)
+            total += (pa0 - pa2) * (px2 - px0) / (2 * (2 * k + 1))
+            d[k] = float(total) if refv is None else float(refv - total)
+            pa0, pa1 = pa1, pa2
+            px0, px1 = px1, px2
+        return d, total
 
 
 def partial_sum(series: LegendreSeries, p: int, x, ctx: Optional[PrecisionContext] = None):
     """Evaluate the order-p approximation at x with one fused recurrence pass."""
-    ctx = ctx or series.ctx
-    if series.generator is Generator.CONSTRAINED_PVERSION:
-        if p > _constrained_order_limit(series):
-            raise IndexError(f"order {p} exceeds the constrained series order {_constrained_order_limit(series)}")
-        return _constrained_value(series.params["a"], p, x, ctx)
-    if p > series.degree:
-        raise IndexError(f"p = {p} exceeds available coefficients (degree {series.degree})")
-    with ctx.active():
-        xv = ctx.convert(x)
-        Px = legendre_eval_range(p, xv, ctx)
-        if ctx.mode == F64:
-            total = 0.0
-            comp = 0.0
-            for k in range(p + 1):
-                t = float(series.coeffs[k]) * Px[k]
-                s = total + t
-                comp += (total - s) + t if abs(total) >= abs(t) else (t - s) + total
-                total = s
-            return total + comp
-        total = ctx.zero()
-        for k in range(p + 1):
-            total += ctx.convert(series.coeffs[k]) * Px[k]
-        return total
-
-
-def _constrained_value(a, p, x, ctx):
-    with ctx.active():
-        av, xv = ctx.convert(a), ctx.convert(x)
-        Pa = legendre_eval_range(p + 1, av, ctx)
-        Px = legendre_eval_range(p + 1, xv, ctx)
-        total = ctx.zero()
-        for k in range(1, p + 1):
-            ak = (Pa[k - 1] - Pa[k + 1]) / 2
-            total += ak * (Px[k + 1] - Px[k - 1]) / (2 * k + 1)
-        return total
+    return _running_sums(series, x, p, ctx or series.ctx)[1]
 
 
 def error_sweep(series: LegendreSeries, exact, x, pmax: int,
@@ -130,109 +171,17 @@ def error_sweep(series: LegendreSeries, exact, x, pmax: int,
     None) switches to magnitude mode: the sweep records |S_p(x)| itself,
     which is how divergent and bounded-nonconvergent points are measured.
     """
-    ctx = ctx or series.ctx
     value = exact(x) if callable(exact) else exact
-    if series.generator is Generator.CONSTRAINED_PVERSION:
-        limit = _constrained_order_limit(series)
-        if pmax > limit:
-            raise IndexError(f"pmax {pmax} exceeds constrained series order {limit}")
-        errs = _constrained_sweep(series.params["a"], value, x, pmax, ctx)
-    else:
-        if pmax > series.degree:
-            raise IndexError(f"pmax {pmax} exceeds available coefficients (degree {series.degree})")
-        errs = _prefix_sweep(series, value, x, pmax, ctx)
+    d, _ = _running_sums(series, x, pmax, ctx or series.ctx, value)
     label = target or (f"{series.generator.value} exact={value!r}" if value is not None
                        else f"{series.generator.value} magnitude")
-    return ErrorSweep(float(x), np.arange(1, pmax + 1), errs, label, series.series_id)
-
-
-def _prefix_sweep(series, value, x, pmax, ctx):
-    errs = np.empty(pmax)
-    with ctx.active():
-        xv = ctx.convert(x)
-        if ctx.mode == F64:
-            coeffs = [float(c) for c in series.coeffs[: pmax + 1]]
-            xf = float(xv)
-            pm1, pk = 1.0, xf
-            total = coeffs[0]
-            comp = 0.0
-            ref = float(value) if value is not None else None
-            for k in range(1, pmax + 1):
-                t = coeffs[k] * pk
-                s = total + t
-                comp += (total - s) + t if abs(total) >= abs(t) else (t - s) + total
-                total = s
-                errs[k - 1] = abs(ref - (total + comp)) if ref is not None else abs(total + comp)
-                pm1, pk = pk, ((2 * k + 1) * xf * pk - k * pm1) / (k + 1)
-            return errs
-        ref = ctx.convert(value) if value is not None else None
-        pm1, pk = ctx.one(), xv
-        total = ctx.convert(series.coeffs[0])
-        for k in range(1, pmax + 1):
-            total += ctx.convert(series.coeffs[k]) * pk
-            errs[k - 1] = abs(float(ref - total)) if ref is not None else abs(float(total))
-            pm1, pk = pk, ((2 * k + 1) * xv * pk - k * pm1) / (k + 1)
-        return errs
-
-
-def _constrained_sweep(a, value, x, pmax, ctx):
-    errs = np.empty(pmax)
-    with ctx.active():
-        if ctx.mode == F64:
-            af, xf = float(a), float(x)
-            ref = float(value)
-            pa0, pa1 = 1.0, af
-            px0, px1 = 1.0, xf
-            total, comp = 0.0, 0.0
-            for k in range(1, pmax + 1):
-                pa2 = ((2 * k + 1) * af * pa1 - k * pa0) / (k + 1)
-                px2 = ((2 * k + 1) * xf * px1 - k * px0) / (k + 1)
-                t = 0.5 * (pa0 - pa2) * (px2 - px0) / (2 * k + 1)
-                s = total + t
-                comp += (total - s) + t if abs(total) >= abs(t) else (t - s) + total
-                total = s
-                errs[k - 1] = abs(ref - (total + comp))
-                pa0, pa1 = pa1, pa2
-                px0, px1 = px1, px2
-            return errs
-        av, xv = ctx.convert(a), ctx.convert(x)
-        ref = ctx.convert(value)
-        pa0, pa1 = ctx.one(), av
-        px0, px1 = ctx.one(), xv
-        total = ctx.zero()
-        for k in range(1, pmax + 1):
-            pa2 = ((2 * k + 1) * av * pa1 - k * pa0) / (k + 1)
-            px2 = ((2 * k + 1) * xv * px1 - k * px0) / (k + 1)
-            total += (pa0 - pa2) * (px2 - px0) / (2 * (2 * k + 1))
-            errs[k - 1] = abs(float(ref - total))
-            pa0, pa1 = pa1, pa2
-            px0, px1 = px1, px2
-        return errs
+    return ErrorSweep(float(x), np.arange(1, pmax + 1), np.abs(d[1:]), label, series.series_id)
 
 
 def partial_sum_values(series: LegendreSeries, x, pmax: int,
                        ctx: Optional[PrecisionContext] = None) -> np.ndarray:
     """Signed partial sums S_1..S_pmax at x (for boundedness/oscillation checks)."""
-    ctx = ctx or series.ctx
-    if series.generator is Generator.CONSTRAINED_PVERSION:
-        raise ValueError("use error sweeps for the constrained family")
-    if pmax > series.degree:
-        raise IndexError(f"pmax {pmax} exceeds available coefficients (degree {series.degree})")
-    out = np.empty(pmax)
-    with ctx.active():
-        xv = ctx.convert(x)
-        coeffs = [float(c) for c in series.coeffs[: pmax + 1]]
-        xf = float(xv)
-        pm1, pk = 1.0, xf
-        total, comp = coeffs[0], 0.0
-        for k in range(1, pmax + 1):
-            t = coeffs[k] * pk
-            s = total + t
-            comp += (total - s) + t if abs(total) >= abs(t) else (t - s) + total
-            total = s
-            out[k - 1] = total + comp
-            pm1, pk = pk, ((2 * k + 1) * xf * pk - k * pm1) / (k + 1)
-    return out
+    return _running_sums(series, x, pmax, ctx or series.ctx)[0][1:]
 
 
 def parseval_tail(series: LegendreSeries, p: int, exact_norm_sq: Optional[float] = None) -> float:

@@ -3,6 +3,7 @@ import pytest
 
 from leglab.coefficients import abs_shift_coeffs, constrained_pversion_coeffs
 from leglab.functions import ConstrainedFamily, StepDerivativeFamily, exact_solution
+from leglab.legendre import legendre_range_array
 from leglab.ratefit import (FitUnreliable, GridTooCoarse, bounded_oscillation_check,
                             constant_growth, fit_lower_bound, fit_rate, gibbs_probe,
                             pinned_constant, weighted_sup_norm)
@@ -135,6 +136,16 @@ def test_weighted_sup_norm(step_series, step_family):
     sweep = weighted_sup_norm(step_series, step_family.exact, (0.5, 0.5, 1.0), A, 2200)
     fit = fit_rate(sweep)
     assert fit.alpha == pytest.approx(1.0, abs=0.1)
+    # the cumulative table sum equals order-by-order running sums bit for bit
+    grid = np.array([-0.9, -0.2, 0.49, 0.51, 0.8])
+    small = weighted_sup_norm(step_series, step_family.exact, (0.5, 0.5, 1.0), A, 40, grid)
+    w = np.abs(1.0 - grid) ** 0.5 * np.abs(1.0 + grid) ** 0.5 * np.abs(grid - A)
+    fx = np.array([step_family.exact(t) for t in grid])
+    c, table = step_series.as_floats(), legendre_range_array(40, grid)
+    running = c[0] * table[0]
+    for k in range(1, 41):
+        running = running + c[k] * table[k]
+        assert small.abs_error[k - 1] == np.max(np.abs(fx - running) * w)
 
 
 def test_weighted_sup_without_singular_weight_stalls(step_series, step_family):

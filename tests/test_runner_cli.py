@@ -141,3 +141,15 @@ def test_cli_gibbs(tmp_path, capsys):
     assert rc == 0
     res = json.loads(capsys.readouterr().out)
     assert res["D"] == pytest.approx(2.7777, rel=0.05)
+
+
+def test_cli_rejects_ignored_flags(capsys):
+    # single-config verbs run serially and the conjecture suite evaluates in
+    # float64, so these flags would be accepted and then ignored
+    verbs = [["coeffs"], ["sweep"], ["norm"], ["gibbs"], ["bounds", "--x", "0.1"], ["fem"],
+             ["growth", "--point", "-1", "--fixed-alpha", "1"]]
+    for argv in [v + ["--jobs", "2"] for v in verbs] + [["conjecture", "--precision", "big:999"]]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err

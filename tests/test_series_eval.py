@@ -17,9 +17,12 @@ A = 0.5
 
 def test_partial_sum_trivial():
     s = LegendreSeries([1.0, 1.0], Generator.QUADRATURE_ORACLE, FLOAT64)
+    assert partial_sum(s, 0, 0.3) == 1.0
     assert partial_sum(s, 1, 0.3) == pytest.approx(1.3, abs=1e-15)
     with pytest.raises(IndexError):
         partial_sum(s, 2, 0.3)
+    # order 0 of the constrained family is the zero function
+    assert partial_sum(constrained_pversion_coeffs(A, 5), 0, 0.3) == 0.0
 
 
 def test_partial_sum_step_identity(step_series, legendre_at_a):
@@ -39,12 +42,20 @@ def test_constrained_partial_sum_vanishes_at_endpoints():
         partial_sum(b, 31, 0.0)
 
 
+def _direct_error(exact, series, p, x):
+    """|exact - S_p(x)| from partial_sum, reduced to float as a sweep does."""
+    with series.ctx.active():
+        return abs(float(series.ctx.convert(exact) - partial_sum(series, p, x)))
+
+
 def test_error_sweep_matches_partial_sum(step_series, step_family=None):
-    sweep = error_sweep(step_series, lambda x: exact_solution_derivative(x, A), 0.37, 50)
-    for p in (1, 13, 50):
-        direct = abs(exact_solution_derivative(0.37, A) - partial_sum(step_series, p, 0.37))
-        assert sweep.abs_error[p - 1] == pytest.approx(direct, rel=1e-12, abs=1e-16)
-    assert sweep.pvalues[0] == 1 and sweep.pmax == 50
+    # sweeps and pointwise sums share one kernel, so they agree bit for bit
+    exact = exact_solution_derivative(0.37, A)
+    for series in (step_series, step_derivative_coeffs(A, 60, bigfloat(128))):
+        sweep = error_sweep(series, lambda x: exact_solution_derivative(x, A), 0.37, 50)
+        for p in (1, 13, 50):
+            assert sweep.abs_error[p - 1] == _direct_error(exact, series, p, 0.37)
+        assert sweep.pvalues[0] == 1 and sweep.pmax == 50
 
 
 def test_error_sweep_polynomial_target_exact():
@@ -55,11 +66,12 @@ def test_error_sweep_polynomial_target_exact():
 
 def test_error_sweep_magnitude_mode():
     series = power_abs_coeffs(-0.5, 200, bigfloat(128))
-    sweep = error_sweep(series, lambda x: None, 0.0, 200, FLOAT64)
-    values = partial_sum_values(series, 0.0, 200, FLOAT64)
-    assert sweep.abs_error == pytest.approx(np.abs(values))
-    # divergent: magnitudes grow
-    assert sweep.abs_error[-1] > sweep.abs_error[10]
+    for ctx in (FLOAT64, bigfloat(128)):
+        sweep = error_sweep(series, lambda x: None, 0.0, 200, ctx)
+        values = partial_sum_values(series, 0.0, 200, ctx)
+        assert np.array_equal(sweep.abs_error, np.abs(values))
+        # divergent: magnitudes grow
+        assert sweep.abs_error[-1] > sweep.abs_error[10]
 
 
 def test_error_sweep_bigfloat_context(step_family):
@@ -71,11 +83,10 @@ def test_error_sweep_bigfloat_context(step_family):
 
 
 def test_constrained_sweep_matches_pointwise():
-    b = constrained_pversion_coeffs(A, 60)
-    sweep = error_sweep(b, lambda x: exact_solution(x, A), 0.2, 60)
-    for p in (1, 9, 60):
-        direct = abs(exact_solution(0.2, A) - partial_sum(b, p, 0.2))
-        assert sweep.abs_error[p - 1] == pytest.approx(direct, rel=1e-10, abs=1e-16)
+    for b in (constrained_pversion_coeffs(A, 60), constrained_pversion_coeffs(A, 60, bigfloat(128))):
+        sweep = error_sweep(b, lambda x: exact_solution(x, A), 0.2, 60)
+        for p in (1, 9, 60):
+            assert sweep.abs_error[p - 1] == _direct_error(exact_solution(0.2, A), b, p, 0.2)
 
 
 def test_parseval_tail_and_quadrature(step_series, abs_series, step_family, abs_family):
