@@ -10,7 +10,8 @@ from .functions import (AbsShiftFamily, ConstrainedFamily, PowerAbsFamily,
                         StepDerivativeFamily, exact_solution, exact_solution_derivative)
 from .coefficients import (Generator, LegendreSeries, abs_shift_coeffs,
                            constrained_pversion_coeffs, derivative_coeffs,
-                           power_abs_coeffs, power_shift_coeffs_appendixA,
+                           power_abs_coeffs, power_shift_coeffs,
+                           power_shift_coeffs_appendixA,
                            quadrature_oracle_coeffs, singular_term_coeffs, spec_coeffs,
                            step_derivative_coeffs)
 from .series_eval import (ErrorSweep, NormSweep, error_sweep, norm_sweep, parseval_tail,

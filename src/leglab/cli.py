@@ -2,8 +2,9 @@
 
 Verbs: coeffs, sweep, fit, gibbs, bounds, fem, norm, growth, conjecture,
 figures.  Every verb accepts --config pointing at a JSON experiment file;
-inline flags assemble the same document.  Exit status is nonzero only when
-a conjecture clause fails outright (preasymptotic entries do not fail).
+inline flags assemble the same document.  Exit status is 1 when a
+conjecture clause fails outright (preasymptotic entries do not fail) and 2
+when a run records an error in its manifest, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def main(argv=None) -> int:
         for m in manifests:
             errs = f"  errors={len(m['errors'])}" if m["errors"] else ""
             print(f"{m['experiment']}: {len(m['outputs'])} outputs{errs}")
-        return 0
+        return 2 if any(m["errors"] for m in manifests) else 0
 
     if args.verb == "fit":
         return _refit(args)

@@ -14,10 +14,15 @@ Closed forms:
   three-term recurrence
   (beta + k + 2) mu_{k+1} = a (2k+1) mu_k + (beta + 1 - k) mu_{k-1},
   derived from the Euler identity (x - a) f' = beta f;
-* |x + 1|^beta: power moments I_k = int (1+x)^beta x^k combined with the
-  exact integer monomial coefficients of P_k.  The alternating monomial
-  sums cancel roughly 1.585 bits per degree, hence the adaptive working
-  precision of 64 + ceil(1.6 P) bits with a doubled-precision recheck.
+* |x + 1|^beta: Rodrigues' formula and k integrations by parts give
+  I_k = int (1+x)^beta P_k = 2^(beta+1) Gamma(beta+1)^2 / (Gamma(beta+k+2) Gamma(beta+1-k)),
+  so I_0 = 2^(beta+1)/(beta+1), I_{k+1} = I_k (beta - k)/(beta + k + 2) and
+  c_k = (2k+1) I_k / 2.  Nothing cancels; with 64 guard bits the rounding
+  to the output context is the only error that shows, and the top
+  coefficient is certified against the Gamma form.  The paper's Appendix-A
+  construction (power moments times the exact integer monomial
+  coefficients of P_k, cancelling about 1.585 bits per degree) stays as
+  its oracle.
 
 A singularity-splitting quadrature oracle cross-checks every generator.
 """
@@ -297,12 +302,7 @@ def power_shift_coeffs_appendixA(beta, P: int, ctx: Optional[PrecisionContext] =
     precision of the *returned* coefficients (never higher than the working
     precision); exact-rational output is not supported.
     """
-    if float(beta) <= -1.0:
-        raise ValueError("beta must exceed -1")
-    if P < 0:
-        raise ValueError("P must be >= 0")
-    if ctx is not None and ctx.mode == EXACT:
-        raise PrecisionError("appendix-A coefficients are irrational; use a floating context")
+    _check_power_shift_args(beta, P, ctx)
     bits = appendixA_precision_bits(P)
     if ctx is not None and ctx.mode == "big" and ctx.bits > bits:
         bits = ctx.bits
@@ -315,12 +315,28 @@ def power_shift_coeffs_appendixA(beta, P: int, ctx: Optional[PrecisionContext] =
         if abs(cp - ref) / scale > mpmath.mpf("1e-20"):
             raise PrecisionError(
                 f"appendix-A combination lost precision at P={P}: use more bits than {bits}")
+    return _power_shift_series(beta, coeffs_hi, ctx)
+
+
+def _check_power_shift_args(beta, P, ctx):
+    if float(beta) <= -1.0:
+        raise ValueError("beta must exceed -1")
+    if P < 0:
+        raise ValueError("P must be >= 0")
+    if ctx is not None and ctx.mode == EXACT:
+        raise PrecisionError("|x+1|^beta coefficients are irrational; use a floating context")
+
+
+def _power_shift_series(beta, coeffs_hi, ctx):
+    """Round working-precision coefficients to ctx (float64 when None)."""
     out_ctx = ctx or FLOAT64
     if out_ctx.mode == F64:
         coeffs = [float(c) for c in coeffs_hi]
     else:
         with out_ctx.active():
             coeffs = [+c for c in coeffs_hi]
+    # both routes carry the Appendix-A tag: its value is part of the series id
+    # recorded in every |x+1|^beta fit, and the two give the same numbers
     return LegendreSeries(coeffs, Generator.POWER_SHIFT_APPENDIX_A, out_ctx, {"beta": float(beta)})
 
 
@@ -346,6 +362,38 @@ def _power_shift_single(beta, k, bits):
         for power, num in row:
             s += num * I[power]
         return s * (2 * k + 1) / mpmath.mpf(2) ** (k + 1)
+
+
+def power_shift_coeffs(beta, P: int, ctx: Optional[PrecisionContext] = None) -> LegendreSeries:
+    """Expansion of |x + 1|^beta from the closed-form ratio recurrence.
+
+    The recurrence runs at max(128, output bits) + 64 bits and is rounded to
+    the output context (float64 when ctx is None); c_P is certified against
+    the Gamma closed form at doubled precision.  Integer beta gives the
+    polynomial's coefficients, correctly rounded, and c_k = 0 exactly for
+    k > beta.
+    """
+    _check_power_shift_args(beta, P, ctx)
+    bits = max(128, (ctx or FLOAT64).bits) + 64
+    work = bigfloat(bits)
+    with work.active():
+        b = work.convert(beta)
+        coeffs_hi = []
+        I = 2 ** (b + 1) / (b + 1)
+        for k in range(P + 1):
+            coeffs_hi.append((2 * k + 1) * I / 2)
+            I = I * (b - k) / (b + k + 2)
+    with mpmath.workprec(2 * bits):
+        b = mpmath.mpf(beta)
+        # beta + 1 - P is formed exactly: rounded, a tiny beta would vanish
+        # and land on a pole.  rgamma is exactly 0 at the poles, which
+        # certifies the exact zeros of integer beta.
+        ref = (2 ** b * (2 * P + 1) * mpmath.gamma(b + 1) ** 2 * mpmath.rgamma(b + (P + 2))
+               * mpmath.rgamma(mpmath.fadd(b, 1 - P, exact=True)))
+        gap = abs(coeffs_hi[P] - ref)
+        if gap > abs(ref) * mpmath.mpf(2) ** (32 - bits):
+            raise PrecisionError(f"|x+1|^beta recurrence disagrees with the Gamma form at P={P}")
+    return _power_shift_series(beta, coeffs_hi, ctx)
 
 
 def polynomial_legendre_coeffs(poly: Sequence, P: int, ctx: PrecisionContext = FLOAT64) -> list:

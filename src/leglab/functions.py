@@ -214,9 +214,9 @@ class PowerShiftFamily(Family):
         return base ** self.beta
 
     def series(self, P, ctx=None):
-        from .coefficients import power_shift_coeffs_appendixA
+        from .coefficients import power_shift_coeffs
 
-        return power_shift_coeffs_appendixA(self.beta, P, ctx)
+        return power_shift_coeffs(self.beta, P, ctx)
 
     def describe(self):
         return f"|x+1|^{self.beta:g}"

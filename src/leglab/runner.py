@@ -18,7 +18,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .conjecture import ToleranceProfile, conjecture_suite, powershift_suite, summarize
-from .functions import StepDerivativeFamily, family_from_config
+from .functions import (PowerAbsFamily, PowerShiftFamily, StepDerivativeFamily,
+                        family_from_config)
 from .precision import FLOAT64, PrecisionContext, PrecisionError, parse_precision
 from .ratefit import FitUnreliable, constant_growth, fit_rate, gibbs_probe, pinned_constant
 from .series_eval import error_sweep, norm_sweep
@@ -144,7 +145,7 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> dict:
     writer = ManifestWriter(outdir, config.id)
     try:
         _dispatch(config, writer)
-    except (PrecisionError, FitUnreliable) as exc:
+    except (PrecisionError, FitUnreliable, InfiniteNorm) as exc:
         # graceful degradation: record a machine-readable error, never silent bad data
         writer.record_error(config.kind, exc)
     doc = {k: getattr(config, k) for k in config.__dataclass_fields__}
@@ -305,10 +306,29 @@ def _dispatch(config: ExperimentConfig, writer: ManifestWriter) -> None:
     raise ValueError(f"unknown experiment kind {config.kind!r}")
 
 
+class InfiniteNorm(ValueError):
+    """The target is not square integrable, so it has no norm error to sweep."""
+
+
 def _exact_norm_sq(family, norm: str) -> Optional[float]:
-    """Squared target norm by exact piecewise Gauss quadrature where available."""
+    """Squared target norm: closed forms for the power families, exact
+    piecewise Gauss quadrature for the piecewise-polynomial ones, None where
+    neither applies (the norm sweep then warns about truncation)."""
     from .legendre import gauss_rule
 
+    if isinstance(family, (PowerAbsFamily, PowerShiftFamily)):
+        beta = family.beta
+        if norm.lower() == "energy":
+            # the derivative beta |x|^(beta - 1) is square integrable only for beta > 1/2
+            if beta != 0 and beta <= 0.5:
+                raise InfiniteNorm(f"the derivative of {family.describe()} is not square "
+                                   "integrable for beta <= 1/2")
+            return None
+        if beta <= -0.5:
+            raise InfiniteNorm(f"{family.describe()} is not square integrable for beta <= -1/2")
+        # int |x|^(2 beta) = 2/(2 beta + 1); int (1+x)^(2 beta) = 2^(2 beta + 1)/(2 beta + 1)
+        scale = 2.0 if isinstance(family, PowerAbsFamily) else 2.0 ** (2 * beta + 1)
+        return scale / (2 * beta + 1)
     sing = family.singular_point()
     if sing is None:
         return None

@@ -191,8 +191,20 @@ def parseval_tail(series: LegendreSeries, p: int, exact_norm_sq: Optional[float]
     sq = c * c * (2.0 / (2 * k + 1))
     tail = float(np.sum(sq[p + 1:]))
     if exact_norm_sq is not None:
-        tail += max(exact_norm_sq - float(np.sum(sq)), 0.0)
+        tail += _beyond_series(exact_norm_sq, float(np.sum(sq)))
     return tail
+
+
+def _beyond_series(exact_norm_sq: float, total: float) -> float:
+    """Squared norm beyond the series, exact_norm_sq - total, or 0 where that
+    difference is not clearly above rounding, which would otherwise be added
+    to every tail.  np.sum adds pairwise, so total is within about 25 eps of
+    the exact sum of its terms; with the terms' and the norm's own rounding
+    the difference is good to about 30 eps * norm, and 64 eps leaves a margin."""
+    remainder = float(exact_norm_sq) - total
+    if remainder <= 64 * np.finfo(float).eps * float(exact_norm_sq):
+        return 0.0
+    return remainder
 
 
 def norm_sweep(series: LegendreSeries, exact_norm_sq: Optional[float] = None,
@@ -203,8 +215,10 @@ def norm_sweep(series: LegendreSeries, exact_norm_sq: Optional[float] = None,
     for a series that already represents a derivative (the step family) this
     equals its own L2 tail; otherwise the series is differentiated first.
     ``exact_norm_sq`` (the squared norm of the target, e.g. from quadrature)
-    accounts for the tail beyond the available coefficients; without it a
-    warning fires when the truncated remainder may exceed 1% of the result.
+    accounts for the tail beyond the available coefficients where that tail
+    stands clear of the f64 rounding; without it, or when it is dropped as
+    rounding, a warning fires when the truncated remainder may exceed 1% of
+    the result.
     """
     norm_key = norm.strip().lower()
     if norm_key not in ("l2", "energy"):
@@ -218,7 +232,7 @@ def norm_sweep(series: LegendreSeries, exact_norm_sq: Optional[float] = None,
     total = float(np.sum(sq))
     remainder = 0.0
     if exact_norm_sq is not None:
-        remainder = max(float(exact_norm_sq) - total, 0.0)
+        remainder = _beyond_series(exact_norm_sq, total)
     if pmax is None:
         pmax = len(c) - 2
     if pmax >= len(c):
@@ -227,7 +241,7 @@ def norm_sweep(series: LegendreSeries, exact_norm_sq: Optional[float] = None,
     tails = np.cumsum(sq[::-1])[::-1]
     pv = np.arange(1, pmax + 1)
     values = remainder + tails[2:pmax + 2]
-    if exact_norm_sq is None:
+    if remainder == 0.0:
         cut = max(int(0.9 * len(sq)), pmax + 1)
         last_block = float(np.sum(sq[cut:]))
         if values[-1] > 0 and last_block > 0.01 * values[-1]:

@@ -4,15 +4,17 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leglab.coefficients import (Generator, abs_shift_coeffs, appendixA_moment,
                                  binomial_moment_oracle, constrained_pversion_coeffs,
                                  derivative_coeffs, legendre_monomial_rows,
                                  polynomial_legendre_coeffs, power_abs_coeffs,
-                                 power_shift_coeffs_appendixA, quadrature_oracle_coeffs,
-                                 singular_term_coeffs, spec_coeffs, step_derivative_coeffs,
-                                 step_oracle_coeff)
-from leglab.functions import SingularFunctionSpec
+                                 power_shift_coeffs, power_shift_coeffs_appendixA,
+                                 quadrature_oracle_coeffs, singular_term_coeffs, spec_coeffs,
+                                 step_derivative_coeffs, step_oracle_coeff)
+from leglab.functions import PowerShiftFamily, SingularFunctionSpec
 from leglab.legendre import legendre_eval
 from leglab.precision import EXACT_RATIONAL, FLOAT64, PrecisionError, bigfloat
 
@@ -191,6 +193,95 @@ def test_power_shift_guards():
         power_shift_coeffs_appendixA(-1.5, 5)
     with pytest.raises(PrecisionError):
         power_shift_coeffs_appendixA(0.5, 5, EXACT_RATIONAL)
+
+
+def _closed_form_vs_appendixA(beta, P, oracle_bits=192):
+    """Largest gap between the closed form at big:192 and the Appendix-A
+    oracle, relative to the envelope max(|c_k|, 1/(2k+1))."""
+    closed = power_shift_coeffs(beta, P, bigfloat(192)).coeffs
+    oracle = power_shift_coeffs_appendixA(beta, P, bigfloat(oracle_bits)).coeffs
+    with mpmath.workprec(oracle_bits + 64):
+        return max(abs(c - o) / max(abs(o), mpmath.mpf(1) / (2 * k + 1))
+                   for k, (c, o) in enumerate(zip(closed, oracle)))
+
+
+# Near integer beta the oracle's top coefficient is nearly 0; at 1024 bits it
+# clears its own cancellation there.
+@pytest.mark.parametrize("beta,P,oracle_bits",
+                         [(b, 300, 192) for b in (-5.0 / 6.0, -0.5, 0.5, 1.5)]
+                         + [(b, 60, 1024) for b in (1e-100, -1e-20, 1 + 2.0 ** -40,
+                                                    2 - 1e-15, 3 + 1e-12)])
+def test_power_shift_closed_form_matches_appendixA(beta, P, oracle_bits):
+    assert _closed_form_vs_appendixA(beta, P, oracle_bits) <= 1e-50
+
+
+def test_power_shift_closed_form_f64_bit_identical_to_appendixA():
+    for beta in (-0.9, -5.0 / 6.0, -0.5, -0.1, 0.3, 0.5, 1.5, 2.7):
+        closed = power_shift_coeffs(beta, 300).coeffs
+        assert closed == power_shift_coeffs_appendixA(beta, 300).coeffs, beta
+        assert all(type(c) is float for c in closed)
+
+
+# The oracle runs at big:384 here: at low P it works at only max(64 + 1.6 P + 32,
+# out bits) bits and cancels about 1.6 bits per degree, so at big:192 it is
+# itself off by 1.3e-50 at beta = 2.90625, P = 17 (the closed form: 4e-59).
+# Within 1e-6 of an integer the oracle cannot certify its near-zero top
+# coefficient; the near-integer cases of the fixed test above cover that band.
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(beta=st.floats(min_value=-0.95, max_value=4.0).filter(lambda b: abs(b - round(b)) > 1e-6),
+       P=st.integers(min_value=0, max_value=120))
+def test_power_shift_closed_form_matches_appendixA_random(beta, P):
+    assert _closed_form_vs_appendixA(beta, P, oracle_bits=384) <= 1e-50
+
+
+def test_power_shift_tiny_beta_is_log():
+    # (1+x)^beta = 1 + beta log(1+x) + O(beta^2), and log(1+x) has the Legendre
+    # coefficients (-1)^(k-1) (2k+1)/(k(k+1)) for k >= 1; beta + 1 - P rounded
+    # at working precision would drop beta here
+    for beta in (1e-300, -1e-300):
+        series = power_shift_coeffs(beta, 60, bigfloat(192))
+        assert series.coeffs[0] == 1
+        with mpmath.workprec(256):
+            for k in range(1, 61):
+                log_k = mpmath.mpf((-1) ** (k - 1) * (2 * k + 1)) / (k * (k + 1))
+                assert abs(series.coeffs[k] / (beta * log_k) - 1) <= 1e-50, k
+
+
+def test_power_shift_closed_form_guards():
+    with pytest.raises(ValueError):
+        power_shift_coeffs(-1.5, 5)
+    with pytest.raises(ValueError):
+        power_shift_coeffs(-1.0, 5)
+    with pytest.raises(ValueError):
+        power_shift_coeffs(0.5, -1)
+    with pytest.raises(PrecisionError):
+        power_shift_coeffs(0.5, 5, EXACT_RATIONAL)
+
+
+def test_power_shift_closed_form_against_gamma_form():
+    # far beyond the oracle's reach: P = 5000 and a large exponent
+    series = power_shift_coeffs(7.5, 5000, bigfloat(128))
+    with mpmath.workprec(256):
+        b = mpmath.mpf(7.5)
+        for k in (0, 9, 1000, 5000):
+            ref = (2 ** b * (2 * k + 1) * mpmath.gamma(b + 1) ** 2
+                   / (mpmath.gamma(b + k + 2) * mpmath.gamma(b + 1 - k)))
+            assert abs(series.coeffs[k] - ref) <= abs(ref) * mpmath.mpf(2) ** -125, k
+
+
+@pytest.mark.parametrize("ctx", [None, bigfloat(192)])
+def test_power_shift_integer_beta_is_polynomial(ctx):
+    # (1+x)^beta for integer beta: the leading coefficients are those of the
+    # polynomial, correctly rounded, and every later one is exactly zero
+    polys = {0: [1], 1: [1, 1], 2: [1, 2, 1]}
+    for beta, poly in polys.items():
+        series = PowerShiftFamily(beta=beta).series(2201, ctx)
+        assert len(series.coeffs) == 2202
+        exact = polynomial_legendre_coeffs(poly, beta, EXACT_RATIONAL)
+        expect = [series.ctx.convert(e) for e in exact]
+        assert series.coeffs[:beta + 1] == expect
+        assert all(c == 0 for c in series.coeffs[beta + 1:])
+    assert [float(c) for c in PowerShiftFamily(beta=2).series(3).coeffs] == [4 / 3, 2.0, 2 / 3, 0.0]
 
 
 def test_appendixA_moment_matches_binomial():

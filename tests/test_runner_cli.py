@@ -1,13 +1,17 @@
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from leglab.cli import main
-from leglab.runner import (ExperimentConfig, figure_config_dir, list_figure_configs,
-                           run_experiment, run_figures)
+from leglab.coefficients import power_abs_coeffs, power_shift_coeffs
+from leglab.functions import AbsShiftFamily, PowerAbsFamily, PowerShiftFamily, StepDerivativeFamily
+from leglab.precision import PrecisionError
+from leglab.runner import (ExperimentConfig, InfiniteNorm, _exact_norm_sq, figure_config_dir,
+                           list_figure_configs, run_experiment, run_figures)
 
 
 def _hash_tree(root):
@@ -61,6 +65,53 @@ def test_precision_error_recorded_not_silent(tmp_path):
     assert manifest["errors"]
     assert manifest["errors"][0]["type"] == "PrecisionError"
     assert manifest["results"] == {}
+
+
+def test_exact_norm_closed_forms():
+    assert _exact_norm_sq(PowerAbsFamily(beta=0.25), "L2") == 4 / 3
+    assert _exact_norm_sq(PowerAbsFamily(beta=-0.25), "L2") == 4.0
+    assert _exact_norm_sq(PowerAbsFamily(beta=0.0), "L2") == 2.0
+    assert _exact_norm_sq(PowerShiftFamily(beta=0.5), "L2") == 2.0
+    assert _exact_norm_sq(PowerShiftFamily(beta=1.0), "L2") == pytest.approx(8 / 3, rel=1e-15)
+    assert _exact_norm_sq(PowerShiftFamily(beta=-0.25), "L2") == pytest.approx(2 * 2 ** 0.5, rel=1e-15)
+    # no closed form for the derivative: the sweep's truncation warning takes over
+    assert _exact_norm_sq(PowerAbsFamily(beta=0.75), "Energy") is None
+    assert _exact_norm_sq(PowerShiftFamily(beta=0.0), "Energy") is None
+    for family in (PowerAbsFamily(beta=-0.5), PowerShiftFamily(beta=-0.75)):
+        with pytest.raises(InfiniteNorm):
+            _exact_norm_sq(family, "L2")
+    for family in (PowerAbsFamily(beta=0.5), PowerShiftFamily(beta=0.25)):
+        with pytest.raises(InfiniteNorm):
+            _exact_norm_sq(family, "Energy")
+    # the piecewise-polynomial families keep their exact Gauss route
+    assert _exact_norm_sq(StepDerivativeFamily(a=0.5), "L2") == pytest.approx(0.375, rel=1e-14)
+    assert _exact_norm_sq(AbsShiftFamily(a=0.5), "Energy") == pytest.approx(0.375, rel=1e-14)
+
+
+# The Parseval tail of a 20000-term series misses about N^-1.5 beyond it for
+# |x|^0.25 (coefficients ~ k^-0.75).  For |x+1|^0.5 it misses nothing visible,
+# and the sweep's f64 difference exact - head (2 - 1.2e-9) limits agreement.
+# For |x+1|^1.5 that difference (about 1e-24) is below the rounding of the
+# f64 sum (1e-15, against e_100^2 of about 1e-16), so the sweep must drop it
+# rather than add the rounding to every p.
+@pytest.mark.parametrize("family,beta,series,rel", [("powerabs", 0.25, power_abs_coeffs, 5e-4),
+                                                    ("powershift", 0.5, power_shift_coeffs, 1e-6),
+                                                    ("powershift", 1.5, power_shift_coeffs, 1e-6)])
+def test_norm_experiment_power_families_exact(tmp_path, family, beta, series, rel):
+    cfg = ExperimentConfig(id="n", kind="norm", family=family, params={"beta": beta}, pmax=100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        manifest = run_experiment(cfg, str(tmp_path))
+    assert not manifest["errors"]
+    last = np.loadtxt(tmp_path / "n.norm.csv", delimiter=",", skiprows=1)[-1]
+    c = series(beta, 20000).as_floats()
+    k = np.arange(len(c))
+    tail = np.sqrt(np.sum((c * c * 2 / (2 * k + 1))[101:][::-1]))
+    assert last[0] == 100
+    assert last[1] == pytest.approx(tail, rel=rel)
+    if family == "powerabs":
+        # 200000 terms give 0.0099934594; the quadrature norm used to report 0.0143
+        assert last[1] == pytest.approx(0.0099935, rel=1e-4)
 
 
 def test_fem_experiment(tmp_path):
@@ -126,6 +177,33 @@ def test_cli_conjecture_exit(tmp_path, capsys):
                "--clauses", "1", "--pmax", "1000", "--out", str(tmp_path)])
     assert rc == 0
     assert "pass=2" in capsys.readouterr().out
+
+
+def test_cli_figures_exit_status(tmp_path, capsys, monkeypatch):
+    assert main(["figures", "--only", "fig02", "--out", str(tmp_path / "ok")]) == 0
+
+    def fail(self, P, ctx=None):
+        raise PrecisionError("forced")
+
+    monkeypatch.setattr(PowerShiftFamily, "series", fail)
+    rc = main(["figures", "--only", "fig02", "fig12a", "--out", str(tmp_path / "bad")])
+    assert rc == 2
+    out = capsys.readouterr().out
+    assert "fig12a: 0 outputs  errors=1" in out
+
+
+@pytest.mark.parametrize("norm", ["l2", "energy"])
+def test_cli_norm_infinite_norm_recorded(tmp_path, norm):
+    # |x|^-0.5 and its derivative are not square integrable: an error in the
+    # manifest and exit status 2, no traceback and no output files
+    out = tmp_path / norm
+    rc = main(["norm", "--family", "powerabs", "--beta", "-0.5", "--norm", norm,
+               "--pmax", "50", "--out", str(out)])
+    assert rc == 2
+    with open(out / "norm.manifest.json") as fh:
+        manifest = json.load(fh)
+    assert manifest["errors"][0]["type"] == "InfiniteNorm"
+    assert manifest["outputs"] == []
 
 
 def test_cli_figures_list(capsys):
