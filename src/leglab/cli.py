@@ -161,7 +161,10 @@ def main(argv=None) -> int:
                                             "clauses": args.clauses,
                                             "powershift_betas": args.powershift_betas,
                                             "tolerances": tol, "jobs": args.jobs})
-        manifest = run_experiment(cfg, args.out)
+        try:
+            manifest = run_experiment(cfg, args.out)
+        except ValueError as exc:
+            parser.error(str(exc))  # a grid the suite rejects: exit status 2
         print(manifest["results"].get("summary", ""))
         counts = manifest["results"].get("verdicts", {})
         print(f"pass={counts.get('pass', 0)} fail={counts.get('fail', 0)} "

@@ -17,16 +17,16 @@ failed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .coefficients import power_abs_coeffs, singular_term_coeffs
-from .functions import Family, PowerShiftFamily, StepDerivativeFamily
-from .precision import FLOAT64, PrecisionError, bigfloat
-from .ratefit import (FitUnreliable, bounded_oscillation_check, constant_growth,
-                      fit_rate, pinned_constant)
+from .functions import Family, PowerAbsFamily, PowerShiftFamily, StepDerivativeFamily
+from .precision import FLOAT64, PrecisionContext, PrecisionError, bigfloat
+from .ratefit import (FitUnreliable, bounded_oscillation_check, coefficient_ctx,
+                      constant_growth, fit_rate)
 from .series_eval import error_sweep, partial_sum_values
 
 
@@ -60,61 +60,30 @@ class ConjectureVerdict:
                 "status": self.status, "fit": self.fit, "detail": self.detail}
 
 
-@dataclass
-class PowerTermFamily(Family):
-    """|x - a|^beta itself; the beta = 0 member is handled by the jump family."""
-
-    a: float = 0.0
-    beta: float = 0.5
-    name: str = field(default="powerterm", init=False)
-
-    def exact(self, x):
-        d = abs(x - self.a)
-        if d == 0.0:
-            return None if self.beta < 0 else (1.0 if self.beta == 0 else 0.0)
-        return d ** self.beta
-
-    def series(self, P, ctx=None):
-        ctx = ctx or bigfloat(256)
-        if self.a == 0.0:
-            return power_abs_coeffs(self.beta, P, ctx)
-        return singular_term_coeffs(self.a, self.beta, P, ctx)
-
-    def singular_point(self):
-        return self.a
-
-    def describe(self):
-        return f"|x-({self.a:g})|^{self.beta:g}"
-
-
+@functools.lru_cache(maxsize=1)
 def conjecture_family(beta: float, a: float) -> Family:
+    """The target at one grid point; repeated calls share one instance, so
+    the clauses of a point share its memoized coefficient series."""
     if beta == 0.0:
         return StepDerivativeFamily(a=a)
-    return PowerTermFamily(a=a, beta=beta)
-
-
-def _sweep(family: Family, x: float, pmax: int, magnitude: bool = False):
-    series = family.series(pmax + 1, None)
-    exact = (lambda _x: None) if magnitude else family.exact
-    return error_sweep(series, exact, x, pmax, FLOAT64)
+    return PowerAbsFamily(beta=beta, a=a)
 
 
 def measured_rate(family: Family, x: float, pmax: int = 2200, ceiling: int = 10000,
-                  magnitude: bool = False, window=None):
+                  magnitude: bool = False, window=None, ctx: PrecisionContext = FLOAT64):
     """Fit with automatic pmax escalation; returns (fit or None, status, pmax used)."""
+    exact = (lambda _x: None) if magnitude else family.exact
     pm = pmax
-    last_exc = None
     while True:
-        sweep = _sweep(family, x, pm, magnitude)
+        sweep = error_sweep(family.series(pm + 1, coefficient_ctx(ctx)), exact, x, pm, ctx)
         if np.max(sweep.abs_error) == 0.0:
             return None, "exact", pm
         try:
             return fit_rate(sweep, window), "ok", pm
         except FitUnreliable as exc:
-            last_exc = exc
             if pm >= ceiling:
-                return None, f"preasymptotic ({last_exc})", pm
-            pm = min(2 * pm, ceiling)
+                return None, f"preasymptotic ({exc})", pm
+        pm = min(2 * pm, ceiling)
 
 
 def _rate_verdict(clause, params, fit_status, expected, tol) -> ConjectureVerdict:
@@ -147,11 +116,10 @@ def clause1_interior(beta: float, a: float, tol: ToleranceProfile,
     return out
 
 
-def _growth_verdict(clause, beta, a, point, side, family, fixed_alpha, expected, tol,
-                    xi_grid, pmax) -> ConjectureVerdict:
-    params = {"beta": beta, "a": a, "point": point, "side": side}
+def _growth_verdict(clause, params, point, side, family, fixed_alpha, expected, tol,
+                    xi_grid, pmax, **growth) -> ConjectureVerdict:
     try:
-        fit = constant_growth(family, point, side, xi_grid, fixed_alpha, pmax=pmax)
+        fit = constant_growth(family, point, side, xi_grid, fixed_alpha, pmax=pmax, **growth)
     except FitUnreliable as exc:
         return ConjectureVerdict(clause, params, None, expected, tol, "preasymptotic",
                                  detail=str(exc))
@@ -168,7 +136,8 @@ def clause2_boundary_growth(beta: float, a: float, tol: ToleranceProfile,
     fixed = beta + 1.0
     out = []
     for point, side in ((-1.0, +1), (1.0, -1)):
-        out.append(_growth_verdict(2, beta, a, point, side, family, fixed, -0.25,
+        params = {"beta": beta, "a": a, "point": point, "side": side}
+        out.append(_growth_verdict(2, params, point, side, family, fixed, -0.25,
                                    tol.growth, xi_grid, pmax))
     return out
 
@@ -181,7 +150,8 @@ def clause3_singular_growth(beta: float, a: float, tol: ToleranceProfile,
     fixed = beta + 1.0
     out = []
     for side in (+1, -1):
-        out.append(_growth_verdict(3, beta, a, a, side, family, fixed, -1.0,
+        params = {"beta": beta, "a": a, "point": a, "side": side}
+        out.append(_growth_verdict(3, params, a, side, family, fixed, -1.0,
                                    tol.growth, xi_grid, pmax))
     return out
 
@@ -291,7 +261,8 @@ def powershift_suite(beta_grid: Sequence[float],
 
     Expectations: 2 beta at -1 (beta > 0 only), 2 beta + 1 at +1, and
     2 beta + 3/2 at interior points; near-edge constant growth exponents
-    3/4 (left) and 1/4 (right) when growth_checks is set.
+    3/4 (left) and 1/4 (right) when growth_checks is set.  Everything runs
+    at the given pmax, without escalation.
     """
     tol = tolerance_profile or ToleranceProfile()
     eval_ctx = bigfloat(192)  # high rates push errors under float noise by p ~ 1000
@@ -299,8 +270,10 @@ def powershift_suite(beta_grid: Sequence[float],
     for beta in beta_grid:
         if beta <= -1.0:
             raise ValueError("beta must exceed -1")
+        if beta >= 0 and float(beta).is_integer():
+            # a polynomial: its error vanishes past degree beta, so no rate exists
+            raise ValueError(f"integer beta = {beta:g} makes |x+1|^beta a polynomial")
         family = PowerShiftFamily(beta=beta)
-        series = family.series(pmax + 1, eval_ctx)
         cases = []
         if beta > 0:
             cases.append((-1.0, 2.0 * beta, 1))
@@ -309,40 +282,18 @@ def powershift_suite(beta_grid: Sequence[float],
         for x, expected, clause in cases:
             params = {"beta": beta, "x": x, "family": "powershift"}
             if abs(expected) < 1e-12:
-                verdicts.append(_bounded_verdict(clause, params, series, x, pmax))
+                verdicts.append(_bounded_verdict(clause, params, family.series(pmax + 1, eval_ctx),
+                                                 x, pmax))
                 continue
-            sweep = error_sweep(series, family.exact, x, pmax, eval_ctx)
-            try:
-                fit = fit_rate(sweep)
-                ok = abs(fit.alpha - expected) <= tol.rate
-                verdicts.append(ConjectureVerdict(clause, params, fit.alpha, expected,
-                                                  tol.rate, "pass" if ok else "fail",
-                                                  fit.to_dict()))
-            except FitUnreliable as exc:
-                verdicts.append(ConjectureVerdict(clause, params, None, expected,
-                                                  tol.rate, "preasymptotic", detail=str(exc)))
+            fs = measured_rate(family, x, pmax, ceiling=pmax, ctx=eval_ctx)
+            verdicts.append(_rate_verdict(clause, params, fs, expected, tol.rate))
         if growth_checks:
             fixed = 2.0 * beta + 1.5
             for point, side, expected in ((-1.0, +1, -0.75), (1.0, -1, -0.25)):
                 params = {"beta": beta, "point": point, "family": "powershift"}
-                xi_grid = [1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5]
-                Cs, xs = [], []
-                for xi in xi_grid:
-                    sweep = error_sweep(series, family.exact, point + side * xi, pmax, eval_ctx)
-                    try:
-                        Cs.append(pinned_constant(sweep, fixed))
-                        xs.append(xi)
-                    except FitUnreliable:
-                        continue
-                if len(xs) >= 2:
-                    coef = np.polyfit(np.log(xs), np.log(Cs), 1)
-                    ok = abs(float(coef[0]) - expected) <= tol.growth
-                    verdicts.append(ConjectureVerdict(2, params, float(coef[0]), expected,
-                                                      tol.growth, "pass" if ok else "fail",
-                                                      {"xi": xs, "C": Cs, "fixed_alpha": fixed}))
-                else:
-                    verdicts.append(ConjectureVerdict(2, params, None, expected,
-                                                      tol.growth, "preasymptotic"))
+                verdicts.append(_growth_verdict(2, params, point, side, family, fixed, expected,
+                                                tol.growth, [1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5],
+                                                pmax, ctx=eval_ctx, pmax_ceiling=pmax))
     return verdicts
 
 

@@ -9,7 +9,7 @@ partial-sum magnitude itself, which is how divergent cases are measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .precision import FLOAT64, PrecisionContext
@@ -92,14 +92,34 @@ def exact_solution_derivative(x: float, a: float) -> float:
 
 
 class Family:
-    """Common protocol: a named target with exact values and a coefficient generator."""
+    """Common protocol: a named target with exact values and a coefficient generator.
+
+    Subclasses implement ``_generate``; ``series`` memoizes its result per
+    instance, keyed by the requested context.
+    """
 
     name = "family"
+    # c_k does not depend on P, so a prefix of a longer series is exact
+    prefix_stable = True
 
     def exact(self, x: float) -> Optional[float]:
         raise NotImplementedError
 
-    def series(self, P: int, ctx: PrecisionContext):
+    def series(self, P: int, ctx: Optional[PrecisionContext] = None):
+        """Coefficients c_0..c_P; ctx None lets the family pick a safe context.
+
+        A lower P is served as a prefix slice of the longest series held, a
+        higher P regenerates and replaces it.
+        """
+        memo = vars(self).setdefault("_series_memo", {})
+        held_P, held = memo.get(ctx, (-1, None))
+        if held_P < P or (held_P > P and not self.prefix_stable):
+            held_P, held = memo[ctx] = (P, self._generate(P, ctx))
+        if held_P == P:
+            return held
+        return replace(held, coeffs=held.coeffs[:P + 1])
+
+    def _generate(self, P: int, ctx: Optional[PrecisionContext]):
         raise NotImplementedError
 
     def singular_point(self) -> Optional[float]:
@@ -119,7 +139,7 @@ class StepDerivativeFamily(Family):
     def exact(self, x):
         return exact_solution_derivative(x, self.a)
 
-    def series(self, P, ctx=None):
+    def _generate(self, P, ctx):
         from .coefficients import step_derivative_coeffs
 
         return step_derivative_coeffs(self.a, P, ctx or FLOAT64)
@@ -141,7 +161,7 @@ class AbsShiftFamily(Family):
     def exact(self, x):
         return exact_solution(x, self.a)
 
-    def series(self, P, ctx=None):
+    def _generate(self, P, ctx):
         from .coefficients import abs_shift_coeffs
 
         return abs_shift_coeffs(self.a, P, ctx or FLOAT64)
@@ -159,11 +179,12 @@ class ConstrainedFamily(Family):
 
     a: float = 0.5
     name: str = field(default="constrained", init=False)
+    prefix_stable = False  # the top two coefficients depend on P
 
     def exact(self, x):
         return exact_solution(x, self.a)
 
-    def series(self, P, ctx=None):
+    def _generate(self, P, ctx):
         from .coefficients import constrained_pversion_coeffs
 
         return constrained_pversion_coeffs(self.a, P, ctx or FLOAT64)
@@ -177,27 +198,33 @@ class ConstrainedFamily(Family):
 
 @dataclass
 class PowerAbsFamily(Family):
-    """|x|^beta, even about 0; the beta = 0 member degenerates to the constant 1."""
+    """|x - a|^beta; the beta = 0 member degenerates to the constant 1."""
 
     beta: float = -0.5
+    a: float = 0.0
     name: str = field(default="powerabs", init=False)
 
     def exact(self, x):
-        if x == 0.0:
+        d = abs(x - self.a)
+        if d == 0.0:
             return None if self.beta < 0 else (1.0 if self.beta == 0 else 0.0)
-        return abs(x) ** self.beta
+        return d ** self.beta
 
-    def series(self, P, ctx=None):
-        from .coefficients import power_abs_coeffs
+    def _generate(self, P, ctx):
+        from .coefficients import power_abs_coeffs, singular_term_coeffs
 
-        # power_abs_coeffs picks a safe default context from beta when None
-        return power_abs_coeffs(self.beta, P, ctx)
+        # both generators pick a safe default context when ctx is None
+        if self.a == 0.0:
+            return power_abs_coeffs(self.beta, P, ctx)
+        return singular_term_coeffs(self.a, self.beta, P, ctx)
 
     def singular_point(self):
-        return 0.0
+        return self.a
 
     def describe(self):
-        return f"|x|^{self.beta:g}"
+        if self.a == 0.0:
+            return f"|x|^{self.beta:g}"
+        return f"|x-({self.a:g})|^{self.beta:g}"
 
 
 @dataclass
@@ -213,7 +240,7 @@ class PowerShiftFamily(Family):
             return None if self.beta < 0 else (1.0 if self.beta == 0 else 0.0)
         return base ** self.beta
 
-    def series(self, P, ctx=None):
+    def _generate(self, P, ctx):
         from .coefficients import power_shift_coeffs
 
         return power_shift_coeffs(self.beta, P, ctx)
@@ -232,7 +259,7 @@ class SpecFamily(Family):
     def exact(self, x):
         return self.spec.value(x)
 
-    def series(self, P, ctx=None):
+    def _generate(self, P, ctx):
         from .coefficients import spec_coeffs
         from .precision import bigfloat
 
@@ -256,7 +283,7 @@ def family_from_config(name: str, params: dict) -> Family:
     if name in ("constrained", "constrainedpversion"):
         return ConstrainedFamily(a=float(params.get("a", 0.5)))
     if name in ("powerabs", "power_abs"):
-        return PowerAbsFamily(beta=float(params["beta"]))
+        return PowerAbsFamily(beta=float(params["beta"]), a=float(params.get("a", 0.0)))
     if name in ("powershift", "power_shift"):
         return PowerShiftFamily(beta=float(params["beta"]))
     if name in ("spec", "custom", "customspec"):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .coefficients import LegendreSeries
 from .legendre import legendre_range_array
-from .precision import FLOAT64, PrecisionContext
+from .precision import F64, FLOAT64, PrecisionContext
 from .series_eval import ErrorSweep, error_sweep
 
 
@@ -232,6 +232,12 @@ class ConstantGrowthFit:
                 "fixed_alpha": self.fixed_alpha, "dropped": self.dropped}
 
 
+def coefficient_ctx(eval_ctx: PrecisionContext) -> Optional[PrecisionContext]:
+    """Coefficient context for a sweep evaluated in eval_ctx: float64 sweeps
+    let the family pick its own safe context, big-float sweeps ask for their own."""
+    return None if eval_ctx.mode == F64 else eval_ctx
+
+
 def constant_growth(family, approach_point: float, side: int, xi_grid: Sequence[float],
                     fixed_alpha: float, pmax: int = 2200,
                     ctx: Optional[PrecisionContext] = None,
@@ -245,7 +251,6 @@ def constant_growth(family, approach_point: float, side: int, xi_grid: Sequence[
     """
     eval_ctx = ctx or FLOAT64
     xi_values, C_values, dropped = [], [], []
-    series_cache = {}
     for xi in xi_grid:
         if xi < 1e-6:
             # below this the preasymptotic range outruns any affordable pmax
@@ -257,10 +262,8 @@ def constant_growth(family, approach_point: float, side: int, xi_grid: Sequence[
             continue
         pm = pmax
         while True:
-            if pm not in series_cache:
-                # families choose their own safe coefficient context
-                series_cache[pm] = family.series(pm + 1, None)
-            sweep = error_sweep(series_cache[pm], family.exact, x, pm, eval_ctx)
+            series = family.series(pm + 1, coefficient_ctx(eval_ctx))
+            sweep = error_sweep(series, family.exact, x, pm, eval_ctx)
             pw, ew, win = _window_slice(sweep, window)
             vals = ew * pw ** fixed_alpha
             imax = int(np.argmax(vals))

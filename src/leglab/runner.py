@@ -43,12 +43,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = {k: v for k, v in doc.items() if k not in known}
-        base = {k: v for k, v in doc.items() if k in known and k != "options"}
-        opts = dict(doc.get("options", {}))
-        opts.update(extra)
-        return cls(options=opts, **base)
+        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}; run-specific settings "
+                             "belong under 'options'")
+        return cls(**doc)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -222,8 +221,12 @@ def _dispatch(config: ExperimentConfig, writer: ManifestWriter) -> None:
         path = writer.path(f"{config.id}.norm.csv")
         sweep.write_csv(path)
         writer.register(path)
-        lp, le = np.log(sweep.pvalues[9:]), np.log(sweep.norm_error[9:])
-        coef = np.polyfit(lp, le, 1)
+        p, e = sweep.pvalues[9:], sweep.norm_error[9:]
+        # a polynomial target has e_p = 0 exactly past its degree
+        if np.count_nonzero(e > 0) < 2:
+            raise FitUnreliable("fewer than two nonzero norm errors from p = 10 on; "
+                                "no slope to fit")
+        coef = np.polyfit(np.log(p[e > 0]), np.log(e[e > 0]), 1)
         writer.results["slope"] = float(coef[0])
         if config.expect.get("slope") is not None:
             writer.results["expected_slope"] = float(config.expect["slope"])
@@ -326,9 +329,11 @@ def _exact_norm_sq(family, norm: str) -> Optional[float]:
             return None
         if beta <= -0.5:
             raise InfiniteNorm(f"{family.describe()} is not square integrable for beta <= -1/2")
-        # int |x|^(2 beta) = 2/(2 beta + 1); int (1+x)^(2 beta) = 2^(2 beta + 1)/(2 beta + 1)
-        scale = 2.0 if isinstance(family, PowerAbsFamily) else 2.0 ** (2 * beta + 1)
-        return scale / (2 * beta + 1)
+        # int |x - a|^(2 beta) = ((1 - a)^(2 beta + 1) + (1 + a)^(2 beta + 1))/(2 beta + 1),
+        # and |x + 1|^beta is the member a = -1
+        a = family.a if isinstance(family, PowerAbsFamily) else -1.0
+        e = 2 * beta + 1
+        return ((1 - a) ** e + (1 + a) ** e) / e
     sing = family.singular_point()
     if sing is None:
         return None

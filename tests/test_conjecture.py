@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from leglab.conjecture import (ConjectureVerdict, PowerTermFamily, ToleranceProfile,
+from leglab.conjecture import (ConjectureVerdict, ToleranceProfile,
                                clause1_interior, clause4_endpoints, clause5_singular_point,
                                conjecture_family, conjecture_suite, measured_rate,
                                powershift_suite, summarize)
-from leglab.functions import StepDerivativeFamily
+from leglab.functions import PowerAbsFamily, StepDerivativeFamily
 from leglab.ratefit import fit_rate
 from leglab.series_eval import error_sweep
 
@@ -14,7 +14,7 @@ def test_family_dispatch():
     fam = conjecture_family(0.0, 0.5)
     assert isinstance(fam, StepDerivativeFamily)
     fam = conjecture_family(0.5, 0.25)
-    assert isinstance(fam, PowerTermFamily)
+    assert isinstance(fam, PowerAbsFamily) and fam.a == 0.25
     assert fam.exact(0.25) == 0.0
     assert fam.exact(0.75) == pytest.approx(0.5 ** 0.5)
     neg = conjecture_family(-0.5, 0.0)
@@ -102,3 +102,39 @@ def test_powershift_rate_zero_bounded():
     at_plus1 = [v for v in verdicts if v.params.get("x") == 1.0]
     assert len(at_plus1) == 1 and at_plus1[0].status == "pass"
     assert "rate 0" in at_plus1[0].detail
+
+
+# beta = 1/2 escalates one clause to pmax 4400; the series is generated once per size
+@pytest.mark.parametrize("beta,sizes", [(-0.5, [2201]), (0.5, [2201, 4401])])
+def test_conjecture_point_generates_each_series_once(monkeypatch, beta, sizes):
+    import leglab.coefficients as coefficients
+
+    calls = []
+    original = coefficients.singular_term_coeffs
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])  # P
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(coefficients, "singular_term_coeffs", counted)
+    conjecture_family.cache_clear()
+    verdicts = conjecture_suite([beta], [0.5])
+    assert len(verdicts) == 9 and all(v.status == "pass" for v in verdicts)
+    assert calls == sizes
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2])
+def test_powershift_rejects_integer_beta(beta):
+    # |x+1|^beta is then a polynomial: its error vanishes, so no rate exists
+    with pytest.raises(ValueError, match="polynomial"):
+        powershift_suite([0.5, beta], pmax=600)
+
+
+def test_cli_conjecture_rejects_integer_powershift_beta(tmp_path, capsys):
+    from leglab.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["conjecture", "--out", str(tmp_path), "--beta-grid", "0.5", "--a-grid", "0.5",
+              "--clauses", "1", "--pmax", "400", "--powershift-betas", "1"])
+    assert exc.value.code == 2
+    assert "polynomial" in capsys.readouterr().err

@@ -1,0 +1,54 @@
+import pytest
+
+from leglab.coefficients import constrained_pversion_coeffs
+from leglab.functions import (AbsShiftFamily, ConstrainedFamily, PowerAbsFamily,
+                              PowerShiftFamily, SingularFunctionSpec, SpecFamily,
+                              StepDerivativeFamily, family_from_config)
+from leglab.precision import FLOAT64, bigfloat
+
+FAMILIES = {
+    "step": lambda: StepDerivativeFamily(a=0.5),
+    "absshift": lambda: AbsShiftFamily(a=-0.25),
+    "powerabs_a0": lambda: PowerAbsFamily(beta=0.5),
+    "powerabs_a": lambda: PowerAbsFamily(beta=-0.25, a=0.3),
+    "powershift": lambda: PowerShiftFamily(beta=0.5),
+    "spec": lambda: SpecFamily(SingularFunctionSpec(terms=((1.0, 0.2, 0.5), (-2.0, -0.4, 1.5)),
+                                                    analytic_part=(1.0, 2.0))),
+}
+
+
+@pytest.mark.parametrize("ctx", [FLOAT64, bigfloat(128)], ids=["f64", "big128"])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_prefix_slice_equals_fresh_generation(name, ctx):
+    family = FAMILIES[name]()
+    longest = family.series(60, ctx)
+    assert family.series(60, ctx) is longest  # exact hit: the memoized series itself
+    for P in (1, 25, 59):
+        short, fresh = family.series(P, ctx), FAMILIES[name]().series(P, ctx)
+        assert short.coeffs == fresh.coeffs
+        assert short.series_id == fresh.series_id
+    # a higher P regenerates
+    assert family.series(80, ctx).coeffs == FAMILIES[name]().series(80, ctx).coeffs
+
+
+def test_constrained_family_served_on_exact_p_only():
+    family = ConstrainedFamily(a=0.5)
+    top = family.series(60)
+    low = family.series(25)
+    ref = constrained_pversion_coeffs(0.5, 25)
+    assert low.coeffs == ref.coeffs and low.series_id == ref.series_id
+    # the top two coefficients of order 25 are not a prefix of order 60
+    assert low.coeffs != top.coeffs[:len(low.coeffs)]
+    assert family.series(60).coeffs == top.coeffs
+
+
+def test_power_abs_family_center():
+    at0 = PowerAbsFamily(beta=0.5)
+    assert at0.describe() == "|x|^0.5" and at0.singular_point() == 0.0
+    shifted = family_from_config("powerabs", {"beta": 0.5, "a": 0.3})
+    assert shifted.a == 0.3 and shifted.singular_point() == 0.3
+    assert shifted.describe() == "|x-(0.3)|^0.5"
+    assert shifted.exact(0.3) == 0.0
+    assert shifted.exact(-0.7) == pytest.approx(1.0, rel=1e-15)
+    assert PowerAbsFamily(beta=-0.5, a=0.3).exact(0.3) is None
+    assert family_from_config("powerabs", {"beta": 0.5}).a == 0.0

@@ -9,7 +9,8 @@ import pytest
 from leglab.cli import main
 from leglab.coefficients import power_abs_coeffs, power_shift_coeffs
 from leglab.functions import AbsShiftFamily, PowerAbsFamily, PowerShiftFamily, StepDerivativeFamily
-from leglab.precision import PrecisionError
+from leglab.legendre import gauss_rule
+from leglab.precision import FLOAT64, PrecisionError
 from leglab.runner import (ExperimentConfig, InfiniteNorm, _exact_norm_sq, figure_config_dir,
                            list_figure_configs, run_experiment, run_figures)
 
@@ -83,6 +84,11 @@ def test_exact_norm_closed_forms():
     for family in (PowerAbsFamily(beta=0.5), PowerShiftFamily(beta=0.25)):
         with pytest.raises(InfiniteNorm):
             _exact_norm_sq(family, "Energy")
+    # |x - a|^beta off center: split Gauss-Legendre is exact for |x - 0.3|^(2 * 0.5)
+    rule = gauss_rule(12, FLOAT64)
+    split = (rule.integrate(lambda t: abs(t - 0.3), -1.0, 0.3)
+             + rule.integrate(lambda t: abs(t - 0.3), 0.3, 1.0))
+    assert _exact_norm_sq(PowerAbsFamily(beta=0.5, a=0.3), "L2") == pytest.approx(split, rel=1e-14)
     # the piecewise-polynomial families keep their exact Gauss route
     assert _exact_norm_sq(StepDerivativeFamily(a=0.5), "L2") == pytest.approx(0.375, rel=1e-14)
     assert _exact_norm_sq(AbsShiftFamily(a=0.5), "Energy") == pytest.approx(0.375, rel=1e-14)
@@ -112,6 +118,28 @@ def test_norm_experiment_power_families_exact(tmp_path, family, beta, series, re
     if family == "powerabs":
         # 200000 terms give 0.0099934594; the quadrature norm used to report 0.0143
         assert last[1] == pytest.approx(0.0099935, rel=1e-4)
+
+
+def test_cli_norm_of_polynomial_target_exits_2(tmp_path):
+    # (1 + x)^1 has e_p = 0 exactly for p >= 2: no slope, and no NaN in the manifest
+    out = tmp_path / "o"
+    rc = main(["norm", "--family", "powershift", "--beta", "1", "--norm", "l2", "--pmax", "100",
+               "--out", str(out)])
+    assert rc == 2
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    manifest = json.loads((out / "norm.manifest.json").read_text(), parse_constant=reject)
+    assert [e["type"] for e in manifest["errors"]] == ["FitUnreliable"]
+    assert "slope" not in manifest["results"]
+
+
+def test_config_rejects_unknown_keys():
+    with pytest.raises(ValueError, match=r"\['pmx', 'precison'\]"):
+        ExperimentConfig.from_dict({"id": "t", "kind": "sweep", "pmx": 50, "precison": "big:256"})
+    cfg = ExperimentConfig.from_dict({"id": "t", "kind": "growth", "options": {"point": 1.0}})
+    assert cfg.options == {"point": 1.0}
 
 
 def test_fem_experiment(tmp_path):
