@@ -28,7 +28,8 @@ def _common(parser: argparse.ArgumentParser, kind: str) -> None:
     if kind in ("coeffs", "sweep", "fit", "norm", "gibbs", "bounds", "growth", "fem"):
         parser.add_argument("--family", default="step",
                             help="step | absshift | constrained | powerabs | powershift | spec")
-        parser.add_argument("--a", type=float, default=0.5)
+        parser.add_argument("--a", type=float,
+                            help="jump or singular point (default 0.5; 0 for powerabs with --beta)")
         parser.add_argument("--beta", type=float)
         parser.add_argument("--coeff-precision", dest="coeff_precision")
 
@@ -40,8 +41,9 @@ def _build_config(args, kind: str) -> ExperimentConfig:
     params = {}
     if getattr(args, "beta", None) is not None:
         params["beta"] = args.beta
-    else:
-        params["a"] = getattr(args, "a", 0.5)
+    a = getattr(args, "a", None)
+    if a is not None or "beta" not in params:
+        params["a"] = 0.5 if a is None else a
     options = {}
     if kind == "norm":
         options["norm"] = args.norm

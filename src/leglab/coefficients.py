@@ -13,7 +13,10 @@ Closed forms:
 * |x - a|^beta: modified moments mu_k = int |x-a|^beta P_k from the
   three-term recurrence
   (beta + k + 2) mu_{k+1} = a (2k+1) mu_k + (beta + 1 - k) mu_{k-1},
-  derived from the Euler identity (x - a) f' = beta f;
+  derived from the Euler identity (x - a) f' = beta f.  In big-float mode
+  it runs in fixed point on Python integers: a and beta are dyadic
+  rationals, so after clearing their denominators every step is one
+  integer division;
 * |x + 1|^beta: Rodrigues' formula and k integrations by parts give
   I_k = int (1+x)^beta P_k = 2^(beta+1) Gamma(beta+1)^2 / (Gamma(beta+k+2) Gamma(beta+1-k)),
   so I_0 = 2^(beta+1)/(beta+1), I_{k+1} = I_k (beta - k)/(beta + k + 2) and
@@ -66,6 +69,12 @@ class LegendreSeries:
     ctx: PrecisionContext
     params: dict = field(default_factory=dict)
 
+    # float64 image of coeffs, made on first use; a prefix slice takes its
+    # image from the series it was cut from
+    _f64: Optional[list] = field(default=None, init=False, repr=False, compare=False)
+    _source: Optional["LegendreSeries"] = field(default=None, init=False, repr=False,
+                                                compare=False)
+
     def __post_init__(self):
         for c in self.coeffs:
             if isinstance(c, float) and not math.isfinite(c):
@@ -80,8 +89,23 @@ class LegendreSeries:
         p = ",".join(f"{k}={v:g}" for k, v in sorted(self.params.items()) if isinstance(v, (int, float)))
         return f"{self.generator.value}({p})@{self.ctx.describe()}/P{self.degree}"
 
+    def f64_image(self) -> list:
+        """The coefficients rounded to Python floats, converted once per series."""
+        if self._f64 is None:
+            if self._source is not None:
+                self._f64 = self._source.f64_image()[: len(self.coeffs)]
+            else:
+                self._f64 = [float(c) for c in self.coeffs]
+        return self._f64
+
+    def prefix(self, P: int) -> "LegendreSeries":
+        """c_0..c_P as a series that shares this one's float64 image."""
+        out = LegendreSeries(self.coeffs[: P + 1], self.generator, self.ctx, self.params)
+        out._source = self
+        return out
+
     def as_floats(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coeffs])
+        return np.array(self.f64_image())
 
     def write_csv(self, path) -> None:
         """Columns (k, coeff) with full-precision decimal rendering plus a JSON sidecar."""
@@ -192,22 +216,63 @@ def singular_term_coeffs(a, beta, P: int, ctx: Optional[PrecisionContext] = None
                          verify: bool = True) -> LegendreSeries:
     """Expansion of |x - a|^beta from the modified-moment three-term recurrence.
 
-    Runs in big-float arithmetic by default; the result is certified by
-    recomputing the top coefficient at doubled precision.
+    Runs in 256-bit big-float mode by default.  A big-float context runs the
+    recurrence in fixed point (``_mu_fixed``, 64 guard bits) and rounds each
+    coefficient to the context once; the top coefficient is certified by
+    rerunning the kernel at doubled precision, without building that run's
+    coefficient list.  Fixed point keeps an absolute error, so a top
+    coefficient below about 2^-65 (at P = 10^4, whatever the bits) fails
+    that certification.  f64 and exact contexts run the context-generic
+    ``_mu_recurrence``.
     """
     _check_center(a, ctx or FLOAT64)
     if float(beta) <= -1.0:
         raise ValueError("beta must exceed -1")
     if ctx is None:
         ctx = bigfloat(256)
-    coeffs = _mu_recurrence(a, beta, P, ctx)
-    if verify and ctx.mode == "big":
-        check = _mu_recurrence(a, beta, P, bigfloat(2 * ctx.bits))
-        cp, cq = mpmath.mpf(coeffs[P]), mpmath.mpf(check[P])
-        if cq != 0 and abs(cp - cq) / abs(cq) > mpmath.mpf(2) ** (16 - ctx.bits):
-            raise PrecisionError("modified-moment recurrence lost precision; raise the context bits")
+    if ctx.mode == "big":
+        S, moments = _mu_fixed(a, beta, P, ctx.bits)
+        with ctx.active():
+            coeffs = [mpmath.mpf(((2 * k + 1) * m, -S - 1)) for k, m in enumerate(moments)]
+        if verify:
+            S2, check = _mu_fixed(a, beta, P, 2 * ctx.bits)
+            with mpmath.workprec(2 * ctx.bits):
+                cq = mpmath.mpf(((2 * P + 1) * check[P], -S2 - 1))
+                if cq != 0 and abs(coeffs[P] - cq) / abs(cq) > mpmath.mpf(2) ** (16 - ctx.bits):
+                    raise PrecisionError("modified-moment recurrence lost precision; "
+                                         "raise the context bits")
+    else:
+        coeffs = _mu_recurrence(a, beta, P, ctx)
     return LegendreSeries(coeffs, Generator.SINGULAR_MOMENT, ctx,
                           {"a": float(a), "beta": float(beta)})
+
+
+def _mu_fixed(a, beta, P, bits):
+    """Modified moments mu_0..mu_P as integers round(mu_k 2^S), S = bits + 64.
+
+    Returns (S, [M_0, ..., M_P]).  a and beta are taken exactly as dyadic
+    rationals an/ad and bn/bd; the recurrence times ad bd is
+    ad (bn + (k+2) bd) mu_{k+1} = an bd (2k+1) mu_k + ad (bn + (1-k) bd) mu_{k-1},
+    so each step is one round-to-nearest integer division.  Only mu_0 and
+    mu_1 need real powers.
+    """
+    S = bits + 64
+    an, ad = float(a).as_integer_ratio()
+    bn, bd = float(beta).as_integer_ratio()
+    with mpmath.workprec(S + 64):
+        b, av = mpmath.mpf(float(beta)), mpmath.mpf(float(a))
+        om, op = 1 - av, 1 + av
+        mu0 = (om ** (b + 1) + op ** (b + 1)) / (b + 1)
+        mu1 = av * mu0 + (om ** (b + 2) - op ** (b + 2)) / (b + 2)
+        m_prev, m = (int(mpmath.nint(mpmath.ldexp(v, S))) for v in (mu0, mu1))
+    out = [m_prev, m]
+    ab = an * bd
+    for k in range(1, P):
+        den = ad * (bn + (k + 2) * bd)  # > 0 since beta > -1
+        num = ab * (2 * k + 1) * m + ad * (bn + (1 - k) * bd) * m_prev
+        m_prev, m = m, (2 * num + den) // (2 * den)
+        out.append(m)
+    return S, out[: P + 1]
 
 
 def _mu_recurrence(a, beta, P, ctx):

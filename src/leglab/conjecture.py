@@ -253,6 +253,16 @@ def conjecture_suite(beta_grid: Sequence[float], a_grid: Sequence[float],
     return [v for batch in batches for v in batch]
 
 
+def check_powershift_betas(beta_grid: Sequence[float]) -> None:
+    """Raise ValueError for a beta that powershift_suite cannot measure."""
+    for beta in beta_grid:
+        if beta <= -1.0:
+            raise ValueError("beta must exceed -1")
+        if beta >= 0 and float(beta).is_integer():
+            # a polynomial: its error vanishes past degree beta, so no rate exists
+            raise ValueError(f"integer beta = {beta:g} makes |x+1|^beta a polynomial")
+
+
 def powershift_suite(beta_grid: Sequence[float],
                      tolerance_profile: Optional[ToleranceProfile] = None,
                      pmax: int = 2200, interior_x: float = -0.1,
@@ -264,15 +274,11 @@ def powershift_suite(beta_grid: Sequence[float],
     3/4 (left) and 1/4 (right) when growth_checks is set.  Everything runs
     at the given pmax, without escalation.
     """
+    check_powershift_betas(beta_grid)
     tol = tolerance_profile or ToleranceProfile()
     eval_ctx = bigfloat(192)  # high rates push errors under float noise by p ~ 1000
     verdicts = []
     for beta in beta_grid:
-        if beta <= -1.0:
-            raise ValueError("beta must exceed -1")
-        if beta >= 0 and float(beta).is_integer():
-            # a polynomial: its error vanishes past degree beta, so no rate exists
-            raise ValueError(f"integer beta = {beta:g} makes |x+1|^beta a polynomial")
         family = PowerShiftFamily(beta=beta)
         cases = []
         if beta > 0:

@@ -9,7 +9,7 @@ partial-sum magnitude itself, which is how divergent cases are measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .precision import FLOAT64, PrecisionContext
@@ -108,8 +108,8 @@ class Family:
     def series(self, P: int, ctx: Optional[PrecisionContext] = None):
         """Coefficients c_0..c_P; ctx None lets the family pick a safe context.
 
-        A lower P is served as a prefix slice of the longest series held, a
-        higher P regenerates and replaces it.
+        A lower P is served as a prefix slice of the longest series held,
+        sharing its float64 image; a higher P regenerates and replaces it.
         """
         memo = vars(self).setdefault("_series_memo", {})
         held_P, held = memo.get(ctx, (-1, None))
@@ -117,7 +117,7 @@ class Family:
             held_P, held = memo[ctx] = (P, self._generate(P, ctx))
         if held_P == P:
             return held
-        return replace(held, coeffs=held.coeffs[:P + 1])
+        return held.prefix(P)
 
     def _generate(self, P: int, ctx: Optional[PrecisionContext]):
         raise NotImplementedError

@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from . import bounds as bounds_mod
-from .conjecture import ToleranceProfile, conjecture_suite, powershift_suite, summarize
+from .conjecture import (ToleranceProfile, check_powershift_betas, conjecture_suite,
+                         powershift_suite, summarize)
 from .functions import (PowerAbsFamily, PowerShiftFamily, StepDerivativeFamily,
                         family_from_config)
 from .precision import FLOAT64, PrecisionContext, PrecisionError, parse_precision
@@ -157,6 +158,8 @@ def _dispatch(config: ExperimentConfig, writer: ManifestWriter) -> None:
     window = tuple(config.window) if config.window else None
     if kind == "conjecture":
         tol = ToleranceProfile(**config.options.get("tolerances", {}))
+        # reject a bad powershift list before the grid spends its time
+        check_powershift_betas(config.options.get("powershift_betas", []))
         verdicts = conjecture_suite(config.options.get("beta_grid", [0.0]),
                                     config.options.get("a_grid", [0.5]),
                                     tol, pmax=config.pmax,

@@ -94,7 +94,8 @@ def _prefix_sums(series, x, pmax, ctx, ref=None):
     """Running sums S_p(x) of c_k P_k(x), p = 0..pmax, fused with the recurrence.
 
     Returns (d, S): d[p] is the float ref - S_p (S_p itself without ref) and
-    S is S_pmax in the context's number type.  Float64 sums carry Neumaier
+    S is S_pmax in the context's number type.  Float64 sums read the series'
+    float64 image, converted once per series, and carry Neumaier
     compensation; big-float sums are rounded to float order by order, so a
     long sweep holds no big numbers.
     """
@@ -102,7 +103,7 @@ def _prefix_sums(series, x, pmax, ctx, ref=None):
     with ctx.active():
         xv = ctx.convert(x)
         if ctx.mode == F64:
-            coeffs = [float(c) for c in series.coeffs[: pmax + 1]]
+            coeffs = series.f64_image()
             pm1, pk = 0.0, 1.0
             total, comp = 0.0, 0.0
             for k in range(pmax + 1):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leglab.coefficients import (Generator, abs_shift_coeffs, appendixA_moment,
+from leglab import coefficients
+from leglab.coefficients import (Generator, _mu_recurrence, abs_shift_coeffs, appendixA_moment,
                                  binomial_moment_oracle, constrained_pversion_coeffs,
                                  derivative_coeffs, legendre_monomial_rows,
                                  polynomial_legendre_coeffs, power_abs_coeffs,
@@ -176,6 +177,45 @@ def test_singular_term_against_quadrature_oracle():
     for k in range(13):
         o = oracle.coeffs[k]
         assert float(series.coeffs[k]) == pytest.approx(o, rel=1e-10, abs=1e-12)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(a=st.floats(min_value=-0.9, max_value=0.9, exclude_min=True, exclude_max=True),
+       beta=st.floats(min_value=-0.95, max_value=3.0, exclude_min=True, exclude_max=True),
+       P=st.integers(min_value=0, max_value=300))
+def test_singular_term_fixed_point_matches_float_recurrence(a, beta, P):
+    fixed = singular_term_coeffs(a, beta, P, bigfloat(192)).coeffs
+    ref = _mu_recurrence(a, beta, P, bigfloat(512))
+    with mpmath.workprec(512):
+        envelope = max(abs(c) for c in ref)
+        gap = max(abs(c - r) for c, r in zip(fixed, ref))
+        assert gap <= mpmath.mpf(2) ** (20 - 192) * envelope
+
+
+@pytest.mark.parametrize("beta", [-5 / 6, -2 / 3, -0.5, -1 / 16, 0.5, 1.0])
+def test_singular_term_f64_image_unchanged_on_default_grid(beta):
+    # the conjecture grid's a = 0.5 points read these floats
+    fixed = singular_term_coeffs(0.5, beta, 2201)
+    assert fixed.f64_image() == [float(c) for c in _mu_recurrence(0.5, beta, 2201, bigfloat(256))]
+
+
+@pytest.mark.parametrize("shift,raises", [(110, True), (114, False)])
+def test_singular_term_certification_threshold(monkeypatch, shift, raises):
+    # the top check moment moved by 2^-shift relative, against the 2^(16-128) threshold
+    real = coefficients._mu_fixed
+
+    def perturbed(a, beta, P, bits):
+        S, moments = real(a, beta, P, bits)
+        if bits == 256:
+            moments[-1] += abs(moments[-1]) >> shift
+        return S, moments
+
+    monkeypatch.setattr(coefficients, "_mu_fixed", perturbed)
+    if raises:
+        with pytest.raises(PrecisionError):
+            singular_term_coeffs(0.5, -0.5, 200, bigfloat(128))
+    else:
+        singular_term_coeffs(0.5, -0.5, 200, bigfloat(128))
 
 
 def test_power_shift_trivial():

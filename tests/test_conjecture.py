@@ -138,3 +138,16 @@ def test_cli_conjecture_rejects_integer_powershift_beta(tmp_path, capsys):
               "--clauses", "1", "--pmax", "400", "--powershift-betas", "1"])
     assert exc.value.code == 2
     assert "polynomial" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta", ["1", "-1"])
+def test_cli_conjecture_checks_powershift_betas_before_the_grid(tmp_path, monkeypatch, beta):
+    import leglab.runner
+    from leglab.cli import main
+
+    calls = []
+    monkeypatch.setattr(leglab.runner, "conjecture_suite", lambda *a, **k: calls.append(a) or [])
+    with pytest.raises(SystemExit) as exc:
+        main(["conjecture", "--out", str(tmp_path), "--powershift-betas", beta])
+    assert exc.value.code == 2
+    assert calls == []

@@ -31,6 +31,22 @@ def test_prefix_slice_equals_fresh_generation(name, ctx):
     assert family.series(80, ctx).coeffs == FAMILIES[name]().series(80, ctx).coeffs
 
 
+@pytest.mark.parametrize("held_first", [True, False])
+def test_prefix_slice_shares_the_held_f64_image(held_first):
+    family = PowerAbsFamily(beta=-0.5, a=0.5)  # big:256 coefficients
+    held = family.series(200)
+    if held_first:
+        image = held.f64_image()
+        short = family.series(120).f64_image()
+    else:
+        short = family.series(120).f64_image()
+        image = held.f64_image()
+    assert short == [float(c) for c in held.coeffs[:121]]
+    # the very float objects of the held image: the slice converted nothing
+    assert all(s is h for s, h in zip(short, image))
+    assert held.f64_image() is image
+
+
 def test_constrained_family_served_on_exact_p_only():
     family = ConstrainedFamily(a=0.5)
     top = family.series(60)

@@ -259,3 +259,17 @@ def test_cli_rejects_ignored_flags(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,params,a", [
+    (["--beta", "0.5", "--a", "0.3"], {"a": 0.3, "beta": 0.5}, 0.3),
+    (["--beta", "0.5"], {"beta": 0.5}, 0.0),
+])
+def test_cli_coeffs_powerabs_takes_a(tmp_path, argv, params, a):
+    assert main(["coeffs", "--family", "powerabs", "--pmax", "4", "--out", str(tmp_path)]
+                + argv) == 0
+    manifest = json.loads((tmp_path / "coeffs.manifest.json").read_text())
+    assert manifest["config"]["params"] == params
+    rows = (tmp_path / "coeffs.coeffs.csv").read_text().splitlines()[1:]
+    want = PowerAbsFamily(beta=0.5, a=a).series(4, FLOAT64).coeffs
+    assert [float(r.split(",")[1]) for r in rows] == want

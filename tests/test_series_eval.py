@@ -6,8 +6,8 @@ import pytest
 
 from leglab.coefficients import (Generator, LegendreSeries, abs_shift_coeffs,
                                  constrained_pversion_coeffs, power_abs_coeffs,
-                                 step_derivative_coeffs)
-from leglab.functions import exact_solution, exact_solution_derivative
+                                 singular_term_coeffs, step_derivative_coeffs)
+from leglab.functions import PowerAbsFamily, exact_solution, exact_solution_derivative
 from leglab.precision import FLOAT64, bigfloat
 from leglab.series_eval import (error_sweep, norm_sweep, parseval_tail, partial_sum,
                                 partial_sum_values, squared_error_quadrature)
@@ -80,6 +80,17 @@ def test_error_sweep_bigfloat_context(step_family):
     series64 = step_derivative_coeffs(A, 301)
     sweep64 = error_sweep(series64, step_family.exact, -1.0, 300)
     assert sweep_big.abs_error == pytest.approx(sweep64.abs_error, rel=1e-10)
+
+
+def test_f64_sweep_of_bigfloat_series_reads_its_rounded_copy():
+    series = singular_term_coeffs(A, -0.5, 401, bigfloat(256))
+    rounded = LegendreSeries([float(c) for c in series.coeffs], series.generator, FLOAT64)
+    exact = PowerAbsFamily(beta=-0.5, a=A).exact
+    for x in (-1.0, 0.1, 1.0):
+        want = error_sweep(rounded, exact, x, 400, FLOAT64).abs_error
+        # the second sweep reads the image the first one made
+        for _ in range(2):
+            assert np.array_equal(error_sweep(series, exact, x, 400, FLOAT64).abs_error, want)
 
 
 def test_constrained_sweep_matches_pointwise():
