@@ -101,14 +101,6 @@ class BoundReport:
             return None
         return self.measured / self.bound
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("p,bound,measured,ratio\n")
-            for i, p in enumerate(self.pvalues):
-                m = float(self.measured[i]) if self.measured is not None else ""
-                r = float(self.measured[i] / self.bound[i]) if self.measured is not None else ""
-                fh.write(f"{int(p)},{float(self.bound[i])!r},{m!r},{r!r}\n")
-
 
 def variation_window(x: float, k: int) -> tuple:
     return (x - (1.0 + x) / k, x + (1.0 - x) / k)

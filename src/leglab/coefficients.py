@@ -32,7 +32,6 @@ A singularity-splitting quadrature oracle cross-checks every generator.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -107,20 +106,14 @@ class LegendreSeries:
     def as_floats(self) -> np.ndarray:
         return np.array(self.f64_image())
 
-    def write_csv(self, path) -> None:
-        """Columns (k, coeff) with full-precision decimal rendering plus a JSON sidecar."""
-        with open(path, "w") as fh:
-            fh.write("k,coeff\n")
-            for k, c in enumerate(self.coeffs):
-                fh.write(f"{k},{render_number(c, self.ctx)}\n")
-        sidecar = {
+    def metadata(self) -> dict:
+        """Provenance record written next to an exported coefficient table."""
+        return {
             "generator": self.generator.value,
             "params": {k: (v if isinstance(v, (int, float, str)) else str(v)) for k, v in self.params.items()},
             "precision": self.ctx.describe(),
             "length": len(self.coeffs),
         }
-        with open(str(path) + ".json", "w") as fh:
-            json.dump(sidecar, fh, indent=1, sort_keys=True)
 
 
 def render_number(c, ctx: PrecisionContext) -> str:

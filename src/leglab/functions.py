@@ -9,7 +9,7 @@ partial-sum magnitude itself, which is how divergent cases are measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 from .precision import FLOAT64, PrecisionContext
@@ -104,6 +104,14 @@ class Family:
 
     def exact(self, x: float) -> Optional[float]:
         raise NotImplementedError
+
+    @classmethod
+    def from_params(cls, params: dict) -> "Family":
+        """Build from config params: the init fields, all numbers."""
+        declared = [f for f in fields(cls) if f.init]
+        check_keys(f"family {cls.name!r} params", params, [f.name for f in declared],
+                   [f.name for f in declared if f.default is MISSING])
+        return cls(**{k: float(v) for k, v in params.items()})
 
     def series(self, P: int, ctx: Optional[PrecisionContext] = None):
         """Coefficients c_0..c_P; ctx None lets the family pick a safe context.
@@ -200,7 +208,7 @@ class ConstrainedFamily(Family):
 class PowerAbsFamily(Family):
     """|x - a|^beta; the beta = 0 member degenerates to the constant 1."""
 
-    beta: float = -0.5
+    beta: float
     a: float = 0.0
     name: str = field(default="powerabs", init=False)
 
@@ -231,7 +239,7 @@ class PowerAbsFamily(Family):
 class PowerShiftFamily(Family):
     """|x + 1|^beta with the singularity at the left endpoint."""
 
-    beta: float = 0.5
+    beta: float
     name: str = field(default="powershift", init=False)
 
     def exact(self, x):
@@ -256,6 +264,12 @@ class SpecFamily(Family):
     spec: SingularFunctionSpec = field(default_factory=SingularFunctionSpec)
     name: str = field(default="spec", init=False)
 
+    @classmethod
+    def from_params(cls, params):
+        check_keys("family 'spec' params", params, ["terms", "poly"])
+        return cls(SingularFunctionSpec(terms=tuple(tuple(t) for t in params.get("terms", ())),
+                                        analytic_part=tuple(params.get("poly", ()))))
+
     def exact(self, x):
         return self.spec.value(x)
 
@@ -273,23 +287,31 @@ class SpecFamily(Family):
         return self.spec.describe()
 
 
+def check_keys(what: str, given, known, required=()) -> None:
+    """Raise ValueError naming every key of ``given`` outside ``known`` and
+    every ``required`` key it lacks."""
+    problems = []
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        problems.append(f"unknown {unknown}")
+    missing = sorted(set(required) - set(given))
+    if missing:
+        problems.append(f"missing {missing}")
+    if problems:
+        raise ValueError(f"{what}: {'; '.join(problems)}; accepted: {sorted(known)}")
+
+
+FAMILIES = {"step": StepDerivativeFamily, "stepderivative": StepDerivativeFamily,
+            "absshift": AbsShiftFamily, "abs_shift": AbsShiftFamily,
+            "constrained": ConstrainedFamily, "constrainedpversion": ConstrainedFamily,
+            "powerabs": PowerAbsFamily, "power_abs": PowerAbsFamily,
+            "powershift": PowerShiftFamily, "power_shift": PowerShiftFamily,
+            "spec": SpecFamily, "custom": SpecFamily, "customspec": SpecFamily}
+
+
 def family_from_config(name: str, params: dict) -> Family:
-    """Instantiate a family from config-file fields."""
-    name = name.lower()
-    if name in ("step", "stepderivative"):
-        return StepDerivativeFamily(a=float(params.get("a", 0.5)))
-    if name in ("absshift", "abs_shift"):
-        return AbsShiftFamily(a=float(params.get("a", 0.5)))
-    if name in ("constrained", "constrainedpversion"):
-        return ConstrainedFamily(a=float(params.get("a", 0.5)))
-    if name in ("powerabs", "power_abs"):
-        return PowerAbsFamily(beta=float(params["beta"]), a=float(params.get("a", 0.0)))
-    if name in ("powershift", "power_shift"):
-        return PowerShiftFamily(beta=float(params["beta"]))
-    if name in ("spec", "custom", "customspec"):
-        spec = SingularFunctionSpec(
-            terms=tuple(tuple(t) for t in params.get("terms", ())),
-            analytic_part=tuple(params.get("poly", ())),
-        )
-        return SpecFamily(spec=spec)
-    raise ValueError(f"unknown family {name!r}")
+    """Instantiate a family from config-file fields; params it does not take raise."""
+    cls = FAMILIES.get(name.lower())
+    if cls is None:
+        raise ValueError(f"unknown family {name!r}")
+    return cls.from_params(params)

@@ -113,21 +113,12 @@ class FemSolution:
     def error(self, x: float) -> float:
         return float(exact_solution(float(x), self.a) - self.evaluate(x))
 
-    def write_csv(self, path, samples_per_element: int = 20) -> None:
-        with open(path, "w") as fh:
-            fh.write("element,k,coeff\n")
-            for e in range(self.mesh.n_elements):
-                fh.write(f"{e},0,{float(self.nodal[e])!r}\n")
-                fh.write(f"{e},1,{float(self.nodal[e + 1])!r}\n")
-                for i, c in enumerate(self.internal[e]):
-                    fh.write(f"{e},{i + 2},{float(c)!r}\n")
-        with open(str(path) + ".trace.csv", "w") as fh:
-            fh.write("x,u\n")
-            for e in range(self.mesh.n_elements):
-                lo, hi = self.mesh.nodes[e], self.mesh.nodes[e + 1]
-                for t in np.linspace(lo, hi, samples_per_element, endpoint=False):
-                    fh.write(f"{t!r},{float(self.evaluate(t))!r}\n")
-            fh.write(f"1.0,{float(self.evaluate(1.0))!r}\n")
+    def trace(self, samples_per_element: int = 20) -> tuple:
+        """Solution samples (x, u): evenly spaced from each element's left node, then x = 1."""
+        nodes = self.mesh.nodes
+        xs = [*np.concatenate([np.linspace(lo, hi, samples_per_element, endpoint=False)
+                               for lo, hi in zip(nodes, nodes[1:])]).tolist(), 1.0]
+        return xs, [float(self.evaluate(t)) for t in xs]
 
 
 def _thomas(diag, off, rhs, ctx):

@@ -355,6 +355,10 @@ def gibbs_probe(series: LegendreSeries, exact: Callable[[float], float], a: floa
     sp = coeffs[: p_big + 1] @ table
     err = np.abs(np.array([exact(t) for t in xs]) - sp)
     good = err > 0
+    if np.count_nonzero(good) < 2:
+        raise FitUnreliable(f"fewer than two decay points with xi from 5/p = {5.0 / p_big:.3g} "
+                            f"to 0.1 right of a = {a:g} lie inside the domain with a nonzero "
+                            "error; raise the largest order")
     coef = np.polyfit(np.log(xi[: len(xs)][good]), np.log(err[good]), 1)
     return GibbsReport(pv, loc, mag, D, float(coef[0]), p_big)
 

@@ -17,10 +17,11 @@ from typing import Optional
 import numpy as np
 
 from . import bounds as bounds_mod
+from .coefficients import render_number
 from .conjecture import (ToleranceProfile, check_powershift_betas, conjecture_suite,
                          powershift_suite, summarize)
-from .functions import (PowerAbsFamily, PowerShiftFamily, StepDerivativeFamily,
-                        family_from_config)
+from .functions import (AbsShiftFamily, ConstrainedFamily, PowerAbsFamily, PowerShiftFamily,
+                        StepDerivativeFamily, check_keys, family_from_config)
 from .precision import FLOAT64, PrecisionContext, PrecisionError, parse_precision
 from .ratefit import FitUnreliable, constant_growth, fit_rate, gibbs_probe, pinned_constant
 from .series_eval import error_sweep, norm_sweep
@@ -31,7 +32,7 @@ class ExperimentConfig:
     """Declarative description of one run; every field has a config-file key."""
 
     id: str
-    kind: str  # coeffs | sweep | norm | gibbs | growth | bounds | fem | conjecture
+    kind: str  # a key of KINDS
     family: str = "step"
     params: dict = field(default_factory=dict)
     x: list = field(default_factory=list)
@@ -44,10 +45,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}; run-specific settings "
-                             "belong under 'options'")
+        check_keys("config (run-specific settings belong under 'options')", doc,
+                   cls.__dataclass_fields__, ("id", "kind"))
         return cls(**doc)
 
     @classmethod
@@ -62,12 +61,12 @@ class ExperimentConfig:
         return parse_precision(self.coeff_precision) if self.coeff_precision else None
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            h.update(block)
-    return h.hexdigest()
+def _cells(column) -> list:
+    """CSV text of one column: ints with str, floats with repr, strings as given."""
+    if isinstance(column, np.ndarray):
+        return list(map(str if column.dtype.kind in "iu" else repr, column.tolist()))
+    return [v if isinstance(v, str) else str(v) if isinstance(v, int) else repr(float(v))
+            for v in column]
 
 
 class ManifestWriter:
@@ -79,14 +78,36 @@ class ManifestWriter:
         self.outputs = []
         self.results = {}
         self.errors = []
-        os.makedirs(outdir, exist_ok=True)
 
     def path(self, name: str) -> str:
+        os.makedirs(self.outdir, exist_ok=True)
         return os.path.join(self.outdir, name)
 
-    def register(self, path: str) -> None:
-        self.outputs.append({"path": os.path.relpath(path, self.outdir),
-                             "sha256": _sha256(path)})
+    def _write(self, name: str, pieces) -> None:
+        digest = hashlib.sha256()
+        with open(self.path(name), "wb") as fh:
+            for piece in pieces:
+                data = piece.encode()
+                fh.write(data)
+                digest.update(data)
+        self.outputs.append({"path": name, "sha256": digest.hexdigest()})
+
+    def csv(self, name: str, header: str, columns, comments=()) -> None:
+        """Write and register one CSV: a header, one row per index of the
+        columns, then each comment row as '# ' and its cells."""
+        def pieces():
+            yield header + "\n"
+            # a block of rows at a time, so a long sweep never holds all its cells
+            for i in range(0, len(columns[0]), 1024):
+                cells = [_cells(c[i:i + 1024]) for c in columns]
+                yield "".join(",".join(row) + "\n" for row in zip(*cells))
+            for row in comments:
+                yield "# " + ",".join(_cells(row)) + "\n"
+
+        self._write(name, pieces())
+
+    def json(self, name: str, doc) -> None:
+        self._write(name, [json.dumps(doc, indent=1, sort_keys=True)])
 
     def record_error(self, where: str, exc: Exception) -> None:
         self.errors.append({"where": where, "type": type(exc).__name__, "message": str(exc)})
@@ -104,7 +125,9 @@ class ManifestWriter:
         return manifest
 
 
-def _fit_payload(sweep, window, expect):
+def _fit_payload(sweep, config):
+    window = tuple(config.window) if config.window else None
+    expect = config.expect
     payload = {}
     try:
         fit = fit_rate(sweep, window)
@@ -125,191 +148,188 @@ def _fit_payload(sweep, window, expect):
     return payload
 
 
-def _plot_data(sweep, fit_payload, path):
-    """(log10 p, log10 err) pairs plus fitted-line endpoints, one CSV per panel."""
-    with open(path, "w") as fh:
-        fh.write("log10_p,log10_abs_error\n")
+def _coeffs(config, opts, family, writer):
+    series = family.series(config.pmax, config.coeff_ctx() or config.eval_ctx())
+    name = f"{config.id}.coeffs.csv"
+    writer.csv(name, "k,coeff", [range(len(series.coeffs)),
+                                 [render_number(c, series.ctx) for c in series.coeffs]])
+    writer.json(name + ".json", series.metadata())
+
+
+def _sweep(config, opts, family, writer):
+    series = family.series(config.pmax + 1, config.coeff_ctx())
+    for x in config.x:
+        sweep = error_sweep(series, family.exact, float(x), config.pmax, config.eval_ctx(),
+                            target=f"{family.describe()} (mean of limits at jumps)")
+        tag = f"{config.id}.x{float(x):+.7g}"
+        writer.csv(f"{tag}.sweep.csv", "p,abs_error", [sweep.pvalues, sweep.abs_error])
+        payload = _fit_payload(sweep, config)
+        # (log10 p, log10 err) pairs plus the fitted line's endpoints
         mask = sweep.abs_error > 0
-        for p, e in zip(sweep.pvalues[mask], sweep.abs_error[mask]):
-            fh.write(f"{float(np.log10(p))!r},{float(np.log10(e))!r}\n")
-        fit = fit_payload.get("fit")
+        ends = []
+        fit = payload.get("fit")
         if fit:
-            lo, hi = fit["window"]
-            c, al = fit["C"], fit["alpha"]
-            fh.write(f"# fit_line,{float(np.log10(lo))!r},{float(np.log10(c * lo ** -al))!r}\n")
-            fh.write(f"# fit_line,{float(np.log10(hi))!r},{float(np.log10(c * hi ** -al))!r}\n")
+            ends = [("fit_line", np.log10(p), np.log10(fit["C"] * p ** -fit["alpha"]))
+                    for p in fit["window"]]
+        writer.csv(f"{tag}.plot.csv", "log10_p,log10_abs_error",
+                   [np.log10(sweep.pvalues[mask]), np.log10(sweep.abs_error[mask])], ends)
+        writer.json(f"{tag}.fit.json", dict(payload, sweep=sweep.metadata()))
+        writer.results[f"x={float(x):+.7g}"] = payload
+
+
+def _norm(config, opts, family, writer):
+    margin = 8 * config.pmax if opts["tail_margin"] is None else opts["tail_margin"]
+    series = family.series(config.pmax + margin, config.coeff_ctx())
+    exact_sq = opts["exact_norm_sq"]
+    if exact_sq is None:
+        exact_sq = _exact_norm_sq(family, opts["norm"])
+    sweep = norm_sweep(series, exact_sq, config.pmax, opts["norm"])
+    writer.csv(f"{config.id}.norm.csv", f"p,{sweep.norm.lower()}_error",
+               [sweep.pvalues, sweep.norm_error])
+    p, e = sweep.pvalues[9:], sweep.norm_error[9:]
+    # a polynomial target has e_p = 0 exactly past its degree
+    if np.count_nonzero(e > 0) < 2:
+        raise FitUnreliable("fewer than two nonzero norm errors from p = 10 on; "
+                            "no slope to fit")
+    coef = np.polyfit(np.log(p[e > 0]), np.log(e[e > 0]), 1)
+    writer.results["slope"] = float(coef[0])
+    if config.expect.get("slope") is not None:
+        writer.results["expected_slope"] = float(config.expect["slope"])
+
+
+def _gibbs(config, opts, family, writer):
+    pvalues = opts["pvalues"]
+    if not pvalues or not all(1 <= p <= config.pmax for p in pvalues):
+        raise ValueError(f"gibbs pvalues {list(pvalues)} must be non-empty and lie in "
+                         f"[1, pmax = {config.pmax}]")
+    if family.singular_point() is None:
+        raise ValueError(f"{family.describe()} has no interior singular point to probe")
+    series = family.series(config.pmax + 1, config.coeff_ctx())
+    report = gibbs_probe(series, family.exact, family.singular_point(), pvalues)
+    writer.json(f"{config.id}.gibbs.json", report.to_dict())
+    writer.results["D"] = report.D
+    writer.results["overshoots"] = list(map(float, report.magnitudes))
+
+
+def _growth(config, opts, family, writer):
+    fit = constant_growth(family, float(opts["point"]), int(opts["side"]), opts["xi"],
+                          float(opts["fixed_alpha"]), pmax=config.pmax, ctx=config.eval_ctx(),
+                          pmax_ceiling=opts["ceiling"])
+    writer.json(f"{config.id}.growth.json", fit.to_dict())
+    writer.csv(f"{config.id}.growth.csv", "xi,C", [fit.xi_values, fit.C_values])
+    writer.results["exponent"] = fit.exponent
+    if config.expect.get("exponent") is not None:
+        writer.results["expected_exponent"] = float(config.expect["exponent"])
+
+
+def _bounds(config, opts, family, writer):
+    if not isinstance(family, StepDerivativeFamily):
+        raise ValueError("bound reports are implemented for the jump family")
+    a = family.a
+    f = bounds_mod.step_bv(a, (a - 1.0) / 2.0, (a + 1.0) / 2.0)
+    series = family.series(config.pmax + 1, config.coeff_ctx())
+    for x in config.x:
+        report = bounds_mod.theorem1_bound_series(f, float(x), config.pmax)
+        sweep = error_sweep(series, family.exact, float(x), config.pmax, config.eval_ctx())
+        report.measured = sweep.abs_error[1:]
+        writer.csv(f"{config.id}.x{float(x):+.7g}.bounds.csv", "p,bound,measured,ratio",
+                   [report.pvalues, report.bound, report.measured, report.ratio])
+        writer.results[f"x={float(x):+.7g}"] = {
+            "bound_constant": float(report.bound[-1] * report.pvalues[-1]),
+            "max_ratio": float(np.max(report.ratio)),
+        }
+
+
+def _fem(config, opts, family, writer):
+    from .pfem import Mesh1D, assemble_and_solve, element_error_series
+
+    if not isinstance(family, (StepDerivativeFamily, AbsShiftFamily, ConstrainedFamily)):
+        raise ValueError("the FEM model problem takes its load point from the step, "
+                         "absshift or constrained family")
+    mesh = Mesh1D.uniform(int(opts["n"]), int(opts["degree"]))
+    sol = assemble_and_solve(mesh, family.a, config.eval_ctx())
+    # per element: k = 0, 1 the nodal values, k >= 2 the internal modes
+    rows = [(e, k, c) for e in range(mesh.n_elements)
+            for k, c in enumerate([sol.nodal[e], sol.nodal[e + 1], *sol.internal[e]])]
+    writer.csv(f"{config.id}.fem.csv", "element,k,coeff", list(zip(*rows)))
+    writer.csv(f"{config.id}.fem.csv.trace.csv", "x,u", sol.trace())
+    for x in config.x:
+        sweep = element_error_series(sol, float(x), config.pmax)
+        writer.csv(f"{config.id}.x{float(x):+.7g}.sweep.csv", "p,abs_error",
+                   [sweep.pvalues, sweep.abs_error])
+        writer.results[f"x={float(x):+.7g}"] = _fit_payload(sweep, config)
+
+
+def _conjecture(config, opts, family, writer):
+    tol = ToleranceProfile(**opts["tolerances"])
+    # reject a bad powershift list before the grid spends its time
+    check_powershift_betas(opts["powershift_betas"])
+    verdicts = conjecture_suite(opts["beta_grid"], opts["a_grid"], tol, pmax=config.pmax,
+                                clauses=tuple(opts["clauses"]), jobs=int(opts["jobs"]))
+    if opts["powershift_betas"]:
+        verdicts += powershift_suite(opts["powershift_betas"], tol, pmax=config.pmax,
+                                     growth_checks=opts["growth_checks"])
+    writer.json(f"{config.id}.verdicts.json", [v.to_dict() for v in verdicts])
+    writer.results["verdicts"] = {
+        status: sum(v.status == status for v in verdicts)
+        for status in ("pass", "fail", "preasymptotic", "error")}
+    writer.results["summary"] = summarize(verdicts)
+
+
+REQUIRED = object()  # marks an option without a default
+
+# kind -> (handler, option defaults); every kind also takes the free-text "note"
+KINDS = {
+    "coeffs": (_coeffs, {}),
+    "sweep": (_sweep, {}),
+    # tail_margin None: 8 pmax coefficients beyond pmax; exact_norm_sq None:
+    # the closed form or quadrature of _exact_norm_sq
+    "norm": (_norm, {"norm": "L2", "tail_margin": None, "exact_norm_sq": None}),
+    "gibbs": (_gibbs, {"pvalues": (500, 707, 1000, 1414, 2000)}),
+    "growth": (_growth, {"point": REQUIRED, "side": 1, "xi": (1e-1, 1e-2, 1e-3, 1e-4),
+                         "fixed_alpha": REQUIRED, "ceiling": 10000}),
+    "bounds": (_bounds, {}),
+    "fem": (_fem, {"n": 1, "degree": 10}),
+    "conjecture": (_conjecture, {
+        "beta_grid": (-5.0 / 6.0, -2.0 / 3.0, -0.5, -1.0 / 16.0, 0.0, 0.5, 1.0),
+        "a_grid": (0.0, 0.5), "clauses": (1, 2, 3, 4, 5), "powershift_betas": (),
+        "tolerances": {}, "jobs": 1, "growth_checks": True}),
+}
+
+
+def resolve(config: ExperimentConfig):
+    """The kind's handler and its options, the config's over the defaults.
+
+    Raises ValueError naming an unknown kind, option or tolerance and every
+    missing required option; config.options itself is left as given.
+    """
+    if config.kind not in KINDS:
+        raise ValueError(f"unknown experiment kind {config.kind!r}; choose from {sorted(KINDS)}")
+    handler, defaults = KINDS[config.kind]
+    check_keys(f"{config.kind} options", config.options, [*defaults, "note"],
+               [k for k, v in defaults.items() if v is REQUIRED])
+    opts = {**defaults, **config.options}
+    if "tolerances" in opts:
+        check_keys("tolerances", opts["tolerances"], ToleranceProfile.__dataclass_fields__)
+    return handler, opts
 
 
 def run_experiment(config: ExperimentConfig, outdir: str) -> dict:
-    """Execute one experiment; returns the manifest dictionary."""
+    """Execute one experiment; returns the manifest dictionary.
+
+    Input the run would not honour raises ValueError before any output."""
+    handler, opts = resolve(config)
+    # every kind but conjecture runs on this family; for conjecture it only
+    # checks family and params
+    family = family_from_config(config.family, config.params)
     writer = ManifestWriter(outdir, config.id)
     try:
-        _dispatch(config, writer)
+        handler(config, opts, family, writer)
     except (PrecisionError, FitUnreliable, InfiniteNorm) as exc:
         # graceful degradation: record a machine-readable error, never silent bad data
         writer.record_error(config.kind, exc)
     doc = {k: getattr(config, k) for k in config.__dataclass_fields__}
     return writer.finish(doc)
-
-
-def _dispatch(config: ExperimentConfig, writer: ManifestWriter) -> None:
-    kind = config.kind
-    eval_ctx = config.eval_ctx()
-    window = tuple(config.window) if config.window else None
-    if kind == "conjecture":
-        tol = ToleranceProfile(**config.options.get("tolerances", {}))
-        # reject a bad powershift list before the grid spends its time
-        check_powershift_betas(config.options.get("powershift_betas", []))
-        verdicts = conjecture_suite(config.options.get("beta_grid", [0.0]),
-                                    config.options.get("a_grid", [0.5]),
-                                    tol, pmax=config.pmax,
-                                    clauses=tuple(config.options.get("clauses", (1, 2, 3, 4, 5))),
-                                    jobs=int(config.options.get("jobs", 1)))
-        if config.options.get("powershift_betas"):
-            verdicts += powershift_suite(config.options["powershift_betas"], tol,
-                                         pmax=config.pmax,
-                                         growth_checks=config.options.get("growth_checks", True))
-        path = writer.path(f"{config.id}.verdicts.json")
-        with open(path, "w") as fh:
-            json.dump([v.to_dict() for v in verdicts], fh, indent=1, sort_keys=True)
-        writer.register(path)
-        writer.results["verdicts"] = {
-            "pass": sum(v.status == "pass" for v in verdicts),
-            "fail": sum(v.status == "fail" for v in verdicts),
-            "preasymptotic": sum(v.status == "preasymptotic" for v in verdicts),
-            "error": sum(v.status == "error" for v in verdicts),
-        }
-        writer.results["summary"] = summarize(verdicts)
-        return
-
-    family = family_from_config(config.family, config.params)
-    if kind == "coeffs":
-        series = family.series(config.pmax, config.coeff_ctx() or eval_ctx)
-        path = writer.path(f"{config.id}.coeffs.csv")
-        series.write_csv(path)
-        writer.register(path)
-        writer.register(path + ".json")
-        return
-
-    if kind in ("sweep", "fit"):
-        series = family.series(config.pmax + 1, config.coeff_ctx())
-        for x in config.x:
-            sweep = error_sweep(series, family.exact, float(x), config.pmax, eval_ctx,
-                                target=f"{family.describe()} (mean of limits at jumps)")
-            tag = f"{config.id}.x{float(x):+.7g}"
-            csv_path = writer.path(f"{tag}.sweep.csv")
-            sweep.write_csv(csv_path)
-            writer.register(csv_path)
-            payload = _fit_payload(sweep, window, config.expect)
-            plot_path = writer.path(f"{tag}.plot.csv")
-            _plot_data(sweep, payload, plot_path)
-            writer.register(plot_path)
-            fit_path = writer.path(f"{tag}.fit.json")
-            envelope = dict(payload)
-            envelope["sweep"] = sweep.metadata()
-            with open(fit_path, "w") as fh:
-                json.dump(envelope, fh, indent=1, sort_keys=True)
-            writer.register(fit_path)
-            writer.results[f"x={float(x):+.7g}"] = payload
-        return
-
-    if kind == "norm":
-        series = family.series(config.pmax + config.options.get("tail_margin", 8 * config.pmax),
-                               config.coeff_ctx())
-        norm = config.options.get("norm", "L2")
-        exact_sq = config.options.get("exact_norm_sq")
-        if exact_sq is None:
-            exact_sq = _exact_norm_sq(family, norm)
-        sweep = norm_sweep(series, exact_sq, config.pmax, norm)
-        path = writer.path(f"{config.id}.norm.csv")
-        sweep.write_csv(path)
-        writer.register(path)
-        p, e = sweep.pvalues[9:], sweep.norm_error[9:]
-        # a polynomial target has e_p = 0 exactly past its degree
-        if np.count_nonzero(e > 0) < 2:
-            raise FitUnreliable("fewer than two nonzero norm errors from p = 10 on; "
-                                "no slope to fit")
-        coef = np.polyfit(np.log(p[e > 0]), np.log(e[e > 0]), 1)
-        writer.results["slope"] = float(coef[0])
-        if config.expect.get("slope") is not None:
-            writer.results["expected_slope"] = float(config.expect["slope"])
-        return
-
-    if kind == "gibbs":
-        series = family.series(config.pmax + 1, config.coeff_ctx())
-        pvalues = config.options.get("pvalues", [500, 707, 1000, 1414, 2000])
-        report = gibbs_probe(series, family.exact, family.singular_point(), pvalues)
-        path = writer.path(f"{config.id}.gibbs.json")
-        with open(path, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
-        writer.register(path)
-        writer.results["D"] = report.D
-        writer.results["overshoots"] = list(map(float, report.magnitudes))
-        return
-
-    if kind == "growth":
-        point = float(config.options["point"])
-        side = int(config.options.get("side", 1))
-        xi = config.options.get("xi", [1e-1, 1e-2, 1e-3, 1e-4])
-        fixed_alpha = float(config.options["fixed_alpha"])
-        fit = constant_growth(family, point, side, xi, fixed_alpha, pmax=config.pmax,
-                              ctx=eval_ctx, pmax_ceiling=config.options.get("ceiling", 10000))
-        path = writer.path(f"{config.id}.growth.json")
-        with open(path, "w") as fh:
-            json.dump(fit.to_dict(), fh, indent=1, sort_keys=True)
-        writer.register(path)
-        csv_path = writer.path(f"{config.id}.growth.csv")
-        with open(csv_path, "w") as fh:
-            fh.write("xi,C\n")
-            for xi_v, c_v in zip(fit.xi_values, fit.C_values):
-                fh.write(f"{float(xi_v)!r},{float(c_v)!r}\n")
-        writer.register(csv_path)
-        writer.results["exponent"] = fit.exponent
-        if config.expect.get("exponent") is not None:
-            writer.results["expected_exponent"] = float(config.expect["exponent"])
-        return
-
-    if kind == "bounds":
-        if not isinstance(family, StepDerivativeFamily):
-            raise ValueError("bound reports are implemented for the jump family")
-        a = family.a
-        f = bounds_mod.step_bv(a, (a - 1.0) / 2.0, (a + 1.0) / 2.0)
-        series = family.series(config.pmax + 1, config.coeff_ctx())
-        for x in config.x:
-            report = bounds_mod.theorem1_bound_series(f, float(x), config.pmax)
-            sweep = error_sweep(series, family.exact, float(x), config.pmax, eval_ctx)
-            report.measured = sweep.abs_error[1:]
-            path = writer.path(f"{config.id}.x{float(x):+.7g}.bounds.csv")
-            report.write_csv(path)
-            writer.register(path)
-            writer.results[f"x={float(x):+.7g}"] = {
-                "bound_constant": float(report.bound[-1] * report.pvalues[-1]),
-                "max_ratio": float(np.max(report.ratio)),
-            }
-        return
-
-    if kind == "fem":
-        from .pfem import Mesh1D, assemble_and_solve, element_error_series
-
-        n = int(config.options.get("n", 1))
-        degree = int(config.options.get("degree", 10))
-        a = float(config.params.get("a", 0.5))
-        mesh = Mesh1D.uniform(n, degree)
-        sol = assemble_and_solve(mesh, a, eval_ctx)
-        path = writer.path(f"{config.id}.fem.csv")
-        sol.write_csv(path)
-        writer.register(path)
-        writer.register(path + ".trace.csv")
-        for x in config.x:
-            sweep = element_error_series(sol, float(x), config.pmax)
-            spath = writer.path(f"{config.id}.x{float(x):+.7g}.sweep.csv")
-            sweep.write_csv(spath)
-            writer.register(spath)
-            payload = _fit_payload(sweep, window, config.expect)
-            writer.results[f"x={float(x):+.7g}"] = payload
-        return
-
-    raise ValueError(f"unknown experiment kind {config.kind!r}")
 
 
 class InfiniteNorm(ValueError):

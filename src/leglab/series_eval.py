@@ -45,12 +45,6 @@ class ErrorSweep:
     def pmax(self) -> int:
         return int(self.pvalues[-1])
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("p,abs_error\n")
-            for p, e in zip(self.pvalues, self.abs_error):
-                fh.write(f"{int(p)},{float(e)!r}\n")
-
     def metadata(self) -> dict:
         return {"x": self.x, "target": self.target, "series": self.series_id,
                 "pmax": self.pmax, "n": len(self.pvalues)}
@@ -70,12 +64,6 @@ class NormSweep:
         tail = self.norm_error[self.norm_error > 0]
         if tail.size and np.any(np.diff(tail) > 1e-15 * tail[:-1]):
             raise ValueError("norm errors must be nonincreasing in p")
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"p,{self.norm.lower()}_error\n")
-            for p, e in zip(self.pvalues, self.norm_error):
-                fh.write(f"{int(p)},{float(e)!r}\n")
 
 
 def _running_sums(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, ref=None):

@@ -7,6 +7,7 @@ from leglab.bounds import (BVFunction, Jump, abs_kink_bv, calibrate_theorem2,
                            endpoint_identity_bound, step_bv, theorem1_bound,
                            theorem1_bound_series, theorem2_bound, theorem3_bound,
                            total_variation, variation_window)
+from leglab.runner import ExperimentConfig, run_experiment
 
 A = 0.5
 STEP = step_bv(A, (A - 1) / 2, (1 + A) / 2)
@@ -114,10 +115,16 @@ def test_bv_validation():
 
 
 def test_bound_report_csv(tmp_path, step_sweeps):
-    rep = theorem1_bound_series(STEP, 0.1, 100)
-    rep.measured = step_sweeps[0.1].abs_error[1:100]
-    path = tmp_path / "bounds.csv"
-    rep.write_csv(path)
+    cfg = ExperimentConfig(id="b", kind="bounds", family="step", params={"a": A}, x=[0.1],
+                           pmax=100)
+    run_experiment(cfg, str(tmp_path))
+    path = tmp_path / "b.x+0.1.bounds.csv"
     lines = path.read_text().splitlines()
     assert lines[0] == "p,bound,measured,ratio"
     assert len(lines) == 100
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    rep = theorem1_bound_series(STEP, 0.1, 100)
+    assert np.array_equal(data[:, 0], rep.pvalues)
+    assert np.array_equal(data[:, 1], rep.bound)
+    assert np.array_equal(data[:, 2], step_sweeps[0.1].abs_error[1:100])
+    assert np.array_equal(data[:, 3], data[:, 2] / data[:, 1])

@@ -18,6 +18,7 @@ from leglab.coefficients import (Generator, _mu_recurrence, abs_shift_coeffs, ap
 from leglab.functions import PowerShiftFamily, SingularFunctionSpec
 from leglab.legendre import legendre_eval
 from leglab.precision import EXACT_RATIONAL, FLOAT64, PrecisionError, bigfloat
+from leglab.runner import ExperimentConfig, run_experiment
 
 
 def test_step_examples():
@@ -421,13 +422,15 @@ def test_series_metadata_and_export(tmp_path):
     s = step_derivative_coeffs(0.5, 8)
     assert s.generator is Generator.STEP_DERIVATIVE
     assert "StepDerivative" in s.series_id
-    path = tmp_path / "series.csv"
-    s.write_csv(path)
+    cfg = ExperimentConfig(id="series", kind="coeffs", family="step", params={"a": 0.5}, pmax=8)
+    run_experiment(cfg, str(tmp_path))
+    path = tmp_path / "series.coeffs.csv"
     text = path.read_text().splitlines()
     assert text[0] == "k,coeff"
     assert len(text) == 10
+    assert text[1:] == [f"{k},{c!r}" for k, c in enumerate(s.coeffs)]
     import json
 
-    sidecar = json.loads((tmp_path / "series.csv.json").read_text())
+    sidecar = json.loads((tmp_path / "series.coeffs.csv.json").read_text())
     assert sidecar["generator"] == "StepDerivative"
     assert sidecar["precision"] == "f64"

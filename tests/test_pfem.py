@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leglab.coefficients import constrained_pversion_coeffs, step_derivative_coeffs
 from leglab.functions import exact_solution
 from leglab.legendre import gauss_rule
 from leglab.pfem import (FemSolution, Mesh1D, assemble_and_solve, element_error_series,
                          energy_norm_error, internal_mode)
+from leglab.runner import ExperimentConfig, run_experiment
 from leglab.series_eval import error_sweep, partial_sum
 
 A = 0.5
@@ -139,6 +142,17 @@ def test_element_error_series_matches_constrained_sweep():
     assert sweep_fem.abs_error == pytest.approx(sweep_series.abs_error, abs=1e-14)
 
 
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(a=st.floats(-0.95, 0.95), x=st.floats(-1.0, 1.0), p=st.integers(1, 150))
+def test_single_element_sweep_equals_constrained_sweep_random(a, x, p):
+    # element degree p + 1 carries N_2..N_{p+1}: the order-p constrained expansion
+    sol = assemble_and_solve(Mesh1D.uniform(1, p + 1), a)
+    sweep_fem = element_error_series(sol, x, p)
+    b = constrained_pversion_coeffs(a, p + 1)
+    sweep_series = error_sweep(b, lambda t: exact_solution(t, a), x, p)
+    assert sweep_fem.abs_error == pytest.approx(sweep_series.abs_error, abs=1e-14)
+
+
 def test_element_error_series_at_mesh_node_is_zero():
     mesh = Mesh1D.uniform(2, 40)
     sol = assemble_and_solve(mesh, 0.3)
@@ -180,9 +194,17 @@ def test_invalid_load_point():
 
 def test_solution_export(tmp_path):
     sol = assemble_and_solve(Mesh1D.uniform(2, 4), 0.3)
-    path = tmp_path / "fem.csv"
-    sol.write_csv(path)
-    assert (tmp_path / "fem.csv").exists()
-    assert (tmp_path / "fem.csv.trace.csv").exists()
+    cfg = ExperimentConfig(id="fem", kind="fem", params={"a": 0.3}, options={"n": 2, "degree": 4})
+    run_experiment(cfg, str(tmp_path))
+    path = tmp_path / "fem.fem.csv"
+    assert (tmp_path / "fem.fem.csv.trace.csv").exists()
     lines = path.read_text().splitlines()
     assert lines[0] == "element,k,coeff"
+    # element 0 holds its two nodal values; element 1 carries the load and N_2..N_4
+    rows = [(0, 0, sol.nodal[0]), (0, 1, sol.nodal[1]), (1, 0, sol.nodal[1]),
+            (1, 1, sol.nodal[2])] + [(1, k + 2, c) for k, c in enumerate(sol.internal[1])]
+    assert lines[1:] == [f"{e},{k},{c!r}" for e, k, c in rows]
+    trace = np.loadtxt(str(path) + ".trace.csv", delimiter=",", skiprows=1)
+    assert trace.shape == (41, 2)
+    assert trace[-1, 0] == 1.0
+    assert [sol.evaluate(x) for x in trace[:, 0]] == trace[:, 1].tolist()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -12,7 +13,9 @@ from leglab.functions import AbsShiftFamily, PowerAbsFamily, PowerShiftFamily, S
 from leglab.legendre import gauss_rule
 from leglab.precision import FLOAT64, PrecisionError
 from leglab.runner import (ExperimentConfig, InfiniteNorm, _exact_norm_sq, figure_config_dir,
-                           list_figure_configs, run_experiment, run_figures)
+                           list_figure_configs, resolve, run_experiment, run_figures)
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 def _hash_tree(root):
@@ -164,6 +167,49 @@ def test_figure_configs_all_load():
     for name in names:
         cfg = ExperimentConfig.load(os.path.join(figure_config_dir(), name))
         assert cfg.kind in ("sweep", "norm", "gibbs", "growth", "fem")
+        resolve(cfg)
+
+
+def test_benchmark_specs_validate(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    import workloads
+
+    for name in workloads.WORKLOADS:
+        for op in workloads.universe(name) + workloads.ops_for(name, 0):
+            if op.kind == "experiment":
+                resolve(op.prepare().config)
+    sys.modules.pop("workloads")
+
+
+@pytest.mark.parametrize("doc,match", [
+    ({"kind": "growth", "options": {"point": -1.0, "fixed_alpha": 1.0, "xii": [0.1]}},
+     r"growth options: unknown \['xii'\]"),
+    ({"kind": "growth", "options": {"point": -1.0}}, r"growth options: missing \['fixed_alpha'\]"),
+    ({"kind": "conjecture", "options": {"tolerances": {"rate_tl": 0.5}}},
+     r"tolerances: unknown \['rate_tl'\]"),
+    ({"kind": "fit", "x": [0.1]}, r"unknown experiment kind 'fit'"),
+    ({"kind": "coeffs", "family": "step", "params": {"beta": 0.7}},
+     r"family 'step' params: unknown \['beta'\]"),
+    ({"kind": "gibbs", "pmax": 1200, "options": {"pvalues": [500, 2000]}},
+     r"gibbs pvalues \[500, 2000\] must be non-empty and lie in \[1, pmax = 1200\]"),
+])
+def test_run_rejects_input_it_would_not_honour(tmp_path, doc, match):
+    # rejected before any work: no output directory, no manifest
+    with pytest.raises(ValueError, match=match):
+        run_experiment(ExperimentConfig.from_dict({"id": "t", **doc}), str(tmp_path / "o"))
+    assert not (tmp_path / "o").exists()
+
+
+def test_options_merge_defaults_and_keep_config_as_given(tmp_path):
+    options = {"point": -1.0, "fixed_alpha": 1.0, "note": "defaults for side, xi, ceiling"}
+    cfg = ExperimentConfig(id="g", kind="growth", params={"a": 0.5}, pmax=600, options=options)
+    manifest = run_experiment(cfg, str(tmp_path))
+    assert manifest["config"]["options"] == options
+    xi = np.loadtxt(tmp_path / "g.growth.csv", delimiter=",", skiprows=1)[:, 0]
+    assert xi.tolist() == [1e-1, 1e-2, 1e-3, 1e-4]
+    # the conjecture grid defaults to the 7 x 2 grid the CLI used to spell out
+    _, opts = resolve(ExperimentConfig(id="c", kind="conjecture"))
+    assert len(opts["beta_grid"]) == 7 and opts["a_grid"] == (0.0, 0.5)
 
 
 def test_run_figures_subset(tmp_path):
@@ -259,6 +305,54 @@ def test_cli_rejects_ignored_flags(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["coeffs", "--family", "step", "--beta", "0.7", "--pmax", "3"],
+     "family 'step' params: unknown ['beta']"),
+    (["coeffs", "--family", "powershift", "--beta", "0.5", "--a", "0.3"],
+     "family 'powershift' params: unknown ['a']"),
+    (["norm", "--family", "powershift", "--pmax", "20"], "family 'powershift' params: missing ['beta']"),
+    (["gibbs", "--pvalues", "500", "2000", "--pmax", "1200"], "gibbs pvalues [500, 2000]"),
+    (["growth", "--point", "-1"], "growth options: missing ['fixed_alpha']"),
+    (["coeffs", "--config", os.path.join(figure_config_dir(), "fig02.json"), "--pmax", "5"],
+     "--config holds the whole run; drop ['pmax']"),
+])
+def test_cli_input_errors_exit_2(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_config_file_errors_exit_2(tmp_path, capsys):
+    doc = {"id": "g", "kind": "growth", "options": {"point": -1.0, "fixed_alpha": 1.0,
+                                                     "xii": [0.1]}}
+    (tmp_path / "g.json").write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["growth", "--config", str(tmp_path / "g.json"), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unknown ['xii']" in capsys.readouterr().err
+
+
+def test_cli_gibbs_decay_window_outside_domain(tmp_path):
+    # at p = 20 the decay window xi in [0.1, 0.25] right of a = 0.95 leaves [-1, 1]
+    rc = main(["gibbs", "--a", "0.95", "--pvalues", "20", "--pmax", "100",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    manifest = json.loads((tmp_path / "gibbs.manifest.json").read_text())
+    assert [e["type"] for e in manifest["errors"]] == ["FitUnreliable"]
+
+
+def test_cli_records_only_the_flags_given(tmp_path):
+    # the norm defaults to L2 (the CLI used to default to the energy norm)
+    assert main(["norm", "--family", "absshift", "--pmax", "50", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "norm.manifest.json").read_text())
+    assert manifest["config"]["options"] == {}
+    assert manifest["config"]["params"] == {}
+    assert manifest["config"]["family"] == "absshift"
+    assert (tmp_path / "norm.norm.csv").read_text().startswith("p,l2_error\n")
 
 
 @pytest.mark.parametrize("argv,params,a", [

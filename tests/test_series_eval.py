@@ -3,12 +3,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leglab.coefficients import (Generator, LegendreSeries, abs_shift_coeffs,
                                  constrained_pversion_coeffs, power_abs_coeffs,
                                  singular_term_coeffs, step_derivative_coeffs)
 from leglab.functions import PowerAbsFamily, exact_solution, exact_solution_derivative
-from leglab.precision import FLOAT64, bigfloat
+from leglab.legendre import legendre_eval_range
+from leglab.precision import FLOAT64, bigfloat, neumaier_sum
+from leglab.runner import ExperimentConfig, run_experiment
 from leglab.series_eval import (error_sweep, norm_sweep, parseval_tail, partial_sum,
                                 partial_sum_values, squared_error_quadrature)
 
@@ -154,8 +158,39 @@ def test_norm_sweep_truncation_warning():
 
 def test_sweep_csv_roundtrip(tmp_path, step_series, step_family):
     sweep = error_sweep(step_series, step_family.exact, 0.1, 40)
-    path = tmp_path / "sweep.csv"
-    sweep.write_csv(path)
+    cfg = ExperimentConfig(id="s", kind="sweep", family="step", params={"a": A}, x=[0.1],
+                           pmax=40)
+    run_experiment(cfg, str(tmp_path))
+    path = tmp_path / "s.x+0.1.sweep.csv"
+    assert path.read_text().startswith("p,abs_error\n")
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (40, 2)
+    assert np.array_equal(data[:, 0], sweep.pvalues)
     assert np.all(data[:, 1] == sweep.abs_error)
+    plot = np.loadtxt(tmp_path / "s.x+0.1.plot.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(plot, np.log10(np.column_stack([sweep.pvalues, sweep.abs_error])))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(a=st.floats(-0.95, 0.95), x=st.floats(-1.0, 1.0), p=st.integers(0, 300))
+def test_f64_partial_sums_are_neumaier_sums_of_their_terms(a, x, p):
+    # the fused kernels perform the IEEE operations of precision.neumaier_sum,
+    # in order, over c_k P_k(x) and over the constrained bumps
+    Px = legendre_eval_range(p + 1, x)
+    prefix = step_derivative_coeffs(a, 300)
+    terms = [c * Px[k] for k, c in enumerate(prefix.f64_image()[: p + 1])]
+    assert partial_sum(prefix, p, x) == neumaier_sum(terms)
+    Pa = legendre_eval_range(p + 1, a)
+    bumps = [0.5 * (Pa[k - 1] - Pa[k + 1]) * (Px[k + 1] - Px[k - 1]) / (2 * k + 1)
+             for k in range(1, p + 1)]
+    assert partial_sum(constrained_pversion_coeffs(a, max(p, 1)), p, x) == neumaier_sum(bumps)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(a=st.floats(-0.95, 0.95), P=st.integers(1, 200), p=st.integers(0, 200))
+def test_constrained_partial_sums_vanish_at_the_endpoints(a, P, p):
+    p = min(p, P)
+    for ctx in (FLOAT64, bigfloat(128)):
+        series = constrained_pversion_coeffs(a, P, ctx)
+        for x in (-1.0, 1.0):
+            assert partial_sum(series, p, x) == 0
