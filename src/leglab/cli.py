@@ -6,8 +6,9 @@ file; otherwise the flags given assemble the same document, and a flag left
 out takes the runner's default.  Exit status is 1 when a conjecture clause
 fails outright (preasymptotic entries do not fail), and 2 when a run
 records an error in its manifest or rejects its input (an unknown option,
-family parameter or tolerance, a missing required option, or a value the
-kind cannot run), 0 otherwise.
+family parameter or tolerance, a missing required option, a config field
+the kind does not read, or a value or point list the kind cannot run),
+0 otherwise.
 """
 
 from __future__ import annotations

@@ -34,12 +34,11 @@ def legendre_eval_range(kmax: int, x, ctx: PrecisionContext = FLOAT64) -> list:
         raise ValueError("degree must be nonnegative")
     xv = _check_domain(x, ctx)
     with ctx.active():
-        out = [ctx.one()]
-        if kmax == 0:
-            return out
-        out.append(xv)
+        pm1, pn = ctx.one(), xv
+        out = [pm1, pn][: kmax + 1]
         for n in range(1, kmax):
-            out.append(((2 * n + 1) * xv * out[n] - n * out[n - 1]) / (n + 1))
+            pm1, pn = pn, ((2 * n + 1) * xv * pn - n * pm1) / (n + 1)
+            out.append(pn)
         return out
 
 

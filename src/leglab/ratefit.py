@@ -247,7 +247,9 @@ def constant_growth(family, approach_point: float, side: int, xi_grid: Sequence[
     The interior rate is pinned (refitting alpha would conflate rate drift
     with constant growth).  A xi entry whose envelope maximum sits at the
     very end of the window is still preasymptotic; the sweep is retried at
-    a larger pmax up to the ceiling, then dropped.
+    a larger pmax up to the ceiling, then dropped.  A probe outside [-1, 1],
+    at an endpoint or at the family's singular point measures another
+    feature and is dropped too.
     """
     eval_ctx = ctx or FLOAT64
     xi_values, C_values, dropped = [], [], []
@@ -259,6 +261,13 @@ def constant_growth(family, approach_point: float, side: int, xi_grid: Sequence[
         x = approach_point + side * xi
         if not -1.0 <= x <= 1.0:
             dropped.append((float(xi), "outside domain"))
+            continue
+        # rounding can land a probe on another feature: 0.9 + 0.1 == 1.0
+        if abs(x) == 1.0:
+            dropped.append((float(xi), "at an endpoint"))
+            continue
+        if x == family.singular_point():
+            dropped.append((float(xi), "at the singular point"))
             continue
         pm = pmax
         while True:

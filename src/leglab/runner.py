@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -156,12 +156,27 @@ def _coeffs(config, opts, family, writer):
     writer.json(name + ".json", series.metadata())
 
 
+def _points(config, lo: float, hi: float, closed: bool = True, required: bool = True) -> list:
+    """config.x as floats, each checked to lie in [lo, hi] (closed) or
+    (lo, hi); raises ValueError naming the first point outside, or an empty
+    list where a point is required."""
+    if required and not config.x:
+        raise ValueError(f"{config.kind} needs at least one point x")
+    xs = [float(x) for x in config.x]
+    for x in xs:
+        if not (lo <= x <= hi if closed else lo < x < hi):
+            span = f"[{lo:g}, {hi:g}]" if closed else f"({lo:g}, {hi:g})"
+            raise ValueError(f"{config.kind} point x = {x!r} lies outside {span}")
+    return xs
+
+
 def _sweep(config, opts, family, writer):
+    xs = _points(config, -1.0, 1.0)
     series = family.series(config.pmax + 1, config.coeff_ctx())
-    for x in config.x:
-        sweep = error_sweep(series, family.exact, float(x), config.pmax, config.eval_ctx(),
+    for x in xs:
+        sweep = error_sweep(series, family.exact, x, config.pmax, config.eval_ctx(),
                             target=f"{family.describe()} (mean of limits at jumps)")
-        tag = f"{config.id}.x{float(x):+.7g}"
+        tag = f"{config.id}.x{x:+.7g}"
         writer.csv(f"{tag}.sweep.csv", "p,abs_error", [sweep.pvalues, sweep.abs_error])
         payload = _fit_payload(sweep, config)
         # (log10 p, log10 err) pairs plus the fitted line's endpoints
@@ -174,7 +189,7 @@ def _sweep(config, opts, family, writer):
         writer.csv(f"{tag}.plot.csv", "log10_p,log10_abs_error",
                    [np.log10(sweep.pvalues[mask]), np.log10(sweep.abs_error[mask])], ends)
         writer.json(f"{tag}.fit.json", dict(payload, sweep=sweep.metadata()))
-        writer.results[f"x={float(x):+.7g}"] = payload
+        writer.results[f"x={x:+.7g}"] = payload
 
 
 def _norm(config, opts, family, writer):
@@ -225,16 +240,18 @@ def _growth(config, opts, family, writer):
 def _bounds(config, opts, family, writer):
     if not isinstance(family, StepDerivativeFamily):
         raise ValueError("bound reports are implemented for the jump family")
+    # the Theorem 1 bound holds strictly inside the interval
+    xs = _points(config, -1.0, 1.0, closed=False)
     a = family.a
     f = bounds_mod.step_bv(a, (a - 1.0) / 2.0, (a + 1.0) / 2.0)
     series = family.series(config.pmax + 1, config.coeff_ctx())
-    for x in config.x:
-        report = bounds_mod.theorem1_bound_series(f, float(x), config.pmax)
-        sweep = error_sweep(series, family.exact, float(x), config.pmax, config.eval_ctx())
+    for x in xs:
+        report = bounds_mod.theorem1_bound_series(f, x, config.pmax)
+        sweep = error_sweep(series, family.exact, x, config.pmax, config.eval_ctx())
         report.measured = sweep.abs_error[1:]
-        writer.csv(f"{config.id}.x{float(x):+.7g}.bounds.csv", "p,bound,measured,ratio",
+        writer.csv(f"{config.id}.x{x:+.7g}.bounds.csv", "p,bound,measured,ratio",
                    [report.pvalues, report.bound, report.measured, report.ratio])
-        writer.results[f"x={float(x):+.7g}"] = {
+        writer.results[f"x={x:+.7g}"] = {
             "bound_constant": float(report.bound[-1] * report.pvalues[-1]),
             "max_ratio": float(np.max(report.ratio)),
         }
@@ -247,17 +264,20 @@ def _fem(config, opts, family, writer):
         raise ValueError("the FEM model problem takes its load point from the step, "
                          "absshift or constrained family")
     mesh = Mesh1D.uniform(int(opts["n"]), int(opts["degree"]))
+    # the element sweep runs on the element that holds the load point
+    s = mesh.element_of(family.a)
+    xs = _points(config, mesh.nodes[s], mesh.nodes[s + 1], required=False)
     sol = assemble_and_solve(mesh, family.a, config.eval_ctx())
     # per element: k = 0, 1 the nodal values, k >= 2 the internal modes
     rows = [(e, k, c) for e in range(mesh.n_elements)
             for k, c in enumerate([sol.nodal[e], sol.nodal[e + 1], *sol.internal[e]])]
     writer.csv(f"{config.id}.fem.csv", "element,k,coeff", list(zip(*rows)))
     writer.csv(f"{config.id}.fem.csv.trace.csv", "x,u", sol.trace())
-    for x in config.x:
-        sweep = element_error_series(sol, float(x), config.pmax)
-        writer.csv(f"{config.id}.x{float(x):+.7g}.sweep.csv", "p,abs_error",
+    for x in xs:
+        sweep = element_error_series(sol, x, config.pmax)
+        writer.csv(f"{config.id}.x{x:+.7g}.sweep.csv", "p,abs_error",
                    [sweep.pvalues, sweep.abs_error])
-        writer.results[f"x={float(x):+.7g}"] = _fit_payload(sweep, config)
+        writer.results[f"x={x:+.7g}"] = _fit_payload(sweep, config)
 
 
 def _conjecture(config, opts, family, writer):
@@ -278,19 +298,39 @@ def _conjecture(config, opts, family, writer):
 
 REQUIRED = object()  # marks an option without a default
 
-# kind -> (handler, option defaults); every kind also takes the free-text "note"
+
+@dataclass(frozen=True)
+class Kind:
+    """One experiment kind: its handler, the ExperimentConfig fields it reads
+    besides id, kind and options, the keys of config.expect it reads, and its
+    option defaults; every kind also takes the free-text option "note"."""
+
+    handler: Callable
+    reads: tuple
+    expect: tuple = ()
+    options: dict = field(default_factory=dict)
+
+
+FAMILY_FIELDS = ("family", "params", "pmax")
+
 KINDS = {
-    "coeffs": (_coeffs, {}),
-    "sweep": (_sweep, {}),
+    "coeffs": Kind(_coeffs, (*FAMILY_FIELDS, "precision", "coeff_precision")),
+    "sweep": Kind(_sweep, (*FAMILY_FIELDS, "precision", "coeff_precision", "x", "window"),
+                  expect=("alpha", "C")),
     # tail_margin None: 8 pmax coefficients beyond pmax; exact_norm_sq None:
     # the closed form or quadrature of _exact_norm_sq
-    "norm": (_norm, {"norm": "L2", "tail_margin": None, "exact_norm_sq": None}),
-    "gibbs": (_gibbs, {"pvalues": (500, 707, 1000, 1414, 2000)}),
-    "growth": (_growth, {"point": REQUIRED, "side": 1, "xi": (1e-1, 1e-2, 1e-3, 1e-4),
-                         "fixed_alpha": REQUIRED, "ceiling": 10000}),
-    "bounds": (_bounds, {}),
-    "fem": (_fem, {"n": 1, "degree": 10}),
-    "conjecture": (_conjecture, {
+    "norm": Kind(_norm, (*FAMILY_FIELDS, "coeff_precision"), expect=("slope",),
+                 options={"norm": "L2", "tail_margin": None, "exact_norm_sq": None}),
+    "gibbs": Kind(_gibbs, (*FAMILY_FIELDS, "coeff_precision"),
+                  options={"pvalues": (500, 707, 1000, 1414, 2000)}),
+    "growth": Kind(_growth, (*FAMILY_FIELDS, "precision"), expect=("exponent",),
+                   options={"point": REQUIRED, "side": 1, "xi": (1e-1, 1e-2, 1e-3, 1e-4),
+                            "fixed_alpha": REQUIRED, "ceiling": 10000}),
+    "bounds": Kind(_bounds, (*FAMILY_FIELDS, "precision", "coeff_precision", "x")),
+    "fem": Kind(_fem, (*FAMILY_FIELDS, "precision", "x", "window"), expect=("alpha", "C"),
+                options={"n": 1, "degree": 10}),
+    # the suite builds its own families and evaluates in float64
+    "conjecture": Kind(_conjecture, ("pmax",), options={
         "beta_grid": (-5.0 / 6.0, -2.0 / 3.0, -0.5, -1.0 / 16.0, 0.0, 0.5, 1.0),
         "a_grid": (0.0, 0.5), "clauses": (1, 2, 3, 4, 5), "powershift_betas": (),
         "tolerances": {}, "jobs": 1, "growth_checks": True}),
@@ -300,18 +340,27 @@ KINDS = {
 def resolve(config: ExperimentConfig):
     """The kind's handler and its options, the config's over the defaults.
 
-    Raises ValueError naming an unknown kind, option or tolerance and every
-    missing required option; config.options itself is left as given.
+    Raises ValueError naming an unknown kind, a config field the kind does
+    not read that is set off its default, an unknown expect key, option or
+    tolerance, and every missing required option; config.options itself is
+    left as given.
     """
     if config.kind not in KINDS:
         raise ValueError(f"unknown experiment kind {config.kind!r}; choose from {sorted(KINDS)}")
-    handler, defaults = KINDS[config.kind]
-    check_keys(f"{config.kind} options", config.options, [*defaults, "note"],
-               [k for k, v in defaults.items() if v is REQUIRED])
-    opts = {**defaults, **config.options}
+    kind = KINDS[config.kind]
+    reads = {"id", "kind", "options", *kind.reads, *(("expect",) if kind.expect else ())}
+    blank = ExperimentConfig(config.id, config.kind)
+    unread = sorted(name for name in config.__dataclass_fields__
+                    if name not in reads and getattr(config, name) != getattr(blank, name))
+    if unread:
+        raise ValueError(f"{config.kind} does not read the config fields {unread}")
+    check_keys(f"{config.kind} expect", config.expect, kind.expect)
+    check_keys(f"{config.kind} options", config.options, [*kind.options, "note"],
+               [k for k, v in kind.options.items() if v is REQUIRED])
+    opts = {**kind.options, **config.options}
     if "tolerances" in opts:
         check_keys("tolerances", opts["tolerances"], ToleranceProfile.__dataclass_fields__)
-    return handler, opts
+    return kind.handler, opts
 
 
 def run_experiment(config: ExperimentConfig, outdir: str) -> dict:
@@ -319,8 +368,7 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> dict:
 
     Input the run would not honour raises ValueError before any output."""
     handler, opts = resolve(config)
-    # every kind but conjecture runs on this family; for conjecture it only
-    # checks family and params
+    # conjecture reads no family; for it this is the default step family
     family = family_from_config(config.family, config.params)
     writer = ManifestWriter(outdir, config.id)
     try:

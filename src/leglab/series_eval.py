@@ -1,9 +1,11 @@
 """Partial sums, pointwise error sweeps over p, and Parseval norm sweeps.
 
-Sweeps are incremental: all orders 1..pmax share one recurrence pass, so a
-full sweep costs O(pmax) per evaluation point.  Float64 accumulation uses
-Neumaier compensation; this keeps the telescoping error identities true to
-a few ulps across the whole 2200-order range.
+Every partial sum is one pass of two pieces: ``_terms`` reads the one
+Legendre kernel, ``legendre.legendre_eval_range``, and forms the order
+terms, and ``_running_sums`` accumulates them.  All orders 1..pmax share
+that pass, so a full sweep costs O(pmax) per evaluation point.  Float64
+accumulation uses Neumaier compensation; this keeps the telescoping error
+identities true to a few ulps across the whole 2200-order range.
 
 For the endpoint-constrained family the order-p truncation is the order-p
 constrained solution (its tail differs from the stored coefficient prefix);
@@ -15,11 +17,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .coefficients import Generator, LegendreSeries, derivative_coeffs
+from .legendre import legendre_eval_range
 from .precision import F64, FLOAT64, PrecisionContext
 
 
@@ -66,89 +71,62 @@ class NormSweep:
             raise ValueError("norm errors must be nonincreasing in p")
 
 
-def _running_sums(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, ref=None):
-    """Order check plus the running-sum kernel of the series kind."""
+def _terms(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext):
+    """The order terms t_0..t_pmax at x, whose running sums are S_0..S_pmax,
+    in the context's number type: c_k P_k(x) for a coefficient prefix, and
+    for the constrained family t_0 = 0 and the bumps
+    a_k (P_{k+1}(x) - P_{k-1}(x)) / (2k+1), a_k = (P_{k-1}(a) - P_{k+1}(a)) / 2.
+    Float64 terms read the series' float64 image, converted once per series.
+    The terms are made as they are read, so big-float ones take the working
+    precision of the caller's active context."""
     if series.generator is Generator.CONSTRAINED_PVERSION:
         limit = len(series.coeffs) - 2
         if pmax > limit:
             raise IndexError(f"order {pmax} exceeds the constrained series order {limit}")
-        return _constrained_sums(series.params["a"], x, pmax, ctx, ref)
+        Pa = legendre_eval_range(pmax + 1, series.params["a"], ctx)
+        Px = legendre_eval_range(pmax + 1, x, ctx)
+        # a0, a2, x0, x2 = P_{k-1}(a), P_{k+1}(a), P_{k-1}(x), P_{k+1}(x); m = 2k + 1
+        bumps = ((a0 - a2) / 2 * (x2 - x0) / m
+                 for a0, a2, x0, x2, m in zip(Pa, Pa[2:], Px, Px[2:], range(3, 2 * pmax + 2, 2)))
+        return chain([ctx.zero()], bumps)
     if pmax > series.degree:
         raise IndexError(f"order {pmax} exceeds available coefficients (degree {series.degree})")
-    return _prefix_sums(series, x, pmax, ctx, ref)
+    P = legendre_eval_range(pmax, x, ctx)
+    if ctx.mode == F64:
+        return map(mul, series.f64_image(), P)
+    return map(mul, map(ctx.convert, series.coeffs), P)
 
 
-def _prefix_sums(series, x, pmax, ctx, ref=None):
-    """Running sums S_p(x) of c_k P_k(x), p = 0..pmax, fused with the recurrence.
+def _running_sums(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, ref=None):
+    """Running sums S_p(x), p = 0..pmax, of the order terms of _terms.
 
     Returns (d, S): d[p] is the float ref - S_p (S_p itself without ref) and
-    S is S_pmax in the context's number type.  Float64 sums read the series'
-    float64 image, converted once per series, and carry Neumaier
-    compensation; big-float sums are rounded to float order by order, so a
-    long sweep holds no big numbers.
+    S is S_pmax in the context's number type.  Float64 sums carry Neumaier
+    compensation; big-float and exact sums are rounded to float order by
+    order, so a long sweep holds no big running sums.
     """
-    d = np.empty(pmax + 1)
+    terms = _terms(series, x, pmax, ctx)
+    sums = []
     with ctx.active():
-        xv = ctx.convert(x)
         if ctx.mode == F64:
-            coeffs = series.f64_image()
-            pm1, pk = 0.0, 1.0
             total, comp = 0.0, 0.0
-            for k in range(pmax + 1):
-                t = coeffs[k] * pk
+            for t in terms:
                 s = total + t
                 comp += (total - s) + t if abs(total) >= abs(t) else (t - s) + total
                 total = s
-                d[k] = total + comp
-                pm1, pk = pk, ((2 * k + 1) * xv * pk - k * pm1) / (k + 1)
+                sums.append(total + comp)
+            d = np.array(sums)
             return (d if ref is None else float(ref) - d), total + comp
         refv = None if ref is None else ctx.convert(ref)
-        pm1, pk = ctx.zero(), ctx.one()
         total = ctx.zero()
-        for k in range(pmax + 1):
-            total += ctx.convert(series.coeffs[k]) * pk
-            d[k] = float(total) if refv is None else float(refv - total)
-            pm1, pk = pk, ((2 * k + 1) * xv * pk - k * pm1) / (k + 1)
-        return d, total
-
-
-def _constrained_sums(a, x, pmax, ctx, ref=None):
-    """Running sums of the bumps a_k (P_{k+1}(x) - P_{k-1}(x)) / (2k+1) with
-    a_k = (P_{k-1}(a) - P_{k+1}(a)) / 2, p = 0..pmax; contract of _prefix_sums."""
-    d = np.empty(pmax + 1)
-    with ctx.active():
-        av, xv = ctx.convert(a), ctx.convert(x)
-        pa0, pa1 = ctx.one(), av
-        px0, px1 = ctx.one(), xv
-        total = ctx.zero()
-        if ctx.mode == F64:
-            comp = 0.0
-            d[0] = 0.0
-            for k in range(1, pmax + 1):
-                pa2 = ((2 * k + 1) * av * pa1 - k * pa0) / (k + 1)
-                px2 = ((2 * k + 1) * xv * px1 - k * px0) / (k + 1)
-                t = 0.5 * (pa0 - pa2) * (px2 - px0) / (2 * k + 1)
-                s = total + t
-                comp += (total - s) + t if abs(total) >= abs(t) else (t - s) + total
-                total = s
-                d[k] = total + comp
-                pa0, pa1 = pa1, pa2
-                px0, px1 = px1, px2
-            return (d if ref is None else float(ref) - d), total + comp
-        refv = None if ref is None else ctx.convert(ref)
-        d[0] = 0.0 if refv is None else float(refv)
-        for k in range(1, pmax + 1):
-            pa2 = ((2 * k + 1) * av * pa1 - k * pa0) / (k + 1)
-            px2 = ((2 * k + 1) * xv * px1 - k * px0) / (k + 1)
-            total += (pa0 - pa2) * (px2 - px0) / (2 * (2 * k + 1))
-            d[k] = float(total) if refv is None else float(refv - total)
-            pa0, pa1 = pa1, pa2
-            px0, px1 = px1, px2
-        return d, total
+        for t in terms:
+            total += t
+            sums.append(float(total if refv is None else refv - total))
+        return np.array(sums), total
 
 
 def partial_sum(series: LegendreSeries, p: int, x, ctx: Optional[PrecisionContext] = None):
-    """Evaluate the order-p approximation at x with one fused recurrence pass."""
+    """Evaluate the order-p approximation at x with one recurrence pass."""
     return _running_sums(series, x, p, ctx or series.ctx)[1]
 
 

@@ -118,6 +118,17 @@ def test_constant_growth_drops_out_of_domain():
                         pmax=600, pmax_ceiling=600)
 
 
+@pytest.mark.parametrize("point,side,reason", [
+    (0.9, +1, "at an endpoint"),  # 0.9 + 0.1 == 1.0 in float64
+    (1.0, -1, "at the singular point"),  # 1.0 - 0.1 == 0.9
+])
+def test_constant_growth_drops_probes_on_other_features(point, side, reason):
+    fam = StepDerivativeFamily(a=0.9)
+    fit = constant_growth(fam, point, side, [1e-1, 10 ** -1.5, 1e-2], fixed_alpha=1.0, pmax=600)
+    assert fit.dropped == [(0.1, reason)]
+    assert fit.xi_values.tolist() == [10 ** -1.5, 1e-2]
+
+
 def test_gibbs_probe(step_series, step_family):
     report = gibbs_probe(step_series, step_family.exact, A, [500, 1000, 2000])
     assert report.D == pytest.approx(2.7777, rel=0.05)

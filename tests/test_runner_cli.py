@@ -192,6 +192,25 @@ def test_benchmark_specs_validate(monkeypatch):
      r"family 'step' params: unknown \['beta'\]"),
     ({"kind": "gibbs", "pmax": 1200, "options": {"pvalues": [500, 2000]}},
      r"gibbs pvalues \[500, 2000\] must be non-empty and lie in \[1, pmax = 1200\]"),
+    # config fields and expect keys the kind does not read
+    ({"kind": "fem", "coeff_precision": "big:64", "options": {"n": 1, "degree": 20}},
+     r"fem does not read the config fields \['coeff_precision'\]"),
+    ({"kind": "norm", "x": [0.3], "window": [10, 40], "expect": {"alpha": 2}},
+     r"norm does not read the config fields \['window', 'x'\]"),
+    ({"kind": "norm", "expect": {"alpha": 2}}, r"norm expect: unknown \['alpha'\]"),
+    ({"kind": "gibbs", "expect": {"D": 2.7777}}, r"gibbs does not read the config fields \['expect'\]"),
+    ({"kind": "growth", "window": [10, 40], "options": {"point": -1.0, "fixed_alpha": 1.0}},
+     r"growth does not read the config fields \['window'\]"),
+    ({"kind": "conjecture", "family": "absshift"},
+     r"conjecture does not read the config fields \['family'\]"),
+    # point lists
+    ({"kind": "sweep", "family": "step", "pmax": 100}, r"sweep needs at least one point x"),
+    ({"kind": "bounds", "pmax": 50}, r"bounds needs at least one point x"),
+    ({"kind": "sweep", "x": [0.1, 1.5]}, r"sweep point x = 1.5 lies outside \[-1, 1\]"),
+    ({"kind": "bounds", "x": [0.1, 1.0], "pmax": 50},
+     r"bounds point x = 1.0 lies outside \(-1, 1\)"),
+    ({"kind": "fem", "params": {"a": 0.3}, "x": [0.1, 0.6], "options": {"n": 4}},
+     r"fem point x = 0.6 lies outside \[0, 0.5\]"),
 ])
 def test_run_rejects_input_it_would_not_honour(tmp_path, doc, match):
     # rejected before any work: no output directory, no manifest
@@ -317,6 +336,15 @@ def test_cli_rejects_ignored_flags(capsys):
     (["growth", "--point", "-1"], "growth options: missing ['fixed_alpha']"),
     (["coeffs", "--config", os.path.join(figure_config_dir(), "fig02.json"), "--pmax", "5"],
      "--config holds the whole run; drop ['pmax']"),
+    (["fem", "--coeff-precision", "big:64", "--n", "1", "--degree", "20"],
+     "fem does not read the config fields ['coeff_precision']"),
+    (["norm", "--precision", "big:256", "--pmax", "50"],
+     "norm does not read the config fields ['precision']"),
+    (["sweep", "--family", "step", "--pmax", "100"], "sweep needs at least one point x"),
+    (["sweep", "--x", "1.5", "--pmax", "10"], "sweep point x = 1.5 lies outside [-1, 1]"),
+    (["sweep", "--x", "0.1", "1.5"], "sweep point x = 1.5 lies outside [-1, 1]"),
+    (["bounds", "--x", "0.1", "1.0", "--pmax", "50"],
+     "bounds point x = 1.0 lies outside (-1, 1)"),
 ])
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
