@@ -17,25 +17,27 @@ import argparse
 import json
 import sys
 
-from .runner import ExperimentConfig, run_experiment, run_figures
+from .runner import KINDS, ExperimentConfig, run_experiment, run_figures
 
 
 def _common(parser: argparse.ArgumentParser, kind: str) -> None:
     # no run flag has an argparse default: a flag left out takes the default
-    # of runner.ExperimentConfig, runner.KINDS or the family
+    # of runner.ExperimentConfig, runner.KINDS or the family; a config-field
+    # flag is offered only where the kind reads that field
+    reads = KINDS[kind].reads
     parser.add_argument("--config", help="JSON experiment file (no run flag may be added)")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--id")
     parser.add_argument("--pmax", type=int)
-    if kind == "conjecture":
-        # the suite evaluates in float64; its grid points can run in parallel
-        parser.add_argument("--jobs", type=int)
-    else:
+    if "precision" in reads:
         parser.add_argument("--precision", help="f64 | big:<bits> | exact")
+    if "family" in reads:
         parser.add_argument("--family",
                             help="step | absshift | constrained | powerabs | powershift | spec")
+    if "params" in reads:
         parser.add_argument("--a", type=float, help="jump or singular point")
         parser.add_argument("--beta", type=float)
+    if "coeff_precision" in reads:
         parser.add_argument("--coeff-precision", dest="coeff_precision")
 
 
@@ -108,6 +110,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("conjecture", help="run the five-clause verification suite")
     _common(p, "conjecture")
+    # the suite evaluates in float64; its grid points can run in parallel
+    p.add_argument("--jobs", type=int)
     p.add_argument("--beta-grid", nargs="+", type=float)
     p.add_argument("--a-grid", nargs="+", type=float)
     p.add_argument("--clauses", nargs="+", type=int)

@@ -9,7 +9,8 @@ Closed forms:
   downward coupling dropped in the last two coefficients, which makes the
   partial sums vanish at both endpoints for every order;
 * |x|^beta: even moments from the ratio recurrence
-  I_{j+1} = I_j (beta - 2j)/(beta + 2j + 3), I_0 = 1/(beta + 1);
+  I_{j+1} = I_j (beta - 2j)/(beta + 2j + 3), I_0 = 1/(beta + 1), on Python
+  integers in big-float mode (``_ratio_run``, below);
 * |x - a|^beta: modified moments mu_k = int |x-a|^beta P_k from the
   three-term recurrence
   (beta + k + 2) mu_{k+1} = a (2k+1) mu_k + (beta + 1 - k) mu_{k-1},
@@ -20,9 +21,13 @@ Closed forms:
 * |x + 1|^beta: Rodrigues' formula and k integrations by parts give
   I_k = int (1+x)^beta P_k = 2^(beta+1) Gamma(beta+1)^2 / (Gamma(beta+k+2) Gamma(beta+1-k)),
   so I_0 = 2^(beta+1)/(beta+1), I_{k+1} = I_k (beta - k)/(beta + k + 2) and
-  c_k = (2k+1) I_k / 2.  Nothing cancels; with 64 guard bits the rounding
-  to the output context is the only error that shows, and the top
-  coefficient is certified against the Gamma form.  The paper's Appendix-A
+  c_k = (2k+1) I_k / 2.  The ratio recurrences run on Python integers:
+  I_k is held as M_k 2^E_k with a fixed number of significant bits, beta
+  enters exactly as a dyadic rational, and every step is one integer
+  product and one round-to-nearest division.  Nothing cancels; with 64
+  guard bits the rounding to the output context, once per coefficient, is
+  the only error that shows, and the top coefficient is certified against
+  the Gamma form.  The paper's Appendix-A
   construction (power moments times the exact integer monomial
   coefficients of P_k, cancelling about 1.585 bits per degree) stays as
   its oracle.
@@ -43,7 +48,8 @@ import numpy as np
 
 from .functions import SingularFunctionSpec, exact_solution_derivative
 from .legendre import gauss_rule, legendre_eval, legendre_eval_range
-from .precision import EXACT, F64, FLOAT64, PrecisionContext, PrecisionError, bigfloat
+from .precision import (BIG, EXACT, F64, FLOAT64, PrecisionContext, PrecisionError, bigfloat,
+                        dyadic, to_fixed)
 
 
 class Generator(str, Enum):
@@ -182,7 +188,10 @@ def power_abs_coeffs(beta, P: int, ctx: Optional[PrecisionContext] = None) -> Le
     """Expansion of |x|^beta: odd coefficients identically zero.
 
     beta <= -1/2 requires a big-float or exact context (partial-sum
-    cancellation at evaluation time dominates the coefficient error).
+    cancellation at evaluation time dominates the coefficient error).  A
+    big-float context runs the ratio recurrence on integers (``_ratio_run``,
+    bits + 64 significant bits) and rounds each coefficient to the context
+    once.
     """
     if float(beta) <= -1.0:
         raise ValueError("beta must exceed -1")
@@ -194,14 +203,23 @@ def power_abs_coeffs(beta, P: int, ctx: Optional[PrecisionContext] = None) -> Le
         raise PrecisionError("beta <= -1/2 requires a big-float or exact-rational context")
     with ctx.active():
         b = ctx.convert(beta)
-        coeffs = [ctx.zero() for _ in range(P + 1)]
+        coeffs = [ctx.zero()] * (P + 1)
         # I_j = int_0^1 x^beta P_2j; c_2j = (2(2j)+1)/2 * 2 I_j = (4j+1) I_j
-        I = ctx.one() / (b + 1)
-        j = 0
-        while 2 * j <= P:
-            coeffs[2 * j] = (4 * j + 1) * I
-            I = I * (b - 2 * j) / (b + 2 * j + 3)
-            j += 1
+        if ctx.mode == BIG:
+            bn, e = dyadic(b)
+            bd = 1 << -e
+            # I_0 = bd / (bn + bd), I_{j+1} = I_j (bn - 2j bd) / (bn + (2j+3) bd)
+            factors = [(bd, bn + bd)] + [(bn - 2 * j * bd, bn + (2 * j + 3) * bd)
+                                         for j in range(P // 2)]
+            for j, (M, E) in enumerate(_ratio_run(1, 0, factors, ctx.bits + 64)):
+                coeffs[2 * j] = mpmath.mpf(((4 * j + 1) * M, E))
+        else:
+            I = ctx.one() / (b + 1)
+            j = 0
+            while 2 * j <= P:
+                coeffs[2 * j] = (4 * j + 1) * I
+                I = I * (b - 2 * j) / (b + 2 * j + 3)
+                j += 1
     return LegendreSeries(coeffs, Generator.POWER_ABS, ctx, {"beta": float(beta)})
 
 
@@ -250,14 +268,15 @@ def _mu_fixed(a, beta, P, bits):
     mu_1 need real powers.
     """
     S = bits + 64
-    an, ad = float(a).as_integer_ratio()
-    bn, bd = float(beta).as_integer_ratio()
+    an, ea = dyadic(float(a))
+    bn, eb = dyadic(float(beta))
+    ad, bd = 1 << -ea, 1 << -eb
     with mpmath.workprec(S + 64):
         b, av = mpmath.mpf(float(beta)), mpmath.mpf(float(a))
         om, op = 1 - av, 1 + av
         mu0 = (om ** (b + 1) + op ** (b + 1)) / (b + 1)
         mu1 = av * mu0 + (om ** (b + 2) - op ** (b + 2)) / (b + 2)
-        m_prev, m = (int(mpmath.nint(mpmath.ldexp(v, S))) for v in (mu0, mu1))
+        m_prev, m = (to_fixed(v, S) for v in (mu0, mu1))
     out = [m_prev, m]
     ab = an * bd
     for k in range(1, P):
@@ -266,6 +285,23 @@ def _mu_fixed(a, beta, P, bits):
         m_prev, m = m, (2 * num + den) // (2 * den)
         out.append(m)
     return S, out[: P + 1]
+
+
+def _ratio_run(M, E, factors, bits):
+    """Yield I_1, I_2, ... with I_0 = M 2^E and I_{k+1} = I_k N_k / D_k over
+    the integer pairs (N_k, D_k), D_k > 0, each as (M_k, E_k), I_k = M_k 2^E_k.
+
+    Before each round-to-nearest division the numerator is shifted left so
+    that M_k keeps ``bits`` significant bits: a fixed point would drop the
+    bits of a tiny ratio (beta = 1e-100 loses about 330 in its first step).
+    A zero factor gives exact zeros from there on.
+    """
+    for N, D in factors:
+        t = M * N
+        sh = max(0, bits + D.bit_length() - t.bit_length())
+        M = ((t << (sh + 1)) + D) // (2 * D)
+        E -= sh
+        yield M, E
 
 
 def _mu_recurrence(a, beta, P, ctx):
@@ -425,23 +461,26 @@ def _power_shift_single(beta, k, bits):
 def power_shift_coeffs(beta, P: int, ctx: Optional[PrecisionContext] = None) -> LegendreSeries:
     """Expansion of |x + 1|^beta from the closed-form ratio recurrence.
 
-    The recurrence runs at max(128, output bits) + 64 bits and is rounded to
-    the output context (float64 when ctx is None); c_P is certified against
+    The recurrence runs on integers (``_ratio_run``) with max(128, output
+    bits) + 64 significant bits, and each coefficient is rounded once to the
+    output context (float64 when ctx is None); c_P is certified against
     the Gamma closed form at doubled precision.  Integer beta gives the
     polynomial's coefficients, correctly rounded, and c_k = 0 exactly for
     k > beta.
     """
     _check_power_shift_args(beta, P, ctx)
     bits = max(128, (ctx or FLOAT64).bits) + 64
-    work = bigfloat(bits)
-    with work.active():
-        b = work.convert(beta)
-        coeffs_hi = []
-        I = 2 ** (b + 1) / (b + 1)
-        for k in range(P + 1):
-            coeffs_hi.append((2 * k + 1) * I / 2)
-            I = I * (b - k) / (b + k + 2)
+    with mpmath.workprec(bits):
+        b = mpmath.mpf(beta)
+        M, E = dyadic(2 ** (b + 1))
+    bn, e = dyadic(b)
+    bd = 1 << -e
+    # I_0 = 2^(beta+1) bd / (bn + bd), I_{k+1} = I_k (bn - k bd) / (bn + (k+2) bd)
+    factors = [(bd, bn + bd)] + [(bn - k * bd, bn + (k + 2) * bd) for k in range(P)]
     with mpmath.workprec(2 * bits):
+        # c_k = (2k+1) I_k / 2, held exactly: (2k+1) M_k has far fewer than 2 * bits bits
+        coeffs_hi = [mpmath.mpf(((2 * k + 1) * M, E - 1))
+                     for k, (M, E) in enumerate(_ratio_run(M, E, factors, bits))]
         b = mpmath.mpf(beta)
         # beta + 1 - P is formed exactly: rounded, a tiny beta would vanish
         # and land on a pole.  rgamma is exactly 0 at the poles, which

@@ -82,13 +82,12 @@ def exact_solution(x: float, a: float) -> float:
 
 
 def exact_solution_derivative(x: float, a: float) -> float:
-    """Unit-jump step: c below a, 1 + c above, mean of limits at the jump."""
+    """Unit-jump step: c below a, 1 + c above, and at the jump the mean of
+    the limits, a / 2, formed exactly (0.5 + c would round twice)."""
+    if x == a:
+        return a / 2
     c = solution_slope_below(a)
-    if x < a:
-        return c
-    if x > a:
-        return 1.0 + c
-    return 0.5 + c
+    return c if x < a else 1.0 + c
 
 
 class Family:

@@ -2,8 +2,11 @@
 
 Everything is built on the three-term recurrence
 ``(n+1) P_{n+1}(x) = (2n+1) x P_n(x) - n P_{n-1}(x)``,
-which is numerically stable on [-1, 1] and works verbatim for floats,
-mpmath big-floats, and exact rationals.
+which is numerically stable on [-1, 1].  It is written in three kernels:
+``legendre_eval_range`` (one point, float64, mpmath big-float or exact
+rational), ``legendre_range_array`` (many points, float64) and
+``legendre_fixed_range`` (one point in fixed point on Python integers,
+which the big-float partial sums read).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .precision import FLOAT64, Number, PrecisionContext
+from .precision import FLOAT64, Number, PrecisionContext, dyadic, to_fixed
 
 
 def _check_domain(x, ctx: PrecisionContext) -> Number:
@@ -40,6 +43,29 @@ def legendre_eval_range(kmax: int, x, ctx: PrecisionContext = FLOAT64) -> list:
             pm1, pn = pn, ((2 * n + 1) * xv * pn - n * pm1) / (n + 1)
             out.append(pn)
         return out
+
+
+def legendre_fixed_range(kmax: int, x, S: int) -> list:
+    """[round(P_k(x) 2^S) for k = 0..kmax], x a float or an mpf in [-1, 1].
+
+    x is taken exactly as xn / 2^m, so each step
+    P_{n+1} = ((2n+1) xn P_n - n 2^m P_{n-1}) / ((n+1) 2^m)
+    is one exact integer product and one round-to-nearest division.
+    """
+    if kmax < 0:
+        raise ValueError("degree must be nonnegative")
+    xn, e = dyadic(x)
+    m = -e
+    if abs(xn) > 1 << m:
+        raise ValueError(f"x = {x} outside [-1, 1]")
+    pm1, pn = 1 << S, to_fixed(x, S)
+    out = [pm1, pn][: kmax + 1]
+    for n in range(1, kmax):
+        num = (2 * n + 1) * xn * pn - ((n * pm1) << m)
+        # floor(floor(t / (n+1)) / 2^(m+1)) = floor(t / ((n+1) 2^(m+1))): one rounding
+        pm1, pn = pn, ((2 * num + ((n + 1) << m)) // (n + 1)) >> (m + 1)
+        out.append(pn)
+    return out
 
 
 def legendre_range_array(kmax: int, x: np.ndarray) -> np.ndarray:

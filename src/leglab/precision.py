@@ -5,6 +5,11 @@ big-floats with a configurable significand, and exact rationals via
 ``fractions.Fraction``.  A context converts inputs into its native number
 type; arithmetic then happens through ordinary Python operators, so the
 same recurrence code serves all three modes.
+
+The big-float hot paths (partial sums, the modified-moment and ratio
+recurrences) run instead on Python integers in fixed point, a value v held
+as round(v 2^S); ``dyadic`` and ``to_fixed`` are the one conversion into
+that form, and mpmath is left for the transcendental starting values.
 """
 
 from __future__ import annotations
@@ -125,6 +130,34 @@ def parse_precision(text: str) -> PrecisionContext:
         _, _, b = text.partition(":")
         return bigfloat(int(b) if b else 256)
     raise ValueError(f"cannot parse precision spec {text!r}")
+
+
+def dyadic(v) -> tuple:
+    """The exact value of a float or an mpf as (n, e), v = n 2^e with e <= 0.
+
+    An mpf is read through ``_mpf_``: in mpmath 1.3.0 ``mpf.man`` drops the
+    sign.
+    """
+    if isinstance(v, mpmath.mpf):
+        sign, man, exp, _ = v._mpf_
+        if not man and exp:
+            raise ValueError(f"{v} has no dyadic value")
+        n = -man if sign else man
+        return (n << exp, 0) if exp > 0 else (n, exp)
+    n, d = float(v).as_integer_ratio()
+    return n, 1 - d.bit_length()
+
+
+def to_fixed(v, S: int) -> int:
+    """round(v 2^S) for a float or an mpf, ties to even."""
+    n, e = dyadic(v)
+    shift = -(e + S)
+    if shift <= 0:
+        return n << -shift
+    q = n >> shift
+    r = n - (q << shift)
+    half = 1 << (shift - 1)
+    return q + (r > half or (r == half and q & 1))
 
 
 def neumaier_sum(values) -> float:

@@ -1,11 +1,17 @@
 """Partial sums, pointwise error sweeps over p, and Parseval norm sweeps.
 
-Every partial sum is one pass of two pieces: ``_terms`` reads the one
-Legendre kernel, ``legendre.legendre_eval_range``, and forms the order
-terms, and ``_running_sums`` accumulates them.  All orders 1..pmax share
-that pass, so a full sweep costs O(pmax) per evaluation point.  Float64
-accumulation uses Neumaier compensation; this keeps the telescoping error
-identities true to a few ulps across the whole 2200-order range.
+Every partial sum is one pass over the order terms t_0..t_pmax, whose
+running sums are S_0..S_pmax, so a full sweep costs O(pmax) per evaluation
+point.  In float64 and exact mode ``_terms`` reads the Legendre kernel
+``legendre.legendre_eval_range`` and forms the terms in the context's
+number type; float64 accumulation uses Neumaier compensation, which keeps
+the telescoping error identities true to a few ulps across the whole
+2200-order range.  In big-float mode ``_fixed_terms`` reads
+``legendre.legendre_fixed_range`` instead: every value is an integer
+round(v 2^S), S = bits + 64, each term costs one integer product and one
+rounding, and the running sum is exact; each order's difference to the
+reference is rounded to float once, by Python's correctly rounded integer
+division.
 
 For the endpoint-constrained family the order-p truncation is the order-p
 constrained solution (its tail differs from the stored coefficient prefix);
@@ -21,11 +27,12 @@ from itertools import chain
 from operator import mul
 from typing import Callable, Optional, Sequence
 
+import mpmath
 import numpy as np
 
 from .coefficients import Generator, LegendreSeries, derivative_coeffs
-from .legendre import legendre_eval_range
-from .precision import F64, FLOAT64, PrecisionContext
+from .legendre import legendre_eval_range, legendre_fixed_range
+from .precision import BIG, F64, FLOAT64, PrecisionContext, to_fixed
 
 
 @dataclass
@@ -71,58 +78,96 @@ class NormSweep:
             raise ValueError("norm errors must be nonincreasing in p")
 
 
-def _terms(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext):
-    """The order terms t_0..t_pmax at x, whose running sums are S_0..S_pmax,
-    in the context's number type: c_k P_k(x) for a coefficient prefix, and
-    for the constrained family t_0 = 0 and the bumps
-    a_k (P_{k+1}(x) - P_{k-1}(x)) / (2k+1), a_k = (P_{k-1}(a) - P_{k+1}(a)) / 2.
-    Float64 terms read the series' float64 image, converted once per series.
-    The terms are made as they are read, so big-float ones take the working
-    precision of the caller's active context."""
+def _check_order(series: LegendreSeries, pmax: int) -> None:
     if series.generator is Generator.CONSTRAINED_PVERSION:
         limit = len(series.coeffs) - 2
         if pmax > limit:
             raise IndexError(f"order {pmax} exceeds the constrained series order {limit}")
+    elif pmax > series.degree:
+        raise IndexError(f"order {pmax} exceeds available coefficients (degree {series.degree})")
+
+
+def _terms(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext):
+    """The order terms t_0..t_pmax at x, whose running sums are S_0..S_pmax,
+    in a float64 or exact context's number type: c_k P_k(x) for a
+    coefficient prefix, and for the constrained family t_0 = 0 and the bumps
+    a_k (P_{k+1}(x) - P_{k-1}(x)) / (2k+1), a_k = (P_{k-1}(a) - P_{k+1}(a)) / 2.
+    Float64 terms read the series' float64 image, converted once per series."""
+    _check_order(series, pmax)
+    if series.generator is Generator.CONSTRAINED_PVERSION:
         Pa = legendre_eval_range(pmax + 1, series.params["a"], ctx)
         Px = legendre_eval_range(pmax + 1, x, ctx)
         # a0, a2, x0, x2 = P_{k-1}(a), P_{k+1}(a), P_{k-1}(x), P_{k+1}(x); m = 2k + 1
         bumps = ((a0 - a2) / 2 * (x2 - x0) / m
                  for a0, a2, x0, x2, m in zip(Pa, Pa[2:], Px, Px[2:], range(3, 2 * pmax + 2, 2)))
         return chain([ctx.zero()], bumps)
-    if pmax > series.degree:
-        raise IndexError(f"order {pmax} exceeds available coefficients (degree {series.degree})")
     P = legendre_eval_range(pmax, x, ctx)
     if ctx.mode == F64:
         return map(mul, series.f64_image(), P)
     return map(mul, map(ctx.convert, series.coeffs), P)
 
 
+def _fixed_terms(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, S: int):
+    """The terms of _terms for a big-float context, as integers round(t_k 2^S).
+
+    x (and a) are rounded to the context as a big-float kernel would take
+    them, P_k(x) and P_k(a) come from legendre_fixed_range, a prefix term is
+    (C_k P_k + 2^(S-1)) >> S and a constrained bump is one rounded division
+    of (A_{k-1} - A_{k+1}) (X_{k+1} - X_{k-1}) by 2 (2k+1) 2^S.  A coefficient
+    is taken exactly when it is a float, or an mpf of a context with no more
+    bits than ctx; otherwise it is rounded to ctx first.
+    """
+    _check_order(series, pmax)
+    if series.generator is Generator.CONSTRAINED_PVERSION:
+        A = legendre_fixed_range(pmax + 1, ctx.convert(series.params["a"]), S)
+        X = legendre_fixed_range(pmax + 1, ctx.convert(x), S)
+        # floor(floor(t / m) / 2^S) = floor(t / (m 2^S)): one rounding; m = 2 (2k + 1)
+        bumps = ((((a0 - a2) * (x2 - x0) + (m << (S - 1))) // m) >> S
+                 for a0, a2, x0, x2, m in zip(A, A[2:], X, X[2:], range(6, 4 * pmax + 3, 4)))
+        return chain([0], bumps)
+    exact = series.ctx.mode == BIG and series.ctx.bits <= ctx.bits
+    coeffs = (to_fixed(c if exact or isinstance(c, float) else ctx.convert(c), S)
+              for c in series.coeffs[: pmax + 1])
+    half = 1 << (S - 1)
+    return ((c * p + half) >> S
+            for c, p in zip(coeffs, legendre_fixed_range(pmax, ctx.convert(x), S)))
+
+
 def _running_sums(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, ref=None):
-    """Running sums S_p(x), p = 0..pmax, of the order terms of _terms.
+    """Running sums S_p(x), p = 0..pmax, of the order terms.
 
     Returns (d, S): d[p] is the float ref - S_p (S_p itself without ref) and
     S is S_pmax in the context's number type.  Float64 sums carry Neumaier
-    compensation; big-float and exact sums are rounded to float order by
-    order, so a long sweep holds no big running sums.
+    compensation; big-float sums are exact sums of the fixed-point terms;
+    exact sums are rounded to float order by order.
     """
-    terms = _terms(series, x, pmax, ctx)
     sums = []
-    with ctx.active():
-        if ctx.mode == F64:
-            total, comp = 0.0, 0.0
-            for t in terms:
-                s = total + t
-                comp += (total - s) + t if abs(total) >= abs(t) else (t - s) + total
-                total = s
-                sums.append(total + comp)
-            d = np.array(sums)
-            return (d if ref is None else float(ref) - d), total + comp
-        refv = None if ref is None else ctx.convert(ref)
-        total = ctx.zero()
-        for t in terms:
+    if ctx.mode == BIG:
+        S = ctx.bits + 64
+        scale = 1 << S
+        R = None if ref is None else to_fixed(ctx.convert(ref), S)
+        total = 0
+        for t in _fixed_terms(series, x, pmax, ctx, S):
             total += t
-            sums.append(float(total if refv is None else refv - total))
-        return np.array(sums), total
+            sums.append(total / scale if R is None else (R - total) / scale)
+        with ctx.active():
+            return np.array(sums), mpmath.mpf((total, -S))
+    terms = _terms(series, x, pmax, ctx)
+    if ctx.mode == F64:
+        total, comp = 0.0, 0.0
+        for t in terms:
+            s = total + t
+            comp += (total - s) + t if abs(total) >= abs(t) else (t - s) + total
+            total = s
+            sums.append(total + comp)
+        d = np.array(sums)
+        return (d if ref is None else float(ref) - d), total + comp
+    refv = None if ref is None else ctx.convert(ref)
+    total = ctx.zero()
+    for t in terms:
+        total += t
+        sums.append(float(total if refv is None else refv - total))
+    return np.array(sums), total
 
 
 def partial_sum(series: LegendreSeries, p: int, x, ctx: Optional[PrecisionContext] = None):

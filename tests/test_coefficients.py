@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leglab import coefficients
@@ -323,6 +323,52 @@ def test_power_shift_integer_beta_is_polynomial(ctx):
         assert series.coeffs[:beta + 1] == expect
         assert all(c == 0 for c in series.coeffs[beta + 1:])
     assert [float(c) for c in PowerShiftFamily(beta=2).series(3).coeffs] == [4 / 3, 2.0, 2 / 3, 0.0]
+
+
+def _mpf_power_shift(beta, P, ctx):
+    """The mpf ratio recurrence the integer one replaced: every operation
+    rounded at max(128, output bits) + 64 bits, then each coefficient rounded
+    to ctx (float64 when None)."""
+    with mpmath.workprec(max(128, (ctx or FLOAT64).bits) + 64):
+        b = mpmath.mpf(beta)
+        I, out = 2 ** (b + 1) / (b + 1), []
+        for k in range(P + 1):
+            out.append((2 * k + 1) * I / 2)
+            I = I * (b - k) / (b + k + 2)
+    if ctx is None:
+        return [float(c) for c in out]
+    with ctx.active():
+        return [+c for c in out]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(beta=st.one_of(st.floats(-0.99, 6.0), st.integers(0, 5).map(float)),
+       P=st.integers(0, 400), bits=st.sampled_from([None, 64, 128, 192, 256]))
+@example(beta=1e-100, P=60, bits=192)
+@example(beta=-1e-20, P=60, bits=None)
+@example(beta=3.0, P=400, bits=256)
+def test_power_shift_integer_recurrence_matches_the_mpf_one(beta, P, bits):
+    ctx = None if bits is None else bigfloat(bits)
+    assert power_shift_coeffs(beta, P, ctx).coeffs == _mpf_power_shift(beta, P, ctx)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(beta=st.one_of(st.floats(-0.99, 4.0), st.integers(0, 4).map(float)),
+       P=st.integers(1, 1200), bits=st.sampled_from([128, 192, 256]))
+def test_power_abs_big_coefficients_are_within_one_ulp(beta, P, bits):
+    # the integer ratio recurrence carries 64 guard bits and rounds each
+    # coefficient once; the mpf loop it replaced had no guard bits and was
+    # off by up to 35 ulp at P = 2200
+    got = power_abs_coeffs(beta, P, bigfloat(bits)).coeffs
+    with mpmath.workprec(bits + 256):
+        b = mpmath.mpf(beta)
+        I = 1 / (b + 1)
+        for j in range(P // 2 + 1):
+            want = (4 * j + 1) * I
+            _, _, exp, bc = got[2 * j]._mpf_
+            ulp = 0 if want == 0 else mpmath.mpf(2) ** (exp + bc - bits)
+            assert abs(got[2 * j] - want) <= ulp, j
+            I = I * (b - 2 * j) / (b + 2 * j + 3)
 
 
 def test_appendixA_moment_matches_binomial():

@@ -1,9 +1,14 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leglab.coefficients import constrained_pversion_coeffs
 from leglab.functions import (AbsShiftFamily, ConstrainedFamily, PowerAbsFamily,
                               PowerShiftFamily, SingularFunctionSpec, SpecFamily,
-                              StepDerivativeFamily, family_from_config)
+                              StepDerivativeFamily, exact_solution_derivative,
+                              family_from_config)
 from leglab.precision import FLOAT64, bigfloat
 
 FAMILIES = {
@@ -68,3 +73,10 @@ def test_power_abs_family_center():
     assert shifted.exact(-0.7) == pytest.approx(1.0, rel=1e-15)
     assert PowerAbsFamily(beta=-0.5, a=0.3).exact(0.3) is None
     assert family_from_config("powerabs", {"beta": 0.5}).a == 0.0
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(a=st.floats(-0.999, 0.999))
+def test_step_value_at_the_jump_is_the_exact_mean_of_the_limits(a):
+    # the limits are (a - 1)/2 and (a + 1)/2, so their mean is a/2 exactly
+    assert Fraction(exact_solution_derivative(a, a)) == Fraction(a) / 2

@@ -1,10 +1,13 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leglab.precision import (EXACT_RATIONAL, FLOAT64, PrecisionContext, PrecisionError,
-                              bigfloat, neumaier_sum, parse_precision)
+                              bigfloat, dyadic, neumaier_sum, parse_precision, to_fixed)
 
 
 def test_modes_and_validation():
@@ -51,3 +54,42 @@ def test_neumaier_sum_matches_fsum():
 def test_context_is_immutable():
     with pytest.raises(AttributeError):
         FLOAT64.bits = 128
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(v=st.floats(allow_nan=False, allow_infinity=False), S=st.integers(-64, 1200))
+@example(v=5e-324, S=1074)
+@example(v=-5e-324, S=1073)
+@example(v=-2.2250738585072014e-308 / 3, S=1100)
+@example(v=0.75, S=1)
+@example(v=-0.25, S=1)
+def test_float_dyadic_and_fixed_point(v, S):
+    # subnormals included; to_fixed is round(v 2^S) with ties to even
+    n, e = dyadic(v)
+    assert e <= 0 and Fraction(n, 2 ** -e) == Fraction(v)
+    assert to_fixed(v, S) == round(Fraction(v) * Fraction(2) ** S)
+    if S >= -e:
+        assert to_fixed(v, S) / 2 ** S == v
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(man=st.integers(1, 2 ** 300), exp=st.integers(-600, 100), negative=st.booleans(),
+       bits=st.sampled_from([64, 128, 256]))
+@example(man=3, exp=0, negative=True, bits=64)
+def test_mpf_dyadic_and_fixed_point(man, exp, negative, bits):
+    # the sign comes from _mpf_: mpf.man drops it in mpmath 1.3.0
+    with mpmath.workprec(bits):
+        v = mpmath.mpf((-man if negative else man, exp)) / 7
+        n, e = dyadic(v)
+        assert (n < 0) == negative and e <= 0
+        assert mpmath.mpf((n, e)) == v
+        S = -e + 5
+        assert to_fixed(v, S) == n << 5
+        assert mpmath.mpf((to_fixed(v, S), -S)) == v
+        assert to_fixed(v, -e - 3) == round(Fraction(n, 8))
+
+
+def test_dyadic_rejects_non_finite_mpf():
+    for v in (mpmath.inf, -mpmath.inf, mpmath.nan):
+        with pytest.raises(ValueError):
+            dyadic(v)

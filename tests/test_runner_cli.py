@@ -336,15 +336,20 @@ def test_cli_rejects_ignored_flags(capsys):
     (["growth", "--point", "-1"], "growth options: missing ['fixed_alpha']"),
     (["coeffs", "--config", os.path.join(figure_config_dir(), "fig02.json"), "--pmax", "5"],
      "--config holds the whole run; drop ['pmax']"),
+    # a verb offers a config-field flag only where its kind reads the field
     (["fem", "--coeff-precision", "big:64", "--n", "1", "--degree", "20"],
-     "fem does not read the config fields ['coeff_precision']"),
+     "unrecognized arguments: --coeff-precision big:64"),
     (["norm", "--precision", "big:256", "--pmax", "50"],
-     "norm does not read the config fields ['precision']"),
+     "unrecognized arguments: --precision big:256"),
     (["sweep", "--family", "step", "--pmax", "100"], "sweep needs at least one point x"),
     (["sweep", "--x", "1.5", "--pmax", "10"], "sweep point x = 1.5 lies outside [-1, 1]"),
     (["sweep", "--x", "0.1", "1.5"], "sweep point x = 1.5 lies outside [-1, 1]"),
     (["bounds", "--x", "0.1", "1.0", "--pmax", "50"],
      "bounds point x = 1.0 lies outside (-1, 1)"),
+    (["growth", "--coeff-precision", "big:64", "--point", "-1", "--fixed-alpha", "1"],
+     "unrecognized arguments: --coeff-precision big:64"),
+    (["gibbs", "--precision", "big:256", "--pmax", "2000"],
+     "unrecognized arguments: --precision big:256"),
 ])
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 import hashlib
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,8 +15,8 @@ from leglab.functions import (AbsShiftFamily, PowerAbsFamily, StepDerivativeFami
 from leglab.legendre import gauss_rule, legendre_eval_range
 from leglab.precision import FLOAT64, bigfloat, neumaier_sum
 from leglab.runner import ExperimentConfig, run_experiment, run_figures
-from leglab.series_eval import (error_sweep, norm_sweep, parseval_tail, partial_sum,
-                                partial_sum_values, squared_error_quadrature)
+from leglab.series_eval import (_running_sums, error_sweep, norm_sweep, parseval_tail,
+                                partial_sum, partial_sum_values, squared_error_quadrature)
 
 A = 0.5
 
@@ -221,6 +222,59 @@ def test_f64_sweeps_agree_with_big256_sweeps(a, x, p, family):
     assert np.max(np.abs(f64.abs_error - big.abs_error)) <= 1.6e-14
 
 
+def _mpf_running_sums(series, x, p, ctx, ref):
+    """The big-float running sum the fixed-point one replaced: terms from
+    legendre_eval_range in mpf, summed in mpf and rounded to float order by
+    order; returns (d, S_p) as series_eval._running_sums does."""
+    with ctx.active():
+        Px = legendre_eval_range(p + 1, x, ctx)
+        if series.generator is Generator.CONSTRAINED_PVERSION:
+            Pa = legendre_eval_range(p + 1, series.params["a"], ctx)
+            terms = [ctx.zero()] + [(Pa[k - 1] - Pa[k + 1]) / 2 * (Px[k + 1] - Px[k - 1]) / (2 * k + 1)
+                                    for k in range(1, p + 1)]
+        else:
+            terms = [ctx.convert(c) * Px[k] for k, c in enumerate(series.coeffs[: p + 1])]
+        refv = None if ref is None else ctx.convert(ref)
+        total, d = ctx.zero(), []
+        for t in terms:
+            total += t
+            d.append(float(total if refv is None else refv - total))
+        return np.array(d), total
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(a=st.floats(-0.95, 0.95), x=st.floats(-1.0, 1.0), where=st.sampled_from(["x", "-1", "1", "a"]),
+       p=st.integers(1, 300), bits=st.sampled_from([128, 192, 256]),
+       coeff_bits=st.sampled_from([None, 0, 64]),
+       # singular_term_coeffs refuses a top coefficient near 0 (beta near an integer)
+       beta=st.floats(-0.9, 3.0).filter(lambda b: abs(b - round(b)) > 1e-3),
+       family=st.sampled_from(["step", "absshift", "constrained", "powerabs"]))
+def test_fixed_point_sums_match_the_mpf_running_sum(a, x, where, p, bits, coeff_bits, beta, family):
+    # big-float partial sums run on integers round(v 2^(bits+64)); d is
+    # bit-identical to the mpf running sum, and S_p within p 2^-bits of it,
+    # relative to the largest |S_k| where that exceeds 1 (the mpf sum
+    # rounds relative to its running total).
+    # Coefficients come in float64 (None), at the sweep's bits (0), or at 64
+    # more bits, which the sweep rounds to its own context first.
+    x = {"x": x, "-1": -1.0, "1": 1.0, "a": a}[where]
+    ctx = bigfloat(bits)
+    cctx = FLOAT64 if coeff_bits is None else bigfloat(bits + coeff_bits)
+    if family == "powerabs":
+        series = singular_term_coeffs(a, beta, p + 1, bigfloat(cctx.bits or 256))
+        ref = PowerAbsFamily(beta=beta, a=a).exact(x)
+    else:
+        gen, exact = {"step": (step_derivative_coeffs, exact_solution_derivative),
+                      "absshift": (abs_shift_coeffs, exact_solution),
+                      "constrained": (constrained_pversion_coeffs, exact_solution)}[family]
+        series, ref = gen(a, p + 1, cctx), exact(x, a)
+    d, S = _running_sums(series, x, p, ctx, ref)
+    want_d, want_S = _mpf_running_sums(series, x, p, ctx, ref)
+    assert np.array_equal(d, want_d)
+    with ctx.active():
+        scale = max(1.0, float(np.max(np.abs(_running_sums(series, x, p, ctx)[0]))))
+        assert abs(S - want_S) <= p * scale * mpmath.mpf(2) ** -bits
+
+
 # sha256 of sweeps made only by Python float and pure-Python mpmath
 # arithmetic (no libm, no BLAS), so the same on every machine; a change that
 # moves one states the numerical reason
@@ -237,11 +291,15 @@ PINNED_SWEEPS = {
         "7bcf53a5fba8511cda4171b7d12c4b88b8b0c04fe848fd631fa2a8e3d066d131",
     "fig09b/fig09b.x-0.99.sweep.csv":
         "9e7844cb710d59751b43d77e55c71af0c38e0109aa500e2f58c2d9b8036a779b",
+    "fig12b/fig12b.x-1.sweep.csv":
+        "086b791ceb41a925bbe96fbbb6976dde134239ba182623324cd348d1882b9018",
+    "fig12c/fig12c.x-0.1.sweep.csv":
+        "1deb4cd8fd774155a6d6082dfa6fb48113680e1ab7f3e3207c9536f890b6f46c",
 }
 
 
 def test_partial_sum_kernel_bytes_are_pinned(tmp_path):
-    # prefix sums in f64 and big:256, constrained sums in f64, up to p = 10000
+    # prefix sums in f64, big:192 and big:256, constrained sums in f64, up to p = 10000
     run_figures(str(tmp_path), only=sorted({k.split("/")[0] for k in PINNED_SWEEPS}))
     got = {k: hashlib.sha256((tmp_path / k).read_bytes()).hexdigest() for k in PINNED_SWEEPS}
     assert got == PINNED_SWEEPS
