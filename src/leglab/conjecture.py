@@ -130,7 +130,9 @@ def _growth_verdict(clause, params, point, side, family, fixed_alpha, expected, 
 
 def clause2_boundary_growth(beta: float, a: float, tol: ToleranceProfile,
                             xi_grid=None, pmax: int = 2200) -> list:
-    """C(-1 + xi), C(1 - xi) ~ xi^(-1/4) with the interior rate pinned."""
+    """C(-1 + xi), C(1 - xi) ~ xi^(-1/4) with the interior rate pinned.
+
+    Probes stay within a quarter of the distance from the endpoint to a."""
     family = conjecture_family(beta, a)
     xi_grid = xi_grid if xi_grid is not None else [1e-1, 1e-2, 1e-3, 1e-4]
     fixed = beta + 1.0
@@ -138,13 +140,15 @@ def clause2_boundary_growth(beta: float, a: float, tol: ToleranceProfile,
     for point, side in ((-1.0, +1), (1.0, -1)):
         params = {"beta": beta, "a": a, "point": point, "side": side}
         out.append(_growth_verdict(2, params, point, side, family, fixed, -0.25,
-                                   tol.growth, xi_grid, pmax))
+                                   tol.growth, xi_grid, pmax, xi_cap=abs(point - a) / 4))
     return out
 
 
 def clause3_singular_growth(beta: float, a: float, tol: ToleranceProfile,
                             xi_grid=None, pmax: int = 2200) -> list:
-    """C(a +- xi) ~ xi^(-1) with the interior rate pinned."""
+    """C(a +- xi) ~ xi^(-1) with the interior rate pinned.
+
+    Probes stay within a quarter of the distance from a to the nearer endpoint."""
     family = conjecture_family(beta, a)
     xi_grid = xi_grid if xi_grid is not None else [1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5]
     fixed = beta + 1.0
@@ -152,7 +156,7 @@ def clause3_singular_growth(beta: float, a: float, tol: ToleranceProfile,
     for side in (+1, -1):
         params = {"beta": beta, "a": a, "point": a, "side": side}
         out.append(_growth_verdict(3, params, a, side, family, fixed, -1.0,
-                                   tol.growth, xi_grid, pmax))
+                                   tol.growth, xi_grid, pmax, xi_cap=(1.0 - abs(a)) / 4))
     return out
 
 

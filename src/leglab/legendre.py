@@ -6,17 +6,21 @@ which is numerically stable on [-1, 1].  It is written in three kernels:
 ``legendre_eval_range`` (one point, float64, mpmath big-float or exact
 rational), ``legendre_range_array`` (many points, float64) and
 ``legendre_fixed_range`` (one point in fixed point on Python integers,
-which the big-float partial sums read).
+which the big-float partial sums read).  The float64 branch of
+``legendre_eval_range`` reads n and n+1 as exact floats from a table that
+grows on demand, so no step converts an int; it keeps the operation order
+of the int-coefficient step and its bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .precision import FLOAT64, Number, PrecisionContext, dyadic, to_fixed
+from .precision import F64, FLOAT64, Number, PrecisionContext, dyadic, to_fixed
 
 
 def _check_domain(x, ctx: PrecisionContext) -> Number:
@@ -31,11 +35,30 @@ def legendre_eval(k: int, x, ctx: PrecisionContext = FLOAT64) -> Number:
     return legendre_eval_range(k, x, ctx)[k]
 
 
+# float(k) for k = 0, 1, ...: the exact float coefficients of the f64 step
+_FLOATS: list = [0.0, 1.0]
+
+
+def _floats(kmax: int) -> list:
+    """_FLOATS, grown to hold float(k) for k = 0..kmax."""
+    _FLOATS.extend(map(float, range(len(_FLOATS), kmax + 1)))
+    return _FLOATS
+
+
 def legendre_eval_range(kmax: int, x, ctx: PrecisionContext = FLOAT64) -> list:
     """Return [P_0(x), ..., P_kmax(x)] from a single recurrence pass."""
     if kmax < 0:
         raise ValueError("degree must be nonnegative")
     xv = _check_domain(x, ctx)
+    if ctx.mode == F64:
+        # the step below with b, c = n, n+1 read as floats: b + c = 2n+1 exactly
+        pm1, pn = 1.0, xv
+        out = [pm1, pn][: kmax + 1]
+        f = _floats(kmax)
+        for b, c in zip(islice(f, 1, kmax), islice(f, 2, None)):
+            pm1, pn = pn, ((b + c) * xv * pn - b * pm1) / c
+            out.append(pn)
+        return out
     with ctx.active():
         pm1, pn = ctx.one(), xv
         out = [pm1, pn][: kmax + 1]

@@ -10,6 +10,8 @@ the solved problem's exact solution is the piecewise-linear function in
 generators and the solver then agree sign for sign.
 
 Point loads are evaluated exactly: the load vector holds basis values at a.
+The mode norms sqrt(2(2k-1)) are computed once per precision context and
+read from there by every mode evaluation.
 """
 
 from __future__ import annotations
@@ -67,12 +69,23 @@ class Mesh1D:
         return (2.0 * x - (lo + hi)) / (hi - lo)
 
 
+# per context: the mode norms sqrt(2(2k-1)) for k = 2, 3, ..., grown on demand
+_MODE_NORMS: dict = {}
+
+
+def _mode_norms(p: int, ctx: PrecisionContext) -> list:
+    """sqrt(2(2k-1)) in ctx for k = 2..p (and possibly beyond), computed once per context."""
+    norms = _MODE_NORMS.setdefault(ctx, [])
+    norms.extend(ctx.sqrt(ctx.convert(2 * (2 * k - 1))) for k in range(len(norms) + 2, p + 1))
+    return norms
+
+
 def internal_modes(p: int, xi, ctx: PrecisionContext = FLOAT64) -> list:
     """Integrated-Legendre shapes N_2..N_p at xi; each vanishes at xi = -1, 1."""
     Pk = legendre_eval_range(p, xi, ctx)
+    norms = _mode_norms(p, ctx)
     with ctx.active():
-        return [(Pk[k] - Pk[k - 2]) / ctx.sqrt(ctx.convert(2 * (2 * k - 1)))
-                for k in range(2, p + 1)]
+        return [(pk - pk2) / nk for pk, pk2, nk in zip(Pk[2:], Pk, norms)]
 
 
 def internal_mode(k: int, xi: float, ctx: PrecisionContext = FLOAT64):
@@ -104,10 +117,10 @@ class FemSolution:
             val = ul * (1 - xi) / 2 + ur * (1 + xi) / 2
             coeffs = self.internal[e]
             if coeffs:
-                Pk = legendre_eval_range(len(coeffs) + 1, xi, ctx)
-                for i, ck in enumerate(coeffs):
-                    k = i + 2
-                    val += ck * (Pk[k] - Pk[k - 2]) / ctx.sqrt(ctx.convert(2 * (2 * k - 1)))
+                p = len(coeffs) + 1
+                Pk = legendre_eval_range(p, xi, ctx)
+                for ck, pk, pk2, nk in zip(coeffs, Pk[2:], Pk, _mode_norms(p, ctx)):
+                    val += ck * (pk - pk2) / nk
             return val
 
     def error(self, x: float) -> float:

@@ -241,15 +241,16 @@ def coefficient_ctx(eval_ctx: PrecisionContext) -> Optional[PrecisionContext]:
 def constant_growth(family, approach_point: float, side: int, xi_grid: Sequence[float],
                     fixed_alpha: float, pmax: int = 2200,
                     ctx: Optional[PrecisionContext] = None,
-                    pmax_ceiling: int = 10000, window=None) -> ConstantGrowthFit:
+                    pmax_ceiling: int = 10000, window=None,
+                    xi_cap: Optional[float] = None) -> ConstantGrowthFit:
     """Pinned-alpha envelope constants C(xi) at x = approach_point + side*xi.
 
     The interior rate is pinned (refitting alpha would conflate rate drift
     with constant growth).  A xi entry whose envelope maximum sits at the
     very end of the window is still preasymptotic; the sweep is retried at
-    a larger pmax up to the ceiling, then dropped.  A probe outside [-1, 1],
-    at an endpoint or at the family's singular point measures another
-    feature and is dropped too.
+    a larger pmax up to the ceiling, then dropped.  A probe above
+    ``xi_cap``, outside [-1, 1], at an endpoint or at the family's singular
+    point measures another feature and is dropped too.
     """
     eval_ctx = ctx or FLOAT64
     xi_values, C_values, dropped = [], [], []
@@ -257,6 +258,9 @@ def constant_growth(family, approach_point: float, side: int, xi_grid: Sequence[
         if xi < 1e-6:
             # below this the preasymptotic range outruns any affordable pmax
             dropped.append((float(xi), "below the 1e-6 floor"))
+            continue
+        if xi_cap is not None and xi > xi_cap:
+            dropped.append((float(xi), f"above the cap {xi_cap:.6g}"))
             continue
         x = approach_point + side * xi
         if not -1.0 <= x <= 1.0:

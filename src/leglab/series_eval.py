@@ -6,7 +6,10 @@ point.  In float64 and exact mode ``_terms`` reads the Legendre kernel
 ``legendre.legendre_eval_range`` and forms the terms in the context's
 number type; float64 accumulation uses Neumaier compensation, which keeps
 the telescoping error identities true to a few ulps across the whole
-2200-order range.  In big-float mode ``_fixed_terms`` reads
+2200-order range.  Float64 terms and sums are array passes: the terms are
+one ndarray and the compensated running sums two ``add.accumulate`` scans
+(``_neumaier_running_sums``), with the bits of the scalar loop of
+``precision.neumaier_sum``.  In big-float mode ``_fixed_terms`` reads
 ``legendre.legendre_fixed_range`` instead: every value is an integer
 round(v 2^S), S = bits + 64, each term costs one integer product and one
 rounding, and the running sum is exact; each order's difference to the
@@ -88,22 +91,28 @@ def _check_order(series: LegendreSeries, pmax: int) -> None:
 
 
 def _terms(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext):
-    """The order terms t_0..t_pmax at x, whose running sums are S_0..S_pmax,
-    in a float64 or exact context's number type: c_k P_k(x) for a
-    coefficient prefix, and for the constrained family t_0 = 0 and the bumps
-    a_k (P_{k+1}(x) - P_{k-1}(x)) / (2k+1), a_k = (P_{k-1}(a) - P_{k+1}(a)) / 2.
-    Float64 terms read the series' float64 image, converted once per series."""
+    """The order terms t_0..t_pmax at x, whose running sums are S_0..S_pmax:
+    c_k P_k(x) for a coefficient prefix, and for the constrained family
+    t_0 = 0 and the bumps a_k (P_{k+1}(x) - P_{k-1}(x)) / (2k+1),
+    a_k = (P_{k-1}(a) - P_{k+1}(a)) / 2.  Float64 terms are one ndarray,
+    formed elementwise in that operation order from the series' float64
+    image; exact terms are an iterator of Fractions."""
     _check_order(series, pmax)
     if series.generator is Generator.CONSTRAINED_PVERSION:
         Pa = legendre_eval_range(pmax + 1, series.params["a"], ctx)
         Px = legendre_eval_range(pmax + 1, x, ctx)
+        if ctx.mode == F64:
+            # dtype given: numpy then skips its type discovery over the list
+            Pa, Px = np.array(Pa, dtype=float), np.array(Px, dtype=float)
+            m = np.arange(3.0, 2 * pmax + 2, 2.0)
+            return np.concatenate(([0.0], (Pa[:-2] - Pa[2:]) / 2 * (Px[2:] - Px[:-2]) / m))
         # a0, a2, x0, x2 = P_{k-1}(a), P_{k+1}(a), P_{k-1}(x), P_{k+1}(x); m = 2k + 1
         bumps = ((a0 - a2) / 2 * (x2 - x0) / m
                  for a0, a2, x0, x2, m in zip(Pa, Pa[2:], Px, Px[2:], range(3, 2 * pmax + 2, 2)))
         return chain([ctx.zero()], bumps)
     P = legendre_eval_range(pmax, x, ctx)
     if ctx.mode == F64:
-        return map(mul, series.f64_image(), P)
+        return np.array(series.f64_image()[: pmax + 1], dtype=float) * np.array(P, dtype=float)
     return map(mul, map(ctx.convert, series.coeffs), P)
 
 
@@ -133,6 +142,19 @@ def _fixed_terms(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, S:
             for c, p in zip(coeffs, legendre_fixed_range(pmax, ctx.convert(x), S)))
 
 
+def _neumaier_running_sums(t: np.ndarray) -> np.ndarray:
+    """Neumaier-compensated running sums of t, the same IEEE operations as
+    the loop of ``precision.neumaier_sum`` recording total + comp after each
+    term, in two scans: the plain sums s, then the sums of the per-term
+    compensations e.  ``add.accumulate`` adds strictly left to right (numpy
+    sums pairwise only in reductions) and every ufunc rounds once, so each
+    entry has the loop's bits."""
+    s = np.add.accumulate(np.concatenate(([0.0], t)))
+    prev, s = s[:-1], s[1:]
+    e = np.where(np.abs(prev) >= np.abs(t), (prev - s) + t, (t - s) + prev)
+    return s + np.add.accumulate(np.concatenate(([0.0], e)))[1:]
+
+
 def _running_sums(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, ref=None):
     """Running sums S_p(x), p = 0..pmax, of the order terms.
 
@@ -154,14 +176,8 @@ def _running_sums(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, r
             return np.array(sums), mpmath.mpf((total, -S))
     terms = _terms(series, x, pmax, ctx)
     if ctx.mode == F64:
-        total, comp = 0.0, 0.0
-        for t in terms:
-            s = total + t
-            comp += (total - s) + t if abs(total) >= abs(t) else (t - s) + total
-            total = s
-            sums.append(total + comp)
-        d = np.array(sums)
-        return (d if ref is None else float(ref) - d), total + comp
+        d = _neumaier_running_sums(terms)
+        return (d if ref is None else float(ref) - d), float(d[-1])
     refv = None if ref is None else ctx.convert(ref)
     total = ctx.zero()
     for t in terms:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from leglab.conjecture import (ConjectureVerdict, ToleranceProfile,
-                               clause1_interior, clause4_endpoints, clause5_singular_point,
+from leglab.conjecture import (ConjectureVerdict, ToleranceProfile, clause1_interior,
+                               clause2_boundary_growth, clause3_singular_growth,
+                               clause4_endpoints, clause5_singular_point,
                                conjecture_family, conjecture_suite, measured_rate,
                                powershift_suite, summarize)
 from leglab.functions import PowerAbsFamily, StepDerivativeFamily
@@ -26,6 +27,22 @@ def test_clause1_pass():
     verdicts = clause1_interior(0.5, 0.5, tol)
     assert all(v.status == "pass" for v in verdicts)
     assert all(abs(v.measured - 1.5) <= 0.05 for v in verdicts)
+
+
+def test_growth_probes_keep_a_quarter_of_the_distance_to_the_next_feature():
+    # at a = 0.9 the default grids reach other features: clause 3's first
+    # probe 0.9 + 0.1 is the endpoint, clause 2's 1 - 0.1 is a; the caps
+    # (1 - |a|)/4 and |e - a|/4 drop every probe beyond them, and say why
+    tol = ToleranceProfile()
+    left, right = clause2_boundary_growth(2.5, 0.9, tol)
+    singular = clause3_singular_growth(2.5, 0.9, tol)
+    assert all(v.status == "pass" for v in [left, right, *singular])
+    assert left.fit["dropped"] == [] and len(left.fit["xi"]) == 4
+    assert right.fit["dropped"] == [(0.1, "above the cap 0.025")]
+    for v in singular:
+        assert v.fit["dropped"] == [(0.1, "above the cap 0.025"),
+                                    (10 ** -1.5, "above the cap 0.025")]
+        assert v.fit["xi"] == [1e-2, 10 ** -2.5]
 
 
 def test_clause4_divergent_and_bounded():

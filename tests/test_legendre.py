@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from leglab import legendre
 from leglab.legendre import (bernstein_bound, gauss_rule, legendre_eval,
                              legendre_eval_range, legendre_range_array)
 from leglab.precision import EXACT_RATIONAL, FLOAT64, PrecisionError, bigfloat
@@ -146,3 +149,31 @@ def test_f64_vs_bigfloat_agreement():
             vbig = float(legendre_eval(k, x, big))
             scale = max(abs(vbig), bernstein_bound(k, x) if abs(x) < 1 else 1.0)
             assert abs(v64 - vbig) <= 1e-12 * scale
+
+
+def _int_step_range(kmax, x):
+    """[P_0(x), ..., P_kmax(x)] by the float64 step with int coefficients,
+    ((2n+1) x P_n - n P_{n-1}) / (n+1), each int converted at its operation."""
+    x = float(x)
+    pm1, pn = 1.0, x
+    out = [pm1, pn][: kmax + 1]
+    for n in range(1, kmax):
+        pm1, pn = pn, ((2 * n + 1) * x * pn - n * pm1) / (n + 1)
+        out.append(pn)
+    return out
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(kmaxes=st.lists(st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 10001)),
+                       min_size=1, max_size=4),
+       x=st.one_of(st.sampled_from([1.0, -1.0, 0.0, -0.0]), st.floats(-1.0, 1.0)))
+@example(kmaxes=[10001, 0, 1, 2], x=0.3)
+@example(kmaxes=[0, 1, 2, 10001], x=-0.0)
+def test_f64_range_equals_the_int_coefficient_step(kmaxes, x):
+    # the float table starts from scratch and grows in the drawn order of kmax;
+    # values compare as bytes, so the sign of a zero counts too
+    del legendre._FLOATS[2:]
+    for kmax in kmaxes:
+        got = legendre_eval_range(kmax, x)
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array(_int_step_range(kmax, x)).tobytes()

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from leglab.coefficients import constrained_pversion_coeffs, step_derivative_coeffs
 from leglab.functions import exact_solution
-from leglab.legendre import gauss_rule
+from leglab.legendre import gauss_rule, legendre_eval_range
 from leglab.pfem import (FemSolution, Mesh1D, assemble_and_solve, element_error_series,
-                         energy_norm_error, internal_mode)
+                         energy_norm_error, internal_mode, internal_modes)
+from leglab.precision import FLOAT64, bigfloat
 from leglab.runner import ExperimentConfig, run_experiment
 from leglab.series_eval import error_sweep, partial_sum
 
@@ -208,3 +209,42 @@ def test_solution_export(tmp_path):
     assert trace.shape == (41, 2)
     assert trace[-1, 0] == 1.0
     assert [sol.evaluate(x) for x in trace[:, 0]] == trace[:, 1].tolist()
+
+
+def _norm(k, ctx):
+    return ctx.sqrt(ctx.convert(2 * (2 * k - 1)))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(p=st.integers(2, 400), xi=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+       big=st.booleans())
+def test_internal_modes_equal_a_per_call_sqrt_oracle(p, xi, big):
+    # the mode norms sqrt(2(2k-1)) are computed once per context; the modes
+    # keep the bits of a square root taken at every term of every call
+    ctx = bigfloat(128) if big else FLOAT64
+    Pk = legendre_eval_range(p, xi, ctx)
+    with ctx.active():
+        want = [(Pk[k] - Pk[k - 2]) / _norm(k, ctx) for k in range(2, p + 1)]
+    got = internal_modes(p, xi, ctx)
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(n=st.integers(1, 4), degree=st.integers(1, 60), a=st.floats(-0.95, 0.95),
+       xs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5), big=st.booleans())
+def test_evaluate_equals_a_per_call_sqrt_oracle(n, degree, a, xs, big):
+    ctx = bigfloat(128) if big else FLOAT64
+    sol = assemble_and_solve(Mesh1D.uniform(n, degree), a, ctx)
+    for x in xs:
+        e = sol.mesh.element_of(x)
+        lo, hi = sol.mesh.nodes[e], sol.mesh.nodes[e + 1]
+        with ctx.active():
+            xi = (2 * ctx.convert(x) - ctx.convert(lo + hi)) / ctx.convert(hi - lo)
+            want = (ctx.convert(sol.nodal[e]) * (1 - xi) / 2
+                    + ctx.convert(sol.nodal[e + 1]) * (1 + xi) / 2)
+            coeffs = sol.internal[e]
+            if coeffs:
+                Pk = legendre_eval_range(len(coeffs) + 1, xi, ctx)
+                for k, ck in enumerate(coeffs, start=2):
+                    want += ck * (Pk[k] - Pk[k - 2]) / _norm(k, ctx)
+        assert repr(sol.evaluate(x)) == repr(want)

@@ -129,6 +129,17 @@ def test_constant_growth_drops_probes_on_other_features(point, side, reason):
     assert fit.xi_values.tolist() == [10 ** -1.5, 1e-2]
 
 
+def test_constant_growth_keeps_a_probe_on_the_cap():
+    # (1 - 0.6) / 4 rounds to 0.1 exactly, so a probe at the cap stays
+    assert (1.0 - 0.6) / 4 == 0.1
+    fam = StepDerivativeFamily(a=0.6)
+    grid = [1e-1, 10 ** -1.5, 1e-2]
+    fit = constant_growth(fam, 0.6, +1, grid, fixed_alpha=1.0, pmax=600, xi_cap=(1.0 - 0.6) / 4)
+    assert fit.dropped == [] and fit.xi_values.tolist() == grid
+    fit = constant_growth(fam, 0.6, +1, grid, fixed_alpha=1.0, pmax=600, xi_cap=0.05)
+    assert fit.dropped == [(0.1, "above the cap 0.05")]
+
+
 def test_gibbs_probe(step_series, step_family):
     report = gibbs_probe(step_series, step_family.exact, A, [500, 1000, 2000])
     assert report.D == pytest.approx(2.7777, rel=0.05)

@@ -198,6 +198,44 @@ def test_f64_partial_sums_are_neumaier_sums_of_their_terms(a, x, p):
     assert partial_sum(constrained_pversion_coeffs(a, max(p, 1)), p, x) == neumaier_sum(bumps)
 
 
+def _scalar_neumaier_running_sums(terms):
+    """total + comp after each term of the scalar loop of precision.neumaier_sum."""
+    total, comp, sums = 0.0, 0.0, []
+    for t in terms:
+        s = total + t
+        comp += (total - s) + t if abs(total) >= abs(t) else (t - s) + total
+        total = s
+        sums.append(total + comp)
+    return sums
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(a=st.floats(-0.95, 0.95), x=st.floats(-1.0, 1.0), where=st.sampled_from(["x", "-1", "1", "a"]),
+       p=st.one_of(st.sampled_from([0, 1]), st.integers(0, 2200)),
+       ref=st.one_of(st.none(), st.floats(-2.0, 2.0)))
+@example(a=A, x=0.0, where="1", p=0, ref=None)
+@example(a=A, x=0.0, where="-1", p=1, ref=0.25)
+@example(a=-0.3, x=0.0, where="a", p=2200, ref=-0.15)
+def test_f64_running_sums_equal_the_scalar_neumaier_recurrence(a, x, where, p, ref):
+    # every running sum d[0..p], not only S_p, has the bits of the scalar
+    # Neumaier loop over the same terms, for prefix and constrained series
+    x = {"x": x, "-1": -1.0, "1": 1.0, "a": a}[where]
+    Px = legendre_eval_range(p + 1, x)
+    Pa = legendre_eval_range(p + 1, a)
+    prefix = step_derivative_coeffs(a, max(p, 1))
+    cases = [(prefix, [c * Px[k] for k, c in enumerate(prefix.f64_image()[: p + 1])]),
+             (constrained_pversion_coeffs(a, max(p, 1)),
+              [0.0] + [(Pa[k - 1] - Pa[k + 1]) / 2 * (Px[k + 1] - Px[k - 1]) / (2 * k + 1)
+                       for k in range(1, p + 1)])]
+    for series, terms in cases:
+        sums = _scalar_neumaier_running_sums(terms)
+        assert sums[-1] == neumaier_sum(terms)
+        want = sums if ref is None else [ref - v for v in sums]
+        d, S = _running_sums(series, x, p, FLOAT64, ref)
+        assert d.tobytes() == np.array(want).tobytes()
+        assert type(S) is float and np.array(S).tobytes() == np.array(sums[-1]).tobytes()
+
+
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(a=st.floats(-0.95, 0.95), P=st.integers(1, 200), p=st.integers(0, 200))
 def test_constrained_partial_sums_vanish_at_the_endpoints(a, P, p):
@@ -275,9 +313,9 @@ def test_fixed_point_sums_match_the_mpf_running_sum(a, x, where, p, bits, coeff_
         assert abs(S - want_S) <= p * scale * mpmath.mpf(2) ** -bits
 
 
-# sha256 of sweeps made only by Python float and pure-Python mpmath
-# arithmetic (no libm, no BLAS), so the same on every machine; a change that
-# moves one states the numerical reason
+# sha256 of sweeps made only by Python float, numpy elementwise and
+# pure-Python mpmath arithmetic (no libm, no BLAS), so the same on every
+# machine; a change that moves one states the numerical reason
 PINNED_SWEEPS = {
     "fig02/fig02.x+0.5.sweep.csv":
         "65f8e143bdd6826ad99af1ee996141664ea7a2dee92fe81db3c390ab9cb40163",
