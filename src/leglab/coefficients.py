@@ -74,9 +74,12 @@ class LegendreSeries:
     ctx: PrecisionContext
     params: dict = field(default_factory=dict)
 
-    # float64 image of coeffs, made on first use; a prefix slice takes its
-    # image from the series it was cut from
+    # float64 image of coeffs, as a list and as a read-only ndarray, each
+    # made on first use; a prefix slice takes both from the series it was
+    # cut from
     _f64: Optional[list] = field(default=None, init=False, repr=False, compare=False)
+    _f64_array: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                             compare=False)
     _source: Optional["LegendreSeries"] = field(default=None, init=False, repr=False,
                                                 compare=False)
 
@@ -110,7 +113,17 @@ class LegendreSeries:
         return out
 
     def as_floats(self) -> np.ndarray:
-        return np.array(self.f64_image())
+        """The float64 image as one read-only ndarray, made once per series."""
+        if self._f64_array is None:
+            if self._source is not None:
+                self._f64_array = self._source.as_floats()[: len(self.coeffs)]
+            else:
+                # converted from coeffs, not from f64_image(): the hot paths
+                # read only this array, so no list of floats is held
+                self._f64_array = np.fromiter(map(float, self.coeffs), dtype=float,
+                                              count=len(self.coeffs))
+                self._f64_array.flags.writeable = False
+        return self._f64_array
 
     def metadata(self) -> dict:
         """Provenance record written next to an exported coefficient table."""

@@ -2,14 +2,18 @@
 
 Everything is built on the three-term recurrence
 ``(n+1) P_{n+1}(x) = (2n+1) x P_n(x) - n P_{n-1}(x)``,
-which is numerically stable on [-1, 1].  It is written in three kernels:
+which is numerically stable on [-1, 1].  It is written in four kernels:
 ``legendre_eval_range`` (one point, float64, mpmath big-float or exact
-rational), ``legendre_range_array`` (many points, float64) and
-``legendre_fixed_range`` (one point in fixed point on Python integers,
-which the big-float partial sums read).  The float64 branch of
+rational), ``legendre_fixed_range`` (one point in fixed point on Python
+integers, which the big-float partial sums read), and two many-point
+float64 kernels, ``legendre_range_array`` (the table of rows
+P_0..P_kmax) and ``legendre_sums_array`` (one partial sum
+S_{orders[j]}(x[j]) per point, a running sum over rows with O(points)
+memory).  The two array kernels share one step, ``_array_step``, written
+with out= buffers and no temporaries.  The float64 branch of
 ``legendre_eval_range`` reads n and n+1 as exact floats from a table that
 grows on demand, so no step converts an int; it keeps the operation order
-of the int-coefficient step and its bits.
+of the int-coefficient step and its bits, as the array step does.
 """
 
 from __future__ import annotations
@@ -91,6 +95,17 @@ def legendre_fixed_range(kmax: int, x, S: int) -> list:
     return out
 
 
+def _array_step(dst, tmp, n: int, x, pn, pm1):
+    """dst = ((2n+1) x P_n - n P_{n-1}) / (n+1) for float64 arrays, in the
+    operation order of the scalar step, through out= buffers: dst may not
+    alias pn or pm1, and tmp is a work buffer of the same shape."""
+    np.multiply(x, 2 * n + 1, out=dst)
+    np.multiply(dst, pn, out=dst)
+    np.multiply(pm1, n, out=tmp)
+    np.subtract(dst, tmp, out=dst)
+    np.divide(dst, n + 1, out=dst)
+
+
 def legendre_range_array(kmax: int, x: np.ndarray) -> np.ndarray:
     """Vectorized float64 recurrence: rows k = 0..kmax, columns the points x."""
     x = np.asarray(x, dtype=float)
@@ -98,8 +113,51 @@ def legendre_range_array(kmax: int, x: np.ndarray) -> np.ndarray:
     out[0] = 1.0
     if kmax >= 1:
         out[1] = x
+    tmp = np.empty_like(x)
     for n in range(1, kmax):
-        out[n + 1] = ((2 * n + 1) * x * out[n] - n * out[n - 1]) / (n + 1)
+        _array_step(out[n + 1], tmp, n, x, out[n], out[n - 1])
+    return out
+
+
+def legendre_sums_array(coeffs, orders, x) -> np.ndarray:
+    """Partial sums S_{orders[j]}(x[j]) = sum_{k <= orders[j]} c_k P_k(x[j]), float64.
+
+    The columns are sorted stably by descending order, so row n of the
+    recurrence updates only the prefix of columns whose order is at least n.
+    Each row forms the term c_n P_n and adds it to a running sum, left to
+    right, so every entry has the bits of
+    ``np.cumsum(c[:, None] * legendre_range_array(kmax, x), axis=0)[orders[j], j]``
+    while holding O(len(x)) floats: no table and no BLAS reduction.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    x = np.asarray(x, dtype=float)
+    orders = np.asarray(orders, dtype=int)
+    if x.ndim != 1 or orders.shape != x.shape:
+        raise ValueError("orders and x must be one-dimensional and of equal length")
+    if not len(x):
+        return np.empty(0)
+    if orders.min() < 0:
+        raise ValueError("orders must be nonnegative")
+    if orders.max() >= len(c):
+        raise IndexError(f"order {orders.max()} exceeds the {len(c)} coefficients")
+    perm = np.argsort(-orders, kind="stable")
+    # live[n]: how many columns (a prefix, in sorted order) have order >= n
+    live = np.searchsorted(-orders[perm], -np.arange(orders.max() + 1), side="right")
+    xs = x[perm]
+    total = np.full(len(x), c[0])
+    pm1, pn, nxt, tmp, s = np.ones(len(x)), xs.copy(), np.empty(len(x)), np.empty(len(x)), total
+    for n in range(len(live) - 1):
+        # row n + 1, on the columns whose order is at least n + 1
+        m = live[n + 1]
+        if m < len(s):
+            xs, pm1, pn, nxt, tmp, s = xs[:m], pm1[:m], pn[:m], nxt[:m], tmp[:m], s[:m]
+        if n:
+            _array_step(nxt, tmp, n, xs, pn, pm1)
+            pm1, pn, nxt = pn, nxt, pm1
+        np.multiply(pn, c[n + 1], out=tmp)
+        np.add(s, tmp, out=s)
+    out = np.empty(len(x))
+    out[perm] = total
     return out
 
 

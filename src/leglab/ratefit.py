@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .coefficients import LegendreSeries
-from .legendre import legendre_range_array
+from .legendre import legendre_range_array, legendre_sums_array
 from .precision import F64, FLOAT64, PrecisionContext
 from .series_eval import ErrorSweep, error_sweep
 
@@ -324,27 +324,39 @@ def gibbs_probe(series: LegendreSeries, exact: Callable[[float], float], a: floa
 
     Scans x on a +-span/p neighborhood of a with spacing 1/(resolution p);
     the overshoot is the excursion of S_p beyond the one-sided limit, taken
-    on both sides.  |y - a| p is fitted to a constant D, and at the largest
+    on both sides.  |y - a| p is fitted to a constant D, and at the last
     order the near-point error decay in xi = |x - a| is fitted as well.
+    Every scan window and the decay points go through one
+    ``legendre_sums_array`` pass: O(points) memory, and each S_p(x) is a
+    plain left-to-right sum of the terms c_k P_k(x).
     """
-    coeffs = series.as_floats()
-    lims = (exact(a - 1e-13), exact(a + 1e-13))
-    locations, magnitudes = [], []
+    pvalues = list(pvalues)
     for p in pvalues:
         if p > series.degree:
             raise IndexError(f"order {p} exceeds the series degree")
-        step = 1.0 / (resolution * p)
-        n = int(span * resolution)
-        offs = np.arange(1, n + 1) * step
-        best_mag, best_loc = -np.inf, None
+    lims = (exact(a - 1e-13), exact(a + 1e-13))
+    offs = np.arange(1, int(span * resolution) + 1)
+    scans = []  # (side, one-sided limit, points): two per order, right side first
+    for p in pvalues:
         for side, lim in ((1, lims[1]), (-1, lims[0])):
-            xs = a + side * offs
-            xs = xs[(xs > -1.0) & (xs < 1.0)]
+            xs = a + side * (offs * (1.0 / (resolution * p)))
+            scans.append((side, lim, xs[(xs > -1.0) & (xs < 1.0)]))
+    p_big = int(pvalues[-1])
+    xi = np.geomspace(5.0 / p_big, 0.1, 40)
+    xd = a + xi
+    xd = xd[xd < 1.0]
+    points = [xs for _, _, xs in scans] + [xd]
+    sizes = [len(xs) for xs in points]
+    orders = np.repeat(np.repeat(pvalues, 2).tolist() + [p_big], sizes)
+    sums = np.split(legendre_sums_array(series.as_floats(), orders, np.concatenate(points)),
+                    np.cumsum(sizes)[:-1])
+    locations, magnitudes = [], []
+    for k, p in enumerate(pvalues):
+        best_mag, best_loc = -np.inf, None
+        for (side, lim, xs), sp in zip(scans[2 * k: 2 * k + 2], sums[2 * k: 2 * k + 2]):
             if not len(xs):
                 continue
-            table = legendre_range_array(p, xs)
-            sp = coeffs[: p + 1] @ table
-            exc = (sp - lim) * (1 if side > 0 else -1) * _jump_sign(lims)
+            exc = (sp - lim) * side * _jump_sign(lims)
             i = int(np.argmax(exc))
             if exc[i] > best_mag:
                 best_mag = float(exc[i])
@@ -356,23 +368,17 @@ def gibbs_probe(series: LegendreSeries, exact: Callable[[float], float], a: floa
             raise GridTooCoarse(f"overshoot maximum at the scan boundary for p={p}; widen span")
         locations.append(best_loc)
         magnitudes.append(best_mag)
-    pv = np.asarray(list(pvalues), dtype=int)
+    pv = np.asarray(pvalues, dtype=int)
     loc = np.asarray(locations)
     mag = np.asarray(magnitudes)
     D = float(np.mean(np.abs(loc - a) * pv))
-    p_big = int(pv[-1])
-    xi = np.geomspace(5.0 / p_big, 0.1, 40)
-    xs = a + xi
-    xs = xs[xs < 1.0]
-    table = legendre_range_array(p_big, xs)
-    sp = coeffs[: p_big + 1] @ table
-    err = np.abs(np.array([exact(t) for t in xs]) - sp)
+    err = np.abs(np.array([exact(t) for t in xd]) - sums[-1])
     good = err > 0
     if np.count_nonzero(good) < 2:
         raise FitUnreliable(f"fewer than two decay points with xi from 5/p = {5.0 / p_big:.3g} "
                             f"to 0.1 right of a = {a:g} lie inside the domain with a nonzero "
                             "error; raise the largest order")
-    coef = np.polyfit(np.log(xi[: len(xs)][good]), np.log(err[good]), 1)
+    coef = np.polyfit(np.log(xi[: len(xd)][good]), np.log(err[good]), 1)
     return GibbsReport(pv, loc, mag, D, float(coef[0]), p_big)
 
 

@@ -34,7 +34,7 @@ import mpmath
 import numpy as np
 
 from .coefficients import Generator, LegendreSeries, derivative_coeffs
-from .legendre import legendre_eval_range, legendre_fixed_range
+from .legendre import gauss_rule, legendre_eval_range, legendre_fixed_range, legendre_sums_array
 from .precision import BIG, F64, FLOAT64, PrecisionContext, to_fixed
 
 
@@ -112,7 +112,7 @@ def _terms(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext):
         return chain([ctx.zero()], bumps)
     P = legendre_eval_range(pmax, x, ctx)
     if ctx.mode == F64:
-        return np.array(series.f64_image()[: pmax + 1], dtype=float) * np.array(P, dtype=float)
+        return series.as_floats()[: pmax + 1] * np.array(P, dtype=float)
     return map(mul, map(ctx.convert, series.coeffs), P)
 
 
@@ -285,18 +285,16 @@ def squared_error_quadrature(series: LegendreSeries, exact_fn: Callable[[float],
     Uses a Gauss rule of order p + 3 per piece, exact whenever f is
     polynomial between breakpoints (the piecewise families here).
     """
-    from .legendre import gauss_rule, legendre_range_array
-
     pts = sorted({-1.0, 1.0} | {float(b) for b in breakpoints if -1 < float(b) < 1})
     rule = gauss_rule(p + 3, FLOAT64)
     nodes = np.array(rule.nodes)
     weights = np.array(rule.weights)
-    coeffs = series.as_floats()[: p + 1]
+    coeffs = series.as_floats()
+    orders = np.full(len(nodes), p)
     total = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
         xm = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
-        table = legendre_range_array(p, xm)
-        sp = coeffs @ table
+        sp = legendre_sums_array(coeffs, orders, xm)
         fx = np.array([exact_fn(t) for t in xm])
         total += 0.5 * (hi - lo) * float(np.sum(weights * (fx - sp) ** 2))
     return total

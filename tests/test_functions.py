@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +51,11 @@ def test_prefix_slice_shares_the_held_f64_image(held_first):
     # the very float objects of the held image: the slice converted nothing
     assert all(s is h for s, h in zip(short, image))
     assert held.f64_image() is image
+    # the ndarray image: held once, read-only, and viewed by the prefix
+    array = held.as_floats()
+    assert held.as_floats() is array and not array.flags.writeable
+    assert array.tolist() == image
+    assert np.shares_memory(family.series(120).as_floats(), array)
 
 
 def test_constrained_family_served_on_exact_p_only():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from leglab import legendre
 from leglab.legendre import (bernstein_bound, gauss_rule, legendre_eval,
-                             legendre_eval_range, legendre_range_array)
+                             legendre_eval_range, legendre_range_array, legendre_sums_array)
 from leglab.precision import EXACT_RATIONAL, FLOAT64, PrecisionError, bigfloat
 
 
@@ -177,3 +177,62 @@ def test_f64_range_equals_the_int_coefficient_step(kmaxes, x):
         got = legendre_eval_range(kmax, x)
         assert all(type(v) is float for v in got)
         assert np.array(got).tobytes() == np.array(_int_step_range(kmax, x)).tobytes()
+
+
+def _allocating_range_array(kmax, x):
+    """The float64 rows with each step written as one allocating expression,
+    ((2n+1) x P_n - n P_{n-1}) / (n+1): the reference for the buffered step."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((kmax + 1,) + x.shape)
+    out[0] = 1.0
+    if kmax >= 1:
+        out[1] = x
+    for n in range(1, kmax):
+        out[n + 1] = ((2 * n + 1) * x * out[n] - n * out[n - 1]) / (n + 1)
+    return out
+
+
+_EDGE_X = st.sampled_from([1.0, -1.0, 0.0, -0.0])
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(kmax=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 3000)),
+       x=st.lists(st.one_of(_EDGE_X, st.floats(-1.0, 1.0)), max_size=20))
+@example(kmax=2200, x=[1.0, -1.0, 0.0, -0.0, 0.5])
+def test_range_array_keeps_the_bits_of_the_allocating_step(kmax, x):
+    got = legendre_range_array(kmax, np.array(x))
+    assert got.tobytes() == _allocating_range_array(kmax, np.array(x)).tobytes()
+
+
+def _cumsum_oracle(c, orders, x):
+    """Entry j of the running sums over the full table: S_{orders[j]}(x[j])."""
+    kmax = int(max(orders, default=0))
+    sums = np.cumsum(c[: kmax + 1, None] * legendre_range_array(kmax, x), axis=0)
+    return sums[orders, np.arange(len(x))]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(cols=st.lists(st.tuples(st.one_of(st.sampled_from([0, 1, 2, 57]), st.integers(0, 600)),
+                               st.one_of(_EDGE_X, st.floats(-1.0, 1.0))), max_size=40),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(cols=[], seed=0)
+@example(cols=[(57, 0.3), (0, 1.0), (57, -0.0), (1, -1.0), (600, 0.0), (1, 0.7), (0, -0.0)],
+         seed=1)
+def test_sums_array_equals_the_cumsum_oracle(cols, seed):
+    # unsorted orders with repeats; compared as bytes, so the sign of a zero counts too
+    orders = np.array([o for o, _ in cols], dtype=int)
+    x = np.array([t for _, t in cols], dtype=float)
+    c = np.random.default_rng(seed).standard_normal(601)
+    got = legendre_sums_array(c, orders, x)
+    assert got.shape == x.shape
+    assert got.tobytes() == _cumsum_oracle(c, orders, x).tobytes()
+
+
+def test_sums_array_rejects_bad_orders():
+    c = np.ones(4)
+    with pytest.raises(IndexError):
+        legendre_sums_array(c, [1, 4], [0.1, 0.2])
+    with pytest.raises(ValueError):
+        legendre_sums_array(c, [-1], [0.1])
+    with pytest.raises(ValueError):
+        legendre_sums_array(c, [1, 2], [0.1])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from leglab.legendre import legendre_range_array
 from leglab.ratefit import (FitUnreliable, GridTooCoarse, bounded_oscillation_check,
                             constant_growth, fit_lower_bound, fit_rate, gibbs_probe,
                             pinned_constant, weighted_sup_norm)
+from leglab.runner import run_figures
 from leglab.series_eval import ErrorSweep, error_sweep
 
 A = 0.5
@@ -150,8 +153,37 @@ def test_gibbs_probe(step_series, step_family):
 
 
 def test_gibbs_grid_too_coarse(step_series, step_family):
-    with pytest.raises(GridTooCoarse):
+    with pytest.raises(GridTooCoarse, match="scan boundary"):
         gibbs_probe(step_series, step_family.exact, A, [1000], span=0.5)
+    with pytest.raises(GridTooCoarse, match="left the domain"):
+        gibbs_probe(step_series, step_family.exact, 1.5, [1000])
+    with pytest.raises(IndexError):
+        gibbs_probe(step_series, step_family.exact, A, [1000, step_series.degree + 1])
+
+
+def test_gibbs_probe_per_order_results_ignore_the_order_of_pvalues(step_series, step_family):
+    pvalues = [500, 707, 1000, 1414]
+    ahead = gibbs_probe(step_series, step_family.exact, A, pvalues)
+    behind = gibbs_probe(step_series, step_family.exact, A, pvalues[::-1])
+    assert ahead.locations.tobytes() == behind.locations[::-1].tobytes()
+    assert ahead.magnitudes.tobytes() == behind.magnitudes[::-1].tobytes()
+
+
+# fig04's crests for p = 500, 707, 1000, 1414, 2000.  S_p(x) comes from numpy
+# elementwise IEEE arithmetic alone (the Legendre step, c_k P_k and a
+# left-to-right running sum), so these floats are the same on every machine.
+# The gibbs.json hash is not pinned: its decay_exponent goes through
+# np.polyfit (LAPACK) and np.log (libm).
+FIG04_LOCATIONS = [0.5054, 0.5038472418670439, 0.49728, 0.49807637906647806, 0.50136]
+FIG04_MAGNITUDES = [0.08967192065505891, 0.08961544412127909, 0.08955712731864274,
+                    0.08953741136657883, 0.08953544653562817]
+
+
+def test_fig04_overshoot_crests_are_pinned(tmp_path):
+    run_figures(str(tmp_path), only=["fig04"])
+    report = json.loads((tmp_path / "fig04" / "fig04.gibbs.json").read_text())
+    assert report["locations"] == FIG04_LOCATIONS
+    assert report["magnitudes"] == FIG04_MAGNITUDES
 
 
 def test_weighted_sup_norm(step_series, step_family):
