@@ -27,18 +27,19 @@ Closed forms:
   product and one round-to-nearest division.  Nothing cancels; with 64
   guard bits the rounding to the output context, once per coefficient, is
   the only error that shows, and the top coefficient is certified against
-  the Gamma form.  The paper's Appendix-A
-  construction (power moments times the exact integer monomial
-  coefficients of P_k, cancelling about 1.585 bits per degree) stays as
-  its oracle.
+  the Gamma form.  The paper's Appendix-A construction (power moments
+  times the exact integer monomial coefficients of P_k, cancelling about
+  1.585 bits per degree) stays as its oracle.
 
-A singularity-splitting quadrature oracle cross-checks every generator.
+The integer routes return exact pairs (M, E), each rounded once to the
+output context as mpmath rounds; a series builds mpf objects only when
+``coeffs`` is read.  A singularity-splitting quadrature oracle
+cross-checks every generator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -49,7 +50,7 @@ import numpy as np
 from .functions import SingularFunctionSpec, exact_solution_derivative
 from .legendre import gauss_rule, legendre_eval, legendre_eval_range
 from .precision import (BIG, EXACT, F64, FLOAT64, PrecisionContext, PrecisionError, bigfloat,
-                        dyadic, to_fixed)
+                        dyadic, pair_float, round_bits, to_fixed)
 
 
 class Generator(str, Enum):
@@ -65,50 +66,59 @@ class Generator(str, Enum):
     CUSTOM_SPEC = "CustomSpec"
 
 
-@dataclass
 class LegendreSeries:
-    """Coefficient sequence c_0..c_P with provenance."""
+    """Coefficient sequence c_0..c_P with provenance.
 
-    coeffs: list
-    generator: Generator
-    ctx: PrecisionContext
-    params: dict = field(default_factory=dict)
+    A big-float series from an integer recurrence holds each c_k as an exact
+    pair (M_k, E_k), c_k = M_k 2^E_k, already rounded to its context
+    (``from_pairs``); ``coeffs`` builds the mpf list from the pairs on first
+    read, and the float64 image and the fixed-point sums read the pairs.
+    """
 
-    # float64 image of coeffs, as a list and as a read-only ndarray, each
-    # made on first use; a prefix slice takes both from the series it was
-    # cut from
-    _f64: Optional[list] = field(default=None, init=False, repr=False, compare=False)
-    _f64_array: Optional[np.ndarray] = field(default=None, init=False, repr=False,
-                                             compare=False)
-    _source: Optional["LegendreSeries"] = field(default=None, init=False, repr=False,
-                                                compare=False)
+    def __init__(self, coeffs, generator: Generator, ctx: PrecisionContext,
+                 params: Optional[dict] = None, pairs: Optional[list] = None):
+        if any(isinstance(c, float) and not math.isfinite(c) for c in coeffs or ()):
+            raise ValueError("series coefficients must be finite")
+        self._coeffs, self._pairs = coeffs, pairs
+        self.generator, self.ctx, self.params = generator, ctx, params if params is not None else {}
+        # the float64 image, made on first use; a prefix views its source's
+        self._f64_array = self._source = None
 
-    def __post_init__(self):
-        for c in self.coeffs:
-            if isinstance(c, float) and not math.isfinite(c):
-                raise ValueError("series coefficients must be finite")
+    @classmethod
+    def from_pairs(cls, pairs, generator, ctx, params) -> "LegendreSeries":
+        """A series from exact pairs (n, e), each rounded once to ctx."""
+        if ctx.mode == F64:
+            return cls([pair_float(n, e) for n, e in pairs], generator, ctx, params)
+        return cls(None, generator, ctx, params, [round_bits(n, e, ctx.bits) for n, e in pairs])
+
+    @property
+    def coeffs(self) -> list:
+        """c_0..c_P in the context's number type; a held series makes its mpfs here, once."""
+        if self._coeffs is None:
+            with self.ctx.active():
+                self._coeffs = list(map(mpmath.mpf, self._pairs))
+        return self._coeffs
+
+    def pairs(self, stop: Optional[int] = None):
+        """c_0..c_{stop-1} as exact pairs (n, e), c_k = n 2^e: the held pairs,
+        or each float or mpf read exactly as it is consumed (not Fractions)."""
+        if self._pairs is not None:
+            return self._pairs[:stop]
+        return map(dyadic, self._coeffs[:stop])
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._pairs if self._coeffs is None else self._coeffs) - 1
 
     @property
     def series_id(self) -> str:
         p = ",".join(f"{k}={v:g}" for k, v in sorted(self.params.items()) if isinstance(v, (int, float)))
         return f"{self.generator.value}({p})@{self.ctx.describe()}/P{self.degree}"
 
-    def f64_image(self) -> list:
-        """The coefficients rounded to Python floats, converted once per series."""
-        if self._f64 is None:
-            if self._source is not None:
-                self._f64 = self._source.f64_image()[: len(self.coeffs)]
-            else:
-                self._f64 = [float(c) for c in self.coeffs]
-        return self._f64
-
     def prefix(self, P: int) -> "LegendreSeries":
         """c_0..c_P as a series that shares this one's float64 image."""
-        out = LegendreSeries(self.coeffs[: P + 1], self.generator, self.ctx, self.params)
+        out = LegendreSeries(self._coeffs and self._coeffs[: P + 1], self.generator, self.ctx,
+                             self.params, self._pairs and self._pairs[: P + 1])
         out._source = self
         return out
 
@@ -116,12 +126,11 @@ class LegendreSeries:
         """The float64 image as one read-only ndarray, made once per series."""
         if self._f64_array is None:
             if self._source is not None:
-                self._f64_array = self._source.as_floats()[: len(self.coeffs)]
+                self._f64_array = self._source.as_floats()[: self.degree + 1]
             else:
-                # converted from coeffs, not from f64_image(): the hot paths
-                # read only this array, so no list of floats is held
-                self._f64_array = np.fromiter(map(float, self.coeffs), dtype=float,
-                                              count=len(self.coeffs))
+                floats = (map(float, self._coeffs) if self._pairs is None
+                          else (pair_float(n, e) for n, e in self._pairs))
+                self._f64_array = np.fromiter(floats, dtype=float, count=self.degree + 1)
                 self._f64_array.flags.writeable = False
         return self._f64_array
 
@@ -131,7 +140,7 @@ class LegendreSeries:
             "generator": self.generator.value,
             "params": {k: (v if isinstance(v, (int, float, str)) else str(v)) for k, v in self.params.items()},
             "precision": self.ctx.describe(),
-            "length": len(self.coeffs),
+            "length": self.degree + 1,
         }
 
 
@@ -214,30 +223,28 @@ def power_abs_coeffs(beta, P: int, ctx: Optional[PrecisionContext] = None) -> Le
         ctx = bigfloat(256) if float(beta) <= -0.5 else FLOAT64
     if float(beta) <= -0.5 and ctx.mode == F64:
         raise PrecisionError("beta <= -1/2 requires a big-float or exact-rational context")
+    # I_j = int_0^1 x^beta P_2j; c_2j = (2(2j)+1)/2 * 2 I_j = (4j+1) I_j
+    if ctx.mode == BIG:
+        bn, e = dyadic(ctx.convert(beta))
+        bd = 1 << -e
+        # I_0 = bd / (bn + bd), I_{j+1} = I_j (bn - 2j bd) / (bn + (2j+3) bd)
+        factors = [(bd, bn + bd)] + [(bn - 2 * j * bd, bn + (2 * j + 3) * bd)
+                                     for j in range(P // 2)]
+        pairs = [(0, 0)] * (P + 1)
+        for j, (M, E) in enumerate(_ratio_run(1, 0, factors, ctx.bits + 64)):
+            pairs[2 * j] = ((4 * j + 1) * M, E)
+        return LegendreSeries.from_pairs(pairs, Generator.POWER_ABS, ctx, {"beta": float(beta)})
     with ctx.active():
         b = ctx.convert(beta)
         coeffs = [ctx.zero()] * (P + 1)
-        # I_j = int_0^1 x^beta P_2j; c_2j = (2(2j)+1)/2 * 2 I_j = (4j+1) I_j
-        if ctx.mode == BIG:
-            bn, e = dyadic(b)
-            bd = 1 << -e
-            # I_0 = bd / (bn + bd), I_{j+1} = I_j (bn - 2j bd) / (bn + (2j+3) bd)
-            factors = [(bd, bn + bd)] + [(bn - 2 * j * bd, bn + (2 * j + 3) * bd)
-                                         for j in range(P // 2)]
-            for j, (M, E) in enumerate(_ratio_run(1, 0, factors, ctx.bits + 64)):
-                coeffs[2 * j] = mpmath.mpf(((4 * j + 1) * M, E))
-        else:
-            I = ctx.one() / (b + 1)
-            j = 0
-            while 2 * j <= P:
-                coeffs[2 * j] = (4 * j + 1) * I
-                I = I * (b - 2 * j) / (b + 2 * j + 3)
-                j += 1
+        I = ctx.one() / (b + 1)
+        for j in range(P // 2 + 1):
+            coeffs[2 * j] = (4 * j + 1) * I
+            I = I * (b - 2 * j) / (b + 2 * j + 3)
     return LegendreSeries(coeffs, Generator.POWER_ABS, ctx, {"beta": float(beta)})
 
 
-def singular_term_coeffs(a, beta, P: int, ctx: Optional[PrecisionContext] = None,
-                         verify: bool = True) -> LegendreSeries:
+def singular_term_coeffs(a, beta, P: int, ctx: Optional[PrecisionContext] = None) -> LegendreSeries:
     """Expansion of |x - a|^beta from the modified-moment three-term recurrence.
 
     Runs in 256-bit big-float mode by default.  A big-float context runs the
@@ -254,21 +261,21 @@ def singular_term_coeffs(a, beta, P: int, ctx: Optional[PrecisionContext] = None
         raise ValueError("beta must exceed -1")
     if ctx is None:
         ctx = bigfloat(256)
-    if ctx.mode == "big":
-        S, moments = _mu_fixed(a, beta, P, ctx.bits)
-        with ctx.active():
-            coeffs = [mpmath.mpf(((2 * k + 1) * m, -S - 1)) for k, m in enumerate(moments)]
-        if verify:
-            S2, check = _mu_fixed(a, beta, P, 2 * ctx.bits)
-            with mpmath.workprec(2 * ctx.bits):
-                cq = mpmath.mpf(((2 * P + 1) * check[P], -S2 - 1))
-                if cq != 0 and abs(coeffs[P] - cq) / abs(cq) > mpmath.mpf(2) ** (16 - ctx.bits):
-                    raise PrecisionError("modified-moment recurrence lost precision; "
-                                         "raise the context bits")
-    else:
-        coeffs = _mu_recurrence(a, beta, P, ctx)
-    return LegendreSeries(coeffs, Generator.SINGULAR_MOMENT, ctx,
-                          {"a": float(a), "beta": float(beta)})
+    params = {"a": float(a), "beta": float(beta)}
+    if ctx.mode != BIG:
+        return LegendreSeries(_mu_recurrence(a, beta, P, ctx), Generator.SINGULAR_MOMENT, ctx,
+                              params)
+    S, moments = _mu_fixed(a, beta, P, ctx.bits)
+    series = LegendreSeries.from_pairs((((2 * k + 1) * m, -S - 1) for k, m in enumerate(moments)),
+                                       Generator.SINGULAR_MOMENT, ctx, params)
+    S2, check = _mu_fixed(a, beta, P, 2 * ctx.bits)
+    with mpmath.workprec(2 * ctx.bits):
+        cq = mpmath.mpf(((2 * P + 1) * check[P], -S2 - 1))
+        cp = mpmath.mpf(series._pairs[P])
+        if cq != 0 and abs(cp - cq) / abs(cq) > mpmath.mpf(2) ** (16 - ctx.bits):
+            raise PrecisionError("modified-moment recurrence lost precision; "
+                                 "raise the context bits")
+    return series
 
 
 def _mu_fixed(a, beta, P, bits):
@@ -422,7 +429,8 @@ def power_shift_coeffs_appendixA(beta, P: int, ctx: Optional[PrecisionContext] =
         if abs(cp - ref) / scale > mpmath.mpf("1e-20"):
             raise PrecisionError(
                 f"appendix-A combination lost precision at P={P}: use more bits than {bits}")
-    return _power_shift_series(beta, coeffs_hi, ctx)
+    return LegendreSeries.from_pairs(map(dyadic, coeffs_hi), Generator.POWER_SHIFT_APPENDIX_A,
+                                     ctx or FLOAT64, {"beta": float(beta)})
 
 
 def _check_power_shift_args(beta, P, ctx):
@@ -432,19 +440,6 @@ def _check_power_shift_args(beta, P, ctx):
         raise ValueError("P must be >= 0")
     if ctx is not None and ctx.mode == EXACT:
         raise PrecisionError("|x+1|^beta coefficients are irrational; use a floating context")
-
-
-def _power_shift_series(beta, coeffs_hi, ctx):
-    """Round working-precision coefficients to ctx (float64 when None)."""
-    out_ctx = ctx or FLOAT64
-    if out_ctx.mode == F64:
-        coeffs = [float(c) for c in coeffs_hi]
-    else:
-        with out_ctx.active():
-            coeffs = [+c for c in coeffs_hi]
-    # both routes carry the Appendix-A tag: its value is part of the series id
-    # recorded in every |x+1|^beta fit, and the two give the same numbers
-    return LegendreSeries(coeffs, Generator.POWER_SHIFT_APPENDIX_A, out_ctx, {"beta": float(beta)})
 
 
 def _power_shift_run(beta, P, bits):
@@ -490,20 +485,23 @@ def power_shift_coeffs(beta, P: int, ctx: Optional[PrecisionContext] = None) -> 
     bd = 1 << -e
     # I_0 = 2^(beta+1) bd / (bn + bd), I_{k+1} = I_k (bn - k bd) / (bn + (k+2) bd)
     factors = [(bd, bn + bd)] + [(bn - k * bd, bn + (k + 2) * bd) for k in range(P)]
+    # c_k = (2k+1) I_k / 2 as exact pairs
+    pairs = [((2 * k + 1) * M, E - 1) for k, (M, E) in enumerate(_ratio_run(M, E, factors, bits))]
     with mpmath.workprec(2 * bits):
-        # c_k = (2k+1) I_k / 2, held exactly: (2k+1) M_k has far fewer than 2 * bits bits
-        coeffs_hi = [mpmath.mpf(((2 * k + 1) * M, E - 1))
-                     for k, (M, E) in enumerate(_ratio_run(M, E, factors, bits))]
+        # exact: (2P+1) M_P has far fewer than 2 * bits bits
+        cp = mpmath.mpf(pairs[P])
         b = mpmath.mpf(beta)
         # beta + 1 - P is formed exactly: rounded, a tiny beta would vanish
         # and land on a pole.  rgamma is exactly 0 at the poles, which
         # certifies the exact zeros of integer beta.
         ref = (2 ** b * (2 * P + 1) * mpmath.gamma(b + 1) ** 2 * mpmath.rgamma(b + (P + 2))
                * mpmath.rgamma(mpmath.fadd(b, 1 - P, exact=True)))
-        gap = abs(coeffs_hi[P] - ref)
-        if gap > abs(ref) * mpmath.mpf(2) ** (32 - bits):
+        if abs(cp - ref) > abs(ref) * mpmath.mpf(2) ** (32 - bits):
             raise PrecisionError(f"|x+1|^beta recurrence disagrees with the Gamma form at P={P}")
-    return _power_shift_series(beta, coeffs_hi, ctx)
+    # the Appendix-A tag: its value is part of the series id recorded in
+    # every |x+1|^beta fit, and the two routes give the same numbers
+    return LegendreSeries.from_pairs(pairs, Generator.POWER_SHIFT_APPENDIX_A, ctx or FLOAT64,
+                                     {"beta": float(beta)})
 
 
 def polynomial_legendre_coeffs(poly: Sequence, P: int, ctx: PrecisionContext = FLOAT64) -> list:

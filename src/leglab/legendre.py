@@ -3,10 +3,10 @@
 Everything is built on the three-term recurrence
 ``(n+1) P_{n+1}(x) = (2n+1) x P_n(x) - n P_{n-1}(x)``,
 which is numerically stable on [-1, 1].  It is written in four kernels:
-``legendre_eval_range`` (one point, float64, mpmath big-float or exact
-rational), ``legendre_fixed_range`` (one point in fixed point on Python
-integers, which the big-float partial sums read), and two many-point
-float64 kernels, ``legendre_range_array`` (the table of rows
+``legendre_eval_range`` (one point, float64, big-float or exact rational),
+``legendre_fixed_range`` (one point in fixed point on Python integers, read
+by the big-float sums and the big-float ``legendre_eval_range``), and two
+many-point float64 kernels, ``legendre_range_array`` (the table of rows
 P_0..P_kmax) and ``legendre_sums_array`` (one partial sum
 S_{orders[j]}(x[j]) per point, a running sum over rows with O(points)
 memory).  The two array kernels share one step, ``_array_step``, written
@@ -22,9 +22,10 @@ import math
 from dataclasses import dataclass, field
 from itertools import islice
 
+import mpmath
 import numpy as np
 
-from .precision import F64, FLOAT64, Number, PrecisionContext, dyadic, to_fixed
+from .precision import BIG, F64, FLOAT64, Number, PrecisionContext, dyadic, to_fixed
 
 
 def _check_domain(x, ctx: PrecisionContext) -> Number:
@@ -63,13 +64,21 @@ def legendre_eval_range(kmax: int, x, ctx: PrecisionContext = FLOAT64) -> list:
             pm1, pn = pn, ((b + c) * xv * pn - b * pm1) / c
             out.append(pn)
         return out
-    with ctx.active():
-        pm1, pn = ctx.one(), xv
-        out = [pm1, pn][: kmax + 1]
-        for n in range(1, kmax):
-            pm1, pn = pn, ((2 * n + 1) * xv * pn - n * pm1) / (n + 1)
-            out.append(pn)
+    if ctx.mode == BIG:
+        # 64 guard bits below |x| (an odd P_k(x) is O(x)); each value rounded once, in place
+        S = ctx.bits + 64 + max(0, -math.frexp(float(xv))[1])
+        out = legendre_fixed_range(kmax, xv, S)
+        with ctx.active():
+            for k, v in enumerate(out):
+                out[k] = mpmath.mpf((v, -S))
         return out
+    # exact rationals
+    pm1, pn = ctx.one(), xv
+    out = [pm1, pn][: kmax + 1]
+    for n in range(1, kmax):
+        pm1, pn = pn, ((2 * n + 1) * xv * pn - n * pm1) / (n + 1)
+        out.append(pn)
+    return out
 
 
 def legendre_fixed_range(kmax: int, x, S: int) -> list:
@@ -213,8 +222,6 @@ def gauss_rule(order: int, ctx: PrecisionContext = FLOAT64) -> QuadratureRule:
             guesses = np.cos(np.pi * (4 * np.arange(order // 2) + 3) / (4 * order + 2))
             tol = 1e-15
         else:
-            import mpmath
-
             guesses = [mpmath.cos(mpmath.pi * (4 * i + 3) / (4 * order + 2)) for i in range(order // 2)]
             tol = ctx.eps * 256
         nodes_pos = []

@@ -9,7 +9,9 @@ same recurrence code serves all three modes.
 The big-float hot paths (partial sums, the modified-moment and ratio
 recurrences) run instead on Python integers in fixed point, a value v held
 as round(v 2^S); ``dyadic`` and ``to_fixed`` are the one conversion into
-that form, and mpmath is left for the transcendental starting values.
+that form, and mpmath is left for the transcendental starting values.  A
+result leaves them as an exact pair (n, e), v = n 2^e, which ``round_bits``
+and ``pair_float`` round as mpmath rounds an mpf to a context or a float.
 """
 
 from __future__ import annotations
@@ -148,16 +150,32 @@ def dyadic(v) -> tuple:
     return n, 1 - d.bit_length()
 
 
-def to_fixed(v, S: int) -> int:
-    """round(v 2^S) for a float or an mpf, ties to even."""
-    n, e = dyadic(v)
-    shift = -(e + S)
-    if shift <= 0:
-        return n << -shift
+def _round_shift(n: int, shift: int) -> int:
+    """n / 2^shift rounded to nearest, ties to even, for shift > 0."""
     q = n >> shift
     r = n - (q << shift)
     half = 1 << (shift - 1)
     return q + (r > half or (r == half and q & 1))
+
+
+def to_fixed(v, S: int) -> int:
+    """round(v 2^S), ties to even, for a float, an mpf or an exact pair (n, e)."""
+    n, e = v if isinstance(v, tuple) else dyadic(v)
+    shift = -(e + S)
+    return n << -shift if shift <= 0 else _round_shift(n, shift)
+
+
+def round_bits(n: int, e: int, bits: int) -> tuple:
+    """The pair n 2^e rounded to ``bits`` significant bits as mpmath rounds: ties to even."""
+    shift = abs(n).bit_length() - bits
+    return (n, e) if shift <= 0 else (_round_shift(n, shift), e + shift)
+
+
+def pair_float(n: int, e: int) -> float:
+    """float(mpf(n 2^e)) from the integers: 53 bits, to nearest, then ldexp."""
+    if e <= 0 and abs(n).bit_length() + e >= -1021:
+        return n / (1 << -e)  # a normal float: the rounded quotient has those bits
+    return math.ldexp(*round_bits(n, e, 53))
 
 
 def neumaier_sum(values) -> float:

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .coefficients import LegendreSeries
-from .legendre import legendre_range_array, legendre_sums_array
+from .legendre import _array_step, legendre_sums_array
 from .precision import F64, FLOAT64, PrecisionContext
 from .series_eval import ErrorSweep, error_sweep
 
@@ -250,7 +250,8 @@ def constant_growth(family, approach_point: float, side: int, xi_grid: Sequence[
     very end of the window is still preasymptotic; the sweep is retried at
     a larger pmax up to the ceiling, then dropped.  A probe above
     ``xi_cap``, outside [-1, 1], at an endpoint or at the family's singular
-    point measures another feature and is dropped too.
+    point measures another feature and is dropped too.  A window with no
+    nonzero error, or fewer than three probes left, raises FitUnreliable.
     """
     eval_ctx = ctx or FLOAT64
     xi_values, C_values, dropped = [], [], []
@@ -278,6 +279,8 @@ def constant_growth(family, approach_point: float, side: int, xi_grid: Sequence[
             series = family.series(pm + 1, coefficient_ctx(eval_ctx))
             sweep = error_sweep(series, family.exact, x, pm, eval_ctx)
             pw, ew, win = _window_slice(sweep, window)
+            if not len(ew):
+                raise FitUnreliable(f"no nonzero error in window {win} at x = {x:g}")
             vals = ew * pw ** fixed_alpha
             imax = int(np.argmax(vals))
             if imax < len(vals) - 3 or pm >= pmax_ceiling:
@@ -288,8 +291,9 @@ def constant_growth(family, approach_point: float, side: int, xi_grid: Sequence[
             continue
         xi_values.append(float(xi))
         C_values.append(float(vals[imax]))
-    if len(xi_values) < 2:
-        raise FitUnreliable("fewer than two usable xi entries for the growth fit")
+    if len(xi_values) < 3:  # a line through two points has no residual to fail on
+        raise FitUnreliable("fewer than three usable xi entries for the growth fit; "
+                            f"dropped {dropped}")
     lx, lc = np.log(xi_values), np.log(C_values)
     coef = np.polyfit(lx, lc, 1)
     return ConstantGrowthFit(np.array(xi_values), np.array(C_values),
@@ -387,30 +391,42 @@ def _jump_sign(lims) -> float:
     return 1.0 if hi >= lo else -1.0
 
 
+def _sup_grid(a: float, pmax: int) -> list:
+    pts = set(np.linspace(-0.99, 0.99, 120).round(12))
+    for base, s in ((-1.0, 1), (1.0, -1), (a, 1), (a, -1)):
+        for xi in np.geomspace(0.05 / pmax, 0.5, 60):
+            t = base + s * xi
+            if -1.0 < t < 1.0:
+                pts.add(round(float(t), 14))
+    return sorted(pts)
+
+
 def weighted_sup_norm(series: LegendreSeries, exact: Callable[[float], float],
                       weights: tuple, a: float, pmax: int,
                       grid: Optional[np.ndarray] = None) -> ErrorSweep:
     """Per-order sup over an x-grid of |error| |1-x|^w1 |1+x|^w2 |x-a|^w3.
 
     The default grid refines geometrically toward both endpoints and the
-    singular point down to the 1/pmax scale.
+    singular point down to the 1/pmax scale.  One row loop over the shared
+    recurrence step keeps a running sum per grid point and takes each row's
+    maximum: O(grid) memory, with the bits of the cumulative table sum.
     """
     w_right, w_left, w_sing = weights
-    if grid is None:
-        pts = set(np.linspace(-0.99, 0.99, 120).round(12))
-        for base, sides in ((-1.0, (1,)), (1.0, (-1,)), (a, (1, -1))):
-            for s in sides:
-                for xi in np.geomspace(0.05 / pmax, 0.5, 60):
-                    t = base + s * xi
-                    if -1.0 < t < 1.0:
-                        pts.add(round(float(t), 14))
-        grid = np.array(sorted(pts))
+    if pmax > series.degree:
+        raise IndexError(f"order {pmax} exceeds the series degree {series.degree}")
+    grid = np.asarray(_sup_grid(a, pmax) if grid is None else grid, dtype=float)
     w = (np.abs(1.0 - grid) ** w_right * np.abs(1.0 + grid) ** w_left
          * np.abs(grid - a) ** w_sing)
     fx = np.array([exact(t) for t in grid])
-    coeffs = series.as_floats()[: pmax + 1]
-    running = np.cumsum(coeffs[:, None] * legendre_range_array(pmax, grid), axis=0)
-    sup = np.max(np.abs(fx - running[1:]) * w, axis=1)
+    c = series.as_floats()
+    pm1, pn, nxt, tmp = np.ones(len(grid)), grid.copy(), np.empty(len(grid)), np.empty(len(grid))
+    running, sup = c[0] * pm1, np.empty(pmax)
+    for n in range(1, pmax + 1):
+        if n > 1:
+            _array_step(nxt, tmp, n - 1, grid, pn, pm1)
+            pm1, pn, nxt = pn, nxt, pm1
+        running += c[n] * pn
+        sup[n - 1] = np.max(np.abs(fx - running) * w)
     return ErrorSweep(float(a), np.arange(1, pmax + 1), sup,
                       f"weighted sup w={weights}", series.series_id)
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .coefficients import Generator, LegendreSeries, derivative_coeffs
 from .legendre import gauss_rule, legendre_eval_range, legendre_fixed_range, legendre_sums_array
-from .precision import BIG, F64, FLOAT64, PrecisionContext, to_fixed
+from .precision import BIG, F64, FLOAT64, PrecisionContext, dyadic, round_bits, to_fixed
 
 
 @dataclass
@@ -83,7 +83,7 @@ class NormSweep:
 
 def _check_order(series: LegendreSeries, pmax: int) -> None:
     if series.generator is Generator.CONSTRAINED_PVERSION:
-        limit = len(series.coeffs) - 2
+        limit = series.degree - 1
         if pmax > limit:
             raise IndexError(f"order {pmax} exceeds the constrained series order {limit}")
     elif pmax > series.degree:
@@ -123,8 +123,8 @@ def _fixed_terms(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, S:
     them, P_k(x) and P_k(a) come from legendre_fixed_range, a prefix term is
     (C_k P_k + 2^(S-1)) >> S and a constrained bump is one rounded division
     of (A_{k-1} - A_{k+1}) (X_{k+1} - X_{k-1}) by 2 (2k+1) 2^S.  A coefficient
-    is taken exactly when it is a float, or an mpf of a context with no more
-    bits than ctx; otherwise it is rounded to ctx first.
+    is read from its exact pair, rounded to ctx's bits where it has more; an
+    exact rational is converted to ctx first.
     """
     _check_order(series, pmax)
     if series.generator is Generator.CONSTRAINED_PVERSION:
@@ -134,9 +134,10 @@ def _fixed_terms(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, S:
         bumps = ((((a0 - a2) * (x2 - x0) + (m << (S - 1))) // m) >> S
                  for a0, a2, x0, x2, m in zip(A, A[2:], X, X[2:], range(6, 4 * pmax + 3, 4)))
         return chain([0], bumps)
-    exact = series.ctx.mode == BIG and series.ctx.bits <= ctx.bits
-    coeffs = (to_fixed(c if exact or isinstance(c, float) else ctx.convert(c), S)
-              for c in series.coeffs[: pmax + 1])
+    pairs = (map(dyadic, map(ctx.convert, series.coeffs[: pmax + 1])) if series.ctx.is_exact
+             else series.pairs(pmax + 1))
+    bits = ctx.bits if series.ctx.bits > ctx.bits else None  # None: taken exactly
+    coeffs = (to_fixed(round_bits(*p, bits) if bits else p, S) for p in pairs)
     half = 1 << (S - 1)
     return ((c * p + half) >> S
             for c, p in zip(coeffs, legendre_fixed_range(pmax, ctx.convert(x), S)))

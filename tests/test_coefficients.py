@@ -16,9 +16,10 @@ from leglab.coefficients import (Generator, _mu_recurrence, abs_shift_coeffs, ap
                                  quadrature_oracle_coeffs, singular_term_coeffs, spec_coeffs,
                                  step_derivative_coeffs, step_oracle_coeff)
 from leglab.functions import PowerShiftFamily, SingularFunctionSpec
-from leglab.legendre import legendre_eval
-from leglab.precision import EXACT_RATIONAL, FLOAT64, PrecisionError, bigfloat
+from leglab.legendre import legendre_eval, legendre_fixed_range
+from leglab.precision import EXACT_RATIONAL, FLOAT64, PrecisionError, bigfloat, dyadic, to_fixed
 from leglab.runner import ExperimentConfig, run_experiment
+from leglab.series_eval import _fixed_terms
 
 
 def test_step_examples():
@@ -197,7 +198,7 @@ def test_singular_term_fixed_point_matches_float_recurrence(a, beta, P):
 def test_singular_term_f64_image_unchanged_on_default_grid(beta):
     # the conjecture grid's a = 0.5 points read these floats
     fixed = singular_term_coeffs(0.5, beta, 2201)
-    assert fixed.f64_image() == [float(c) for c in _mu_recurrence(0.5, beta, 2201, bigfloat(256))]
+    assert fixed.as_floats().tolist() == [float(c) for c in _mu_recurrence(0.5, beta, 2201, bigfloat(256))]
 
 
 @pytest.mark.parametrize("shift,raises", [(110, True), (114, False)])
@@ -323,6 +324,61 @@ def test_power_shift_integer_beta_is_polynomial(ctx):
         assert series.coeffs[:beta + 1] == expect
         assert all(c == 0 for c in series.coeffs[beta + 1:])
     assert [float(c) for c in PowerShiftFamily(beta=2).series(3).coeffs] == [4 / 3, 2.0, 2 / 3, 0.0]
+
+
+def _mpf_route(kind, a, beta, P, bits):
+    """The coefficients as the generators built them before they held pairs:
+    one mpf per coefficient from the same integer kernels, rounded by mpmath
+    to big:bits (|x+1|^beta: exact at twice its working bits, then rounded)."""
+    ctx = bigfloat(bits)
+    if kind == "singular":
+        S, moments = coefficients._mu_fixed(a, beta, P, bits)
+        with ctx.active():
+            return [mpmath.mpf(((2 * k + 1) * m, -S - 1)) for k, m in enumerate(moments)]
+    bn, e = dyadic(beta)
+    bd = 1 << -e
+    if kind == "powerabs":
+        factors = [(bd, bn + bd)] + [(bn - 2 * j * bd, bn + (2 * j + 3) * bd) for j in range(P // 2)]
+        out = [mpmath.mpf(0)] * (P + 1)
+        with ctx.active():
+            for j, (M, E) in enumerate(coefficients._ratio_run(1, 0, factors, bits + 64)):
+                out[2 * j] = mpmath.mpf(((4 * j + 1) * M, E))
+        return out
+    work = max(128, bits) + 64
+    with mpmath.workprec(work):
+        M, E = dyadic(2 ** (mpmath.mpf(beta) + 1))
+    factors = [(bd, bn + bd)] + [(bn - k * bd, bn + (k + 2) * bd) for k in range(P)]
+    with mpmath.workprec(2 * work):
+        hi = [mpmath.mpf(((2 * k + 1) * M, E - 1))
+              for k, (M, E) in enumerate(coefficients._ratio_run(M, E, factors, work))]
+    with ctx.active():
+        return [+c for c in hi]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["singular", "powerabs", "powershift"]),
+       a=st.floats(-0.9, 0.9), P=st.integers(1, 300), x=st.floats(-1.0, 1.0),
+       # singular_term_coeffs refuses a top coefficient near 0 (beta near an integer)
+       beta=st.floats(-0.95, 3.0).filter(lambda b: abs(b - round(b)) > 1e-3),
+       bits=st.sampled_from([128, 192, 256]), eval_bits=st.sampled_from([128, 192, 256]))
+@example(kind="singular", a=0.5, P=300, x=-0.3, beta=-5 / 6, bits=256, eval_bits=128)
+def test_held_pairs_have_the_bits_of_the_mpf_route(kind, a, P, x, beta, bits, eval_bits):
+    series = {"singular": lambda: singular_term_coeffs(a, beta, P, bigfloat(bits)),
+              "powerabs": lambda: power_abs_coeffs(beta, P, bigfloat(bits)),
+              "powershift": lambda: power_shift_coeffs(beta, P, bigfloat(bits))}[kind]()
+    old = _mpf_route(kind, a, beta, P, bits)
+    # the float64 image: float() of each mpf
+    assert series.as_floats().tolist() == [float(c) for c in old]
+    # the fixed-point terms: to_fixed of each mpf, rounded to the sweep's
+    # context first where the series has more bits
+    ctx = bigfloat(eval_bits)
+    S = eval_bits + 64
+    Px = legendre_fixed_range(P, ctx.convert(x), S)
+    want = [(to_fixed(c if bits <= eval_bits else ctx.convert(c), S) * p + (1 << (S - 1))) >> S
+            for c, p in zip(old, Px)]
+    assert list(_fixed_terms(series, x, P, ctx, S)) == want
+    assert series._coeffs is None  # neither built an mpf
+    assert [c._mpf_ for c in series.coeffs] == [c._mpf_ for c in old]
 
 
 def _mpf_power_shift(beta, P, ctx):

@@ -36,13 +36,32 @@ def test_growth_probes_keep_a_quarter_of_the_distance_to_the_next_feature():
     tol = ToleranceProfile()
     left, right = clause2_boundary_growth(2.5, 0.9, tol)
     singular = clause3_singular_growth(2.5, 0.9, tol)
-    assert all(v.status == "pass" for v in [left, right, *singular])
+    assert all(v.status == "pass" for v in [left, right])
     assert left.fit["dropped"] == [] and len(left.fit["xi"]) == 4
     assert right.fit["dropped"] == [(0.1, "above the cap 0.025")]
+    # clause 3 keeps two probes, too few for a growth fit
+    dropped = [(0.1, "above the cap 0.025"), (10 ** -1.5, "above the cap 0.025")]
     for v in singular:
-        assert v.fit["dropped"] == [(0.1, "above the cap 0.025"),
-                                    (10 ** -1.5, "above the cap 0.025")]
-        assert v.fit["xi"] == [1e-2, 10 ** -2.5]
+        assert v.status == "preasymptotic" and v.fit is None
+        assert v.detail == f"fewer than three usable xi entries for the growth fit; dropped {dropped}"
+
+
+@pytest.mark.parametrize("beta", [-0.9, -0.25, 0.25, 2.5])
+def test_singular_growth_on_two_probes_is_preasymptotic(beta):
+    # a line through two points has no residual, so the two probes left
+    # below the cap at a = 0.9 cannot confirm the xi^-1 law: not a pass
+    verdicts = clause3_singular_growth(beta, 0.9, ToleranceProfile())
+    assert [v.status for v in verdicts] == ["preasymptotic", "preasymptotic"]
+
+
+def test_empty_growth_window_is_a_preasymptotic_verdict():
+    # at beta = 4.5 the float64 error toward x = 1 is exactly 0 over the
+    # whole window (2200, 4400): the cell reads preasymptotic, and the run
+    # goes on instead of ending in an argmax of an empty sequence
+    left, right = clause2_boundary_growth(4.5, 0.001, ToleranceProfile())
+    assert left.status == "pass"
+    assert right.status == "preasymptotic"
+    assert right.detail == "no nonzero error in window (2200, 4400) at x = 0.9"
 
 
 def test_clause4_divergent_and_bounded():

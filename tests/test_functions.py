@@ -42,20 +42,17 @@ def test_prefix_slice_shares_the_held_f64_image(held_first):
     family = PowerAbsFamily(beta=-0.5, a=0.5)  # big:256 coefficients
     held = family.series(200)
     if held_first:
-        image = held.f64_image()
-        short = family.series(120).f64_image()
+        image = held.as_floats()
+        short = family.series(120).as_floats()
     else:
-        short = family.series(120).f64_image()
-        image = held.f64_image()
-    assert short == [float(c) for c in held.coeffs[:121]]
-    # the very float objects of the held image: the slice converted nothing
-    assert all(s is h for s, h in zip(short, image))
-    assert held.f64_image() is image
-    # the ndarray image: held once, read-only, and viewed by the prefix
-    array = held.as_floats()
-    assert held.as_floats() is array and not array.flags.writeable
-    assert array.tolist() == image
-    assert np.shares_memory(family.series(120).as_floats(), array)
+        short = family.series(120).as_floats()
+        image = held.as_floats()
+    assert short.tolist() == [float(c) for c in held.coeffs[:121]]
+    # the held image is made once and read-only, and the prefix views it:
+    # the slice converted nothing
+    assert held.as_floats() is image and not image.flags.writeable
+    assert np.shares_memory(short, image)
+    assert np.shares_memory(family.series(120).as_floats(), image)
 
 
 def test_constrained_family_served_on_exact_p_only():

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -139,6 +140,23 @@ def test_orthogonality_bigfloat():
                 s = sum(w * row[j] * row[k] for w, row in zip(r.weights, table))
                 target = ctx.convert(0) if j != k else ctx.convert(2) / (2 * k + 1)
                 assert abs(float(s - target)) < 1e-30
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(x=st.floats(-1.0, 1.0), kmax=st.integers(0, 400), bits=st.sampled_from([64, 128, 256]))
+@example(x=0.999, kmax=400, bits=256)
+@example(x=4.895306196575964e-110, kmax=77, bits=128)  # odd P_k(x) are O(x)
+def test_bigfloat_range_is_within_an_ulp(x, kmax, bits):
+    # the integer kernel with 64 guard bits below |x|, rounded once: each
+    # value is within 2^-bits relative of a 1024-bit run (the mpf
+    # recurrence it replaced was off by many ulp near the zeros of P_k)
+    got = legendre_eval_range(kmax, x, bigfloat(bits))
+    with mpmath.workprec(1024):
+        xv, want = mpmath.mpf(x), [mpmath.mpf(1), mpmath.mpf(x)]
+        for n in range(1, kmax):
+            want.append(((2 * n + 1) * xv * want[n] - n * want[n - 1]) / (n + 1))
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert abs(g - w) <= abs(w) * mpmath.mpf(2) ** -bits, k
 
 
 def test_f64_vs_bigfloat_agreement():

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leglab.precision import (EXACT_RATIONAL, FLOAT64, PrecisionContext, PrecisionError,
-                              bigfloat, dyadic, neumaier_sum, parse_precision, to_fixed)
+                              bigfloat, dyadic, neumaier_sum, pair_float, parse_precision,
+                              round_bits, to_fixed)
 
 
 def test_modes_and_validation():
@@ -93,3 +94,24 @@ def test_dyadic_rejects_non_finite_mpf():
     for v in (mpmath.inf, -mpmath.inf, mpmath.nan):
         with pytest.raises(ValueError):
             dyadic(v)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(r=st.integers(0, 2 ** 300), low=st.integers(0, 2 ** 80), extra=st.integers(0, 80),
+       tie=st.booleans(), negative=st.booleans(), e=st.integers(-1400, 40),
+       bits=st.sampled_from([53, 64, 128, 256]))
+@example(r=0, low=0, extra=1, tie=True, negative=False, e=-1100, bits=53)  # a float subnormal
+@example(r=0, low=0, extra=1, tie=True, negative=True, e=0, bits=64)  # a tie rounded down
+@example(r=1, low=0, extra=1, tie=True, negative=False, e=0, bits=64)  # a tie rounded up
+def test_round_bits_and_pair_float_round_as_mpmath(r, low, extra, tie, negative, e, bits):
+    # n has bits + extra bits: a leading block of exactly ``bits`` bits, then
+    # either a half-ulp tie or random low bits
+    m = (1 << (bits - 1)) | (r & ((1 << (bits - 1)) - 1))
+    n = (m << extra) | ((1 << (extra - 1)) if tie and extra else low & ((1 << extra) - 1))
+    n = -n if negative else n
+    with mpmath.workprec(bits):
+        want = mpmath.mpf((n, e))
+    got = round_bits(n, e, bits)
+    with mpmath.workprec(2000):
+        assert abs(got[0]).bit_length() <= bits + 1 and mpmath.mpf(got) == want
+        assert pair_float(n, e) == float(mpmath.mpf((n, e)))

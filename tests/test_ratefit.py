@@ -6,7 +6,7 @@ import pytest
 from leglab.coefficients import abs_shift_coeffs, constrained_pversion_coeffs
 from leglab.functions import ConstrainedFamily, StepDerivativeFamily, exact_solution
 from leglab.legendre import legendre_range_array
-from leglab.ratefit import (FitUnreliable, GridTooCoarse, bounded_oscillation_check,
+from leglab.ratefit import (FitUnreliable, GridTooCoarse, _sup_grid, bounded_oscillation_check,
                             constant_growth, fit_lower_bound, fit_rate, gibbs_probe,
                             pinned_constant, weighted_sup_norm)
 from leglab.runner import run_figures
@@ -127,16 +127,17 @@ def test_constant_growth_drops_out_of_domain():
 ])
 def test_constant_growth_drops_probes_on_other_features(point, side, reason):
     fam = StepDerivativeFamily(a=0.9)
-    fit = constant_growth(fam, point, side, [1e-1, 10 ** -1.5, 1e-2], fixed_alpha=1.0, pmax=600)
+    grid = [1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5]
+    fit = constant_growth(fam, point, side, grid, fixed_alpha=1.0, pmax=600)
     assert fit.dropped == [(0.1, reason)]
-    assert fit.xi_values.tolist() == [10 ** -1.5, 1e-2]
+    assert fit.xi_values.tolist() == grid[1:]
 
 
 def test_constant_growth_keeps_a_probe_on_the_cap():
     # (1 - 0.6) / 4 rounds to 0.1 exactly, so a probe at the cap stays
     assert (1.0 - 0.6) / 4 == 0.1
     fam = StepDerivativeFamily(a=0.6)
-    grid = [1e-1, 10 ** -1.5, 1e-2]
+    grid = [1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5]
     fit = constant_growth(fam, 0.6, +1, grid, fixed_alpha=1.0, pmax=600, xi_cap=(1.0 - 0.6) / 4)
     assert fit.dropped == [] and fit.xi_values.tolist() == grid
     fit = constant_growth(fam, 0.6, +1, grid, fixed_alpha=1.0, pmax=600, xi_cap=0.05)
@@ -200,6 +201,33 @@ def test_weighted_sup_norm(step_series, step_family):
     for k in range(1, 41):
         running = running + c[k] * table[k]
         assert small.abs_error[k - 1] == np.max(np.abs(fx - running) * w)
+
+
+def _weighted_sup_table(series, exact, weights, a, pmax, grid):
+    """The table form of weighted_sup_norm: the full (pmax+1) x grid Legendre
+    table, its coefficient-weighted cumulative sum and one max per row."""
+    w = (np.abs(1.0 - grid) ** weights[0] * np.abs(1.0 + grid) ** weights[1]
+         * np.abs(grid - a) ** weights[2])
+    fx = np.array([exact(t) for t in grid])
+    c = series.as_floats()[: pmax + 1]
+    running = np.cumsum(c[:, None] * legendre_range_array(pmax, grid), axis=0)
+    return np.max(np.abs(fx - running[1:]) * w, axis=1)
+
+
+@pytest.mark.parametrize("weights,pmax", [((0.5, 0.5, 1.0), 2200), ((0.5, 0.5, 0.0), 300),
+                                          ((0.0, 0.25, 2.0), 1)])
+def test_weighted_sup_row_loop_has_the_bits_of_the_table_form(step_series, step_family,
+                                                             weights, pmax):
+    sweep = weighted_sup_norm(step_series, step_family.exact, weights, A, pmax)
+    want = _weighted_sup_table(step_series, step_family.exact, weights, A, pmax,
+                               np.array(_sup_grid(A, pmax)))
+    assert sweep.abs_error.tobytes() == want.tobytes()
+    grid = np.array([-0.9, -0.2, 0.49, 0.5, 0.51, 0.8])
+    small = weighted_sup_norm(step_series, step_family.exact, weights, A, pmax, grid)
+    want = _weighted_sup_table(step_series, step_family.exact, weights, A, pmax, grid)
+    assert small.abs_error.tobytes() == want.tobytes()
+    with pytest.raises(IndexError, match="exceeds the series degree 2201"):
+        weighted_sup_norm(step_series, step_family.exact, weights, A, 2202, grid)
 
 
 def test_weighted_sup_without_singular_weight_stalls(step_series, step_family):

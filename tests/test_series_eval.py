@@ -190,7 +190,7 @@ def test_f64_partial_sums_are_neumaier_sums_of_their_terms(a, x, p):
     # constrained bumps
     Px = legendre_eval_range(p + 1, x)
     prefix = step_derivative_coeffs(a, 300)
-    terms = [c * Px[k] for k, c in enumerate(prefix.f64_image()[: p + 1])]
+    terms = [c * Px[k] for k, c in enumerate(prefix.coeffs[: p + 1])]
     assert partial_sum(prefix, p, x) == neumaier_sum(terms)
     Pa = legendre_eval_range(p + 1, a)
     bumps = [0.5 * (Pa[k - 1] - Pa[k + 1]) * (Px[k + 1] - Px[k - 1]) / (2 * k + 1)
@@ -223,7 +223,7 @@ def test_f64_running_sums_equal_the_scalar_neumaier_recurrence(a, x, where, p, r
     Px = legendre_eval_range(p + 1, x)
     Pa = legendre_eval_range(p + 1, a)
     prefix = step_derivative_coeffs(a, max(p, 1))
-    cases = [(prefix, [c * Px[k] for k, c in enumerate(prefix.f64_image()[: p + 1])]),
+    cases = [(prefix, [c * Px[k] for k, c in enumerate(prefix.coeffs[: p + 1])]),
              (constrained_pversion_coeffs(a, max(p, 1)),
               [0.0] + [(Pa[k - 1] - Pa[k + 1]) / 2 * (Px[k + 1] - Px[k - 1]) / (2 * k + 1)
                        for k in range(1, p + 1)])]
@@ -313,8 +313,20 @@ def test_fixed_point_sums_match_the_mpf_running_sum(a, x, where, p, bits, coeff_
         assert abs(S - want_S) <= p * scale * mpmath.mpf(2) ** -bits
 
 
+def test_sweeps_of_a_held_series_build_no_mpf_list():
+    # the float64 image and the fixed-point terms read the held pairs
+    family = PowerAbsFamily(beta=-0.5, a=0.5)
+    series = family.series(2201)
+    error_sweep(series, family.exact, 0.1, 2200, FLOAT64)
+    error_sweep(family.series(300), family.exact, -0.3, 300, bigfloat(192))
+    partial_sum_values(series, 0.9, 1000, FLOAT64)
+    assert series._coeffs is None and series.degree == 2201
+    assert family.series(300)._coeffs is None
+
+
 # sha256 of sweeps made only by Python float, numpy elementwise and
-# pure-Python mpmath arithmetic (no libm, no BLAS), so the same on every
+# pure-Python mpmath arithmetic (no BLAS, and libm only in the one pow of a
+# power family's reference value, fig11a and fig12c), so the same on every
 # machine; a change that moves one states the numerical reason
 PINNED_SWEEPS = {
     "fig02/fig02.x+0.5.sweep.csv":
@@ -329,6 +341,8 @@ PINNED_SWEEPS = {
         "7bcf53a5fba8511cda4171b7d12c4b88b8b0c04fe848fd631fa2a8e3d066d131",
     "fig09b/fig09b.x-0.99.sweep.csv":
         "9e7844cb710d59751b43d77e55c71af0c38e0109aa500e2f58c2d9b8036a779b",
+    "fig11a/fig11a.x-0.999.sweep.csv":  # big:256 |x|^beta coefficients, f64 sums
+        "6f4a2b91becdcce1e0b683e1aaba54ddf6bf24bd65a16e5fdbdd1d5eb5291e66",
     "fig12b/fig12b.x-1.sweep.csv":
         "086b791ceb41a925bbe96fbbb6976dde134239ba182623324cd348d1882b9018",
     "fig12c/fig12c.x-0.1.sweep.csv":
