@@ -48,7 +48,7 @@ import mpmath
 import numpy as np
 
 from .functions import SingularFunctionSpec, exact_solution_derivative
-from .legendre import gauss_rule, legendre_eval, legendre_eval_range
+from .legendre import gauss_rule, legendre_eval, legendre_eval_range, legendre_row
 from .precision import (BIG, EXACT, F64, FLOAT64, PrecisionContext, PrecisionError, bigfloat,
                         dyadic, pair_float, round_bits, to_fixed)
 
@@ -163,12 +163,14 @@ def step_derivative_coeffs(a, P: int, ctx: PrecisionContext = FLOAT64) -> Legend
     _check_center(a, ctx)
     if P < 1:
         raise ValueError("P must be >= 1")
-    with ctx.active():
-        Pk = legendre_eval_range(P + 1, ctx.convert(a), ctx)
-        coeffs = [ctx.zero()]
-        half = ctx.convert(1) / 2
-        for k in range(1, P + 1):
-            coeffs.append(half * (Pk[k - 1] - Pk[k + 1]))
+    if ctx.mode == F64:
+        row = legendre_row(P + 1, a)
+        coeffs = [0.0] + (0.5 * (row[:-2] - row[2:])).tolist()
+    else:
+        with ctx.active():
+            Pk = legendre_eval_range(P + 1, ctx.convert(a), ctx)
+            half = ctx.convert(1) / 2
+            coeffs = [ctx.zero()] + [half * (Pk[k - 1] - Pk[k + 1]) for k in range(1, P + 1)]
     return LegendreSeries(coeffs, Generator.STEP_DERIVATIVE, ctx, {"a": float(a)})
 
 

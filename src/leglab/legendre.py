@@ -3,22 +3,27 @@
 Everything is built on the three-term recurrence
 ``(n+1) P_{n+1}(x) = (2n+1) x P_n(x) - n P_{n-1}(x)``,
 which is numerically stable on [-1, 1].  It is written in four kernels:
-``legendre_eval_range`` (one point, float64, big-float or exact rational),
+the float64 step loop ``_f64_extend`` (one point, read by
+``legendre_eval_range`` and the row memo ``legendre_row``),
 ``legendre_fixed_range`` (one point in fixed point on Python integers, read
-by the big-float sums and the big-float ``legendre_eval_range``), and two
+by the big-float sums, ``legendre_eval_range`` and ``legendre_eval``), and two
 many-point float64 kernels, ``legendre_range_array`` (the table of rows
 P_0..P_kmax) and ``legendre_sums_array`` (one partial sum
 S_{orders[j]}(x[j]) per point, a running sum over rows with O(points)
 memory).  The two array kernels share one step, ``_array_step``, written
-with out= buffers and no temporaries.  The float64 branch of
-``legendre_eval_range`` reads n and n+1 as exact floats from a table that
-grows on demand, so no step converts an int; it keeps the operation order
-of the int-coefficient step and its bits, as the array step does.
+with out= buffers and no temporaries.  The float64 step loop reads n and
+n+1 as exact floats from a table that grows on demand, so no step converts
+an int; it keeps the operation order of the int-coefficient step and its
+bits, as the array step does.  ``legendre_row`` holds one read-only row per
+point, keyed by ``x.hex()`` (-0.0 and 0.0 apart), grows it from its last two
+values, so a grown row has the bits of one pass, and evicts the least
+recently used rows beyond ``_ROW_BUDGET`` held floats.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -30,24 +35,64 @@ from .precision import BIG, F64, FLOAT64, Number, PrecisionContext, dyadic, to_f
 
 def _check_domain(x, ctx: PrecisionContext) -> Number:
     xv = ctx.convert(x)
-    if xv > 1 or xv < -1:
+    if not -1 <= xv <= 1:  # NaN too
         raise ValueError(f"x = {x} outside [-1, 1]")
     return xv
 
 
+def _guard_bits(xv, ctx: PrecisionContext) -> int:
+    """Big-float fixed-point scale: 64 guard bits below |x| (an odd P_k(x) is O(x))."""
+    return ctx.bits + 64 + max(0, -math.frexp(float(xv))[1])
+
+
 def legendre_eval(k: int, x, ctx: PrecisionContext = FLOAT64) -> Number:
     """Evaluate P_k(x) by the three-term recurrence in the context's arithmetic."""
-    return legendre_eval_range(k, x, ctx)[k]
+    if ctx.mode != BIG:
+        return legendre_eval_range(k, x, ctx)[k]
+    xv = _check_domain(x, ctx)
+    S = _guard_bits(xv, ctx)
+    with ctx.active():
+        return mpmath.mpf((legendre_fixed_range(k, xv, S)[k], -S))
 
 
-# float(k) for k = 0, 1, ...: the exact float coefficients of the f64 step
-_FLOATS: list = [0.0, 1.0]
+_FLOATS: list = [0.0, 1.0]  # float(k) for k = 0, 1, ...: the exact coefficients of the f64 step
 
 
-def _floats(kmax: int) -> list:
-    """_FLOATS, grown to hold float(k) for k = 0..kmax."""
+def _f64_extend(out: list, x: float, n: int, kmax: int) -> list:
+    """Extend out = [.., P_{n-1}(x), P_n(x)] in place to P_kmax(x) by the f64 step
+    with b, c = n, n+1 read as floats from _FLOATS: b + c = 2n+1 exactly."""
     _FLOATS.extend(map(float, range(len(_FLOATS), kmax + 1)))
-    return _FLOATS
+    pm1, pn = out[-2:]
+    for b, c in zip(islice(_FLOATS, n, kmax), islice(_FLOATS, n + 1, None)):
+        pm1, pn = pn, ((b + c) * x * pn - b * pm1) / c
+        out.append(pn)
+    return out
+
+
+_ROW_BUDGET = 1 << 17  # floats held by legendre_row over all points, about 1 MiB
+_ROWS: OrderedDict = OrderedDict()  # x.hex() -> read-only row, least recently used first
+_held = 0
+
+
+def legendre_row(kmax: int, x) -> np.ndarray:
+    """[P_0(x), ..., P_kmax(x)] in float64, a read-only view of the held row of x."""
+    global _held
+    if kmax < 0:
+        raise ValueError("degree must be nonnegative")
+    xv = _check_domain(x, FLOAT64)
+    row = _ROWS.pop(xv.hex(), None)
+    if row is None:
+        row = np.array(_f64_extend([1.0, xv], xv, 1, kmax))
+    else:
+        _held -= len(row)
+        if len(row) <= kmax:
+            row = np.concatenate((row, _f64_extend(row[-2:].tolist(), xv, len(row) - 1, kmax)[2:]))
+    row.flags.writeable = False
+    _ROWS[xv.hex()] = row
+    _held += len(row)
+    while _held > _ROW_BUDGET:
+        _held -= len(_ROWS.popitem(last=False)[1])
+    return row[: kmax + 1]
 
 
 def legendre_eval_range(kmax: int, x, ctx: PrecisionContext = FLOAT64) -> list:
@@ -56,21 +101,13 @@ def legendre_eval_range(kmax: int, x, ctx: PrecisionContext = FLOAT64) -> list:
         raise ValueError("degree must be nonnegative")
     xv = _check_domain(x, ctx)
     if ctx.mode == F64:
-        # the step below with b, c = n, n+1 read as floats: b + c = 2n+1 exactly
-        pm1, pn = 1.0, xv
-        out = [pm1, pn][: kmax + 1]
-        f = _floats(kmax)
-        for b, c in zip(islice(f, 1, kmax), islice(f, 2, None)):
-            pm1, pn = pn, ((b + c) * xv * pn - b * pm1) / c
-            out.append(pn)
-        return out
+        return _f64_extend([1.0, xv], xv, 1, kmax)[: kmax + 1]
     if ctx.mode == BIG:
-        # 64 guard bits below |x| (an odd P_k(x) is O(x)); each value rounded once, in place
-        S = ctx.bits + 64 + max(0, -math.frexp(float(xv))[1])
+        S = _guard_bits(xv, ctx)
         out = legendre_fixed_range(kmax, xv, S)
         with ctx.active():
             for k, v in enumerate(out):
-                out[k] = mpmath.mpf((v, -S))
+                out[k] = mpmath.mpf((v, -S))  # each value rounded once, in place
         return out
     # exact rationals
     pm1, pn = ctx.one(), xv

@@ -2,11 +2,12 @@
 
 Every partial sum is one pass over the order terms t_0..t_pmax, whose
 running sums are S_0..S_pmax, so a full sweep costs O(pmax) per evaluation
-point.  In float64 and exact mode ``_terms`` reads the Legendre kernel
-``legendre.legendre_eval_range`` and forms the terms in the context's
-number type; float64 accumulation uses Neumaier compensation, which keeps
-the telescoping error identities true to a few ulps across the whole
-2200-order range.  Float64 terms and sums are array passes: the terms are
+point.  ``_terms`` forms the terms in the context's number type from
+``legendre.legendre_row`` in float64, a row held per point that every sweep
+and order escalation there reads again, and from
+``legendre.legendre_eval_range`` in exact mode; float64 accumulation uses
+Neumaier compensation, which keeps the telescoping error identities true
+to a few ulps across the whole 2200-order range.  Float64 terms and sums are array passes: the terms are
 one ndarray and the compensated running sums two ``add.accumulate`` scans
 (``_neumaier_running_sums``), with the bits of the scalar loop of
 ``precision.neumaier_sum``.  In big-float mode ``_fixed_terms`` reads
@@ -34,7 +35,8 @@ import mpmath
 import numpy as np
 
 from .coefficients import Generator, LegendreSeries, derivative_coeffs
-from .legendre import gauss_rule, legendre_eval_range, legendre_fixed_range, legendre_sums_array
+from .legendre import (gauss_rule, legendre_eval_range, legendre_fixed_range, legendre_row,
+                       legendre_sums_array)
 from .precision import BIG, F64, FLOAT64, PrecisionContext, dyadic, round_bits, to_fixed
 
 
@@ -99,21 +101,19 @@ def _terms(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext):
     image; exact terms are an iterator of Fractions."""
     _check_order(series, pmax)
     if series.generator is Generator.CONSTRAINED_PVERSION:
-        Pa = legendre_eval_range(pmax + 1, series.params["a"], ctx)
-        Px = legendre_eval_range(pmax + 1, x, ctx)
         if ctx.mode == F64:
-            # dtype given: numpy then skips its type discovery over the list
-            Pa, Px = np.array(Pa, dtype=float), np.array(Px, dtype=float)
+            Pa, Px = legendre_row(pmax + 1, series.params["a"]), legendre_row(pmax + 1, x)
             m = np.arange(3.0, 2 * pmax + 2, 2.0)
             return np.concatenate(([0.0], (Pa[:-2] - Pa[2:]) / 2 * (Px[2:] - Px[:-2]) / m))
+        Pa = legendre_eval_range(pmax + 1, series.params["a"], ctx)
+        Px = legendre_eval_range(pmax + 1, x, ctx)
         # a0, a2, x0, x2 = P_{k-1}(a), P_{k+1}(a), P_{k-1}(x), P_{k+1}(x); m = 2k + 1
         bumps = ((a0 - a2) / 2 * (x2 - x0) / m
                  for a0, a2, x0, x2, m in zip(Pa, Pa[2:], Px, Px[2:], range(3, 2 * pmax + 2, 2)))
         return chain([ctx.zero()], bumps)
-    P = legendre_eval_range(pmax, x, ctx)
     if ctx.mode == F64:
-        return series.as_floats()[: pmax + 1] * np.array(P, dtype=float)
-    return map(mul, map(ctx.convert, series.coeffs), P)
+        return series.as_floats()[: pmax + 1] * legendre_row(pmax, x)
+    return map(mul, map(ctx.convert, series.coeffs), legendre_eval_range(pmax, x, ctx))
 
 
 def _fixed_terms(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, S: int):

@@ -16,7 +16,7 @@ from leglab.coefficients import (Generator, _mu_recurrence, abs_shift_coeffs, ap
                                  quadrature_oracle_coeffs, singular_term_coeffs, spec_coeffs,
                                  step_derivative_coeffs, step_oracle_coeff)
 from leglab.functions import PowerShiftFamily, SingularFunctionSpec
-from leglab.legendre import legendre_eval, legendre_fixed_range
+from leglab.legendre import legendre_eval, legendre_eval_range, legendre_fixed_range
 from leglab.precision import EXACT_RATIONAL, FLOAT64, PrecisionError, bigfloat, dyadic, to_fixed
 from leglab.runner import ExperimentConfig, run_experiment
 from leglab.series_eval import _fixed_terms
@@ -44,6 +44,23 @@ def test_step_against_quadrature_oracle():
     for k in (1, 2, 7, 25, 50):
         oracle = float(step_oracle_coeff(0.5, k))
         assert s.coeffs[k] == pytest.approx(oracle, rel=1e-12, abs=1e-14)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(a=st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 5e-324]),
+                   st.floats(-0.999999, 0.999999)),
+       P=st.one_of(st.sampled_from([1, 2, 2201]), st.integers(1, 3000)))
+def test_step_f64_coefficients_keep_the_bits_of_the_scalar_loop(a, P):
+    # the f64 generator reads the held Legendre row as one array expression;
+    # its list holds Python floats with the bits of 0.5 * (P_{k-1}(a) - P_{k+1}(a))
+    Pk = legendre_eval_range(P + 1, a)
+    want = [0.0] + [0.5 * (Pk[k - 1] - Pk[k + 1]) for k in range(1, P + 1)]
+    for _ in range(2):  # a cold row, then the held one
+        got = step_derivative_coeffs(a, P).coeffs
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    # the absshift generator reaches the row through it
+    assert abs_shift_coeffs(a, P).coeffs[0] == -want[1] / 3
 
 
 def test_abs_shift_examples():

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
-from leglab.conjecture import (ConjectureVerdict, ToleranceProfile, clause1_interior,
-                               clause2_boundary_growth, clause3_singular_growth,
+from leglab import legendre
+from leglab.conjecture import (ConjectureVerdict, ToleranceProfile, _run_parameter_point,
+                               clause1_interior, clause2_boundary_growth, clause3_singular_growth,
                                clause4_endpoints, clause5_singular_point,
                                conjecture_family, conjecture_suite, measured_rate,
                                powershift_suite, summarize)
@@ -187,3 +190,20 @@ def test_cli_conjecture_checks_powershift_betas_before_the_grid(tmp_path, monkey
         main(["conjecture", "--out", str(tmp_path), "--powershift-betas", beta])
     assert exc.value.code == 2
     assert calls == []
+
+
+def test_default_grid_verdicts_do_not_depend_on_the_point_order():
+    # the grid points share their sweep points; run forward and in reverse,
+    # each from an empty Legendre row memo, every point gives the same verdicts
+    from leglab.runner import ExperimentConfig, resolve
+
+    _, opts = resolve(ExperimentConfig(id="c", kind="conjecture"))
+    points = [(beta, a, (1, 2, 3, 4, 5), ToleranceProfile(), 2200)
+              for beta in opts["beta_grid"] for a in opts["a_grid"]]
+    runs = []
+    for order in (points, points[::-1]):
+        legendre._ROWS.clear()
+        legendre._held = 0
+        runs.append({pt[:2]: json.dumps([v.to_dict() for v in _run_parameter_point(pt)],
+                                        sort_keys=True) for pt in order})
+    assert len(runs[0]) == 14 and runs[0] == runs[1]

@@ -254,3 +254,107 @@ def test_sums_array_rejects_bad_orders():
         legendre_sums_array(c, [-1], [0.1])
     with pytest.raises(ValueError):
         legendre_sums_array(c, [1, 2], [0.1])
+
+
+def _clear_rows():
+    legendre._ROWS.clear()
+    legendre._held = 0
+
+
+def _bytes(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(x=st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -2.5e-310]),
+                   st.floats(-1.0, 1.0)))
+@example(x=0.5)
+@example(x=-0.0)
+def test_row_grown_along_the_escalation_path_has_the_bits_of_one_pass(x):
+    # the held row starts at P_0..P_1 and grows 2200 -> 4400 -> 8800 -> 10000,
+    # as a pmax escalation asks; every view, and a shorter read after, is the
+    # fresh recurrence pass bit for bit (so the sign of a zero counts too)
+    _clear_rows()
+    for kmax in (0, 2200, 4400, 8800, 10000, 2200):
+        row = legendre.legendre_row(kmax, x)
+        assert row.dtype == np.float64 and len(row) == kmax + 1
+        assert row.tobytes() == _bytes(legendre_eval_range(kmax, x))
+    assert legendre._held == 10001
+
+
+def test_row_keeps_signed_zeros_apart():
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        _clear_rows()
+        a, b = legendre.legendre_row(5, first), legendre.legendre_row(5, second)
+        assert a.tobytes() == _bytes(legendre_eval_range(5, first))
+        assert b.tobytes() == _bytes(legendre_eval_range(5, second))
+        assert a.tobytes() != b.tobytes() and math.copysign(1.0, b[1]) == math.copysign(1.0, second)
+        assert len(legendre._ROWS) == 2
+
+
+def test_rows_are_read_only_and_outlive_growth():
+    _clear_rows()
+    short = legendre.legendre_row(10, 0.3)
+    kept = short.copy()
+    with pytest.raises(ValueError):
+        short[0] = 2.0
+    longer = legendre.legendre_row(50, 0.3)
+    with pytest.raises(ValueError):
+        longer[-1] = 2.0
+    # growth builds a new row; the earlier view still reads its own values
+    assert short.tobytes() == kept.tobytes() == longer[:11].tobytes()
+    with pytest.raises(ValueError):
+        legendre.legendre_row(-1, 0.3)
+    with pytest.raises(ValueError):
+        legendre.legendre_row(3, 1.5)
+
+
+def test_row_budget_holds_and_evicts_least_recently_used(monkeypatch):
+    assert legendre._ROW_BUDGET == 2 ** 17
+    monkeypatch.setattr(legendre, "_ROW_BUDGET", 100)
+    _clear_rows()
+
+    def held():
+        assert legendre._held == sum(map(len, legendre._ROWS.values())) <= 100
+        return [float.fromhex(k) for k in legendre._ROWS]
+
+    for x in (0.1, 0.2, 0.3):
+        legendre.legendre_row(29, x)
+    assert held() == [0.1, 0.2, 0.3]
+    legendre.legendre_row(10, 0.1)  # a hit makes 0.1 the most recently used
+    assert held() == [0.2, 0.3, 0.1]
+    legendre.legendre_row(29, 0.4)  # 120 floats: 0.2 goes
+    assert held() == [0.3, 0.1, 0.4]
+    legendre.legendre_row(59, 0.3)  # 0.3 grows to 60 floats: 0.1 goes
+    assert held() == [0.4, 0.3]
+    # a row longer than the budget is returned but not held
+    row = legendre.legendre_row(149, 0.5)
+    assert row.tobytes() == _bytes(legendre_eval_range(149, 0.5))
+    assert held() == []
+    _clear_rows()
+
+
+def test_nan_is_rejected_in_every_context():
+    nan = float("nan")
+    for call in (lambda: legendre_eval_range(3, nan), lambda: legendre_eval(3, nan),
+                 lambda: legendre.legendre_row(3, nan),
+                 lambda: legendre_eval_range(3, mpmath.mpf("nan"), bigfloat(128)),
+                 lambda: legendre_eval(3, mpmath.mpf("nan"), bigfloat(128)),
+                 lambda: legendre_eval_range(3, nan, bigfloat(128))):
+        with pytest.raises(ValueError, match="outside"):
+            call()
+    assert all(k != nan.hex() for k in legendre._ROWS)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(k=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 300)),
+       x=st.one_of(_EDGE_X, st.sampled_from([1e-30, 4.895306196575964e-110]),
+                   st.floats(-1.0, 1.0)),
+       bits=st.sampled_from([64, 128, 192, 256]))
+@example(k=0, x=0.3, bits=128)
+def test_bigfloat_eval_rounds_only_p_k_with_the_bits_of_the_range(k, x, bits):
+    ctx = bigfloat(bits)
+    for xv in (x, ctx.convert(x) / 3):
+        got = legendre_eval(k, xv, ctx)
+        want = legendre_eval_range(k, xv, ctx)[k]
+        assert isinstance(got, mpmath.mpf) and got._mpf_ == want._mpf_

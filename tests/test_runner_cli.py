@@ -246,6 +246,22 @@ def test_run_figures_parallel_jobs(tmp_path):
     assert all(m["tool_version"] for m in manifests)
 
 
+def test_figures_do_not_depend_on_the_config_order(tmp_path):
+    # configs sharing a = 0.5 and their sweep points, run in order and in
+    # reverse, each from an empty Legendre row memo, write the same bytes
+    from leglab import legendre
+
+    names = ["fig01a", "fig02", "fig06c", "fig09b", "fig09c", "figB4a"]
+    for sub, order in (("fwd", names), ("rev", names[::-1])):
+        legendre._ROWS.clear()
+        legendre._held = 0
+        for name in order:
+            config = ExperimentConfig.load(os.path.join(figure_config_dir(), name + ".json"))
+            run_experiment(config, str(tmp_path / sub / name))
+    fwd, rev = _hash_tree(tmp_path / "fwd"), _hash_tree(tmp_path / "rev")
+    assert len(fwd) >= 6 and fwd == rev
+
+
 def test_cli_sweep_and_exit_codes(tmp_path, capsys):
     rc = main(["sweep", "--family", "step", "--a", "0.5", "--x", "-1.0",
                "--pmax", "600", "--out", str(tmp_path / "o1"), "--id", "cli1"])

@@ -31,6 +31,18 @@ def test_partial_sum_trivial():
     assert partial_sum(constrained_pversion_coeffs(A, 5), 0, 0.3) == 0.0
 
 
+def test_nan_point_is_rejected():
+    # NaN compares false with both ends of [-1, 1]; it must not pass as a point
+    for series in (step_derivative_coeffs(A, 10), constrained_pversion_coeffs(A, 10)):
+        for ctx in (FLOAT64, bigfloat(128)):
+            with pytest.raises(ValueError):
+                partial_sum(series, 5, float("nan"), ctx)
+            with pytest.raises(ValueError):
+                error_sweep(series, 0.0, float("nan"), 5, ctx)
+        with pytest.raises(ValueError):
+            partial_sum_values(series, float("nan"), 5)
+
+
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(a=st.floats(-0.95, 0.95), p=st.integers(1, 1103), big=st.booleans())
 @example(a=A, p=1, big=False)
