@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .legendre import legendre_eval_range, legendre_row
-from .precision import F64, FLOAT64, PrecisionContext
+from .legendre import legendre_eval_range
+from .precision import FLOAT64, PrecisionContext
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def endpoint_identity_bound(a: float, p: int, ctx: Optional[PrecisionContext] = 
     """Endpoint error level (|P_p(a)| + |P_{p+1}(a)|)/2 and its closed envelope
     (1-a^2)^(-1/4) sqrt(2/(pi p))."""
     ctx = ctx or FLOAT64
-    Pk = legendre_row(p + 1, a) if ctx.mode == F64 else legendre_eval_range(p + 1, ctx.convert(a), ctx)
+    Pk = legendre_eval_range(p + 1, ctx.convert(a), ctx)
     exact_level = (abs(Pk[p]) + abs(Pk[p + 1])) / 2
     closed = (1.0 - a * a) ** -0.25 * math.sqrt(2.0 / (math.pi * p))
     return float(exact_level), closed
