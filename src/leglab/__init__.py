@@ -10,12 +10,10 @@ from .functions import (AbsShiftFamily, ConstrainedFamily, PowerAbsFamily,
                         StepDerivativeFamily, exact_solution, exact_solution_derivative)
 from .coefficients import (Generator, LegendreSeries, abs_shift_coeffs,
                            constrained_pversion_coeffs, derivative_coeffs,
-                           power_abs_coeffs, power_shift_coeffs,
-                           power_shift_coeffs_appendixA,
-                           quadrature_oracle_coeffs, singular_term_coeffs, spec_coeffs,
-                           step_derivative_coeffs)
+                           power_abs_coeffs, power_shift_coeffs, singular_term_coeffs,
+                           spec_coeffs, step_derivative_coeffs)
 from .series_eval import (ErrorSweep, NormSweep, error_sweep, norm_sweep, parseval_tail,
-                          partial_sum, partial_sum_values, squared_error_quadrature)
+                          partial_sum, partial_sum_values)
 from .ratefit import (ConstantGrowthFit, FitUnreliable, GibbsReport, RateFit,
                       bounded_oscillation_check, constant_growth, fit_lower_bound,
                       fit_rate, gibbs_probe, pinned_constant, weighted_sup_norm)

@@ -33,8 +33,8 @@ Closed forms:
 
 The integer routes return exact pairs (M, E), each rounded once to the
 output context as mpmath rounds; a series builds mpf objects only when
-``coeffs`` is read.  A singularity-splitting quadrature oracle
-cross-checks every generator.
+``coeffs`` is read.  The singularity-splitting quadrature oracle in
+tests/oracles.py cross-checks every generator.
 """
 
 from __future__ import annotations
@@ -42,13 +42,13 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import mpmath
 import numpy as np
 
-from .functions import SingularFunctionSpec, exact_solution_derivative
-from .legendre import gauss_rule, legendre_eval, legendre_eval_range, legendre_row
+from .functions import SingularFunctionSpec
+from .legendre import legendre_eval_range, legendre_row
 from .precision import (BIG, EXACT, F64, FLOAT64, PrecisionContext, PrecisionError, bigfloat,
                         dyadic, pair_float, round_bits, to_fixed)
 
@@ -59,7 +59,6 @@ class Generator(str, Enum):
     CONSTRAINED_PVERSION = "ConstrainedPVersion"
     POWER_ABS = "PowerAbs"
     POWER_SHIFT_APPENDIX_A = "PowerShiftAppendixA"
-    QUADRATURE_ORACLE = "QuadratureOracle"
     # additive members: provenance for the moment-recurrence route and
     # assembled multi-term specs
     SINGULAR_MOMENT = "SingularMoment"
@@ -369,16 +368,6 @@ def appendixA_moment(k: int, beta, prec_bits: int):
         return term1 + term2
 
 
-def binomial_moment_oracle(k: int, beta, prec_bits: int = 256):
-    """Independent closed form: substitute t = x + 1 and expand (t-1)^k binomially."""
-    with mpmath.workprec(prec_bits):
-        b = mpmath.mpf(beta)
-        total = mpmath.mpf(0)
-        for j in range(k + 1):
-            total += math.comb(k, j) * (-1) ** (k - j) * mpmath.mpf(2) ** (b + j + 1) / (b + j + 1)
-        return total
-
-
 def _appendixA_moments(P: int, beta, prec_bits: int, sample_stride: int = 256):
     """All moments I_0..I_P at the given precision.
 
@@ -544,48 +533,6 @@ def spec_coeffs(spec: SingularFunctionSpec, P: int, ctx: Optional[PrecisionConte
             for k, ck in enumerate(polynomial_legendre_coeffs(spec.analytic_part, P, ctx)):
                 total[k] += ck
     return LegendreSeries(total, Generator.CUSTOM_SPEC, ctx, {"spec": spec.describe()})
-
-
-def quadrature_oracle_coeffs(f: Callable[[float], float], P: int,
-                             singular_points: Sequence[float] = (),
-                             prec_bits: int = 128) -> LegendreSeries:
-    """Independent oracle: c_k = (k + 1/2) int f P_k by tanh-sinh quadrature.
-
-    The integration interval is split at every singular point, which keeps
-    algebraic endpoint singularities harmless for tanh-sinh.  Intended for
-    modest k (cross-checks), not production generation.
-    """
-    pts = sorted({-1.0, 1.0} | {float(s) for s in singular_points if -1 < float(s) < 1})
-    with mpmath.workprec(prec_bits):
-        coeffs = []
-        for k in range(P + 1):
-            def integrand(t, k=k):
-                # f must accept mpf input so the node-to-singularity distance
-                # keeps full precision under tanh-sinh clustering
-                return mpmath.mpf(f(t)) * legendre_eval(k, t, bigfloat(mpmath.mp.prec))
-
-            total = mpmath.mpf(0)
-            for lo, hi in zip(pts[:-1], pts[1:]):
-                total += mpmath.quad(integrand, [lo, hi])
-            coeffs.append(float(total * (2 * k + 1) / 2))
-    return LegendreSeries(coeffs, Generator.QUADRATURE_ORACLE, FLOAT64, {"points": len(pts)})
-
-
-def step_oracle_coeff(a: float, k: int, ctx: PrecisionContext = FLOAT64):
-    """(k + 1/2) times two-piece Gauss integration of the step against P_k."""
-    rule = gauss_rule(k // 2 + 2, ctx)
-    below = exact_solution_derivative(a - 1.0, a)
-    above = exact_solution_derivative(a + 1.0, a)
-
-    def f_lo(t):
-        return below * legendre_eval(k, t, ctx)
-
-    def f_hi(t):
-        return above * legendre_eval(k, t, ctx)
-
-    with ctx.active():
-        val = rule.integrate(f_lo, -1, a) + rule.integrate(f_hi, a, 1)
-        return (ctx.convert(2 * k + 1) / 2) * val
 
 
 def derivative_coeffs(series: LegendreSeries) -> LegendreSeries:

@@ -6,7 +6,7 @@ which is numerically stable on [-1, 1].  It is written in four kernels:
 the float64 step loop ``_f64_extend`` (one point, read by
 ``legendre_eval_range`` and the row memo ``legendre_row``),
 ``legendre_fixed_range`` (one point in fixed point on Python integers, read
-by the big-float sums, ``legendre_eval_range`` and ``legendre_eval``), and two
+by the big-float sums and ``legendre_eval_range``), and two
 many-point float64 kernels, ``legendre_range_array`` (the table of rows
 P_0..P_kmax) and ``legendre_sums_array`` (one partial sum
 S_{orders[j]}(x[j]) per point, a running sum over rows with O(points)
@@ -40,19 +40,9 @@ def _check_domain(x, ctx: PrecisionContext) -> Number:
     return xv
 
 
-def _guard_bits(xv, ctx: PrecisionContext) -> int:
-    """Big-float fixed-point scale: 64 guard bits below |x| (an odd P_k(x) is O(x))."""
-    return ctx.bits + 64 + max(0, -math.frexp(float(xv))[1])
-
-
 def legendre_eval(k: int, x, ctx: PrecisionContext = FLOAT64) -> Number:
     """Evaluate P_k(x) by the three-term recurrence in the context's arithmetic."""
-    if ctx.mode != BIG:
-        return legendre_eval_range(k, x, ctx)[k]
-    xv = _check_domain(x, ctx)
-    S = _guard_bits(xv, ctx)
-    with ctx.active():
-        return mpmath.mpf((legendre_fixed_range(k, xv, S)[k], -S))
+    return legendre_eval_range(k, x, ctx)[k]
 
 
 _FLOATS: list = [0.0, 1.0]  # float(k) for k = 0, 1, ...: the exact coefficients of the f64 step
@@ -103,7 +93,8 @@ def legendre_eval_range(kmax: int, x, ctx: PrecisionContext = FLOAT64) -> list:
     if ctx.mode == F64:
         return _f64_extend([1.0, xv], xv, 1, kmax)[: kmax + 1]
     if ctx.mode == BIG:
-        S = _guard_bits(xv, ctx)
+        # fixed-point scale: 64 guard bits below |x| (an odd P_k(x) is O(x))
+        S = ctx.bits + 64 + max(0, -math.frexp(float(xv))[1])
         out = legendre_fixed_range(kmax, xv, S)
         with ctx.active():
             for k, v in enumerate(out):

@@ -49,6 +49,8 @@ class Mesh1D:
     @classmethod
     def uniform(cls, n: int, degree: int) -> "Mesh1D":
         """n elements of width h = 2/n: nodes i*h - 1."""
+        if n < 1:
+            raise ValueError("a uniform mesh needs at least one element")
         h = 2.0 / n
         nodes = [i * h - 1.0 for i in range(n + 1)]
         nodes[-1] = 1.0
@@ -86,13 +88,6 @@ def internal_modes(p: int, xi, ctx: PrecisionContext = FLOAT64) -> list:
     norms = _mode_norms(p, ctx)
     with ctx.active():
         return [(pk - pk2) / nk for pk, pk2, nk in zip(Pk[2:], Pk, norms)]
-
-
-def internal_mode(k: int, xi: float, ctx: PrecisionContext = FLOAT64):
-    """Integrated-Legendre shape N_k, k >= 2; vanishes at xi = -1, 1."""
-    if k < 2:
-        raise ValueError("internal modes start at k = 2")
-    return internal_modes(k, xi, ctx)[-1]
 
 
 @dataclass
@@ -224,45 +219,3 @@ def element_error_series(sol: FemSolution, x: float, pmax: int) -> ErrorSweep:
             errs[i] = abs(float(exact - total))
     return ErrorSweep(float(x), np.arange(1, pmax + 1), errs,
                       f"fem element degree sweep a={a:g}", f"pfem1d(a={a:g})")
-
-
-def energy_norm_error(sol: FemSolution, order: int = 60) -> float:
-    """||u - u_p||_E by exact piecewise Gauss quadrature of the derivative error."""
-    from .legendre import gauss_rule
-
-    mesh, a = sol.mesh, sol.a
-    rule = gauss_rule(order, FLOAT64)
-    total = 0.0
-    for e in range(mesh.n_elements):
-        lo, hi = mesh.nodes[e], mesh.nodes[e + 1]
-        pieces = [(lo, a), (a, hi)] if lo < a < hi else [(lo, hi)]
-        for plo, phi in pieces:
-            if phi <= plo:
-                continue
-
-            def dsq(t, e=e):
-                du = _derivative(sol, e, float(t))
-                c = (a - 1.0) / 2.0
-                due = c if t < a else 1.0 + c
-                return (due - du) ** 2
-
-            total += float(rule.integrate(dsq, plo, phi))
-    return total ** 0.5
-
-
-def _derivative(sol: FemSolution, e: int, x: float) -> float:
-    mesh = sol.mesh
-    lo, hi = mesh.nodes[e], mesh.nodes[e + 1]
-    he = hi - lo
-    xi = (2.0 * x - (lo + hi)) / he
-    val = (float(sol.nodal[e + 1]) - float(sol.nodal[e])) / he
-    coeffs = sol.internal[e]
-    if coeffs:
-        Pk = legendre_eval_range(len(coeffs) + 1, xi, FLOAT64)
-        import math
-
-        for i, ck in enumerate(coeffs):
-            k = i + 2
-            # d/dx N_k = (2/h) sqrt((2k-1)/2) P_{k-1}
-            val += float(ck) * (2.0 / he) * math.sqrt((2 * k - 1) / 2.0) * Pk[k - 1]
-    return val

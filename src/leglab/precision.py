@@ -176,17 +176,3 @@ def pair_float(n: int, e: int) -> float:
     if e <= 0 and abs(n).bit_length() + e >= -1021:
         return n / (1 << -e)  # a normal float: the rounded quotient has those bits
     return math.ldexp(*round_bits(n, e, 53))
-
-
-def neumaier_sum(values) -> float:
-    """Compensated float sum (Neumaier variant); exactness helper for tests."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp

@@ -227,6 +227,9 @@ def _gibbs(config, opts, family, writer):
 
 
 def _growth(config, opts, family, writer):
+    # the probes are x = point + side * xi, recorded as xi
+    if opts["side"] not in (-1, 1):
+        raise ValueError(f"growth side must be -1 or 1, not {opts['side']!r}")
     fit = constant_growth(family, float(opts["point"]), int(opts["side"]), opts["xi"],
                           float(opts["fixed_alpha"]), pmax=config.pmax, ctx=config.eval_ctx(),
                           pmax_ceiling=opts["ceiling"])
@@ -302,13 +305,15 @@ REQUIRED = object()  # marks an option without a default
 @dataclass(frozen=True)
 class Kind:
     """One experiment kind: its handler, the ExperimentConfig fields it reads
-    besides id, kind and options, the keys of config.expect it reads, and its
-    option defaults; every kind also takes the free-text option "note"."""
+    besides id, kind and options, the keys of config.expect it reads, its
+    option defaults and the least pmax it runs; every kind also takes the
+    free-text option "note"."""
 
     handler: Callable
     reads: tuple
     expect: tuple = ()
     options: dict = field(default_factory=dict)
+    min_pmax: int = 1
 
 
 FAMILY_FIELDS = ("family", "params", "pmax")
@@ -326,7 +331,8 @@ KINDS = {
     "growth": Kind(_growth, (*FAMILY_FIELDS, "precision"), expect=("exponent",),
                    options={"point": REQUIRED, "side": 1, "xi": (1e-1, 1e-2, 1e-3, 1e-4),
                             "fixed_alpha": REQUIRED, "ceiling": 10000}),
-    "bounds": Kind(_bounds, (*FAMILY_FIELDS, "precision", "coeff_precision", "x")),
+    # the Theorem 1 series starts at p = 2
+    "bounds": Kind(_bounds, (*FAMILY_FIELDS, "precision", "coeff_precision", "x"), min_pmax=2),
     "fem": Kind(_fem, (*FAMILY_FIELDS, "precision", "x", "window"), expect=("alpha", "C"),
                 options={"n": 1, "degree": 10}),
     # the suite builds its own families and evaluates in float64
@@ -341,9 +347,9 @@ def resolve(config: ExperimentConfig):
     """The kind's handler and its options, the config's over the defaults.
 
     Raises ValueError naming an unknown kind, a config field the kind does
-    not read that is set off its default, an unknown expect key, option or
-    tolerance, and every missing required option; config.options itself is
-    left as given.
+    not read that is set off its default, a pmax below the kind's least, an
+    unknown expect key, option or tolerance, and every missing required
+    option; config.options itself is left as given.
     """
     if config.kind not in KINDS:
         raise ValueError(f"unknown experiment kind {config.kind!r}; choose from {sorted(KINDS)}")
@@ -354,6 +360,8 @@ def resolve(config: ExperimentConfig):
                     if name not in reads and getattr(config, name) != getattr(blank, name))
     if unread:
         raise ValueError(f"{config.kind} does not read the config fields {unread}")
+    if config.pmax < kind.min_pmax:
+        raise ValueError(f"{config.kind} needs pmax >= {kind.min_pmax}, not {config.pmax}")
     check_keys(f"{config.kind} expect", config.expect, kind.expect)
     check_keys(f"{config.kind} options", config.options, [*kind.options, "note"],
                [k for k, v in kind.options.items() if v is REQUIRED])

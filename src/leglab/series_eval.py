@@ -10,7 +10,7 @@ Neumaier compensation, which keeps the telescoping error identities true
 to a few ulps across the whole 2200-order range.  Float64 terms and sums are array passes: the terms are
 one ndarray and the compensated running sums two ``add.accumulate`` scans
 (``_neumaier_running_sums``), with the bits of the scalar loop of
-``precision.neumaier_sum``.  In big-float mode ``_fixed_terms`` reads
+``neumaier_sum`` in tests/oracles.py.  In big-float mode ``_fixed_terms`` reads
 ``legendre.legendre_fixed_range`` instead: every value is an integer
 round(v 2^S), S = bits + 64, each term costs one integer product and one
 rounding, and the running sum is exact; each order's difference to the
@@ -29,15 +29,14 @@ import warnings
 from dataclasses import dataclass
 from itertools import chain
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import mpmath
 import numpy as np
 
 from .coefficients import Generator, LegendreSeries, derivative_coeffs
-from .legendre import (gauss_rule, legendre_eval_range, legendre_fixed_range, legendre_row,
-                       legendre_sums_array)
-from .precision import BIG, F64, FLOAT64, PrecisionContext, dyadic, round_bits, to_fixed
+from .legendre import legendre_eval_range, legendre_fixed_range, legendre_row
+from .precision import BIG, F64, PrecisionContext, dyadic, round_bits, to_fixed
 
 
 @dataclass
@@ -53,6 +52,8 @@ class ErrorSweep:
     def __post_init__(self):
         self.pvalues = np.asarray(self.pvalues, dtype=int)
         self.abs_error = np.asarray(self.abs_error, dtype=float)
+        if self.pvalues.shape != self.abs_error.shape:
+            raise ValueError("pvalues and abs_error must have equal length")
         if np.any(np.diff(self.pvalues) <= 0):
             raise ValueError("pvalues must be strictly increasing")
         if not np.all(np.isfinite(self.abs_error)) or np.any(self.abs_error < 0):
@@ -78,6 +79,8 @@ class NormSweep:
     def __post_init__(self):
         self.pvalues = np.asarray(self.pvalues, dtype=int)
         self.norm_error = np.asarray(self.norm_error, dtype=float)
+        if self.pvalues.shape != self.norm_error.shape:
+            raise ValueError("pvalues and norm_error must have equal length")
         tail = self.norm_error[self.norm_error > 0]
         if tail.size and np.any(np.diff(tail) > 1e-15 * tail[:-1]):
             raise ValueError("norm errors must be nonincreasing in p")
@@ -145,11 +148,11 @@ def _fixed_terms(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, S:
 
 def _neumaier_running_sums(t: np.ndarray) -> np.ndarray:
     """Neumaier-compensated running sums of t, the same IEEE operations as
-    the loop of ``precision.neumaier_sum`` recording total + comp after each
-    term, in two scans: the plain sums s, then the sums of the per-term
-    compensations e.  ``add.accumulate`` adds strictly left to right (numpy
-    sums pairwise only in reductions) and every ufunc rounds once, so each
-    entry has the loop's bits."""
+    the loop of ``neumaier_sum`` (tests/oracles.py) recording total + comp
+    after each term, in two scans: the plain sums s, then the sums of the
+    per-term compensations e.  ``add.accumulate`` adds strictly left to
+    right (numpy sums pairwise only in reductions) and every ufunc rounds
+    once, so each entry has the loop's bits."""
     s = np.add.accumulate(np.concatenate(([0.0], t)))
     prev, s = s[:-1], s[1:]
     e = np.where(np.abs(prev) >= np.abs(t), (prev - s) + t, (t - s) + prev)
@@ -264,8 +267,9 @@ def norm_sweep(series: LegendreSeries, exact_norm_sq: Optional[float] = None,
         remainder = _beyond_series(exact_norm_sq, total)
     if pmax is None:
         pmax = len(c) - 2
-    if pmax >= len(c):
-        raise IndexError("pmax exceeds available coefficients")
+    # e_p reads tails[p + 1], the sum over k > p, so the last order needs a term above it
+    if pmax > len(c) - 2:
+        raise IndexError(f"pmax = {pmax} leaves no tail term; it must be at most {len(c) - 2}")
     # backward tail accumulation avoids cancellation of near-equal sums
     tails = np.cumsum(sq[::-1])[::-1]
     pv = np.arange(1, pmax + 1)
@@ -277,25 +281,3 @@ def norm_sweep(series: LegendreSeries, exact_norm_sq: Optional[float] = None,
             warnings.warn("norm tail truncated at the series end contributes more than 1% "
                           "of the reported value; supply exact_norm_sq or more coefficients")
     return NormSweep(pv, np.sqrt(np.maximum(values, 0.0)), "Energy" if norm_key == "energy" else "L2")
-
-
-def squared_error_quadrature(series: LegendreSeries, exact_fn: Callable[[float], float],
-                             p: int, breakpoints: Sequence[float] = ()) -> float:
-    """Quadrature oracle for ||f - S_p||^2, split at the target's breakpoints.
-
-    Uses a Gauss rule of order p + 3 per piece, exact whenever f is
-    polynomial between breakpoints (the piecewise families here).
-    """
-    pts = sorted({-1.0, 1.0} | {float(b) for b in breakpoints if -1 < float(b) < 1})
-    rule = gauss_rule(p + 3, FLOAT64)
-    nodes = np.array(rule.nodes)
-    weights = np.array(rule.weights)
-    coeffs = series.as_floats()
-    orders = np.full(len(nodes), p)
-    total = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        xm = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
-        sp = legendre_sums_array(coeffs, orders, xm)
-        fx = np.array([exact_fn(t) for t in xm])
-        total += 0.5 * (hi - lo) * float(np.sum(weights * (fx - sp) ** 2))
-    return total

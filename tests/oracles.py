@@ -1,0 +1,159 @@
+"""Independent oracles the tests check the package against.
+
+No verb, figure config or benchmark workload runs these: each recomputes a
+quantity the package produces, by a route the package does not take.
+
+* ``neumaier_sum``: the scalar compensated loop whose bits the float64
+  running sums of ``series_eval`` keep;
+* ``binomial_moment_oracle``: the |x + 1|^beta power moments from the
+  binomial expansion of (t - 1)^k, against the hypergeometric identity;
+* ``quadrature_oracle_coeffs``: c_k = (k + 1/2) int f P_k by tanh-sinh
+  quadrature, split at the singular points;
+* ``piecewise_gauss_coeff``: the same integral by a Gauss rule on each side
+  of one breakpoint, exact for the piecewise-polynomial families;
+* ``squared_error_quadrature``: ||f - S_p||^2 by piecewise Gauss rules;
+* ``mode_derivatives``, ``fem_derivative`` and ``energy_norm_error``: the
+  derivative of a FEM solution and its energy-norm error.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, Sequence
+
+import mpmath
+import numpy as np
+
+from leglab.legendre import (gauss_rule, legendre_eval, legendre_eval_range,
+                             legendre_fixed_range, legendre_sums_array)
+from leglab.precision import FLOAT64
+
+
+def neumaier_sum(values) -> float:
+    """Compensated float sum (Neumaier variant)."""
+    total = 0.0
+    comp = 0.0
+    for v in values:
+        t = total + v
+        if abs(total) >= abs(v):
+            comp += (total - t) + v
+        else:
+            comp += (v - t) + total
+        total = t
+    return total + comp
+
+
+def binomial_moment_oracle(k: int, beta, prec_bits: int = 256):
+    """Independent closed form: substitute t = x + 1 and expand (t-1)^k binomially."""
+    with mpmath.workprec(prec_bits):
+        b = mpmath.mpf(beta)
+        total = mpmath.mpf(0)
+        for j in range(k + 1):
+            total += math.comb(k, j) * (-1) ** (k - j) * mpmath.mpf(2) ** (b + j + 1) / (b + j + 1)
+        return total
+
+
+def legendre_mpf(k: int, t):
+    """P_k(t) at the working precision, rounded once: the fixed-point kernel
+    with 64 guard bits below the size of t (an odd P_k(t) is O(t))."""
+    S = mpmath.mp.prec + 64 + max(0, -math.frexp(float(t))[1])
+    return mpmath.mpf((legendre_fixed_range(k, t, S)[k], -S))
+
+
+def quadrature_oracle_coeffs(f: Callable, P: int, singular_points: Sequence[float] = (),
+                             prec_bits: int = 128) -> list:
+    """c_0..c_P as floats, c_k = (k + 1/2) int f P_k by tanh-sinh quadrature.
+
+    The integration interval is split at every singular point, which keeps
+    algebraic endpoint singularities harmless for tanh-sinh.  Meant for
+    modest k.
+    """
+    pts = sorted({-1.0, 1.0} | {float(s) for s in singular_points if -1 < float(s) < 1})
+    with mpmath.workprec(prec_bits):
+        coeffs = []
+        for k in range(P + 1):
+            def integrand(t, k=k):
+                # f must accept mpf input so the node-to-singularity distance
+                # keeps full precision under tanh-sinh clustering
+                return mpmath.mpf(f(t)) * legendre_mpf(k, t)
+
+            total = mpmath.mpf(0)
+            for lo, hi in zip(pts[:-1], pts[1:]):
+                total += mpmath.quad(integrand, [lo, hi])
+            coeffs.append(float(total * (2 * k + 1) / 2))
+    return coeffs
+
+
+def piecewise_gauss_coeff(f: Callable[[float], float], a: float, k: int) -> float:
+    """(k + 1/2) int f P_k by a Gauss rule on [-1, a] and on [a, 1].
+
+    The rule of order k // 2 + 2 is exact when f is linear on each piece.
+    """
+    rule = gauss_rule(k // 2 + 2)
+
+    def g(t):
+        return f(t) * legendre_eval(k, t)
+
+    return (2 * k + 1) / 2 * (rule.integrate(g, -1, a) + rule.integrate(g, a, 1))
+
+
+def squared_error_quadrature(series, exact_fn: Callable[[float], float],
+                             p: int, breakpoints: Sequence[float] = ()) -> float:
+    """||f - S_p||^2, split at the target's breakpoints.
+
+    Uses a Gauss rule of order p + 3 per piece, exact whenever f is
+    polynomial between breakpoints (the piecewise families here).
+    """
+    pts = sorted({-1.0, 1.0} | {float(b) for b in breakpoints if -1 < float(b) < 1})
+    rule = gauss_rule(p + 3, FLOAT64)
+    nodes = np.array(rule.nodes)
+    weights = np.array(rule.weights)
+    coeffs = series.as_floats()
+    orders = np.full(len(nodes), p)
+    total = 0.0
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        xm = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
+        sp = legendre_sums_array(coeffs, orders, xm)
+        fx = np.array([exact_fn(t) for t in xm])
+        total += 0.5 * (hi - lo) * float(np.sum(weights * (fx - sp) ** 2))
+    return total
+
+
+def mode_derivatives(p: int, xi: float, he: float) -> list:
+    """d/dx N_k = (2/h) sqrt((2k-1)/2) P_{k-1}(xi) for k = 2..p on an element of width h."""
+    Pk = legendre_eval_range(p - 1, xi, FLOAT64)
+    return [(2.0 / he) * math.sqrt((2 * k - 1) / 2.0) * Pk[k - 1] for k in range(2, p + 1)]
+
+
+def fem_derivative(sol, e: int, x: float) -> float:
+    """u_p'(x) on element e of a FEM solution."""
+    lo, hi = sol.mesh.nodes[e], sol.mesh.nodes[e + 1]
+    he = hi - lo
+    xi = (2.0 * x - (lo + hi)) / he
+    val = (float(sol.nodal[e + 1]) - float(sol.nodal[e])) / he
+    coeffs = sol.internal[e]
+    for ck, dn in zip(coeffs, mode_derivatives(len(coeffs) + 1, xi, he)):
+        val += float(ck) * dn
+    return val
+
+
+def energy_norm_error(sol, order: int = 60) -> float:
+    """||u - u_p||_E by exact piecewise Gauss quadrature of the derivative error."""
+    mesh, a = sol.mesh, sol.a
+    rule = gauss_rule(order, FLOAT64)
+    total = 0.0
+    for e in range(mesh.n_elements):
+        lo, hi = mesh.nodes[e], mesh.nodes[e + 1]
+        pieces = [(lo, a), (a, hi)] if lo < a < hi else [(lo, hi)]
+        for plo, phi in pieces:
+            if phi <= plo:
+                continue
+
+            def dsq(t, e=e):
+                du = fem_derivative(sol, e, float(t))
+                c = (a - 1.0) / 2.0
+                due = c if t < a else 1.0 + c
+                return (due - du) ** 2
+
+            total += float(rule.integrate(dsq, plo, phi))
+    return total ** 0.5

@@ -22,10 +22,9 @@ import numpy as np
 import pytest
 
 from leglab.bounds import endpoint_identity_bound, step_bv, theorem1_bound_series
-from leglab.coefficients import (abs_shift_coeffs, binomial_moment_oracle,
-                                 constrained_pversion_coeffs, legendre_monomial_rows,
-                                 power_abs_coeffs, power_shift_coeffs_appendixA,
-                                 step_derivative_coeffs)
+from leglab.coefficients import (abs_shift_coeffs, constrained_pversion_coeffs,
+                                 legendre_monomial_rows, power_abs_coeffs,
+                                 power_shift_coeffs_appendixA, step_derivative_coeffs)
 from leglab.conjecture import ToleranceProfile, powershift_suite
 from leglab.functions import (AbsShiftFamily, ConstrainedFamily, StepDerivativeFamily,
                               exact_solution_derivative)
@@ -33,8 +32,9 @@ from leglab.legendre import bernstein_bound, legendre_eval_range, legendre_range
 from leglab.precision import FLOAT64, bigfloat
 from leglab.ratefit import (bounded_oscillation_check, constant_growth, fit_rate,
                             gibbs_probe, pinned_constant)
-from leglab.series_eval import (error_sweep, norm_sweep, parseval_tail,
-                                partial_sum_values, squared_error_quadrature)
+from leglab.series_eval import error_sweep, norm_sweep, parseval_tail, partial_sum_values
+
+from oracles import binomial_moment_oracle, squared_error_quadrature
 
 A = 0.5
 RATE_TOL = 0.05

@@ -9,17 +9,19 @@ from hypothesis import strategies as st
 
 from leglab import coefficients
 from leglab.coefficients import (Generator, _mu_recurrence, abs_shift_coeffs, appendixA_moment,
-                                 binomial_moment_oracle, constrained_pversion_coeffs,
-                                 derivative_coeffs, legendre_monomial_rows,
-                                 polynomial_legendre_coeffs, power_abs_coeffs,
-                                 power_shift_coeffs, power_shift_coeffs_appendixA,
-                                 quadrature_oracle_coeffs, singular_term_coeffs, spec_coeffs,
-                                 step_derivative_coeffs, step_oracle_coeff)
-from leglab.functions import PowerShiftFamily, SingularFunctionSpec
+                                 constrained_pversion_coeffs, derivative_coeffs,
+                                 legendre_monomial_rows, polynomial_legendre_coeffs,
+                                 power_abs_coeffs, power_shift_coeffs,
+                                 power_shift_coeffs_appendixA, singular_term_coeffs, spec_coeffs,
+                                 step_derivative_coeffs)
+from leglab.functions import (PowerShiftFamily, SingularFunctionSpec, exact_solution,
+                              exact_solution_derivative)
 from leglab.legendre import legendre_eval, legendre_eval_range, legendre_fixed_range
 from leglab.precision import EXACT_RATIONAL, FLOAT64, PrecisionError, bigfloat, dyadic, to_fixed
 from leglab.runner import ExperimentConfig, run_experiment
 from leglab.series_eval import _fixed_terms
+
+from oracles import binomial_moment_oracle, piecewise_gauss_coeff, quadrature_oracle_coeffs
 
 
 def test_step_examples():
@@ -42,7 +44,7 @@ def test_step_domain_error():
 def test_step_against_quadrature_oracle():
     s = step_derivative_coeffs(0.5, 50)
     for k in (1, 2, 7, 25, 50):
-        oracle = float(step_oracle_coeff(0.5, k))
+        oracle = float(piecewise_gauss_coeff(lambda t: exact_solution_derivative(t, 0.5), 0.5, k))
         assert s.coeffs[k] == pytest.approx(oracle, rel=1e-12, abs=1e-14)
 
 
@@ -194,7 +196,7 @@ def test_singular_term_against_quadrature_oracle():
         oracle = quadrature_oracle_coeffs(lambda t: abs(t - av) ** mpmath.mpf(beta),
                                           12, singular_points=(a,), prec_bits=160)
     for k in range(13):
-        o = oracle.coeffs[k]
+        o = oracle[k]
         assert float(series.coeffs[k]) == pytest.approx(o, rel=1e-10, abs=1e-12)
 
 
@@ -497,15 +499,9 @@ def test_spec_merges_duplicate_centers():
 
 def test_abs_shift_against_quadrature_oracle():
     # piecewise-linear integrand: two-piece Gauss integration is exact
-    from leglab.legendre import gauss_rule, legendre_eval
-    from leglab.functions import exact_solution
-
     c = abs_shift_coeffs(0.5, 40)
     for k in (0, 1, 2, 9, 25, 40):
-        rule = gauss_rule(k // 2 + 2)
-        val = (rule.integrate(lambda t: exact_solution(t, 0.5) * legendre_eval(k, t), -1, 0.5)
-               + rule.integrate(lambda t: exact_solution(t, 0.5) * legendre_eval(k, t), 0.5, 1))
-        oracle = (2 * k + 1) / 2 * val
+        oracle = piecewise_gauss_coeff(lambda t: exact_solution(t, 0.5), 0.5, k)
         assert float(c.coeffs[k]) == pytest.approx(oracle, rel=1e-12, abs=1e-14)
 
 

@@ -12,6 +12,8 @@ from leglab.legendre import (bernstein_bound, gauss_rule, legendre_eval,
                              legendre_eval_range, legendre_range_array, legendre_sums_array)
 from leglab.precision import EXACT_RATIONAL, FLOAT64, PrecisionError, bigfloat
 
+from oracles import legendre_mpf
+
 
 def test_low_degree_values():
     assert legendre_eval(0, 0.3) == 1.0
@@ -358,3 +360,6 @@ def test_bigfloat_eval_rounds_only_p_k_with_the_bits_of_the_range(k, x, bits):
         got = legendre_eval(k, xv, ctx)
         want = legendre_eval_range(k, xv, ctx)[k]
         assert isinstance(got, mpmath.mpf) and got._mpf_ == want._mpf_
+        # the tanh-sinh oracle's P_k, rounded alone, has the same bits
+        with ctx.active():
+            assert legendre_mpf(k, ctx.convert(xv))._mpf_ == want._mpf_

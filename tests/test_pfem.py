@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from leglab.coefficients import constrained_pversion_coeffs, step_derivative_coeffs
 from leglab.functions import exact_solution
 from leglab.legendre import gauss_rule, legendre_eval_range
-from leglab.pfem import (FemSolution, Mesh1D, assemble_and_solve, element_error_series,
-                         energy_norm_error, internal_mode, internal_modes)
+from leglab.pfem import FemSolution, Mesh1D, assemble_and_solve, element_error_series, internal_modes
 from leglab.precision import FLOAT64, bigfloat
 from leglab.runner import ExperimentConfig, run_experiment
 from leglab.series_eval import error_sweep, partial_sum
+
+from oracles import energy_norm_error, fem_derivative, mode_derivatives
 
 A = 0.5
 
@@ -32,10 +33,10 @@ def test_mesh_validation():
 
 def test_internal_modes_vanish_at_endpoints():
     for k in (2, 3, 7):
-        assert abs(float(internal_mode(k, 1.0))) < 1e-14
-        assert abs(float(internal_mode(k, -1.0))) < 1e-14
-    with pytest.raises(ValueError):
-        internal_mode(1, 0.0)
+        assert abs(float(internal_modes(k, 1.0)[-1])) < 1e-14
+        assert abs(float(internal_modes(k, -1.0)[-1])) < 1e-14
+    # the modes start at k = 2
+    assert internal_modes(1, 0.0) == []
 
 
 def test_load_at_node_gives_exact_solution():
@@ -91,11 +92,9 @@ def test_galerkin_orthogonality():
 
     def derr(x):
         e = mesh.element_of(x)
-        from leglab.pfem import _derivative
-
         c = (a - 1.0) / 2.0
         due = c if x < a else 1.0 + c
-        return due - _derivative(sol, e, x)
+        return due - fem_derivative(sol, e, x)
 
     # hat test functions
     for i in (1, 2):
@@ -111,12 +110,9 @@ def test_galerkin_orthogonality():
     s = mesh.element_of(a)
     lo, hi = mesh.nodes[s], mesh.nodes[s + 1]
     he = hi - lo
-    from leglab.legendre import legendre_eval
-
     for k in (2, 4):
         def dv(x, k=k):
-            xi = (2 * x - (lo + hi)) / he
-            return (2.0 / he) * math.sqrt((2 * k - 1) / 2.0) * legendre_eval(k - 1, xi)
+            return mode_derivatives(k, (2 * x - (lo + hi)) / he, he)[-1]
 
         total = 0.0
         for qlo, qhi in ((lo, a), (a, hi)):

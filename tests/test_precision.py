@@ -7,8 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leglab.precision import (EXACT_RATIONAL, FLOAT64, PrecisionContext, PrecisionError,
-                              bigfloat, dyadic, neumaier_sum, pair_float, parse_precision,
-                              round_bits, to_fixed)
+                              bigfloat, dyadic, pair_float, parse_precision, round_bits,
+                              to_fixed)
+
+from oracles import neumaier_sum
 
 
 def test_modes_and_validation():

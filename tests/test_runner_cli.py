@@ -366,6 +366,15 @@ def test_cli_rejects_ignored_flags(capsys):
      "unrecognized arguments: --coeff-precision big:64"),
     (["gibbs", "--precision", "big:256", "--pmax", "2000"],
      "unrecognized arguments: --precision big:256"),
+    # a pmax below what the kind runs; the Theorem 1 series starts at p = 2
+    (["sweep", "--x", "0.1", "--pmax", "0"], "sweep needs pmax >= 1, not 0"),
+    (["growth", "--point", "0.5", "--fixed-alpha", "1", "--pmax", "0"],
+     "growth needs pmax >= 1, not 0"),
+    (["fem", "--x", "0.3", "--pmax", "0"], "fem needs pmax >= 1, not 0"),
+    (["bounds", "--x", "0.1", "--pmax", "1"], "bounds needs pmax >= 2, not 1"),
+    (["conjecture", "--pmax", "0"], "conjecture needs pmax >= 1, not 0"),
+    (["fem", "--n", "0"], "a uniform mesh needs at least one element"),
+    (["fem", "--n", "-2"], "a uniform mesh needs at least one element"),
 ])
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -383,6 +392,17 @@ def test_cli_config_file_errors_exit_2(tmp_path, capsys):
         main(["growth", "--config", str(tmp_path / "g.json"), "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert "unknown ['xii']" in capsys.readouterr().err
+
+
+def test_cli_growth_config_side_other_than_one_exits_2(tmp_path, capsys):
+    # --side offers only -1 and 1; a config file is checked by the run
+    doc = {"id": "g", "kind": "growth", "options": {"point": 0.5, "fixed_alpha": 1.0, "side": 3}}
+    (tmp_path / "g.json").write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["growth", "--config", str(tmp_path / "g.json"), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "growth side must be -1 or 1, not 3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_gibbs_decay_window_outside_domain(tmp_path):

@@ -13,16 +13,18 @@ from leglab.coefficients import (Generator, LegendreSeries, abs_shift_coeffs,
 from leglab.functions import (AbsShiftFamily, PowerAbsFamily, StepDerivativeFamily,
                               exact_solution, exact_solution_derivative)
 from leglab.legendre import gauss_rule, legendre_eval_range
-from leglab.precision import FLOAT64, bigfloat, neumaier_sum
+from leglab.precision import FLOAT64, bigfloat
 from leglab.runner import ExperimentConfig, run_experiment, run_figures
-from leglab.series_eval import (_running_sums, error_sweep, norm_sweep, parseval_tail,
-                                partial_sum, partial_sum_values, squared_error_quadrature)
+from leglab.series_eval import (ErrorSweep, NormSweep, _running_sums, error_sweep, norm_sweep,
+                                parseval_tail, partial_sum, partial_sum_values)
+
+from oracles import neumaier_sum, squared_error_quadrature
 
 A = 0.5
 
 
 def test_partial_sum_trivial():
-    s = LegendreSeries([1.0, 1.0], Generator.QUADRATURE_ORACLE, FLOAT64)
+    s = LegendreSeries([1.0, 1.0], Generator.CUSTOM_SPEC, FLOAT64)
     assert partial_sum(s, 0, 0.3) == 1.0
     assert partial_sum(s, 1, 0.3) == pytest.approx(1.3, abs=1e-15)
     with pytest.raises(IndexError):
@@ -145,6 +147,21 @@ def test_parseval_tail_and_quadrature(a):
             assert tail == pytest.approx(quad, rel=1e-8)
 
 
+def test_norm_sweep_needs_a_tail_term_above_pmax():
+    series = StepDerivativeFamily(a=A).series(50)
+    ns = norm_sweep(series, exact_norm_sq=(1 - A * A) / 2, pmax=series.degree - 1)
+    assert len(ns.pvalues) == len(ns.norm_error) == series.degree - 1
+    with pytest.raises(IndexError, match="at most 49"):
+        norm_sweep(series, exact_norm_sq=(1 - A * A) / 2, pmax=series.degree)
+
+
+def test_sweep_columns_of_unequal_length_are_rejected():
+    with pytest.raises(ValueError, match="equal length"):
+        ErrorSweep(0.1, np.arange(1, 4), [0.3, 0.2], "t", "s")
+    with pytest.raises(ValueError, match="equal length"):
+        NormSweep(np.arange(1, 51), np.ones(49))
+
+
 def test_norm_sweep_energy_slope(step_series):
     norm_step = (1 - A * A) / 2
     ns = norm_sweep(step_series, exact_norm_sq=norm_step, pmax=100, norm="Energy")
@@ -198,7 +215,7 @@ def test_sweep_csv_roundtrip(tmp_path, step_series, step_family):
 @given(a=st.floats(-0.95, 0.95), x=st.floats(-1.0, 1.0), p=st.integers(0, 300))
 def test_f64_partial_sums_are_neumaier_sums_of_their_terms(a, x, p):
     # the float64 accumulator performs the IEEE operations of
-    # precision.neumaier_sum, in order, over c_k P_k(x) and over the
+    # oracles.neumaier_sum, in order, over c_k P_k(x) and over the
     # constrained bumps
     Px = legendre_eval_range(p + 1, x)
     prefix = step_derivative_coeffs(a, 300)
@@ -211,7 +228,7 @@ def test_f64_partial_sums_are_neumaier_sums_of_their_terms(a, x, p):
 
 
 def _scalar_neumaier_running_sums(terms):
-    """total + comp after each term of the scalar loop of precision.neumaier_sum."""
+    """total + comp after each term of the scalar loop of oracles.neumaier_sum."""
     total, comp, sums = 0.0, 0.0, []
     for t in terms:
         s = total + t
