@@ -1,8 +1,7 @@
 """leglab: a laboratory for Legendre expansions of piecewise-analytic
 functions and the one-dimensional p-version finite element method."""
 
-from .precision import (EXACT_RATIONAL, FLOAT64, PrecisionContext, PrecisionError,
-                        bigfloat, parse_precision)
+from .precision import FLOAT64, PrecisionContext, PrecisionError, bigfloat, parse_precision
 from .legendre import (QuadratureRule, bernstein_bound, gauss_rule, legendre_eval,
                        legendre_eval_range)
 from .functions import (AbsShiftFamily, ConstrainedFamily, PowerAbsFamily,

@@ -7,8 +7,8 @@ out takes the runner's default.  Exit status is 1 when a conjecture clause
 fails outright (preasymptotic entries do not fail), and 2 when a run
 records an error in its manifest or rejects its input (an unknown option,
 family parameter or tolerance, a missing required option, a config field
-the kind does not read, or a value or point list the kind cannot run),
-0 otherwise.
+the kind does not read, a precision spec other than f64 and big:<bits>,
+or a value or point list the kind cannot run), 0 otherwise.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def _common(parser: argparse.ArgumentParser, kind: str) -> None:
     parser.add_argument("--id")
     parser.add_argument("--pmax", type=int)
     if "precision" in reads:
-        parser.add_argument("--precision", help="f64 | big:<bits> | exact")
+        parser.add_argument("--precision", help="f64 | big:<bits>")
     if "family" in reads:
         parser.add_argument("--family",
                             help="step | absshift | constrained | powerabs | powershift | spec")

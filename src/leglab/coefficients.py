@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import mpmath
@@ -49,7 +48,7 @@ import numpy as np
 
 from .functions import SingularFunctionSpec
 from .legendre import legendre_eval_range, legendre_row
-from .precision import (BIG, EXACT, F64, FLOAT64, PrecisionContext, PrecisionError, bigfloat,
+from .precision import (BIG, F64, FLOAT64, PrecisionContext, PrecisionError, bigfloat,
                         dyadic, pair_float, round_bits, to_fixed)
 
 
@@ -100,7 +99,7 @@ class LegendreSeries:
 
     def pairs(self, stop: Optional[int] = None):
         """c_0..c_{stop-1} as exact pairs (n, e), c_k = n 2^e: the held pairs,
-        or each float or mpf read exactly as it is consumed (not Fractions)."""
+        or each float or mpf read exactly as it is consumed."""
         if self._pairs is not None:
             return self._pairs[:stop]
         return map(dyadic, self._coeffs[:stop])
@@ -144,8 +143,6 @@ class LegendreSeries:
 
 
 def render_number(c, ctx: PrecisionContext) -> str:
-    if ctx.mode == EXACT and isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
     if ctx.mode == F64:
         return repr(float(c))
     digits = int(ctx.bits * 0.30103) + 3
@@ -210,7 +207,7 @@ def constrained_pversion_coeffs(a, P: int, ctx: PrecisionContext = FLOAT64) -> L
 def power_abs_coeffs(beta, P: int, ctx: Optional[PrecisionContext] = None) -> LegendreSeries:
     """Expansion of |x|^beta: odd coefficients identically zero.
 
-    beta <= -1/2 requires a big-float or exact context (partial-sum
+    beta <= -1/2 requires a big-float context (partial-sum
     cancellation at evaluation time dominates the coefficient error).  A
     big-float context runs the ratio recurrence on integers (``_ratio_run``,
     bits + 64 significant bits) and rounds each coefficient to the context
@@ -223,7 +220,7 @@ def power_abs_coeffs(beta, P: int, ctx: Optional[PrecisionContext] = None) -> Le
     if ctx is None:
         ctx = bigfloat(256) if float(beta) <= -0.5 else FLOAT64
     if float(beta) <= -0.5 and ctx.mode == F64:
-        raise PrecisionError("beta <= -1/2 requires a big-float or exact-rational context")
+        raise PrecisionError("beta <= -1/2 requires a big-float context")
     # I_j = int_0^1 x^beta P_2j; c_2j = (2(2j)+1)/2 * 2 I_j = (4j+1) I_j
     if ctx.mode == BIG:
         bn, e = dyadic(ctx.convert(beta))
@@ -254,7 +251,7 @@ def singular_term_coeffs(a, beta, P: int, ctx: Optional[PrecisionContext] = None
     rerunning the kernel at doubled precision, without building that run's
     coefficient list.  Fixed point keeps an absolute error, so a top
     coefficient below about 2^-65 (at P = 10^4, whatever the bits) fails
-    that certification.  f64 and exact contexts run the context-generic
+    that certification.  A float64 context runs the context-generic
     ``_mu_recurrence``.
     """
     _check_center(a, ctx or FLOAT64)
@@ -405,9 +402,9 @@ def power_shift_coeffs_appendixA(beta, P: int, ctx: Optional[PrecisionContext] =
     coefficient is recomputed at doubled precision and the run aborts if the
     two disagree beyond 1e-20 relative.  The requested ctx only controls the
     precision of the *returned* coefficients (never higher than the working
-    precision); exact-rational output is not supported.
+    precision).
     """
-    _check_power_shift_args(beta, P, ctx)
+    _check_power_shift_args(beta, P)
     bits = appendixA_precision_bits(P)
     if ctx is not None and ctx.mode == "big" and ctx.bits > bits:
         bits = ctx.bits
@@ -424,13 +421,11 @@ def power_shift_coeffs_appendixA(beta, P: int, ctx: Optional[PrecisionContext] =
                                      ctx or FLOAT64, {"beta": float(beta)})
 
 
-def _check_power_shift_args(beta, P, ctx):
+def _check_power_shift_args(beta, P):
     if float(beta) <= -1.0:
         raise ValueError("beta must exceed -1")
     if P < 0:
         raise ValueError("P must be >= 0")
-    if ctx is not None and ctx.mode == EXACT:
-        raise PrecisionError("|x+1|^beta coefficients are irrational; use a floating context")
 
 
 def _power_shift_run(beta, P, bits):
@@ -467,7 +462,7 @@ def power_shift_coeffs(beta, P: int, ctx: Optional[PrecisionContext] = None) -> 
     polynomial's coefficients, correctly rounded, and c_k = 0 exactly for
     k > beta.
     """
-    _check_power_shift_args(beta, P, ctx)
+    _check_power_shift_args(beta, P)
     bits = max(128, (ctx or FLOAT64).bits) + 64
     with mpmath.workprec(bits):
         b = mpmath.mpf(beta)

@@ -30,7 +30,7 @@ from itertools import islice
 import mpmath
 import numpy as np
 
-from .precision import BIG, F64, FLOAT64, Number, PrecisionContext, dyadic, to_fixed
+from .precision import F64, FLOAT64, Number, PrecisionContext, dyadic, to_fixed
 
 
 def _check_domain(x, ctx: PrecisionContext) -> Number:
@@ -92,20 +92,12 @@ def legendre_eval_range(kmax: int, x, ctx: PrecisionContext = FLOAT64) -> list:
     xv = _check_domain(x, ctx)
     if ctx.mode == F64:
         return _f64_extend([1.0, xv], xv, 1, kmax)[: kmax + 1]
-    if ctx.mode == BIG:
-        # fixed-point scale: 64 guard bits below |x| (an odd P_k(x) is O(x))
-        S = ctx.bits + 64 + max(0, -math.frexp(float(xv))[1])
-        out = legendre_fixed_range(kmax, xv, S)
-        with ctx.active():
-            for k, v in enumerate(out):
-                out[k] = mpmath.mpf((v, -S))  # each value rounded once, in place
-        return out
-    # exact rationals
-    pm1, pn = ctx.one(), xv
-    out = [pm1, pn][: kmax + 1]
-    for n in range(1, kmax):
-        pm1, pn = pn, ((2 * n + 1) * xv * pn - n * pm1) / (n + 1)
-        out.append(pn)
+    # fixed-point scale: 64 guard bits below |x| (an odd P_k(x) is O(x))
+    S = ctx.bits + 64 + max(0, -math.frexp(float(xv))[1])
+    out = legendre_fixed_range(kmax, xv, S)
+    with ctx.active():
+        for k, v in enumerate(out):
+            out[k] = mpmath.mpf((v, -S))  # each value rounded once, in place
     return out
 
 
@@ -232,12 +224,10 @@ class QuadratureRule:
 def gauss_rule(order: int, ctx: PrecisionContext = FLOAT64) -> QuadratureRule:
     """Gauss-Legendre rule by Newton iteration from Chebyshev initial guesses.
 
-    Irrational nodes: exact-rational contexts are rejected.  Nodes are
-    symmetrized about 0 so mirrored nodes agree bit for bit.
+    Nodes are symmetrized about 0 so mirrored nodes agree bit for bit.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    ctx.require_inexact("gauss_rule")
     if order == 1:
         return QuadratureRule([ctx.zero()], [ctx.convert(2)], 1, ctx)
 

@@ -152,7 +152,6 @@ def assemble_and_solve(mesh: Mesh1D, a: float, ctx: PrecisionContext = FLOAT64) 
     """Direct solve: tridiagonal hat system plus decoupled internal modes."""
     if not -1.0 < a < 1.0:
         raise ValueError("the load point must lie strictly inside (-1, 1)")
-    ctx.require_inexact("assemble_and_solve")
     with ctx.active():
         nodes = [ctx.convert(t) for t in mesh.nodes]
         n_int = mesh.n_elements - 1

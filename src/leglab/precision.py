@@ -1,10 +1,9 @@
 """Arithmetic contexts threaded through every numeric operation.
 
-Three modes are supported: plain IEEE double (the workhorse), mpmath
-big-floats with a configurable significand, and exact rationals via
-``fractions.Fraction``.  A context converts inputs into its native number
-type; arithmetic then happens through ordinary Python operators, so the
-same recurrence code serves all three modes.
+Two modes are supported: plain IEEE double (the workhorse) and mpmath
+big-floats with a configurable significand.  A context converts inputs
+into its native number type; arithmetic then happens through ordinary
+Python operators, so the same recurrence code serves both modes.
 
 The big-float hot paths (partial sums, the modified-moment and ratio
 recurrences) run instead on Python integers in fixed point, a value v held
@@ -19,16 +18,14 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Iterator, Union
 
 import mpmath
 
-Number = Union[float, Fraction, Any]  # Any: mpmath.mpf
+Number = Union[float, Any]  # Any: mpmath.mpf
 
 F64 = "f64"
 BIG = "big"
-EXACT = "exact"
 
 
 class PrecisionError(ArithmeticError):
@@ -43,7 +40,7 @@ class PrecisionContext:
     bits: int = 0
 
     def __post_init__(self):
-        if self.mode not in (F64, BIG, EXACT):
+        if self.mode not in (F64, BIG):
             raise ValueError(f"unknown precision mode {self.mode!r}")
         if self.mode == BIG and self.bits < 64:
             raise ValueError("big-float precision requires at least 64 bits")
@@ -51,17 +48,11 @@ class PrecisionContext:
             raise ValueError("bits is only meaningful in big-float mode")
 
     @property
-    def is_exact(self) -> bool:
-        return self.mode == EXACT
-
-    @property
     def eps(self) -> float:
-        """Unit roundoff of the context (0 for exact rationals)."""
+        """Unit roundoff of the context."""
         if self.mode == F64:
             return 2.0 ** -52
-        if self.mode == BIG:
-            return 2.0 ** (1 - self.bits)
-        return 0.0
+        return 2.0 ** (1 - self.bits)
 
     @contextmanager
     def active(self) -> Iterator[None]:
@@ -76,17 +67,8 @@ class PrecisionContext:
         """Coerce ``x`` into the context's native number type."""
         if self.mode == F64:
             return float(x)
-        if self.mode == BIG:
-            with mpmath.workprec(self.bits):
-                if isinstance(x, Fraction):
-                    return mpmath.mpf(x.numerator) / x.denominator
-                return mpmath.mpf(x)
-        if isinstance(x, (Fraction, int)):
-            return Fraction(x)
-        if isinstance(x, float):
-            # floats are dyadic rationals; the conversion is exact
-            return Fraction(x)
-        raise TypeError(f"exact-rational mode cannot represent {type(x).__name__} input")
+        with mpmath.workprec(self.bits):
+            return mpmath.mpf(x)
 
     def zero(self) -> Number:
         return self.convert(0)
@@ -98,14 +80,7 @@ class PrecisionContext:
         if self.mode == BIG:
             with mpmath.workprec(self.bits):
                 return mpmath.sqrt(x)
-        if self.mode == EXACT:
-            raise PrecisionError("square roots are not rational; use a floating mode")
         return math.sqrt(x)
-
-    def require_inexact(self, op: str) -> None:
-        """Reject exact-rational mode for operations with irrational results."""
-        if self.mode == EXACT:
-            raise PrecisionError(f"{op} produces irrational values; exact-rational mode is not accepted")
 
     def describe(self) -> str:
         if self.mode == BIG:
@@ -114,7 +89,6 @@ class PrecisionContext:
 
 
 FLOAT64 = PrecisionContext(F64)
-EXACT_RATIONAL = PrecisionContext(EXACT)
 
 
 def bigfloat(bits: int = 256) -> PrecisionContext:
@@ -122,12 +96,10 @@ def bigfloat(bits: int = 256) -> PrecisionContext:
 
 
 def parse_precision(text: str) -> PrecisionContext:
-    """Parse a CLI precision spec: ``f64``, ``big:<bits>``, or ``exact``."""
+    """Parse a CLI precision spec: ``f64`` or ``big:<bits>``."""
     text = text.strip().lower()
     if text == F64:
         return FLOAT64
-    if text == EXACT:
-        return EXACT_RATIONAL
     if text.startswith("big"):
         _, _, b = text.partition(":")
         return bigfloat(int(b) if b else 256)

@@ -251,8 +251,11 @@ def constant_growth(family, approach_point: float, side: int, xi_grid: Sequence[
     a larger pmax up to the ceiling, then dropped.  A probe above
     ``xi_cap``, outside [-1, 1], at an endpoint or at the family's singular
     point measures another feature and is dropped too.  A window with no
-    nonzero error, or fewer than three probes left, raises FitUnreliable.
+    nonzero error, or fewer than three probes left, raises FitUnreliable; a
+    side other than -1 or 1 raises ValueError.
     """
+    if side not in (-1, 1):
+        raise ValueError(f"growth side must be -1 or 1, not {side!r}")
     eval_ctx = ctx or FLOAT64
     xi_values, C_values, dropped = [], [], []
     for xi in xi_grid:

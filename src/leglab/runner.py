@@ -23,7 +23,8 @@ from .conjecture import (ToleranceProfile, check_powershift_betas, conjecture_su
 from .functions import (AbsShiftFamily, ConstrainedFamily, PowerAbsFamily, PowerShiftFamily,
                         StepDerivativeFamily, check_keys, family_from_config)
 from .precision import FLOAT64, PrecisionContext, PrecisionError, parse_precision
-from .ratefit import FitUnreliable, constant_growth, fit_rate, gibbs_probe, pinned_constant
+from .ratefit import (FitUnreliable, GridTooCoarse, constant_growth, fit_rate, gibbs_probe,
+                      pinned_constant)
 from .series_eval import error_sweep, norm_sweep
 
 
@@ -228,9 +229,7 @@ def _gibbs(config, opts, family, writer):
 
 def _growth(config, opts, family, writer):
     # the probes are x = point + side * xi, recorded as xi
-    if opts["side"] not in (-1, 1):
-        raise ValueError(f"growth side must be -1 or 1, not {opts['side']!r}")
-    fit = constant_growth(family, float(opts["point"]), int(opts["side"]), opts["xi"],
+    fit = constant_growth(family, float(opts["point"]), opts["side"], opts["xi"],
                           float(opts["fixed_alpha"]), pmax=config.pmax, ctx=config.eval_ctx(),
                           pmax_ceiling=opts["ceiling"])
     writer.json(f"{config.id}.growth.json", fit.to_dict())
@@ -347,9 +346,10 @@ def resolve(config: ExperimentConfig):
     """The kind's handler and its options, the config's over the defaults.
 
     Raises ValueError naming an unknown kind, a config field the kind does
-    not read that is set off its default, a pmax below the kind's least, an
-    unknown expect key, option or tolerance, and every missing required
-    option; config.options itself is left as given.
+    not read that is set off its default, a precision spec that does not
+    parse, a pmax below the kind's least, an unknown expect key, option or
+    tolerance, and every missing required option; config.options itself is
+    left as given.
     """
     if config.kind not in KINDS:
         raise ValueError(f"unknown experiment kind {config.kind!r}; choose from {sorted(KINDS)}")
@@ -360,6 +360,7 @@ def resolve(config: ExperimentConfig):
                     if name not in reads and getattr(config, name) != getattr(blank, name))
     if unread:
         raise ValueError(f"{config.kind} does not read the config fields {unread}")
+    config.eval_ctx(), config.coeff_ctx()  # raises on a precision spec that does not parse
     if config.pmax < kind.min_pmax:
         raise ValueError(f"{config.kind} needs pmax >= {kind.min_pmax}, not {config.pmax}")
     check_keys(f"{config.kind} expect", config.expect, kind.expect)
@@ -378,10 +379,13 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> dict:
     handler, opts = resolve(config)
     # conjecture reads no family; for it this is the default step family
     family = family_from_config(config.family, config.params)
+    if config.kind in ("norm", "gibbs") and not family.prefix_stable:
+        raise ValueError(f"{config.kind} reads coefficient prefixes, and the order-p "
+                         f"approximations of {family.describe()} are not prefixes")
     writer = ManifestWriter(outdir, config.id)
     try:
         handler(config, opts, family, writer)
-    except (PrecisionError, FitUnreliable, InfiniteNorm) as exc:
+    except (PrecisionError, FitUnreliable, InfiniteNorm, GridTooCoarse) as exc:
         # graceful degradation: record a machine-readable error, never silent bad data
         writer.record_error(config.kind, exc)
     doc = {k: getattr(config, k) for k in config.__dataclass_fields__}

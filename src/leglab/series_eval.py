@@ -2,12 +2,10 @@
 
 Every partial sum is one pass over the order terms t_0..t_pmax, whose
 running sums are S_0..S_pmax, so a full sweep costs O(pmax) per evaluation
-point.  ``_terms`` forms the terms in the context's number type from
-``legendre.legendre_row`` in float64, a row held per point that every sweep
-and order escalation there reads again, and from
-``legendre.legendre_eval_range`` in exact mode; float64 accumulation uses
-Neumaier compensation, which keeps the telescoping error identities true
-to a few ulps across the whole 2200-order range.  Float64 terms and sums are array passes: the terms are
+point.  ``_terms`` forms the float64 terms from ``legendre.legendre_row``, a row held
+per point that every sweep and order escalation there reads again; Neumaier compensation
+keeps the telescoping error identities true to a few ulps across the whole 2200-order
+range.  Float64 terms and sums are array passes: the terms are
 one ndarray and the compensated running sums two ``add.accumulate`` scans
 (``_neumaier_running_sums``), with the bits of the scalar loop of
 ``neumaier_sum`` in tests/oracles.py.  In big-float mode ``_fixed_terms`` reads
@@ -28,15 +26,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import chain
-from operator import mul
 from typing import Optional
 
 import mpmath
 import numpy as np
 
 from .coefficients import Generator, LegendreSeries, derivative_coeffs
-from .legendre import legendre_eval_range, legendre_fixed_range, legendre_row
-from .precision import BIG, F64, PrecisionContext, dyadic, round_bits, to_fixed
+from .legendre import legendre_fixed_range, legendre_row
+from .precision import BIG, PrecisionContext, round_bits, to_fixed
 
 
 @dataclass
@@ -95,28 +92,19 @@ def _check_order(series: LegendreSeries, pmax: int) -> None:
         raise IndexError(f"order {pmax} exceeds available coefficients (degree {series.degree})")
 
 
-def _terms(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext):
-    """The order terms t_0..t_pmax at x, whose running sums are S_0..S_pmax:
-    c_k P_k(x) for a coefficient prefix, and for the constrained family
-    t_0 = 0 and the bumps a_k (P_{k+1}(x) - P_{k-1}(x)) / (2k+1),
-    a_k = (P_{k-1}(a) - P_{k+1}(a)) / 2.  Float64 terms are one ndarray,
-    formed elementwise in that operation order from the series' float64
-    image; exact terms are an iterator of Fractions."""
+def _terms(series: LegendreSeries, x, pmax: int) -> np.ndarray:
+    """The float64 order terms t_0..t_pmax at x, whose running sums are
+    S_0..S_pmax: c_k P_k(x) for a coefficient prefix, and for the
+    constrained family t_0 = 0 and the bumps
+    a_k (P_{k+1}(x) - P_{k-1}(x)) / (2k+1), a_k = (P_{k-1}(a) - P_{k+1}(a)) / 2.
+    They are one ndarray, formed elementwise in that operation order from
+    the series' float64 image."""
     _check_order(series, pmax)
     if series.generator is Generator.CONSTRAINED_PVERSION:
-        if ctx.mode == F64:
-            Pa, Px = legendre_row(pmax + 1, series.params["a"]), legendre_row(pmax + 1, x)
-            m = np.arange(3.0, 2 * pmax + 2, 2.0)
-            return np.concatenate(([0.0], (Pa[:-2] - Pa[2:]) / 2 * (Px[2:] - Px[:-2]) / m))
-        Pa = legendre_eval_range(pmax + 1, series.params["a"], ctx)
-        Px = legendre_eval_range(pmax + 1, x, ctx)
-        # a0, a2, x0, x2 = P_{k-1}(a), P_{k+1}(a), P_{k-1}(x), P_{k+1}(x); m = 2k + 1
-        bumps = ((a0 - a2) / 2 * (x2 - x0) / m
-                 for a0, a2, x0, x2, m in zip(Pa, Pa[2:], Px, Px[2:], range(3, 2 * pmax + 2, 2)))
-        return chain([ctx.zero()], bumps)
-    if ctx.mode == F64:
-        return series.as_floats()[: pmax + 1] * legendre_row(pmax, x)
-    return map(mul, map(ctx.convert, series.coeffs), legendre_eval_range(pmax, x, ctx))
+        Pa, Px = legendre_row(pmax + 1, series.params["a"]), legendre_row(pmax + 1, x)
+        m = np.arange(3.0, 2 * pmax + 2, 2.0)
+        return np.concatenate(([0.0], (Pa[:-2] - Pa[2:]) / 2 * (Px[2:] - Px[:-2]) / m))
+    return series.as_floats()[: pmax + 1] * legendre_row(pmax, x)
 
 
 def _fixed_terms(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, S: int):
@@ -126,8 +114,7 @@ def _fixed_terms(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, S:
     them, P_k(x) and P_k(a) come from legendre_fixed_range, a prefix term is
     (C_k P_k + 2^(S-1)) >> S and a constrained bump is one rounded division
     of (A_{k-1} - A_{k+1}) (X_{k+1} - X_{k-1}) by 2 (2k+1) 2^S.  A coefficient
-    is read from its exact pair, rounded to ctx's bits where it has more; an
-    exact rational is converted to ctx first.
+    is read from its exact pair, rounded to ctx's bits where it has more.
     """
     _check_order(series, pmax)
     if series.generator is Generator.CONSTRAINED_PVERSION:
@@ -137,10 +124,8 @@ def _fixed_terms(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, S:
         bumps = ((((a0 - a2) * (x2 - x0) + (m << (S - 1))) // m) >> S
                  for a0, a2, x0, x2, m in zip(A, A[2:], X, X[2:], range(6, 4 * pmax + 3, 4)))
         return chain([0], bumps)
-    pairs = (map(dyadic, map(ctx.convert, series.coeffs[: pmax + 1])) if series.ctx.is_exact
-             else series.pairs(pmax + 1))
     bits = ctx.bits if series.ctx.bits > ctx.bits else None  # None: taken exactly
-    coeffs = (to_fixed(round_bits(*p, bits) if bits else p, S) for p in pairs)
+    coeffs = (to_fixed(round_bits(*p, bits) if bits else p, S) for p in series.pairs(pmax + 1))
     half = 1 << (S - 1)
     return ((c * p + half) >> S
             for c, p in zip(coeffs, legendre_fixed_range(pmax, ctx.convert(x), S)))
@@ -164,30 +149,21 @@ def _running_sums(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, r
 
     Returns (d, S): d[p] is the float ref - S_p (S_p itself without ref) and
     S is S_pmax in the context's number type.  Float64 sums carry Neumaier
-    compensation; big-float sums are exact sums of the fixed-point terms;
-    exact sums are rounded to float order by order.
+    compensation; big-float sums are exact sums of the fixed-point terms.
     """
-    sums = []
     if ctx.mode == BIG:
         S = ctx.bits + 64
         scale = 1 << S
         R = None if ref is None else to_fixed(ctx.convert(ref), S)
+        sums = []
         total = 0
         for t in _fixed_terms(series, x, pmax, ctx, S):
             total += t
             sums.append(total / scale if R is None else (R - total) / scale)
         with ctx.active():
             return np.array(sums), mpmath.mpf((total, -S))
-    terms = _terms(series, x, pmax, ctx)
-    if ctx.mode == F64:
-        d = _neumaier_running_sums(terms)
-        return (d if ref is None else float(ref) - d), float(d[-1])
-    refv = None if ref is None else ctx.convert(ref)
-    total = ctx.zero()
-    for t in terms:
-        total += t
-        sums.append(float(total if refv is None else refv - total))
-    return np.array(sums), total
+    d = _neumaier_running_sums(_terms(series, x, pmax))
+    return (d if ref is None else float(ref) - d), float(d[-1])
 
 
 def partial_sum(series: LegendreSeries, p: int, x, ctx: Optional[PrecisionContext] = None):

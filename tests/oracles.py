@@ -12,6 +12,8 @@ quantity the package produces, by a route the package does not take.
 * ``piecewise_gauss_coeff``: the same integral by a Gauss rule on each side
   of one breakpoint, exact for the piecewise-polynomial families;
 * ``squared_error_quadrature``: ||f - S_p||^2 by piecewise Gauss rules;
+* ``model_norm_sq``: the squared L2 norm of the model solution, by a Gauss
+  rule on each side of its kink;
 * ``mode_derivatives``, ``fem_derivative`` and ``energy_norm_error``: the
   derivative of a FEM solution and its energy-norm error.
 """
@@ -24,6 +26,7 @@ from typing import Callable, Sequence
 import mpmath
 import numpy as np
 
+from leglab.functions import exact_solution
 from leglab.legendre import (gauss_rule, legendre_eval, legendre_eval_range,
                              legendre_fixed_range, legendre_sums_array)
 from leglab.precision import FLOAT64
@@ -117,6 +120,17 @@ def squared_error_quadrature(series, exact_fn: Callable[[float], float],
         fx = np.array([exact_fn(t) for t in xm])
         total += 0.5 * (hi - lo) * float(np.sum(weights * (fx - sp) ** 2))
     return total
+
+
+def model_norm_sq(a: float) -> float:
+    """int exact_solution(t, a)^2 over [-1, 1] by a 6-point Gauss rule on
+    [-1, a] and on [a, 1], exact for the piecewise-quadratic integrand."""
+    rule = gauss_rule(6)
+
+    def sq(t):
+        return exact_solution(t, a) ** 2
+
+    return float(rule.integrate(sq, -1, a) + rule.integrate(sq, a, 1))
 
 
 def mode_derivatives(p: int, xi: float, he: float) -> list:

@@ -26,15 +26,14 @@ from leglab.coefficients import (abs_shift_coeffs, constrained_pversion_coeffs,
                                  legendre_monomial_rows, power_abs_coeffs,
                                  power_shift_coeffs_appendixA, step_derivative_coeffs)
 from leglab.conjecture import ToleranceProfile, powershift_suite
-from leglab.functions import (AbsShiftFamily, ConstrainedFamily, StepDerivativeFamily,
-                              exact_solution_derivative)
-from leglab.legendre import bernstein_bound, legendre_eval_range, legendre_range_array
+from leglab.functions import AbsShiftFamily, ConstrainedFamily, StepDerivativeFamily
+from leglab.legendre import legendre_range_array
 from leglab.precision import FLOAT64, bigfloat
 from leglab.ratefit import (bounded_oscillation_check, constant_growth, fit_rate,
                             gibbs_probe, pinned_constant)
 from leglab.series_eval import error_sweep, norm_sweep, parseval_tail, partial_sum_values
 
-from oracles import binomial_moment_oracle, squared_error_quadrature
+from oracles import binomial_moment_oracle, model_norm_sq, squared_error_quadrature
 
 A = 0.5
 RATE_TOL = 0.05
@@ -111,13 +110,7 @@ def test_criterion_03_norm_slopes(step_series, abs_series):
     assert coef[0] == pytest.approx(-0.5, abs=0.05)
     energy_slope = float(coef[0])
 
-    from leglab.legendre import gauss_rule
-
-    rule = gauss_rule(6)
-    fam = AbsShiftFamily(a=A)
-    norm_sq = float(rule.integrate(lambda t: fam.exact(t) ** 2, -1, A)
-                    + rule.integrate(lambda t: fam.exact(t) ** 2, A, 1))
-    ns2 = norm_sweep(abs_series, exact_norm_sq=norm_sq, pmax=100, norm="L2")
+    ns2 = norm_sweep(abs_series, exact_norm_sq=model_norm_sq(A), pmax=100, norm="L2")
     coef2 = np.polyfit(np.log(ns2.pvalues[9:]), np.log(ns2.norm_error[9:]), 1)
     assert coef2[0] == pytest.approx(-1.5, abs=0.05)
     report(3, f"energy slope {energy_slope:.4f} (exp -0.5); "
@@ -279,13 +272,9 @@ def test_criterion_12_envelope_bound_grid():
 
 
 def test_criterion_13_parseval_vs_quadrature(step_series, abs_series):
-    from leglab.legendre import gauss_rule
-
     step_fam = StepDerivativeFamily(a=A)
     abs_fam = AbsShiftFamily(a=A)
-    rule = gauss_rule(6)
-    norm_abs = float(rule.integrate(lambda t: abs_fam.exact(t) ** 2, -1, A)
-                     + rule.integrate(lambda t: abs_fam.exact(t) ** 2, A, 1))
+    norm_abs = model_norm_sq(A)
     worst = 0.0
     for p in (5, 20, 50):
         t1 = parseval_tail(step_series, p, exact_norm_sq=(1 - A * A) / 2)

@@ -17,11 +17,18 @@ from leglab.coefficients import (Generator, _mu_recurrence, abs_shift_coeffs, ap
 from leglab.functions import (PowerShiftFamily, SingularFunctionSpec, exact_solution,
                               exact_solution_derivative)
 from leglab.legendre import legendre_eval, legendre_eval_range, legendre_fixed_range
-from leglab.precision import EXACT_RATIONAL, FLOAT64, PrecisionError, bigfloat, dyadic, to_fixed
+from leglab.precision import FLOAT64, PrecisionError, bigfloat, dyadic, to_fixed
 from leglab.runner import ExperimentConfig, run_experiment
 from leglab.series_eval import _fixed_terms
 
 from oracles import binomial_moment_oracle, piecewise_gauss_coeff, quadrature_oracle_coeffs
+
+
+def _rounded(q, ctx):
+    """The rational q, an int or a Fraction, rounded once to ctx (mpmath takes no
+    Fraction input)."""
+    with ctx.active():
+        return ctx.convert(q.numerator) / q.denominator
 
 
 def test_step_examples():
@@ -127,9 +134,10 @@ def test_power_abs_parity_and_guards():
         power_abs_coeffs(-0.5, 10, FLOAT64)
     with pytest.raises(ValueError):
         power_abs_coeffs(-1.0, 10)
-    # exact rational mode works (the ratio recurrence is rational)
-    ce = power_abs_coeffs(Fraction(2), 4, EXACT_RATIONAL)
-    assert ce.coeffs[0] == Fraction(1, 3) and ce.coeffs[2] == Fraction(2, 3)
+    # beta = 2: the ratio recurrence gives 1/3 and 2/3, correctly rounded
+    ce = power_abs_coeffs(2.0, 4, bigfloat(256))
+    assert ce.coeffs[0] == _rounded(Fraction(1, 3), ce.ctx)
+    assert ce.coeffs[2] == _rounded(Fraction(2, 3), ce.ctx)
 
 
 def test_power_abs_against_splitting_oracle():
@@ -252,8 +260,6 @@ def test_power_shift_trivial():
 def test_power_shift_guards():
     with pytest.raises(ValueError):
         power_shift_coeffs_appendixA(-1.5, 5)
-    with pytest.raises(PrecisionError):
-        power_shift_coeffs_appendixA(0.5, 5, EXACT_RATIONAL)
 
 
 def _closed_form_vs_appendixA(beta, P, oracle_bits=192):
@@ -315,8 +321,6 @@ def test_power_shift_closed_form_guards():
         power_shift_coeffs(-1.0, 5)
     with pytest.raises(ValueError):
         power_shift_coeffs(0.5, -1)
-    with pytest.raises(PrecisionError):
-        power_shift_coeffs(0.5, 5, EXACT_RATIONAL)
 
 
 def test_power_shift_closed_form_against_gamma_form():
@@ -334,13 +338,12 @@ def test_power_shift_closed_form_against_gamma_form():
 def test_power_shift_integer_beta_is_polynomial(ctx):
     # (1+x)^beta for integer beta: the leading coefficients are those of the
     # polynomial, correctly rounded, and every later one is exactly zero
-    polys = {0: [1], 1: [1, 1], 2: [1, 2, 1]}
-    for beta, poly in polys.items():
+    # the Legendre coefficients of 1, 1 + x and 1 + 2x + x^2 = 4/3 + 2 P_1 + 2/3 P_2
+    polys = {0: [1], 1: [1, 1], 2: [Fraction(4, 3), 2, Fraction(2, 3)]}
+    for beta, exact in polys.items():
         series = PowerShiftFamily(beta=beta).series(2201, ctx)
         assert len(series.coeffs) == 2202
-        exact = polynomial_legendre_coeffs(poly, beta, EXACT_RATIONAL)
-        expect = [series.ctx.convert(e) for e in exact]
-        assert series.coeffs[:beta + 1] == expect
+        assert series.coeffs[:beta + 1] == [_rounded(e, series.ctx) for e in exact]
         assert all(c == 0 for c in series.coeffs[beta + 1:])
     assert [float(c) for c in PowerShiftFamily(beta=2).series(3).coeffs] == [4 / 3, 2.0, 2 / 3, 0.0]
 
@@ -506,14 +509,16 @@ def test_abs_shift_against_quadrature_oracle():
 
 
 def test_exact_rational_generators():
-    a = Fraction(1, 2)
-    s = step_derivative_coeffs(a, 6, EXACT_RATIONAL)
-    assert s.coeffs[1] == Fraction(9, 16)
-    c = abs_shift_coeffs(a, 6, EXACT_RATIONAL)
-    assert c.coeffs[0] == Fraction(-3, 16)
-    b = constrained_pversion_coeffs(a, 4, EXACT_RATIONAL)
+    # at a = 1/2 these values are dyadic rationals, exact in big-float
+    big = bigfloat(256)
+    s = step_derivative_coeffs(0.5, 6, big)
+    assert s.coeffs[1] == _rounded(Fraction(9, 16), big)
+    c = abs_shift_coeffs(0.5, 6, big)
+    assert c.coeffs[0] == _rounded(Fraction(-3, 16), big)
+    b = constrained_pversion_coeffs(0.5, 4, big)
     # exact endpoint cancellation of the full constrained sum
-    total = sum(bk * (-1) ** k for k, bk in enumerate(b.coeffs))
+    with big.active():
+        total = sum(bk * (-1) ** k for k, bk in enumerate(b.coeffs))
     assert total == 0
 
 

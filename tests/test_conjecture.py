@@ -1,10 +1,9 @@
 import json
 
-import numpy as np
 import pytest
 
 from leglab import legendre
-from leglab.conjecture import (ConjectureVerdict, ToleranceProfile, _run_parameter_point,
+from leglab.conjecture import (ToleranceProfile, _run_parameter_point,
                                clause1_interior, clause2_boundary_growth, clause3_singular_growth,
                                clause4_endpoints, clause5_singular_point,
                                conjecture_family, conjecture_suite, measured_rate,

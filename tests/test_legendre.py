@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from leglab import legendre
 from leglab.legendre import (bernstein_bound, gauss_rule, legendre_eval,
                              legendre_eval_range, legendre_range_array, legendre_sums_array)
-from leglab.precision import EXACT_RATIONAL, FLOAT64, PrecisionError, bigfloat
+from leglab.precision import bigfloat
 
 from oracles import legendre_mpf
 
@@ -44,15 +43,16 @@ def test_domain_errors():
 
 
 def test_exact_endpoints():
+    big = bigfloat(128)
     for k in range(0, 25):
-        assert legendre_eval(k, Fraction(1), EXACT_RATIONAL) == 1
-        assert legendre_eval(k, Fraction(-1), EXACT_RATIONAL) == (-1) ** k
+        assert legendre_eval(k, 1.0, big) == 1
+        assert legendre_eval(k, -1.0, big) == (-1) ** k
 
 
 def test_exact_rational_interior():
-    # the recurrence stays in exact rationals
-    v = legendre_eval(4, Fraction(1, 2), EXACT_RATIONAL)
-    assert v == Fraction(-37, 128)
+    # P_4(1/2) = -37/128 is dyadic: the big-float value is exact
+    v = legendre_eval(4, 0.5, bigfloat(128))
+    assert v == mpmath.mpf(-37) / 128
 
 
 def test_vectorized_matches_scalar():
@@ -114,9 +114,7 @@ def test_gauss_symmetry_bitwise():
     assert np.all(nodes == -nodes[::-1])
 
 
-def test_gauss_rejects_exact_mode():
-    with pytest.raises(PrecisionError):
-        gauss_rule(3, EXACT_RATIONAL)
+def test_gauss_rejects_order_zero():
     with pytest.raises(ValueError):
         gauss_rule(0)
 

@@ -170,15 +170,13 @@ def test_fem_error_rates_on_singular_element():
 
 
 def test_bigfloat_solve_matches_f64():
-    from leglab.precision import EXACT_RATIONAL, PrecisionError, bigfloat
+    from leglab.precision import bigfloat
 
     mesh = Mesh1D.uniform(2, 6)
     sol64 = assemble_and_solve(mesh, 0.3)
     solbig = assemble_and_solve(Mesh1D.uniform(2, 6), 0.3, bigfloat(128))
     for x in (-0.6, 0.1, 0.4, 0.9):
         assert float(solbig.evaluate(x)) == pytest.approx(float(sol64.evaluate(x)), abs=1e-14)
-    with pytest.raises(PrecisionError):
-        assemble_and_solve(mesh, 0.3, EXACT_RATIONAL)
 
 
 def test_invalid_load_point():

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leglab.precision import (EXACT_RATIONAL, FLOAT64, PrecisionContext, PrecisionError,
-                              bigfloat, dyadic, pair_float, parse_precision, round_bits,
-                              to_fixed)
+from leglab.precision import (FLOAT64, PrecisionContext, bigfloat, dyadic, pair_float,
+                              parse_precision, round_bits, to_fixed)
 
 from oracles import neumaier_sum
 
@@ -28,25 +27,22 @@ def test_parse_precision():
     assert parse_precision("f64") is FLOAT64
     assert parse_precision("big:512").bits == 512
     assert parse_precision("big").bits == 256
-    assert parse_precision("exact").is_exact
     with pytest.raises(ValueError):
         parse_precision("quad")
+
+
+def test_exact_rationals_are_not_a_mode():
+    # two modes, f64 and big:<bits>; an exact value is checked in big-float
+    with pytest.raises(ValueError, match="cannot parse precision spec 'exact'"):
+        parse_precision("exact")
+    with pytest.raises(ValueError, match="unknown precision mode 'exact'"):
+        PrecisionContext("exact")
 
 
 def test_convert_roundtrip():
     big = bigfloat(128)
     assert float(big.convert(0.25)) == 0.25
-    assert EXACT_RATIONAL.convert(3) == Fraction(3)
-    assert EXACT_RATIONAL.convert(Fraction(1, 3)) == Fraction(1, 3)
-    assert big.convert(Fraction(1, 4)) == 0.25
-
-
-def test_exact_mode_rejects_irrational_ops():
-    with pytest.raises(PrecisionError):
-        EXACT_RATIONAL.sqrt(Fraction(2))
-    with pytest.raises(PrecisionError):
-        EXACT_RATIONAL.require_inexact("op")
-    FLOAT64.require_inexact("op")  # no-op
+    assert type(FLOAT64.convert(3)) is float and FLOAT64.convert(3) == 3.0
 
 
 def test_neumaier_sum_matches_fsum():

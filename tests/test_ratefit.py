@@ -3,14 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from leglab.coefficients import abs_shift_coeffs, constrained_pversion_coeffs
-from leglab.functions import ConstrainedFamily, StepDerivativeFamily, exact_solution
+from leglab.functions import StepDerivativeFamily
 from leglab.legendre import legendre_range_array
 from leglab.ratefit import (FitUnreliable, GridTooCoarse, _sup_grid, bounded_oscillation_check,
                             constant_growth, fit_lower_bound, fit_rate, gibbs_probe,
                             pinned_constant, weighted_sup_norm)
 from leglab.runner import run_figures
-from leglab.series_eval import ErrorSweep, error_sweep
+from leglab.series_eval import ErrorSweep
 
 A = 0.5
 
@@ -111,6 +110,13 @@ def test_constant_growth_step_sigma():
     fam = StepDerivativeFamily(a=A)
     fit = constant_growth(fam, A, +1, [1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5], fixed_alpha=1.0)
     assert fit.exponent == pytest.approx(-1.0, abs=0.1)
+
+
+def test_constant_growth_rejects_a_side_other_than_one():
+    # checked before any probe runs, for API callers as for configs
+    for side in (0, 3, -2):
+        with pytest.raises(ValueError, match=f"growth side must be -1 or 1, not {side}"):
+            constant_growth(StepDerivativeFamily(a=A), A, side, [1e-1], fixed_alpha=1.0)
 
 
 def test_constant_growth_drops_out_of_domain():

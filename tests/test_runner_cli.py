@@ -375,13 +375,38 @@ def test_cli_rejects_ignored_flags(capsys):
     (["conjecture", "--pmax", "0"], "conjecture needs pmax >= 1, not 0"),
     (["fem", "--n", "0"], "a uniform mesh needs at least one element"),
     (["fem", "--n", "-2"], "a uniform mesh needs at least one element"),
+    # two arithmetic modes: f64 and big:<bits>
+    (["sweep", "--x", "0.1", "--precision", "exact"], "cannot parse precision spec 'exact'"),
+    (["coeffs", "--precision", "quad"], "cannot parse precision spec 'quad'"),
+    # the kink family has no jump, so its largest excursion is at the scan's edge: a recorded error
+    (["gibbs", "--family", "absshift", "--a", "0.5"], "GridTooCoarse"),
+    # the order-p constrained approximation is not a prefix of the coefficients
+    (["norm", "--family", "constrained", "--pmax", "50"],
+     "norm reads coefficient prefixes, and the order-p approximations of constrained a=0.5"),
+    (["gibbs", "--family", "constrained"],
+     "gibbs reads coefficient prefixes, and the order-p approximations of constrained a=0.5"),
 ])
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    if message == "GridTooCoarse":
+        # the run records its error in the manifest, which it writes
+        assert main(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        manifest = json.loads((out / f"{argv[0]}.manifest.json").read_text())
+        assert [e["type"] for e in manifest["errors"]] == [message]
+        return
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--out", str(tmp_path / "o")])
+        main(argv + ["--out", str(out)])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert not out.exists()
+
+
+def test_resolve_rejects_a_precision_spec_before_any_work():
+    for field in ("precision", "coeff_precision"):
+        cfg = ExperimentConfig(id="s", kind="sweep", x=[0.1], **{field: "exact"})
+        with pytest.raises(ValueError, match="cannot parse precision spec 'exact'"):
+            resolve(cfg)
 
 
 def test_cli_config_file_errors_exit_2(tmp_path, capsys):

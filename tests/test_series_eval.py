@@ -12,13 +12,13 @@ from leglab.coefficients import (Generator, LegendreSeries, abs_shift_coeffs,
                                  singular_term_coeffs, step_derivative_coeffs)
 from leglab.functions import (AbsShiftFamily, PowerAbsFamily, StepDerivativeFamily,
                               exact_solution, exact_solution_derivative)
-from leglab.legendre import gauss_rule, legendre_eval_range
+from leglab.legendre import legendre_eval_range
 from leglab.precision import FLOAT64, bigfloat
 from leglab.runner import ExperimentConfig, run_experiment, run_figures
 from leglab.series_eval import (ErrorSweep, NormSweep, _running_sums, error_sweep, norm_sweep,
                                 parseval_tail, partial_sum, partial_sum_values)
 
-from oracles import neumaier_sum, squared_error_quadrature
+from oracles import model_norm_sq, neumaier_sum, squared_error_quadrature
 
 A = 0.5
 
@@ -134,9 +134,7 @@ def test_constrained_sweep_matches_pointwise():
 def test_parseval_tail_and_quadrature(a):
     norm_step = (1 - a * a) / 2  # closed form of the squared step norm
     # solution family: squared norm from exact quadrature of the piecewise line
-    rule = gauss_rule(6)
-    norm_abs = float(rule.integrate(lambda t: exact_solution(t, a) ** 2, -1, a)
-                     + rule.integrate(lambda t: exact_solution(t, a) ** 2, a, 1))
+    norm_abs = model_norm_sq(a)
     for series, exact, norm_sq in ((step_derivative_coeffs(a, 2201),
                                     StepDerivativeFamily(a=a).exact, norm_step),
                                    (abs_shift_coeffs(a, 2201), AbsShiftFamily(a=a).exact,
@@ -171,13 +169,8 @@ def test_norm_sweep_energy_slope(step_series):
     assert coef[0] == pytest.approx(-0.5, abs=0.05)
 
 
-def test_norm_sweep_l2_slope(abs_series, abs_family):
-    from leglab.legendre import gauss_rule
-
-    rule = gauss_rule(6)
-    norm_abs = float(rule.integrate(lambda t: abs_family.exact(t) ** 2, -1, A)
-                     + rule.integrate(lambda t: abs_family.exact(t) ** 2, A, 1))
-    ns = norm_sweep(abs_series, exact_norm_sq=norm_abs, pmax=100, norm="L2")
+def test_norm_sweep_l2_slope(abs_series):
+    ns = norm_sweep(abs_series, exact_norm_sq=model_norm_sq(A), pmax=100, norm="L2")
     coef = np.polyfit(np.log(ns.pvalues[9:]), np.log(ns.norm_error[9:]), 1)
     assert coef[0] == pytest.approx(-1.5, abs=0.05)
 
