@@ -31,9 +31,13 @@ Closed forms:
   times the exact integer monomial coefficients of P_k, cancelling about
   1.585 bits per degree) stays as its oracle.
 
-The integer routes return exact pairs (M, E), each rounded once to the
-output context as mpmath rounds; a series builds mpf objects only when
-``coeffs`` is read.  The singularity-splitting quadrature oracle in
+In big-float mode the step and model-solution coefficients are exact
+integer combinations of the fixed-point values of
+``legendre.legendre_fixed_range``; in float64 they are array expressions in
+the operation order of the scalar loops kept in tests/oracles.py.  The
+integer routes return exact pairs (M, E), each rounded once to the output
+context as mpmath rounds; a series builds mpf objects, or in float64 a list
+of floats, only when ``coeffs`` is read.  The singularity-splitting quadrature oracle in
 tests/oracles.py cross-checks every generator.
 """
 
@@ -41,13 +45,14 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import chain
 from typing import Optional, Sequence
 
 import mpmath
 import numpy as np
 
 from .functions import SingularFunctionSpec
-from .legendre import legendre_eval_range, legendre_row
+from .legendre import fixed_scale, legendre_fixed_range, legendre_row
 from .precision import (BIG, F64, FLOAT64, PrecisionContext, PrecisionError, bigfloat,
                         dyadic, pair_float, round_bits, to_fixed)
 
@@ -67,7 +72,9 @@ class Generator(str, Enum):
 class LegendreSeries:
     """Coefficient sequence c_0..c_P with provenance.
 
-    A big-float series from an integer recurrence holds each c_k as an exact
+    A float64 series holds its coefficients as one read-only ndarray, its
+    float64 image, and builds the ``coeffs`` list on first read.  A
+    big-float series from an integer recurrence holds each c_k as an exact
     pair (M_k, E_k), c_k = M_k 2^E_k, already rounded to its context
     (``from_pairs``); ``coeffs`` builds the mpf list from the pairs on first
     read, and the float64 image and the fixed-point sums read the pairs.
@@ -75,26 +82,35 @@ class LegendreSeries:
 
     def __init__(self, coeffs, generator: Generator, ctx: PrecisionContext,
                  params: Optional[dict] = None, pairs: Optional[list] = None):
-        if any(isinstance(c, float) and not math.isfinite(c) for c in coeffs or ()):
-            raise ValueError("series coefficients must be finite")
+        # the float64 image: held from the start in float64, else made on
+        # first use; a prefix views its source's
+        self._f64_array = self._source = None
+        if ctx.mode == F64:
+            self._f64_array = np.asarray(coeffs, dtype=float).view()
+            if not np.isfinite(self._f64_array).all():
+                raise ValueError("series coefficients must be finite")
+            self._f64_array.flags.writeable = False
+            coeffs = None
         self._coeffs, self._pairs = coeffs, pairs
         self.generator, self.ctx, self.params = generator, ctx, params if params is not None else {}
-        # the float64 image, made on first use; a prefix views its source's
-        self._f64_array = self._source = None
 
     @classmethod
     def from_pairs(cls, pairs, generator, ctx, params) -> "LegendreSeries":
         """A series from exact pairs (n, e), each rounded once to ctx."""
         if ctx.mode == F64:
-            return cls([pair_float(n, e) for n, e in pairs], generator, ctx, params)
+            return cls(np.fromiter((pair_float(n, e) for n, e in pairs), dtype=float),
+                       generator, ctx, params)
         return cls(None, generator, ctx, params, [round_bits(n, e, ctx.bits) for n, e in pairs])
 
     @property
     def coeffs(self) -> list:
-        """c_0..c_P in the context's number type; a held series makes its mpfs here, once."""
+        """c_0..c_P in the context's number type, as a list made here on first read."""
         if self._coeffs is None:
-            with self.ctx.active():
-                self._coeffs = list(map(mpmath.mpf, self._pairs))
+            if self._pairs is None:
+                self._coeffs = self._f64_array.tolist()
+            else:
+                with self.ctx.active():
+                    self._coeffs = list(map(mpmath.mpf, self._pairs))
         return self._coeffs
 
     def pairs(self, stop: Optional[int] = None):
@@ -102,11 +118,12 @@ class LegendreSeries:
         or each float or mpf read exactly as it is consumed."""
         if self._pairs is not None:
             return self._pairs[:stop]
-        return map(dyadic, self._coeffs[:stop])
+        return map(dyadic, self.coeffs[:stop])
 
     @property
     def degree(self) -> int:
-        return len(self._pairs if self._coeffs is None else self._coeffs) - 1
+        held = next(h for h in (self._pairs, self._coeffs, self._f64_array) if h is not None)
+        return len(held) - 1
 
     @property
     def series_id(self) -> str:
@@ -115,6 +132,8 @@ class LegendreSeries:
 
     def prefix(self, P: int) -> "LegendreSeries":
         """c_0..c_P as a series that shares this one's float64 image."""
+        if self.ctx.mode == F64:
+            return LegendreSeries(self._f64_array[: P + 1], self.generator, self.ctx, self.params)
         out = LegendreSeries(self._coeffs and self._coeffs[: P + 1], self.generator, self.ctx,
                              self.params, self._pairs and self._pairs[: P + 1])
         out._source = self
@@ -154,33 +173,65 @@ def _check_center(a, ctx) -> None:
         raise ValueError(f"center a = {a} must lie strictly inside (-1, 1)")
 
 
+def _step_f64(a, P: int) -> np.ndarray:
+    """a_0..a_P in float64: a_0 = 0, a_k = (P_{k-1}(a) - P_{k+1}(a)) / 2 from the row of a."""
+    row = legendre_row(P + 1, a)
+    return np.concatenate(([0.0], 0.5 * (row[:-2] - row[2:])))
+
+
+def _step_fixed(a, P: int, ctx: PrecisionContext) -> tuple:
+    """(S, [d_0, ..., d_P]): a_k = d_k 2^-(S+1) exactly, d_0 = 0 and
+    d_k = A_{k-1} - A_{k+1} over the fixed-point values A_k = round(P_k(a) 2^S)
+    at the scale ctx reads."""
+    av = ctx.convert(a)
+    S = fixed_scale(av, ctx.bits)
+    A = legendre_fixed_range(P + 1, av, S)
+    return S, [0] + [p0 - p2 for p0, p2 in zip(A, A[2:])]
+
+
+def _model_f64(ak: np.ndarray, n: int) -> np.ndarray:
+    """c_0 = -a_1/3 and c_k = a_{k-1}/(2k-1) - a_{k+1}/(2k+3) for k = 1..n, in
+    float64 and in the scalar loop's operation order."""
+    k = np.arange(1.0, n + 1)
+    return np.concatenate(([-ak[1] / 3], ak[:n] / (2 * k - 1) - ak[2:n + 2] / (2 * k + 3)))
+
+
 def step_derivative_coeffs(a, P: int, ctx: PrecisionContext = FLOAT64) -> LegendreSeries:
-    """Expansion of the unit-jump step at a: zero mean, a_k from endpoint differences."""
+    """Expansion of the unit-jump step at a: zero mean, a_k from endpoint differences.
+
+    In big-float mode each a_k is an exact difference of two fixed-point
+    values of ``legendre_fixed_range``, rounded to the context once.
+    """
     _check_center(a, ctx)
     if P < 1:
         raise ValueError("P must be >= 1")
+    params = {"a": float(a)}
     if ctx.mode == F64:
-        row = legendre_row(P + 1, a)
-        coeffs = [0.0] + (0.5 * (row[:-2] - row[2:])).tolist()
-    else:
-        with ctx.active():
-            Pk = legendre_eval_range(P + 1, ctx.convert(a), ctx)
-            half = ctx.convert(1) / 2
-            coeffs = [ctx.zero()] + [half * (Pk[k - 1] - Pk[k + 1]) for k in range(1, P + 1)]
-    return LegendreSeries(coeffs, Generator.STEP_DERIVATIVE, ctx, {"a": float(a)})
+        return LegendreSeries(_step_f64(a, P), Generator.STEP_DERIVATIVE, ctx, params)
+    S, d = _step_fixed(a, P, ctx)
+    return LegendreSeries.from_pairs(((dk, -S - 1) for dk in d), Generator.STEP_DERIVATIVE,
+                                     ctx, params)
 
 
 def abs_shift_coeffs(a, P: int, ctx: PrecisionContext = FLOAT64) -> LegendreSeries:
-    """Expansion of the model solution (step series integrated term by term)."""
+    """Expansion of the model solution (step series integrated term by term).
+
+    In big-float mode c_k = ((2k+3) d_{k-1} - (2k-1) d_{k+1}) / ((2k-1)(2k+3) 2^(S+1))
+    over the exact integers d_k of the step (``_step_fixed``): one integer
+    quotient per coefficient, with bits + 64 significant bits, rounded to
+    the context once.
+    """
     _check_center(a, ctx)
     if P < 1:
         raise ValueError("P must be >= 1")
-    ak = step_derivative_coeffs(a, P + 1, ctx).coeffs
-    with ctx.active():
-        coeffs = [-ak[1] / 3]
-        for k in range(1, P + 1):
-            coeffs.append(ak[k - 1] / (2 * k - 1) - ak[k + 1] / (2 * k + 3))
-    return LegendreSeries(coeffs, Generator.ABS_SHIFT, ctx, {"a": float(a)})
+    params = {"a": float(a)}
+    if ctx.mode == F64:
+        return LegendreSeries(_model_f64(_step_f64(a, P + 1), P), Generator.ABS_SHIFT, ctx, params)
+    S, d = _step_fixed(a, P + 1, ctx)
+    fractions = chain([(-d[1], 3)], (((2 * k + 3) * d[k - 1] - (2 * k - 1) * d[k + 1],
+                                      (2 * k - 1) * (2 * k + 3)) for k in range(1, P + 1)))
+    pairs = ((M, E - S - 1) for M, E in (_quotient(N, D, ctx.bits + 64) for N, D in fractions))
+    return LegendreSeries.from_pairs(pairs, Generator.ABS_SHIFT, ctx, params)
 
 
 def constrained_pversion_coeffs(a, P: int, ctx: PrecisionContext = FLOAT64) -> LegendreSeries:
@@ -190,10 +241,17 @@ def constrained_pversion_coeffs(a, P: int, ctx: PrecisionContext = FLOAT64) -> L
     drop the coupling to degrees above P, which restores u_P(+-1) = 0
     exactly.  Partial sums of this family at lower orders p use the
     order-p tail modification, not a literal prefix (see series_eval).
+    In big-float mode the coefficients are formed in mpf arithmetic, where
+    the alternating sum of the b_k cancels exactly.
     """
     _check_center(a, ctx)
     if P < 1:
         raise ValueError("P must be >= 1")
+    params = {"a": float(a)}
+    if ctx.mode == F64:
+        ak = _step_f64(a, P)
+        coeffs = np.concatenate((_model_f64(ak, P - 1), ak[P - 1:] / [2.0 * P - 1, 2.0 * P + 1]))
+        return LegendreSeries(coeffs, Generator.CONSTRAINED_PVERSION, ctx, params)
     ak = step_derivative_coeffs(a, P, ctx).coeffs
     with ctx.active():
         coeffs = [-ak[1] / 3]
@@ -201,7 +259,7 @@ def constrained_pversion_coeffs(a, P: int, ctx: PrecisionContext = FLOAT64) -> L
             coeffs.append(ak[k - 1] / (2 * k - 1) - ak[k + 1] / (2 * k + 3))
         coeffs.append(ak[P - 1] / (2 * P - 1))
         coeffs.append(ak[P] / (2 * P + 1))
-    return LegendreSeries(coeffs, Generator.CONSTRAINED_PVERSION, ctx, {"a": float(a)})
+    return LegendreSeries(coeffs, Generator.CONSTRAINED_PVERSION, ctx, params)
 
 
 def power_abs_coeffs(beta, P: int, ctx: Optional[PrecisionContext] = None) -> LegendreSeries:
@@ -315,11 +373,16 @@ def _ratio_run(M, E, factors, bits):
     A zero factor gives exact zeros from there on.
     """
     for N, D in factors:
-        t = M * N
-        sh = max(0, bits + D.bit_length() - t.bit_length())
-        M = ((t << (sh + 1)) + D) // (2 * D)
-        E -= sh
+        M, e = _quotient(M * N, D, bits)
+        E += e
         yield M, E
+
+
+def _quotient(t: int, D: int, bits: int) -> tuple:
+    """(M, e) with M 2^e = t / D rounded to nearest, D > 0: t is shifted left
+    first so that M keeps at least ``bits`` significant bits."""
+    sh = max(0, bits + D.bit_length() - t.bit_length())
+    return ((t << (sh + 1)) + D) // (2 * D), -sh
 
 
 def _mu_recurrence(a, beta, P, ctx):

@@ -6,7 +6,9 @@ which is numerically stable on [-1, 1].  It is written in four kernels:
 the float64 step loop ``_f64_extend`` (one point, read by
 ``legendre_eval_range`` and the row memo ``legendre_row``),
 ``legendre_fixed_range`` (one point in fixed point on Python integers, read
-by the big-float sums and ``legendre_eval_range``), and two
+by the big-float sums, the big-float step and model-solution generators,
+the FEM element sweep and ``legendre_eval_range``, at the scale
+``fixed_scale`` gives a context), and two
 many-point float64 kernels, ``legendre_range_array`` (the table of rows
 P_0..P_kmax) and ``legendre_sums_array`` (one partial sum
 S_{orders[j]}(x[j]) per point, a running sum over rows with O(points)
@@ -92,13 +94,18 @@ def legendre_eval_range(kmax: int, x, ctx: PrecisionContext = FLOAT64) -> list:
     xv = _check_domain(x, ctx)
     if ctx.mode == F64:
         return _f64_extend([1.0, xv], xv, 1, kmax)[: kmax + 1]
-    # fixed-point scale: 64 guard bits below |x| (an odd P_k(x) is O(x))
-    S = ctx.bits + 64 + max(0, -math.frexp(float(xv))[1])
+    S = fixed_scale(xv, ctx.bits)
     out = legendre_fixed_range(kmax, xv, S)
     with ctx.active():
         for k, v in enumerate(out):
             out[k] = mpmath.mpf((v, -S))  # each value rounded once, in place
     return out
+
+
+def fixed_scale(x, bits: int) -> int:
+    """The scale S at which a context of ``bits`` bits reads round(P_k(x) 2^S):
+    64 guard bits below its unit roundoff and below |x| (an odd P_k(x) is O(x))."""
+    return bits + 64 + max(0, -math.frexp(float(x))[1])
 
 
 def legendre_fixed_range(kmax: int, x, S: int) -> list:

@@ -11,7 +11,9 @@ generators and the solver then agree sign for sign.
 
 Point loads are evaluated exactly: the load vector holds basis values at a.
 The mode norms sqrt(2(2k-1)) are computed once per precision context and
-read from there by every mode evaluation.
+read from there by every mode evaluation.  The element error sweep needs
+no norms and runs on the integer kernel in big-float mode (see
+``element_error_series``).
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import exact_solution
-from .legendre import legendre_eval_range
-from .precision import FLOAT64, PrecisionContext
+from .legendre import fixed_scale, legendre_eval_range, legendre_fixed_range
+from .precision import BIG, FLOAT64, PrecisionContext, dyadic, to_fixed
 from .series_eval import ErrorSweep
 
 
@@ -194,6 +196,14 @@ def element_error_series(sol: FemSolution, x: float, pmax: int) -> ErrorSweep:
     Entry p corresponds to internal modes N_2..N_{p+1} (element degree
     p + 1), matching the order-p endpoint-constrained expansion under the
     affine map; on a single element the two sweeps coincide identically.
+
+    The mode norms cancel in N_k(xi_a) N_k(xi_x) =
+    (P_k - P_{k-2})(xi_a) (P_k - P_{k-2})(xi_x) / (2(2k-1)), so a big-float
+    sweep reads two ``legendre_fixed_range`` rows, forms each term by one
+    rounded integer division, keeps the running error exactly and rounds
+    each error to float once.  A float64 sweep is one array pass over two
+    ``legendre_eval_range`` rows, its running sum an ``add.accumulate`` scan
+    with the bits of the scalar loop.
     """
     mesh, a, ctx = sol.mesh, sol.a, sol.ctx
     s = mesh.element_of(a)
@@ -206,15 +216,27 @@ def element_error_series(sol: FemSolution, x: float, pmax: int) -> ErrorSweep:
         xv = ctx.convert(x)
         xi_a = (2 * av - ctx.convert(lo + hi)) / he
         xi_x = (2 * xv - ctx.convert(lo + hi)) / he
-        na = internal_modes(pmax + 1, xi_a, ctx)
-        nx = internal_modes(pmax + 1, xi_x, ctx)
         ul, ur = ctx.convert(sol.nodal[s]), ctx.convert(sol.nodal[s + 1])
         linear = ul * (1 - xi_x) / 2 + ur * (1 + xi_x) / 2
         exact = ctx.convert(exact_solution(float(x), a))
-        errs = np.empty(pmax)
-        total = linear
-        for i in range(pmax):
-            total += -(he / 2) * na[i] * nx[i]
-            errs[i] = abs(float(exact - total))
+    if ctx.mode == BIG:
+        S = ctx.bits + 64
+        Sa, Sx = fixed_scale(xi_a, ctx.bits), fixed_scale(xi_x, ctx.bits)
+        A, X = legendre_fixed_range(pmax + 1, xi_a, Sa), legendre_fixed_range(pmax + 1, xi_x, Sx)
+        # he / 2 = hn 2^(e-1); the term of mode k is hn (A_k - A_{k-2}) (X_k - X_{k-2})
+        # / (m 2^sh) in units of 2^-S, m = 2 (2k - 1)
+        hn, e = dyadic(he)
+        sh = Sa + Sx + 1 - e - S
+        err, scale, errs = to_fixed(exact, S) - to_fixed(linear, S), 1 << S, []
+        for a0, a2, x0, x2, m in zip(A, A[2:], X, X[2:], range(6, 4 * pmax + 3, 4)):
+            # floor(floor(t / m) / 2^sh) = floor(t / (m 2^sh)): one rounding
+            err += ((hn * (a2 - a0) * (x2 - x0) + (m << (sh - 1))) // m) >> sh
+            errs.append(abs(err) / scale)
+    else:
+        # xi_x is a point of its own, so the rows are not held in the row memo
+        Pa, Px = (np.array(legendre_eval_range(pmax + 1, xi)) for xi in (xi_a, xi_x))
+        norms = np.sqrt(np.arange(6.0, 4 * pmax + 3, 4.0))  # sqrt(2(2k-1)), k = 2..pmax+1
+        terms = -(he / 2) * ((Pa[2:] - Pa[:-2]) / norms) * ((Px[2:] - Px[:-2]) / norms)
+        errs = np.abs(exact - np.add.accumulate(np.concatenate(([linear], terms)))[1:])
     return ErrorSweep(float(x), np.arange(1, pmax + 1), errs,
                       f"fem element degree sweep a={a:g}", f"pfem1d(a={a:g})")

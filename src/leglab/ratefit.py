@@ -65,9 +65,11 @@ def _local_minima(e: np.ndarray) -> np.ndarray:
 
 
 def _upper_hull(lp: np.ndarray, le: np.ndarray) -> np.ndarray:
-    """Upper convex hull (monotone chain) of points already sorted by lp."""
+    """Upper convex hull (monotone chain) of points already sorted by lp.
+
+    The loop reads Python floats, the same doubles as the arrays' entries."""
     hull = []
-    for x, y in zip(lp, le):
+    for x, y in zip(lp.tolist(), le.tolist()):
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             if (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) >= 0:

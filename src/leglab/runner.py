@@ -21,7 +21,7 @@ from .coefficients import render_number
 from .conjecture import (ToleranceProfile, check_powershift_betas, conjecture_suite,
                          powershift_suite, summarize)
 from .functions import (AbsShiftFamily, ConstrainedFamily, PowerAbsFamily, PowerShiftFamily,
-                        StepDerivativeFamily, check_keys, family_from_config)
+                        SpecFamily, StepDerivativeFamily, check_keys, family_from_config)
 from .precision import FLOAT64, PrecisionContext, PrecisionError, parse_precision
 from .ratefit import (FitUnreliable, GridTooCoarse, constant_growth, fit_rate, gibbs_probe,
                       pinned_constant)
@@ -398,10 +398,13 @@ class InfiniteNorm(ValueError):
 
 def _exact_norm_sq(family, norm: str) -> Optional[float]:
     """Squared target norm: closed forms for the power families, exact
-    piecewise Gauss quadrature for the piecewise-polynomial ones, None where
-    neither applies (the norm sweep then warns about truncation)."""
+    piecewise Gauss quadrature for the piecewise-polynomial ones, tanh-sinh
+    quadrature between the singular points of a spec, None where none of
+    these applies (the norm sweep then warns about truncation)."""
     from .legendre import gauss_rule
 
+    if isinstance(family, SpecFamily):
+        return _spec_norm_sq(family) if norm.lower() == "l2" else None
     if isinstance(family, (PowerAbsFamily, PowerShiftFamily)):
         beta = family.beta
         if norm.lower() == "energy":
@@ -435,6 +438,23 @@ def _exact_norm_sq(family, norm: str) -> Optional[float]:
     except TypeError:
         return None
     return float(lo_part + hi_part)
+
+
+def _spec_norm_sq(family) -> Optional[float]:
+    """int f^2 over [-1, 1] for a spec target, by ``mpmath.quad`` (tanh-sinh)
+    on each piece between consecutive singular points, where a Gauss rule
+    would converge slowly; None when the quadrature's own error estimate
+    exceeds 2^-56 of the value (a strong singularity, e.g. exponent -0.4)."""
+    import mpmath
+
+    spec = family.spec
+    if any(c != 0 and b <= -0.5 for c, _, b in spec.terms):
+        raise InfiniteNorm(f"{family.describe()} is not square integrable: "
+                           "an exponent is at most -1/2")
+    pts = sorted({-1.0, 1.0, *spec.singular_points()})
+    with mpmath.workprec(80):
+        value, err = mpmath.quad(lambda t: spec.value(t) ** 2, pts, error=True)
+        return float(value) if err <= abs(value) * 2.0 ** -56 else None
 
 
 def figure_config_dir() -> str:

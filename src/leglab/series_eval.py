@@ -23,6 +23,7 @@ a_k (P_{k+1} - P_{k-1}) / (2k+1) instead of a literal coefficient prefix.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -33,7 +34,7 @@ import numpy as np
 
 from .coefficients import Generator, LegendreSeries, derivative_coeffs
 from .legendre import legendre_fixed_range, legendre_row
-from .precision import BIG, PrecisionContext, round_bits, to_fixed
+from .precision import BIG, F64, PrecisionContext, round_bits, to_fixed
 
 
 @dataclass
@@ -113,8 +114,9 @@ def _fixed_terms(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, S:
     x (and a) are rounded to the context as a big-float kernel would take
     them, P_k(x) and P_k(a) come from legendre_fixed_range, a prefix term is
     (C_k P_k + 2^(S-1)) >> S and a constrained bump is one rounded division
-    of (A_{k-1} - A_{k+1}) (X_{k+1} - X_{k-1}) by 2 (2k+1) 2^S.  A coefficient
-    is read from its exact pair, rounded to ctx's bits where it has more.
+    of (A_{k-1} - A_{k+1}) (X_{k+1} - X_{k-1}) by 2 (2k+1) 2^S.  A big-float
+    coefficient is read from its exact pair, rounded to ctx's bits where it
+    has more; float64 coefficients are scaled in one array pass (``_fixed_image``).
     """
     _check_order(series, pmax)
     if series.generator is Generator.CONSTRAINED_PVERSION:
@@ -124,11 +126,24 @@ def _fixed_terms(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, S:
         bumps = ((((a0 - a2) * (x2 - x0) + (m << (S - 1))) // m) >> S
                  for a0, a2, x0, x2, m in zip(A, A[2:], X, X[2:], range(6, 4 * pmax + 3, 4)))
         return chain([0], bumps)
-    bits = ctx.bits if series.ctx.bits > ctx.bits else None  # None: taken exactly
-    coeffs = (to_fixed(round_bits(*p, bits) if bits else p, S) for p in series.pairs(pmax + 1))
+    if series.ctx.mode == F64:
+        coeffs = _fixed_image(series.as_floats()[: pmax + 1], S)
+    else:
+        bits = ctx.bits if series.ctx.bits > ctx.bits else None  # None: taken exactly
+        coeffs = (to_fixed(round_bits(*p, bits) if bits else p, S) for p in series.pairs(pmax + 1))
     half = 1 << (S - 1)
     return ((c * p + half) >> S
             for c, p in zip(coeffs, legendre_fixed_range(pmax, ctx.convert(x), S)))
+
+
+def _fixed_image(c: np.ndarray, S: int):
+    """round(c_k 2^S) for float64 c, one at a time: np.ldexp scales every c_k
+    exactly while 2^S |c_k| < 2^1024, and ``round`` of a float rounds to
+    nearest, ties to even, as to_fixed does; past that range to_fixed reads
+    each coefficient."""
+    if S + math.frexp(float(np.max(np.abs(c), initial=0.0)))[1] < 1024:
+        return map(round, np.ldexp(c, S).tolist())
+    return (to_fixed(v, S) for v in c.tolist())
 
 
 def _neumaier_running_sums(t: np.ndarray) -> np.ndarray:

@@ -15,7 +15,11 @@ quantity the package produces, by a route the package does not take.
 * ``model_norm_sq``: the squared L2 norm of the model solution, by a Gauss
   rule on each side of its kink;
 * ``mode_derivatives``, ``fem_derivative`` and ``energy_norm_error``: the
-  derivative of a FEM solution and its energy-norm error.
+  derivative of a FEM solution and its energy-norm error;
+* ``element_error_loop``: the FEM element sweep as a scalar loop over the
+  normalized modes, in the context's own arithmetic;
+* ``model_coeffs_loop``: the float64 model-solution and constrained
+  coefficients as scalar loops over the step coefficients.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import mpmath
 import numpy as np
 
 from leglab.functions import exact_solution
+from leglab.pfem import internal_modes
 from leglab.legendre import (gauss_rule, legendre_eval, legendre_eval_range,
                              legendre_fixed_range, legendre_sums_array)
 from leglab.precision import FLOAT64
@@ -171,3 +176,40 @@ def energy_norm_error(sol, order: int = 60) -> float:
 
             total += float(rule.integrate(dsq, plo, phi))
     return total ** 0.5
+
+
+def element_error_loop(sol, x: float, pmax: int) -> list:
+    """|u(x) - u_p(x)| for p = 1..pmax on the loaded element: the modes
+    N_2..N_{pmax+1} at the load point and at x, each term -(h/2) N_k(xi_a)
+    N_k(xi_x) added to the linear part in the context's arithmetic, each
+    error rounded to float from the context's number."""
+    mesh, a, ctx = sol.mesh, sol.a, sol.ctx
+    s = mesh.element_of(a)
+    lo, hi = mesh.nodes[s], mesh.nodes[s + 1]
+    with ctx.active():
+        he = ctx.convert(hi - lo)
+        xi_a = (2 * ctx.convert(a) - ctx.convert(lo + hi)) / he
+        xi_x = (2 * ctx.convert(x) - ctx.convert(lo + hi)) / he
+        na = internal_modes(pmax + 1, xi_a, ctx)
+        nx = internal_modes(pmax + 1, xi_x, ctx)
+        ul, ur = ctx.convert(sol.nodal[s]), ctx.convert(sol.nodal[s + 1])
+        total = ul * (1 - xi_x) / 2 + ur * (1 + xi_x) / 2
+        exact = ctx.convert(exact_solution(float(x), a))
+        errs = []
+        for i in range(pmax):
+            total += -(he / 2) * na[i] * nx[i]
+            errs.append(abs(float(exact - total)))
+    return errs
+
+
+def model_coeffs_loop(ak: list, P: int, constrained: bool = False) -> list:
+    """From the step coefficients a_k, float64: the model solution's
+    c_0 = -a_1/3, c_k = a_{k-1}/(2k-1) - a_{k+1}/(2k+3) for k = 1..P, or the
+    order-P constrained b_0..b_{P+1}, whose top two drop the a_{k+1} term."""
+    coeffs = [-ak[1] / 3]
+    for k in range(1, P if constrained else P + 1):
+        coeffs.append(ak[k - 1] / (2 * k - 1) - ak[k + 1] / (2 * k + 3))
+    if constrained:
+        coeffs.append(ak[P - 1] / (2 * P - 1))
+        coeffs.append(ak[P] / (2 * P + 1))
+    return coeffs

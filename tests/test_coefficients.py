@@ -17,11 +17,12 @@ from leglab.coefficients import (Generator, _mu_recurrence, abs_shift_coeffs, ap
 from leglab.functions import (PowerShiftFamily, SingularFunctionSpec, exact_solution,
                               exact_solution_derivative)
 from leglab.legendre import legendre_eval, legendre_eval_range, legendre_fixed_range
-from leglab.precision import FLOAT64, PrecisionError, bigfloat, dyadic, to_fixed
+from leglab.precision import FLOAT64, PrecisionError, bigfloat, dyadic, round_bits, to_fixed
 from leglab.runner import ExperimentConfig, run_experiment
 from leglab.series_eval import _fixed_terms
 
-from oracles import binomial_moment_oracle, piecewise_gauss_coeff, quadrature_oracle_coeffs
+from oracles import (binomial_moment_oracle, model_coeffs_loop, piecewise_gauss_coeff,
+                     quadrature_oracle_coeffs)
 
 
 def _rounded(q, ctx):
@@ -506,6 +507,41 @@ def test_abs_shift_against_quadrature_oracle():
     for k in (0, 1, 2, 9, 25, 40):
         oracle = piecewise_gauss_coeff(lambda t: exact_solution(t, 0.5), 0.5, k)
         assert float(c.coeffs[k]) == pytest.approx(oracle, rel=1e-12, abs=1e-14)
+
+
+def _ulps_off(pair, ref_pair, bits):
+    """|pair - ref| in units of the last place of ref rounded to ``bits`` bits."""
+    n, e = round_bits(*ref_pair, bits)
+    if n == 0:
+        return math.inf if pair[0] else 0
+    value = Fraction(pair[0]) * Fraction(2) ** pair[1]
+    ref = Fraction(n) * Fraction(2) ** e
+    return abs(value - ref) / Fraction(2) ** (e + abs(n).bit_length() - bits)
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(a=st.floats(-0.95, 0.95).filter(lambda t: t != 0), gen=st.sampled_from(["step", "absshift"]))
+@example(a=0.5, gen="absshift")
+@example(a=0.25, gen="absshift")
+@example(a=0.5, gen="step")
+def test_big256_step_and_absshift_within_one_ulp_of_big512(a, gen):
+    # each c_k is one exact integer combination of fixed-point values with
+    # 64 guard bits, rounded to the context once
+    f = {"step": step_derivative_coeffs, "absshift": abs_shift_coeffs}[gen]
+    got, ref = f(a, 2200, bigfloat(256)), f(a, 2200, bigfloat(512))
+    assert max(_ulps_off(p, q, 256) for p, q in zip(got.pairs(), ref.pairs())) <= 1
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(a=st.floats(-0.95, 0.95), P=st.one_of(st.integers(1, 60), st.just(2200)))
+def test_f64_model_coefficients_have_the_bits_of_the_scalar_loops(a, P):
+    ak = step_derivative_coeffs(a, P + 1).coeffs
+    free, constrained = abs_shift_coeffs(a, P), constrained_pversion_coeffs(a, P)
+    assert free.as_floats().tobytes() == np.array(model_coeffs_loop(ak, P)).tobytes()
+    want = np.array(model_coeffs_loop(ak[: P + 1], P, constrained=True))
+    assert constrained.as_floats().tobytes() == want.tobytes()
+    # the list is made from the held image on first read, with the same floats
+    assert free.coeffs == free.as_floats().tolist()
 
 
 def test_exact_rational_generators():

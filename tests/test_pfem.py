@@ -13,7 +13,7 @@ from leglab.precision import FLOAT64, bigfloat
 from leglab.runner import ExperimentConfig, run_experiment
 from leglab.series_eval import error_sweep, partial_sum
 
-from oracles import energy_norm_error, fem_derivative, mode_derivatives
+from oracles import element_error_loop, energy_norm_error, fem_derivative, mode_derivatives
 
 A = 0.5
 
@@ -242,3 +242,38 @@ def test_evaluate_equals_a_per_call_sqrt_oracle(n, degree, a, xs, big):
                 for k, ck in enumerate(coeffs, start=2):
                     want += ck * (Pk[k] - Pk[k - 2]) / _norm(k, ctx)
         assert repr(sol.evaluate(x)) == repr(want)
+
+
+def _loaded_element_point(mesh, a, t):
+    """The point a fraction t of the way across the element that holds a."""
+    s = mesh.element_of(a)
+    lo, hi = mesh.nodes[s], mesh.nodes[s + 1]
+    return lo + t * (hi - lo)
+
+
+# meshes with dyadic nodes, so that both ends of the loaded element map to xi = -1, 1
+MESH_N = st.sampled_from([1, 2, 4])
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(n=MESH_N, a=st.floats(-0.95, 0.95),
+       t=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       pmax=st.integers(1, 300), bits=st.sampled_from([128, 192]))
+def test_integer_element_sweep_equals_the_mpf_loop(n, a, t, pmax, bits):
+    # one rounded integer division per mode and an exact running sum give
+    # the floats of the loop that adds each mode's term in mpf
+    ctx = bigfloat(bits)
+    sol = assemble_and_solve(Mesh1D.uniform(n, 3), a, ctx)
+    x = _loaded_element_point(sol.mesh, a, t)
+    assert element_error_series(sol, x, pmax).abs_error.tolist() == element_error_loop(sol, x, pmax)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(n=MESH_N, a=st.floats(-0.95, 0.95),
+       t=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       pmax=st.one_of(st.integers(1, 300), st.just(2200)))
+def test_f64_element_sweep_has_the_bits_of_the_scalar_loop(n, a, t, pmax):
+    sol = assemble_and_solve(Mesh1D.uniform(n, 3), a)
+    x = _loaded_element_point(sol.mesh, a, t)
+    got = element_error_series(sol, x, pmax).abs_error
+    assert got.tobytes() == np.array(element_error_loop(sol, x, pmax)).tobytes()

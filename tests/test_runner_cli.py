@@ -4,12 +4,14 @@ import os
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from leglab.cli import main
 from leglab.coefficients import power_abs_coeffs, power_shift_coeffs
-from leglab.functions import AbsShiftFamily, PowerAbsFamily, PowerShiftFamily, StepDerivativeFamily
+from leglab.functions import (AbsShiftFamily, PowerAbsFamily, PowerShiftFamily, StepDerivativeFamily,
+                              family_from_config)
 from leglab.legendre import gauss_rule
 from leglab.precision import FLOAT64, PrecisionError
 from leglab.runner import (ExperimentConfig, InfiniteNorm, _exact_norm_sq, figure_config_dir,
@@ -95,6 +97,24 @@ def test_exact_norm_closed_forms():
     # the piecewise-polynomial families keep their exact Gauss route
     assert _exact_norm_sq(StepDerivativeFamily(a=0.5), "L2") == pytest.approx(0.375, rel=1e-14)
     assert _exact_norm_sq(AbsShiftFamily(a=0.5), "Energy") == pytest.approx(0.375, rel=1e-14)
+
+
+def test_exact_norm_of_a_spec_integrates_between_its_singular_points():
+    # int |x - 0.3|^0.5 = (0.7^1.5 + 1.3^1.5) / 1.5; a 12-point Gauss rule on
+    # each side of 0.3 gave 1.3787028
+    one = family_from_config("spec", {"terms": [[1.0, 0.3, 0.25]]})
+    assert _exact_norm_sq(one, "L2") == pytest.approx((0.7 ** 1.5 + 1.3 ** 1.5) / 1.5, rel=1e-14)
+    # two centres: tanh-sinh on each of the three pieces, against a 200-bit run
+    two = family_from_config("spec", {"terms": [[1.0, 0.2, 0.5], [-2.0, -0.4, 1.5]]})
+    with mpmath.workprec(200):
+        want = mpmath.quad(lambda t: two.spec.value(t) ** 2, [-1, -0.4, 0.2, 1])
+    assert _exact_norm_sq(two, "L2") == pytest.approx(float(want), rel=1e-14)
+    # |x - 0.3|^-0.8 defeats the quadrature at its working precision: no
+    # number, so the sweep warns; an exponent at most -1/2 has no norm
+    assert _exact_norm_sq(family_from_config("spec", {"terms": [[1.0, 0.3, -0.4]]}), "L2") is None
+    with pytest.raises(InfiniteNorm):
+        _exact_norm_sq(family_from_config("spec", {"terms": [[1.0, 0.3, -0.5]]}), "L2")
+    assert _exact_norm_sq(one, "Energy") is None
 
 
 # The Parseval tail of a 20000-term series misses about N^-1.5 beyond it for

@@ -12,11 +12,11 @@ from leglab.coefficients import (Generator, LegendreSeries, abs_shift_coeffs,
                                  singular_term_coeffs, step_derivative_coeffs)
 from leglab.functions import (AbsShiftFamily, PowerAbsFamily, StepDerivativeFamily,
                               exact_solution, exact_solution_derivative)
-from leglab.legendre import legendre_eval_range
-from leglab.precision import FLOAT64, bigfloat
+from leglab.legendre import legendre_eval_range, legendre_fixed_range
+from leglab.precision import FLOAT64, bigfloat, to_fixed
 from leglab.runner import ExperimentConfig, run_experiment, run_figures
-from leglab.series_eval import (ErrorSweep, NormSweep, _running_sums, error_sweep, norm_sweep,
-                                parseval_tail, partial_sum, partial_sum_values)
+from leglab.series_eval import (ErrorSweep, NormSweep, _fixed_terms, _running_sums, error_sweep,
+                                norm_sweep, parseval_tail, partial_sum, partial_sum_values)
 
 from oracles import model_norm_sq, neumaier_sum, squared_error_quadrature
 
@@ -333,6 +333,26 @@ def test_fixed_point_sums_match_the_mpf_running_sum(a, x, where, p, bits, coeff_
     with ctx.active():
         scale = max(1.0, float(np.max(np.abs(_running_sums(series, x, p, ctx)[0]))))
         assert abs(S - want_S) <= p * scale * mpmath.mpf(2) ** -bits
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(coeffs=st.lists(st.one_of(st.floats(-2.0, 2.0), st.floats(-1e-40, 1e-40),
+                                 st.sampled_from([0.0, -0.0, 5e-324, -2.5e-323, 1e-300])),
+                       min_size=2, max_size=40),
+       x=st.floats(-1.0, 1.0), bits=st.sampled_from([64, 128, 256, 1024]))
+@example(coeffs=[1e-300, -5e-324, 0.75, -0.0], x=0.3, bits=128)
+@example(coeffs=[1.5 * 2.0 ** -128, 2.5 * 2.0 ** -128, -0.5 * 2.0 ** -128], x=1.0, bits=64)  # ties
+@example(coeffs=[1.5, -2.0 ** -1070, 3 * 2.0 ** -1074], x=-0.7, bits=1024)
+def test_bulk_fixed_point_coefficients_equal_per_coefficient_to_fixed(coeffs, x, bits):
+    # float64 coefficients enter the fixed-point sum scaled by 2^S in one
+    # array pass and rounded by round(); those below 2^-S round to nearest,
+    # ties to even, and at 1024 bits 2^S c_k overflows and to_fixed takes over
+    ctx, S = bigfloat(bits), bits + 64
+    series = LegendreSeries(coeffs, Generator.CUSTOM_SPEC, FLOAT64)
+    p = len(coeffs) - 1
+    Px = legendre_fixed_range(p, ctx.convert(x), S)
+    want = [(to_fixed(c, S) * P + (1 << (S - 1))) >> S for c, P in zip(coeffs, Px)]
+    assert list(_fixed_terms(series, x, p, ctx, S)) == want
 
 
 def test_sweeps_of_a_held_series_build_no_mpf_list():
