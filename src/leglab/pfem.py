@@ -11,15 +11,18 @@ generators and the solver then agree sign for sign.
 
 Point loads are evaluated exactly: the load vector holds basis values at a.
 The mode norms sqrt(2(2k-1)) are computed once per precision context and
-read from there by every mode evaluation.  The element error sweep needs
-no norms and runs on the integer kernel in big-float mode (see
-``element_error_series``).
+read from there by every mode evaluation.  The element error sweep and
+the solution trace need no norms on the loaded element and run on the
+integer kernel in big-float mode (see ``_LoadedElement``).  Every path
+maps x to the reference element through ``Mesh1D.to_reference``, exact
+at the element's nodes.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -68,9 +71,21 @@ class Mesh1D:
         i = bisect.bisect_right(self.nodes, x) - 1
         return min(i, self.n_elements - 1)
 
-    def to_reference(self, e: int, x: float) -> float:
+    def to_reference(self, e: int, x, ctx: PrecisionContext = FLOAT64):
+        """xi of x on element e in ctx: exactly -1 and 1 at the element's
+        nodes, (2x - (lo + hi)) / (hi - lo) between them with lo + hi and
+        hi - lo rounded to float64, clamped to [-1, 1], since a point a
+        rounding away from a node can map just past it."""
         lo, hi = self.nodes[e], self.nodes[e + 1]
-        return (2.0 * x - (lo + hi)) / (hi - lo)
+        with ctx.active():
+            if x == lo or x == hi:
+                return ctx.convert(-1.0 if x == lo else 1.0)
+            xi = (2 * ctx.convert(x) - ctx.convert(lo + hi)) / ctx.convert(hi - lo)
+            return min(max(xi, ctx.convert(-1.0)), ctx.convert(1.0))
+
+    def width(self, e: int, ctx: PrecisionContext = FLOAT64):
+        """hi - lo of element e, rounded to float64 as ``to_reference`` reads it."""
+        return ctx.convert(self.nodes[e + 1] - self.nodes[e])
 
 
 # per context: the mode norms sqrt(2(2k-1)) for k = 2, 3, ..., grown on demand
@@ -102,33 +117,85 @@ class FemSolution:
     internal: list  # per element: coefficients for N_2..N_p
     ctx: PrecisionContext = FLOAT64
 
-    def evaluate(self, x: float):
-        e = self.mesh.element_of(float(x))
-        lo, hi = self.mesh.nodes[e], self.mesh.nodes[e + 1]
+    def _linear(self, e: int, xi):
+        """The hat part ul (1 - xi) / 2 + ur (1 + xi) / 2 of element e at xi, in ctx."""
         ctx = self.ctx
         with ctx.active():
-            xv = ctx.convert(x)
-            xi = (2 * xv - ctx.convert(lo + hi)) / ctx.convert(hi - lo)
-            ul = ctx.convert(self.nodal[e])
-            ur = ctx.convert(self.nodal[e + 1])
-            val = ul * (1 - xi) / 2 + ur * (1 + xi) / 2
-            coeffs = self.internal[e]
-            if coeffs:
-                p = len(coeffs) + 1
-                Pk = legendre_eval_range(p, xi, ctx)
+            ul, ur = ctx.convert(self.nodal[e]), ctx.convert(self.nodal[e + 1])
+            return ul * (1 - xi) / 2 + ur * (1 + xi) / 2
+
+    def evaluate(self, x: float):
+        e = self.mesh.element_of(float(x))
+        ctx = self.ctx
+        xi = self.mesh.to_reference(e, x, ctx)
+        val = self._linear(e, xi)
+        coeffs = self.internal[e]
+        if coeffs:
+            p = len(coeffs) + 1
+            Pk = legendre_eval_range(p, xi, ctx)
+            with ctx.active():
                 for ck, pk, pk2, nk in zip(coeffs, Pk[2:], Pk, _mode_norms(p, ctx)):
                     val += ck * (pk - pk2) / nk
-            return val
+        return val
 
     def error(self, x: float) -> float:
         return float(exact_solution(float(x), self.a) - self.evaluate(x))
 
     def trace(self, samples_per_element: int = 20) -> tuple:
-        """Solution samples (x, u): evenly spaced from each element's left node, then x = 1."""
-        nodes = self.mesh.nodes
+        """Solution samples (x, u): evenly spaced from each element's left node, then x = 1.
+
+        In big-float arithmetic the samples on the loaded element read the
+        integer kernel of ``_LoadedElement``, one xi_a row per trace, and
+        each is rounded to float once, where ``evaluate`` adds the modes in mpf.
+        """
+        mesh, ctx = self.mesh, self.ctx
+        nodes = mesh.nodes
         xs = [*np.concatenate([np.linspace(lo, hi, samples_per_element, endpoint=False)
                                for lo, hi in zip(nodes, nodes[1:])]).tolist(), 1.0]
-        return xs, [float(self.evaluate(t)) for t in xs]
+        s = mesh.element_of(self.a)
+        if ctx.mode != BIG or not self.internal[s]:
+            return xs, [float(self.evaluate(t)) for t in xs]
+        kernel = _LoadedElement(self, len(self.internal[s]) + 1)
+        return xs, [kernel.value(t) if mesh.element_of(t) == s else float(self.evaluate(t))
+                    for t in xs]
+
+
+class _LoadedElement:
+    """The modes of the element that holds the load point, on the integer kernel.
+
+    The mode norms cancel in the term of mode k,
+    (he/2) N_k(xi_a) N_k(xi_x) = (he/2) (P_k - P_{k-2})(xi_a) (P_k - P_{k-2})(xi_x) / (2(2k-1)),
+    so the kernel reads one ``legendre_fixed_range`` row at xi_a, held for
+    every x, and one at xi_x, and forms each term in units of 2^-S by one
+    rounded integer division (big-float contexts only).
+    """
+
+    def __init__(self, sol: FemSolution, kmax: int):
+        mesh, ctx = sol.mesh, sol.ctx
+        self.sol, self.kmax, self.bits = sol, kmax, ctx.bits
+        self.s = mesh.element_of(sol.a)
+        self.S = ctx.bits + 64
+        # he / 2 = hn 2^(e-1)
+        self.hn, self.e = dyadic(mesh.width(self.s, ctx))
+        xi_a = mesh.to_reference(self.s, sol.a, ctx)
+        self.Sa = fixed_scale(xi_a, ctx.bits)
+        self.A = legendre_fixed_range(kmax, xi_a, self.Sa)
+
+    def terms(self, xi_x):
+        """The term of each mode k = 2..kmax at xi_x, in units of 2^-S."""
+        Sx = fixed_scale(xi_x, self.bits)
+        A, X, hn = self.A, legendre_fixed_range(self.kmax, xi_x, Sx), self.hn
+        # hn (A_k - A_{k-2}) (X_k - X_{k-2}) / (m 2^sh), m = 2 (2k - 1)
+        sh = self.Sa + Sx + 1 - self.e - self.S
+        # floor(floor(t / m) / 2^sh) = floor(t / (m 2^sh)): one rounding
+        return (((hn * (a2 - a0) * (x2 - x0) + (m << (sh - 1))) // m) >> sh
+                for a0, a2, x0, x2, m in zip(A, A[2:], X, X[2:], count(6, 4)))
+
+    def value(self, x) -> float:
+        """u(x) with all kmax - 1 modes, rounded to float once."""
+        xi = self.sol.mesh.to_reference(self.s, x, self.sol.ctx)
+        total = to_fixed(self.sol._linear(self.s, xi), self.S) - sum(self.terms(xi))
+        return total / (1 << self.S)
 
 
 def _thomas(diag, off, rhs, ctx):
@@ -183,8 +250,8 @@ def assemble_and_solve(mesh: Mesh1D, a: float, ctx: PrecisionContext = FLOAT64) 
             p = mesh.degrees[e]
             coeffs = []
             if e == s and p >= 2:
-                he = nodes[e + 1] - nodes[e]
-                xi_a = (2 * av - (nodes[e] + nodes[e + 1])) / he
+                he = mesh.width(e, ctx)
+                xi_a = mesh.to_reference(e, a, ctx)
                 coeffs = [-(he / 2) * nk for nk in internal_modes(p, xi_a, ctx)]
             internal.append(coeffs)
     return FemSolution(mesh, float(a), nodal, internal, ctx)
@@ -197,42 +264,29 @@ def element_error_series(sol: FemSolution, x: float, pmax: int) -> ErrorSweep:
     p + 1), matching the order-p endpoint-constrained expansion under the
     affine map; on a single element the two sweeps coincide identically.
 
-    The mode norms cancel in N_k(xi_a) N_k(xi_x) =
-    (P_k - P_{k-2})(xi_a) (P_k - P_{k-2})(xi_x) / (2(2k-1)), so a big-float
-    sweep reads two ``legendre_fixed_range`` rows, forms each term by one
-    rounded integer division, keeps the running error exactly and rounds
-    each error to float once.  A float64 sweep is one array pass over two
-    ``legendre_eval_range`` rows, its running sum an ``add.accumulate`` scan
-    with the bits of the scalar loop.
+    A big-float sweep reads the integer kernel of ``_LoadedElement``, keeps
+    the running error exactly and rounds each error to float once.  A
+    float64 sweep is one array pass over two ``legendre_eval_range`` rows,
+    its running sum an ``add.accumulate`` scan with the bits of the scalar
+    loop.
     """
     mesh, a, ctx = sol.mesh, sol.a, sol.ctx
     s = mesh.element_of(a)
     lo, hi = mesh.nodes[s], mesh.nodes[s + 1]
     if not lo <= x <= hi:
         raise ValueError("x must lie inside the element containing the load point")
+    xi_x = mesh.to_reference(s, x, ctx)
+    linear = sol._linear(s, xi_x)
     with ctx.active():
-        he = ctx.convert(hi - lo)
-        av = ctx.convert(a)
-        xv = ctx.convert(x)
-        xi_a = (2 * av - ctx.convert(lo + hi)) / he
-        xi_x = (2 * xv - ctx.convert(lo + hi)) / he
-        ul, ur = ctx.convert(sol.nodal[s]), ctx.convert(sol.nodal[s + 1])
-        linear = ul * (1 - xi_x) / 2 + ur * (1 + xi_x) / 2
         exact = ctx.convert(exact_solution(float(x), a))
     if ctx.mode == BIG:
-        S = ctx.bits + 64
-        Sa, Sx = fixed_scale(xi_a, ctx.bits), fixed_scale(xi_x, ctx.bits)
-        A, X = legendre_fixed_range(pmax + 1, xi_a, Sa), legendre_fixed_range(pmax + 1, xi_x, Sx)
-        # he / 2 = hn 2^(e-1); the term of mode k is hn (A_k - A_{k-2}) (X_k - X_{k-2})
-        # / (m 2^sh) in units of 2^-S, m = 2 (2k - 1)
-        hn, e = dyadic(he)
-        sh = Sa + Sx + 1 - e - S
-        err, scale, errs = to_fixed(exact, S) - to_fixed(linear, S), 1 << S, []
-        for a0, a2, x0, x2, m in zip(A, A[2:], X, X[2:], range(6, 4 * pmax + 3, 4)):
-            # floor(floor(t / m) / 2^sh) = floor(t / (m 2^sh)): one rounding
-            err += ((hn * (a2 - a0) * (x2 - x0) + (m << (sh - 1))) // m) >> sh
+        kernel = _LoadedElement(sol, pmax + 1)
+        err, scale, errs = to_fixed(exact, kernel.S) - to_fixed(linear, kernel.S), 1 << kernel.S, []
+        for t in kernel.terms(xi_x):
+            err += t
             errs.append(abs(err) / scale)
     else:
+        he, xi_a = mesh.width(s), mesh.to_reference(s, a)
         # xi_x is a point of its own, so the rows are not held in the row memo
         Pa, Px = (np.array(legendre_eval_range(pmax + 1, xi)) for xi in (xi_a, xi_x))
         norms = np.sqrt(np.arange(6.0, 4 * pmax + 3, 4.0))  # sqrt(2(2k-1)), k = 2..pmax+1

@@ -171,6 +171,21 @@ def _points(config, lo: float, hi: float, closed: bool = True, required: bool = 
     return xs
 
 
+# plot.csv keeps one order per occupied bin floor(PLOT_BINS_PER_DECADE log10 p):
+# the bin's largest error, the upper envelope that fit_rate reads
+PLOT_BINS_PER_DECADE = 100
+
+
+def _plot_rows(pvalues, abs_error) -> np.ndarray:
+    """Indices of the plotted orders, increasing: in each occupied bin, the
+    first order with the bin's largest nonzero error."""
+    keep = np.flatnonzero(abs_error > 0)
+    bins = np.floor(PLOT_BINS_PER_DECADE * np.log10(pvalues[keep]))
+    # within a bin, largest error first; ties keep the smaller p
+    order = np.lexsort((-abs_error[keep], bins))
+    return keep[order[np.flatnonzero(np.diff(bins, prepend=-np.inf))]]
+
+
 def _sweep(config, opts, family, writer):
     xs = _points(config, -1.0, 1.0)
     series = family.series(config.pmax + 1, config.coeff_ctx())
@@ -180,15 +195,15 @@ def _sweep(config, opts, family, writer):
         tag = f"{config.id}.x{x:+.7g}"
         writer.csv(f"{tag}.sweep.csv", "p,abs_error", [sweep.pvalues, sweep.abs_error])
         payload = _fit_payload(sweep, config)
-        # (log10 p, log10 err) pairs plus the fitted line's endpoints
-        mask = sweep.abs_error > 0
+        # (log10 p, log10 err) pairs of the plotted orders plus the fitted line's endpoints
+        rows = _plot_rows(sweep.pvalues, sweep.abs_error)
         ends = []
         fit = payload.get("fit")
         if fit:
             ends = [("fit_line", np.log10(p), np.log10(fit["C"] * p ** -fit["alpha"]))
                     for p in fit["window"]]
         writer.csv(f"{tag}.plot.csv", "log10_p,log10_abs_error",
-                   [np.log10(sweep.pvalues[mask]), np.log10(sweep.abs_error[mask])], ends)
+                   [np.log10(sweep.pvalues[rows]), np.log10(sweep.abs_error[rows])], ends)
         writer.json(f"{tag}.fit.json", dict(payload, sweep=sweep.metadata()))
         writer.results[f"x={x:+.7g}"] = payload
 

@@ -185,11 +185,9 @@ def element_error_loop(sol, x: float, pmax: int) -> list:
     error rounded to float from the context's number."""
     mesh, a, ctx = sol.mesh, sol.a, sol.ctx
     s = mesh.element_of(a)
-    lo, hi = mesh.nodes[s], mesh.nodes[s + 1]
+    he = mesh.width(s, ctx)
+    xi_a, xi_x = mesh.to_reference(s, a, ctx), mesh.to_reference(s, x, ctx)
     with ctx.active():
-        he = ctx.convert(hi - lo)
-        xi_a = (2 * ctx.convert(a) - ctx.convert(lo + hi)) / he
-        xi_x = (2 * ctx.convert(x) - ctx.convert(lo + hi)) / he
         na = internal_modes(pmax + 1, xi_a, ctx)
         nx = internal_modes(pmax + 1, xi_x, ctx)
         ul, ur = ctx.convert(sol.nodal[s]), ctx.convert(sol.nodal[s + 1])

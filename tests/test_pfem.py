@@ -169,6 +169,33 @@ def test_fem_error_rates_on_singular_element():
     assert fit_a.alpha == pytest.approx(1.0, abs=0.05)
 
 
+@pytest.mark.parametrize("ctx", [FLOAT64, bigfloat(128)], ids=["f64", "big128"])
+def test_far_edge_of_the_loaded_element(ctx):
+    # lo + hi of the loaded element [-1, -1/3] is not a float64, and
+    # (2x - (lo + hi)) / (hi - lo) maps its far node to 1.0000000000000002
+    mesh = Mesh1D.uniform(3, 10)
+    sol = assemble_and_solve(mesh, -0.5, ctx)
+    assert [mesh.to_reference(0, t, ctx) for t in mesh.nodes[:2]] == [-1, 1]
+    # the FEM solution interpolates the exact one at the nodes
+    assert np.all(element_error_series(sol, mesh.nodes[1], 5).abs_error < 1e-15)
+    assert abs(sol.error(mesh.nodes[1])) < 1e-15
+    assert sol.error(-1.0) == 0.0
+    # a load on a node that maps to xi = -1 only through to_reference: no mode is loaded
+    mesh6 = Mesh1D.uniform(6, 10)
+    assert all(c == 0 for c in assemble_and_solve(mesh6, mesh6.nodes[1], ctx).internal[1])
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(n=st.integers(1, 4), degree=st.integers(1, 80), a=st.floats(-0.95, 0.95),
+       bits=st.sampled_from([128, 192]))
+def test_bigfloat_trace_equals_evaluate(n, degree, a, bits):
+    # the loaded element's samples come from the integer kernel, each rounded
+    # to float once; they are the floats of the mpf sum in evaluate
+    sol = assemble_and_solve(Mesh1D.uniform(n, degree), a, bigfloat(bits))
+    xs, us = sol.trace()
+    assert us == [float(sol.evaluate(x)) for x in xs]
+
+
 def test_bigfloat_solve_matches_f64():
     from leglab.precision import bigfloat
 
@@ -248,11 +275,12 @@ def _loaded_element_point(mesh, a, t):
     """The point a fraction t of the way across the element that holds a."""
     s = mesh.element_of(a)
     lo, hi = mesh.nodes[s], mesh.nodes[s + 1]
-    return lo + t * (hi - lo)
+    return hi if t == 1.0 else min(lo + t * (hi - lo), hi)
 
 
-# meshes with dyadic nodes, so that both ends of the loaded element map to xi = -1, 1
-MESH_N = st.sampled_from([1, 2, 4])
+# n = 3 has nodes that are not dyadic: its element ends map to xi = -1, 1 only
+# through Mesh1D.to_reference
+MESH_N = st.integers(1, 4)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)

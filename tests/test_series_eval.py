@@ -1,4 +1,5 @@
 import hashlib
+import json
 import warnings
 
 import mpmath
@@ -202,6 +203,34 @@ def test_sweep_csv_roundtrip(tmp_path, step_series, step_family):
     assert np.all(data[:, 1] == sweep.abs_error)
     plot = np.loadtxt(tmp_path / "s.x+0.1.plot.csv", delimiter=",", skiprows=1)
     assert np.array_equal(plot, np.log10(np.column_stack([sweep.pvalues, sweep.abs_error])))
+
+
+def test_plot_csv_keeps_the_largest_error_per_hundredth_decade(tmp_path):
+    cfg = ExperimentConfig(id="s", kind="sweep", family="step", params={"a": A}, x=[0.1],
+                           pmax=2200)
+    run_experiment(cfg, str(tmp_path))
+    sweep_csv = (tmp_path / "s.x+0.1.sweep.csv").read_text()
+    rows = [line.split(",") for line in sweep_csv.splitlines()[1:]]
+    p = np.array([int(r[0]) for r in rows])
+    err = np.array([float(r[1]) for r in rows])
+    assert len(p) == 2200 and np.all(err > 0)
+    lp, le = np.log10(p).tolist(), np.log10(err).tolist()
+    # the first order with the largest error of each bin floor(100 log10 p)
+    best = {}
+    for i, b in enumerate(np.floor(100 * np.log10(p)).tolist()):
+        if b not in best or err[i] > err[best[b]]:
+            best[b] = i
+    want = sorted(best.values())
+    lines = (tmp_path / "s.x+0.1.plot.csv").read_text().splitlines()
+    assert lines[0] == "log10_p,log10_abs_error"
+    data = [line for line in lines[1:] if not line.startswith("#")]
+    assert data == [f"{lp[i]!r},{le[i]!r}" for i in want]
+    # every p <= 41 has a bin of its own
+    assert len(data) == 214 and data[:41] == [f"{lp[i]!r},{le[i]!r}" for i in range(41)]
+    fit = json.loads((tmp_path / "s.x+0.1.fit.json").read_text())["fit"]
+    assert lines[1 + len(data):] == [
+        f"# fit_line,{float(np.log10(q))!r},{float(np.log10(fit['C'] * q ** -fit['alpha']))!r}"
+        for q in fit["window"]]
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
