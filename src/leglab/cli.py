@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .runner import KINDS, ExperimentConfig, run_experiment, run_figures
+from .runner import KINDS, ExperimentConfig, read_sweep, run_experiment, run_figures
 
 
 def _common(parser: argparse.ArgumentParser, kind: str) -> None:
@@ -78,8 +78,8 @@ def main(argv=None) -> int:
     p.add_argument("--x", nargs="+", type=float)
     p.add_argument("--window", nargs=2, type=int)
 
-    p = sub.add_parser("fit", help="refit a stored sweep CSV")
-    p.add_argument("sweep_csv")
+    p = sub.add_parser("fit", help="refit a stored .sweep.npy file")
+    p.add_argument("sweep_npy")
     p.add_argument("--window", nargs=2, type=int)
     p.add_argument("--lower", action="store_true", help="fit the lower envelope")
 
@@ -144,7 +144,11 @@ def main(argv=None) -> int:
         return 2 if any(m["errors"] for m in manifests) else 0
 
     if args.verb == "fit":
-        return _refit(args)
+        try:
+            sweep = read_sweep(args.sweep_npy)
+        except ValueError as exc:
+            parser.error(str(exc))
+        return _refit(sweep, args)
 
     try:
         manifest = run_experiment(_build_config(args), args.out)
@@ -164,14 +168,9 @@ def main(argv=None) -> int:
     return 0
 
 
-def _refit(args) -> int:
-    import numpy as np
-
+def _refit(sweep, args) -> int:
     from .ratefit import FitUnreliable, fit_lower_bound, fit_rate
-    from .series_eval import ErrorSweep
 
-    data = np.loadtxt(args.sweep_csv, delimiter=",", skiprows=1)
-    sweep = ErrorSweep(0.0, data[:, 0].astype(int), data[:, 1], "refit", args.sweep_csv)
     window = tuple(args.window) if args.window else None
     try:
         fit = fit_lower_bound(sweep, window) if args.lower else fit_rate(sweep, window)

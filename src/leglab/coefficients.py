@@ -340,8 +340,10 @@ def _mu_fixed(a, beta, P, bits):
     Returns (S, [M_0, ..., M_P]).  a and beta are taken exactly as dyadic
     rationals an/ad and bn/bd; the recurrence times ad bd is
     ad (bn + (k+2) bd) mu_{k+1} = an bd (2k+1) mu_k + ad (bn + (1-k) bd) mu_{k-1},
-    so each step is one round-to-nearest integer division.  Only mu_0 and
-    mu_1 need real powers.
+    so each step is one round-to-nearest integer division
+    (A M_k + B M_{k-1} + D) // (2 D), with A and B twice the coefficients of
+    mu_k and mu_{k-1} and D that of mu_{k+1}, each advanced by addition.
+    Only mu_0 and mu_1 need real powers.
     """
     S = bits + 64
     an, ea = dyadic(float(a))
@@ -354,12 +356,14 @@ def _mu_fixed(a, beta, P, bits):
         mu1 = av * mu0 + (om ** (b + 2) - op ** (b + 2)) / (b + 2)
         m_prev, m = (to_fixed(v, S) for v in (mu0, mu1))
     out = [m_prev, m]
-    ab = an * bd
-    for k in range(1, P):
-        den = ad * (bn + (k + 2) * bd)  # > 0 since beta > -1
-        num = ab * (2 * k + 1) * m + ad * (bn + (1 - k) * bd) * m_prev
-        m_prev, m = m, (2 * num + den) // (2 * den)
+    # the step coefficients at k = 1, doubled where they multiply a moment,
+    # then moved by their constant differences in k
+    A, B, D = 6 * an * bd, 2 * ad * bn, ad * (bn + 3 * bd)  # D > 0 since beta > -1
+    dA, dB, dD = 4 * an * bd, -2 * ad * bd, ad * bd
+    for _ in range(1, P):
+        m_prev, m = m, (A * m + B * m_prev + D) // (2 * D)
         out.append(m)
+        A, B, D = A + dA, B + dB, D + dD
     return S, out[: P + 1]
 
 

@@ -139,12 +139,15 @@ def to_fixed(v, S: int) -> int:
 
 def round_bits(n: int, e: int, bits: int) -> tuple:
     """The pair n 2^e rounded to ``bits`` significant bits as mpmath rounds: ties to even."""
-    shift = abs(n).bit_length() - bits
+    shift = n.bit_length() - bits
     return (n, e) if shift <= 0 else (_round_shift(n, shift), e + shift)
 
 
 def pair_float(n: int, e: int) -> float:
     """float(mpf(n 2^e)) from the integers: 53 bits, to nearest, then ldexp."""
-    if e <= 0 and abs(n).bit_length() + e >= -1021:
-        return n / (1 << -e)  # a normal float: the rounded quotient has those bits
+    length = n.bit_length()
+    if length <= 1023 and length + e >= -1021:
+        # float(n) rounds once to 53 bits, ties to even, and ldexp of a normal
+        # result is exact (it raises OverflowError past the largest float)
+        return math.ldexp(float(n), e)
     return math.ldexp(*round_bits(n, e, 53))

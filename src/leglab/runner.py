@@ -1,6 +1,7 @@
 """Config-driven experiment execution with manifested, reproducible outputs.
 
-An experiment is one JSON document; a run writes CSV data files, JSON fit
+An experiment is one JSON document; a run writes CSV data files, each
+error sweep as an exact float64 ``.npy`` array (``SWEEP_DTYPE``), JSON fit
 records, and a manifest listing every output with its sha256.  Evaluation
 order is fixed and all reductions are deterministic, so re-running a config
 on the same build reproduces the output bytes exactly.
@@ -12,6 +13,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,7 +27,7 @@ from .functions import (AbsShiftFamily, ConstrainedFamily, PowerAbsFamily, Power
 from .precision import FLOAT64, PrecisionContext, PrecisionError, parse_precision
 from .ratefit import (FitUnreliable, GridTooCoarse, constant_growth, fit_rate, gibbs_probe,
                       pinned_constant)
-from .series_eval import error_sweep, norm_sweep
+from .series_eval import ErrorSweep, error_sweep, norm_sweep
 
 
 @dataclass
@@ -85,10 +87,10 @@ class ManifestWriter:
         return os.path.join(self.outdir, name)
 
     def _write(self, name: str, pieces) -> None:
+        """Write the bytes-like pieces in order, hashing them as they go."""
         digest = hashlib.sha256()
         with open(self.path(name), "wb") as fh:
-            for piece in pieces:
-                data = piece.encode()
+            for data in pieces:
                 fh.write(data)
                 digest.update(data)
         self.outputs.append({"path": name, "sha256": digest.hexdigest()})
@@ -105,10 +107,18 @@ class ManifestWriter:
             for row in comments:
                 yield "# " + ",".join(_cells(row)) + "\n"
 
-        self._write(name, pieces())
+        self._write(name, (text.encode() for text in pieces()))
+
+    def npy(self, name: str, array: np.ndarray) -> None:
+        """Write and register one C-contiguous array with the bytes np.save
+        gives it: the format 1.0 header, then the array's own buffer."""
+        header = []
+        np.lib.format.write_array_header_1_0(SimpleNamespace(write=header.append),
+                                             np.lib.format.header_data_from_array_1_0(array))
+        self._write(name, [*header, array.data])
 
     def json(self, name: str, doc) -> None:
-        self._write(name, [json.dumps(doc, indent=1, sort_keys=True)])
+        self._write(name, [json.dumps(doc, indent=1, sort_keys=True).encode()])
 
     def record_error(self, where: str, exc: Exception) -> None:
         self.errors.append({"where": where, "type": type(exc).__name__, "message": str(exc)})
@@ -124,6 +134,32 @@ class ManifestWriter:
         with open(path, "w") as fh:
             json.dump(manifest, fh, indent=1, sort_keys=True)
         return manifest
+
+
+# a sweep file <tag>.sweep.npy holds one row (p, |error|) per order, exactly
+SWEEP_DTYPE = np.dtype([("p", "<i8"), ("abs_error", "<f8")])
+
+
+def _write_sweep(writer, tag: str, sweep) -> None:
+    rows = np.empty(len(sweep.pvalues), SWEEP_DTYPE)
+    rows["p"], rows["abs_error"] = sweep.pvalues, sweep.abs_error
+    writer.npy(f"{tag}.sweep.npy", rows)
+
+
+def read_sweep(path) -> ErrorSweep:
+    """The ErrorSweep of a sweep file; raises ValueError, naming the format,
+    for any file that is not a .npy array of SWEEP_DTYPE."""
+    what = f"{path} is not a .sweep.npy file (a 1-d array with fields p <i8, abs_error <f8)"
+    try:
+        with open(path, "rb") as fh:
+            rows = np.lib.format.read_array(fh, allow_pickle=False)
+    except OSError as exc:
+        raise ValueError(f"{what}: {exc.strerror or exc}") from None
+    except ValueError:
+        raise ValueError(what) from None
+    if rows.dtype != SWEEP_DTYPE or rows.ndim != 1:
+        raise ValueError(what)
+    return ErrorSweep(0.0, rows["p"], rows["abs_error"], "refit", str(path))
 
 
 def _fit_payload(sweep, config):
@@ -193,7 +229,7 @@ def _sweep(config, opts, family, writer):
         sweep = error_sweep(series, family.exact, x, config.pmax, config.eval_ctx(),
                             target=f"{family.describe()} (mean of limits at jumps)")
         tag = f"{config.id}.x{x:+.7g}"
-        writer.csv(f"{tag}.sweep.csv", "p,abs_error", [sweep.pvalues, sweep.abs_error])
+        _write_sweep(writer, tag, sweep)
         payload = _fit_payload(sweep, config)
         # (log10 p, log10 err) pairs of the plotted orders plus the fitted line's endpoints
         rows = _plot_rows(sweep.pvalues, sweep.abs_error)
@@ -292,8 +328,7 @@ def _fem(config, opts, family, writer):
     writer.csv(f"{config.id}.fem.csv.trace.csv", "x,u", sol.trace())
     for x in xs:
         sweep = element_error_series(sol, x, config.pmax)
-        writer.csv(f"{config.id}.x{x:+.7g}.sweep.csv", "p,abs_error",
-                   [sweep.pvalues, sweep.abs_error])
+        _write_sweep(writer, f"{config.id}.x{x:+.7g}", sweep)
         writer.results[f"x={x:+.7g}"] = _fit_payload(sweep, config)
 
 

@@ -19,7 +19,11 @@ quantity the package produces, by a route the package does not take.
 * ``element_error_loop``: the FEM element sweep as a scalar loop over the
   normalized modes, in the context's own arithmetic;
 * ``model_coeffs_loop``: the float64 model-solution and constrained
-  coefficients as scalar loops over the step coefficients.
+  coefficients as scalar loops over the step coefficients;
+* ``total_variation_loop``: the variation of a bounded-variation function
+  on one window, jump by jump and piece by piece in Python floats;
+* ``mu_fixed_loop``: the fixed-point modified-moment recurrence with its
+  step coefficients formed anew at every k.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from leglab.functions import exact_solution
 from leglab.pfem import internal_modes
 from leglab.legendre import (gauss_rule, legendre_eval, legendre_eval_range,
                              legendre_fixed_range, legendre_sums_array)
-from leglab.precision import FLOAT64
+from leglab.precision import FLOAT64, dyadic
 
 
 def neumaier_sum(values) -> float:
@@ -211,3 +215,38 @@ def model_coeffs_loop(ak: list, P: int, constrained: bool = False) -> list:
         coeffs.append(ak[P - 1] / (2 * P - 1))
         coeffs.append(ak[P] / (2 * P + 1))
     return coeffs
+
+
+def total_variation_loop(f, lo: float, hi: float) -> float:
+    """Total variation of a ``bounds.BVFunction`` on [lo, hi]: every jump
+    inside the window, half of one on its edge, then each monotone piece's
+    endpoint difference over its part of the window."""
+    total = 0.0
+    for j in f.jumps:
+        if lo < j.location < hi:
+            total += j.size
+        elif j.location == lo or j.location == hi:
+            total += 0.5 * j.size
+    for (plo, phi, g) in f.pieces:
+        wlo, whi = max(lo, plo), min(hi, phi)
+        if wlo < whi:
+            total += abs(g(whi) - g(wlo))
+    return total
+
+
+def mu_fixed_loop(a: float, beta: float, P: int, M0: int, M1: int) -> list:
+    """M_0..M_P of the modified-moment recurrence from the fixed-point
+    values M0, M1: a and beta as dyadic rationals an/ad and bn/bd, and
+    ad (bn + (k+2) bd) M_{k+1} = an bd (2k+1) M_k + ad (bn + (1-k) bd) M_{k-1}
+    solved by one round-to-nearest integer division per step."""
+    an, ea = dyadic(a)
+    bn, eb = dyadic(beta)
+    ad, bd = 1 << -ea, 1 << -eb
+    out = [M0, M1]
+    m_prev, m = M0, M1
+    for k in range(1, P):
+        den = ad * (bn + (k + 2) * bd)
+        num = an * bd * (2 * k + 1) * m + ad * (bn + (1 - k) * bd) * m_prev
+        m_prev, m = m, (2 * num + den) // (2 * den)
+        out.append(m)
+    return out[: P + 1]

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leglab.bounds import (BVFunction, Jump, abs_kink_bv, calibrate_theorem2,
                            endpoint_identity_bound, step_bv, theorem1_bound,
                            theorem1_bound_series, theorem2_bound, theorem3_bound,
-                           total_variation, variation_window)
+                           total_variation, variation_window, window_variations)
 from leglab.runner import ExperimentConfig, run_experiment
+
+from oracles import total_variation_loop
 
 A = 0.5
 STEP = step_bv(A, (A - 1) / 2, (1 + A) / 2)
@@ -61,6 +65,42 @@ def test_theorem1_series_matches_scalar():
     rep = theorem1_bound_series(STEP, 0.1, 50)
     for i, p in enumerate(rep.pvalues):
         assert rep.bound[i] == pytest.approx(theorem1_bound(STEP, 0.1, int(p)), rel=1e-13)
+
+
+def _bv(kind, a):
+    return step_bv(a, (a - 1) / 2, (a + 1) / 2) if kind == "step" else abs_kink_bv(a, -1.0, 1.0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["step", "kink"]), a=st.floats(-0.95, 0.95),
+       ends=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1,
+                     max_size=20),
+       on_edge=st.booleans())
+@example(kind="step", a=0.5, ends=[(0.5, 1.0), (-1.0, 0.5), (0.5, 0.5)], on_edge=False)
+def test_window_variations_have_the_bits_of_the_scalar_loop(kind, a, ends, on_edge):
+    f = _bv(kind, a)
+    lo, hi = np.array([min(e) for e in ends]), np.array([max(e) for e in ends])
+    if on_edge:
+        lo[0] = a  # a window edge on the jump or the kink
+    hi = np.maximum(lo, hi)
+    got = window_variations(f, lo, hi)
+    want = [total_variation_loop(f, float(l), float(h)) for l, h in zip(lo, hi)]
+    assert got.tolist() == want
+    assert [total_variation(f, float(l), float(h)) for l, h in zip(lo, hi)] == want
+
+
+@pytest.mark.parametrize("kind", ["step", "kink"])
+@pytest.mark.parametrize("x", [-0.9, -0.5, 0.1, A, 0.75, 0.999])
+def test_theorem1_series_has_the_bits_of_the_window_loop(kind, x):
+    # the k loop of scalar windows, clipped to [-1, 1], that the array pass replaced
+    f = _bv(kind, A)
+    pmax = 2200
+    vars_k = [total_variation_loop(f, max(lo, -1.0), min(hi, 1.0))
+              for lo, hi in (variation_window(x, k) for k in range(1, pmax + 1))]
+    pv = np.arange(2, pmax + 1)
+    want = (28.0 / pv * (1.0 - x * x) ** -1.5 * np.cumsum(vars_k)[1:]
+            + abs(f.jump_at(x)) / (math.pi * pv * (1.0 - x * x)))
+    assert theorem1_bound_series(f, x, pmax).bound.tolist() == want.tolist()
 
 
 def test_theorem1_soundness(step_sweeps):

@@ -21,8 +21,8 @@ from leglab.precision import FLOAT64, PrecisionError, bigfloat, dyadic, round_bi
 from leglab.runner import ExperimentConfig, run_experiment
 from leglab.series_eval import _fixed_terms
 
-from oracles import (binomial_moment_oracle, model_coeffs_loop, piecewise_gauss_coeff,
-                     quadrature_oracle_coeffs)
+from oracles import (binomial_moment_oracle, model_coeffs_loop, mu_fixed_loop,
+                     piecewise_gauss_coeff, quadrature_oracle_coeffs)
 
 
 def _rounded(q, ctx):
@@ -220,6 +220,20 @@ def test_singular_term_fixed_point_matches_float_recurrence(a, beta, P):
         envelope = max(abs(c) for c in ref)
         gap = max(abs(c - r) for c, r in zip(fixed, ref))
         assert gap <= mpmath.mpf(2) ** (20 - 192) * envelope
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(a=st.one_of(st.sampled_from([0.0, 0.5, -0.5]), st.floats(-0.99, 0.99)),
+       beta=st.one_of(st.sampled_from([-5 / 6, -0.5, -1 / 16, 0.5, 1.0, 2.9]),
+                      st.floats(-0.99, 6.0)),
+       P=st.integers(0, 400), bits=st.sampled_from([64, 128, 192, 256]))
+@example(a=0.5, beta=-5 / 6, P=2201, bits=256)
+def test_mu_fixed_moments_equal_the_step_formed_anew(a, beta, P, bits):
+    # the step coefficients advanced by addition give the moments of the
+    # step that forms them at every k, integer for integer
+    S, moments = coefficients._mu_fixed(a, beta, P, bits)
+    assert S == bits + 64 and len(moments) == P + 1
+    assert moments == mu_fixed_loop(a, beta, P, *coefficients._mu_fixed(a, beta, 1, bits)[1])
 
 
 @pytest.mark.parametrize("beta", [-5 / 6, -2 / 3, -0.5, -1 / 16, 0.5, 1.0])

@@ -113,3 +113,33 @@ def test_round_bits_and_pair_float_round_as_mpmath(r, low, extra, tie, negative,
     with mpmath.workprec(2000):
         assert abs(got[0]).bit_length() <= bits + 1 and mpmath.mpf(got) == want
         assert pair_float(n, e) == float(mpmath.mpf((n, e)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.integers(1, 2 ** 1100), negative=st.booleans(), tie=st.booleans(),
+       edge=st.sampled_from(["subnormal", "overflow", "normal"]), off=st.integers(-60, 60))
+@example(n=1, negative=False, tie=False, edge="subnormal", off=0)  # 2^-1074
+@example(n=2 ** 53 - 1, negative=True, tie=False, edge="overflow", off=0)  # -max float
+@example(n=2 ** 54 - 1, negative=False, tie=False, edge="overflow", off=0)  # rounds to 2^1024
+def test_pair_float_is_the_correctly_rounded_fraction(n, negative, tie, edge, off):
+    # n 2^e near the least normal float, the largest float or 1: where the
+    # result is a normal float, float() of the exact Fraction; past the
+    # largest float, OverflowError as from that Fraction; below the least
+    # normal float, mpmath's rounding (53 bits, then ldexp)
+    if tie and n.bit_length() > 53:
+        n = (n >> (n.bit_length() - 53) << (n.bit_length() - 53)) | (1 << (n.bit_length() - 54))
+    n = -n if negative else n
+    top = {"subnormal": -1022, "overflow": 1023, "normal": 0}[edge] + off
+    e = top - n.bit_length() + 1  # |n 2^e| lies in [2^top, 2^(top+1))
+    exact = Fraction(n) * Fraction(2) ** e
+    if top >= -1022:
+        try:
+            want = float(exact)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                pair_float(n, e)
+            return
+        assert pair_float(n, e) == want
+    else:
+        assert pair_float(n, e) == float(mpmath.mpf((n, e)))
+        assert abs(pair_float(n, e) - exact) <= 2.0 ** -1074  # within one subnormal ulp

@@ -14,8 +14,10 @@ from leglab.functions import (AbsShiftFamily, PowerAbsFamily, PowerShiftFamily, 
                               family_from_config)
 from leglab.legendre import gauss_rule
 from leglab.precision import FLOAT64, PrecisionError
+from leglab.ratefit import fit_rate
 from leglab.runner import (ExperimentConfig, InfiniteNorm, _exact_norm_sq, figure_config_dir,
                            list_figure_configs, resolve, run_experiment, run_figures)
+from leglab.series_eval import error_sweep
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -46,7 +48,7 @@ def test_sweep_experiment_outputs(tmp_path):
     manifest = run_experiment(cfg, str(tmp_path))
     assert not manifest["errors"]
     names = {o["path"] for o in manifest["outputs"]}
-    assert any(n.endswith(".sweep.csv") for n in names)
+    assert any(n.endswith(".sweep.npy") for n in names)
     assert any(n.endswith(".plot.csv") for n in names)
     res = manifest["results"]["x=-1"]
     assert res["fit"]["alpha"] == pytest.approx(0.5, abs=0.05)
@@ -294,11 +296,26 @@ def test_cli_fit_verb(tmp_path, capsys):
     main(["sweep", "--family", "step", "--a", "0.5", "--x", "0.1",
           "--pmax", "600", "--out", str(tmp_path), "--id", "c2"])
     capsys.readouterr()
-    sweep_csv = tmp_path / "c2.x+0.1.sweep.csv"
-    rc = main(["fit", str(sweep_csv), "--window", "300", "600"])
+    sweep_npy = tmp_path / "c2.x+0.1.sweep.npy"
+    rc = main(["fit", str(sweep_npy), "--window", "300", "600"])
     assert rc == 0
     fit = json.loads(capsys.readouterr().out)
     assert fit["alpha"] == pytest.approx(1.0, abs=0.1)
+    family = StepDerivativeFamily(a=0.5)
+    sweep = error_sweep(family.series(601), family.exact, 0.1, 600)
+    assert fit == json.loads(json.dumps(fit_rate(sweep, (300, 600)).to_dict()))
+
+
+def test_cli_fit_reads_only_sweep_npy_files(tmp_path, capsys):
+    csv = tmp_path / "old.sweep.csv"
+    csv.write_text("p,abs_error\n1,0.5\n2,0.25\n")
+    other = tmp_path / "other.npy"
+    np.save(other, np.arange(4.0))
+    for path in (csv, other, tmp_path / "missing.sweep.npy"):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", str(path)])
+        assert exc.value.code == 2
+        assert ".sweep.npy" in capsys.readouterr().err
 
 
 def test_cli_conjecture_exit(tmp_path, capsys):

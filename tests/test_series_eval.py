@@ -15,7 +15,7 @@ from leglab.functions import (AbsShiftFamily, PowerAbsFamily, StepDerivativeFami
                               exact_solution, exact_solution_derivative)
 from leglab.legendre import legendre_eval_range, legendre_fixed_range
 from leglab.precision import FLOAT64, bigfloat, to_fixed
-from leglab.runner import ExperimentConfig, run_experiment, run_figures
+from leglab.runner import SWEEP_DTYPE, ExperimentConfig, read_sweep, run_experiment, run_figures
 from leglab.series_eval import (ErrorSweep, NormSweep, _fixed_terms, _running_sums, error_sweep,
                                 norm_sweep, parseval_tail, partial_sum, partial_sum_values)
 
@@ -190,17 +190,23 @@ def test_norm_sweep_truncation_warning():
     assert any("tail" in str(w.message) for w in caught)
 
 
-def test_sweep_csv_roundtrip(tmp_path, step_series, step_family):
+def test_sweep_npy_roundtrip(tmp_path, step_series, step_family):
     sweep = error_sweep(step_series, step_family.exact, 0.1, 40)
     cfg = ExperimentConfig(id="s", kind="sweep", family="step", params={"a": A}, x=[0.1],
                            pmax=40)
     run_experiment(cfg, str(tmp_path))
-    path = tmp_path / "s.x+0.1.sweep.csv"
-    assert path.read_text().startswith("p,abs_error\n")
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (40, 2)
-    assert np.array_equal(data[:, 0], sweep.pvalues)
-    assert np.all(data[:, 1] == sweep.abs_error)
+    path = tmp_path / "s.x+0.1.sweep.npy"
+    rows = np.load(path, allow_pickle=False)
+    assert rows.dtype == SWEEP_DTYPE and rows.shape == (40,)
+    assert rows["p"].tolist() == sweep.pvalues.tolist()
+    assert rows["abs_error"].view(np.uint64).tolist() == sweep.abs_error.view(np.uint64).tolist()
+    # the bytes np.save writes for the same array
+    saved = tmp_path / "saved.npy"
+    np.save(saved, rows)
+    assert path.read_bytes() == saved.read_bytes()
+    back = read_sweep(path)
+    assert back.pvalues.tolist() == sweep.pvalues.tolist()
+    assert back.abs_error.tolist() == sweep.abs_error.tolist()
     plot = np.loadtxt(tmp_path / "s.x+0.1.plot.csv", delimiter=",", skiprows=1)
     assert np.array_equal(plot, np.log10(np.column_stack([sweep.pvalues, sweep.abs_error])))
 
@@ -209,10 +215,8 @@ def test_plot_csv_keeps_the_largest_error_per_hundredth_decade(tmp_path):
     cfg = ExperimentConfig(id="s", kind="sweep", family="step", params={"a": A}, x=[0.1],
                            pmax=2200)
     run_experiment(cfg, str(tmp_path))
-    sweep_csv = (tmp_path / "s.x+0.1.sweep.csv").read_text()
-    rows = [line.split(",") for line in sweep_csv.splitlines()[1:]]
-    p = np.array([int(r[0]) for r in rows])
-    err = np.array([float(r[1]) for r in rows])
+    rows = np.load(tmp_path / "s.x+0.1.sweep.npy")
+    p, err = rows["p"], rows["abs_error"]
     assert len(p) == 2200 and np.all(err > 0)
     lp, le = np.log10(p).tolist(), np.log10(err).tolist()
     # the first order with the largest error of each bin floor(100 log10 p)
@@ -398,7 +402,10 @@ def test_sweeps_of_a_held_series_build_no_mpf_list():
 # sha256 of sweeps made only by Python float, numpy elementwise and
 # pure-Python mpmath arithmetic (no BLAS, and libm only in the one pow of a
 # power family's reference value, fig11a and fig12c), so the same on every
-# machine; a change that moves one states the numerical reason
+# machine; a change that moves one states the numerical reason.  Each is
+# the hash of the sweep's text "p,abs_error" with one row "p,repr(error)"
+# per order, keyed by that text's file name; the run writes the same
+# numbers as <tag>.sweep.npy
 PINNED_SWEEPS = {
     "fig02/fig02.x+0.5.sweep.csv":
         "65f8e143bdd6826ad99af1ee996141664ea7a2dee92fe81db3c390ab9cb40163",
@@ -421,8 +428,15 @@ PINNED_SWEEPS = {
 }
 
 
+def _sweep_text(path) -> str:
+    rows = np.load(path)
+    return "p,abs_error\n" + "".join(f"{p},{e!r}\n" for p, e in
+                                     zip(rows["p"].tolist(), rows["abs_error"].tolist()))
+
+
 def test_partial_sum_kernel_bytes_are_pinned(tmp_path):
     # prefix sums in f64, big:192 and big:256, constrained sums in f64, up to p = 10000
     run_figures(str(tmp_path), only=sorted({k.split("/")[0] for k in PINNED_SWEEPS}))
-    got = {k: hashlib.sha256((tmp_path / k).read_bytes()).hexdigest() for k in PINNED_SWEEPS}
+    got = {k: hashlib.sha256(_sweep_text(tmp_path / (k[:-4] + ".npy")).encode()).hexdigest()
+           for k in PINNED_SWEEPS}
     assert got == PINNED_SWEEPS
