@@ -37,7 +37,8 @@ integer combinations of the fixed-point values of
 the operation order of the scalar loops kept in tests/oracles.py.  The
 integer routes return exact pairs (M, E), each rounded once to the output
 context as mpmath rounds; a series builds mpf objects, or in float64 a list
-of floats, only when ``coeffs`` is read.  The singularity-splitting quadrature oracle in
+of floats, only when ``coeffs`` is read, and ``coefficient_text`` writes
+the export text of a big-float series from the pairs.  The singularity-splitting quadrature oracle in
 tests/oracles.py cross-checks every generator.
 """
 
@@ -161,11 +162,69 @@ class LegendreSeries:
         }
 
 
-def render_number(c, ctx: PrecisionContext) -> str:
-    if ctx.mode == F64:
-        return repr(float(c))
-    digits = int(ctx.bits * 0.30103) + 3
-    return mpmath.nstr(c, digits)
+def coefficient_text(series: LegendreSeries) -> list:
+    """The export text of each coefficient: ``repr`` of the float in float64,
+    and in big-float mode the bytes of ``mpmath.nstr(c, int(bits * 0.30103) + 3)``,
+    rendered from the exact pairs by ``_nstr_pair`` without building an mpf."""
+    if series.ctx.mode == F64:
+        return list(map(repr, series.as_floats().tolist()))
+    dps = int(series.ctx.bits * 0.30103) + 3
+    powers = {}  # fixdps -> 10^fixdps: a series meets a few decimal scales
+    return [_nstr_pair(n, e, dps, powers) for n, e in series.pairs()]
+
+
+_LOG2_10 = math.log(10, 2)  # the constant mpmath 1.3.0's to_digits_exp reads
+
+
+def _nstr_pair(n: int, e: int, dps: int, powers: dict) -> str:
+    """``mpmath.nstr(mpf(n 2^e), dps)`` of mpmath 1.3.0 from the integers.
+
+    It repeats ``to_digits_exp(s, dps + 3)``: floor(|v| 2^fixprec) at a
+    fixed point of bitprec = int((dps + 3) log2 10) + 10 significant bits,
+    converted to floor(|v| 10^fixdps) in one integer product and shift.
+    Then ``to_str``: round those digits half up to dps, write them fixed
+    between the exponents min(-(dps // 3), -5) and dps, else with e+/e-, and
+    strip trailing zeros.  Past |exponent + bitcount| = 3500, where
+    to_digits_exp first divides by a power of ten, mpmath itself renders.
+    ``powers`` holds the powers of ten already formed, keyed by exponent.
+    """
+    if not n:
+        return "0.0"
+    sign, m = ("-", -n) if n < 0 else ("", n)
+    top = e + m.bit_length()
+    if abs(top) > 3500:
+        with mpmath.workprec(m.bit_length()):
+            return mpmath.nstr(mpmath.mpf((n, e)), dps)
+    bitprec = int((dps + 3) * _LOG2_10) + 10
+    fixprec = max(bitprec - top, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = e + fixprec
+    fixed = m << shift if shift >= 0 else m >> -shift
+    power = powers.get(fixdps)
+    if power is None:
+        power = powers[fixdps] = 10 ** fixdps
+    digits = str(fixed * power >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    if len(digits) > dps and digits[dps] in "56789":
+        digits = str(int(digits[:dps]) + 1)
+        if len(digits) > dps:  # all nines carried
+            digits = digits[:dps]
+            exponent += 1
+    else:
+        digits = digits[:dps]
+    split = 1
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+        else:
+            split = exponent + 1
+        exponent = 0
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits[-1] == ".":
+        digits += "0"
+    if exponent == 0:
+        return sign + digits
+    return f"{sign}{digits}e{'+' if exponent > 0 else ''}{exponent}"
 
 
 def _check_center(a, ctx) -> None:

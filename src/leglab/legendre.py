@@ -134,12 +134,14 @@ def legendre_fixed_range(kmax: int, x, S: int) -> list:
 def _array_step(dst, tmp, n: int, x, pn, pm1):
     """dst = ((2n+1) x P_n - n P_{n-1}) / (n+1) for float64 arrays, in the
     operation order of the scalar step, through out= buffers: dst may not
-    alias pn or pm1, and tmp is a work buffer of the same shape."""
-    np.multiply(x, 2 * n + 1, out=dst)
+    alias pn or pm1, and tmp is a work buffer of the same shape.  The row
+    constants go to numpy as Python floats, the doubles it would convert
+    the ints to."""
+    np.multiply(x, float(2 * n + 1), out=dst)
     np.multiply(dst, pn, out=dst)
-    np.multiply(pm1, n, out=tmp)
+    np.multiply(pm1, float(n), out=tmp)
     np.subtract(dst, tmp, out=dst)
-    np.divide(dst, n + 1, out=dst)
+    np.divide(dst, float(n + 1), out=dst)
 
 
 def legendre_range_array(kmax: int, x: np.ndarray) -> np.ndarray:
@@ -178,19 +180,22 @@ def legendre_sums_array(coeffs, orders, x) -> np.ndarray:
         raise IndexError(f"order {orders.max()} exceeds the {len(c)} coefficients")
     perm = np.argsort(-orders, kind="stable")
     # live[n]: how many columns (a prefix, in sorted order) have order >= n
-    live = np.searchsorted(-orders[perm], -np.arange(orders.max() + 1), side="right")
+    live = np.searchsorted(-orders[perm], -np.arange(orders.max() + 1), side="right").tolist()
+    cs = c[: len(live)].tolist()
     xs = x[perm]
-    total = np.full(len(x), c[0])
-    pm1, pn, nxt, tmp, s = np.ones(len(x)), xs.copy(), np.empty(len(x)), np.empty(len(x)), total
+    width = len(x)
+    total = np.full(width, cs[0])
+    pm1, pn, nxt, tmp, s = np.ones(width), xs.copy(), np.empty(width), np.empty(width), total
     for n in range(len(live) - 1):
         # row n + 1, on the columns whose order is at least n + 1
-        m = live[n + 1]
-        if m < len(s):
-            xs, pm1, pn, nxt, tmp, s = xs[:m], pm1[:m], pn[:m], nxt[:m], tmp[:m], s[:m]
+        if live[n + 1] < width:
+            width = live[n + 1]
+            xs, pm1, pn, nxt, tmp, s = (xs[:width], pm1[:width], pn[:width], nxt[:width],
+                                        tmp[:width], s[:width])
         if n:
             _array_step(nxt, tmp, n, xs, pn, pm1)
             pm1, pn, nxt = pn, nxt, pm1
-        np.multiply(pn, c[n + 1], out=tmp)
+        np.multiply(pn, cs[n + 1], out=tmp)
         np.add(s, tmp, out=s)
     out = np.empty(len(x))
     out[perm] = total

@@ -1,8 +1,9 @@
 """Config-driven experiment execution with manifested, reproducible outputs.
 
 An experiment is one JSON document; a run writes CSV data files, each
-error sweep as an exact float64 ``.npy`` array (``SWEEP_DTYPE``), JSON fit
-records, and a manifest listing every output with its sha256.  Evaluation
+error sweep and each bound table as an exact float64 ``.npy`` array
+(``SWEEP_DTYPE``, ``BOUNDS_DTYPE``), JSON fit records, and a manifest
+listing every output with its sha256.  Evaluation
 order is fixed and all reductions are deterministic, so re-running a config
 on the same build reproduces the output bytes exactly.
 """
@@ -19,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bounds as bounds_mod
-from .coefficients import render_number
+from .coefficients import coefficient_text
 from .conjecture import (ToleranceProfile, check_powershift_betas, conjecture_suite,
                          powershift_suite, summarize)
 from .functions import (AbsShiftFamily, ConstrainedFamily, PowerAbsFamily, PowerShiftFamily,
@@ -138,12 +139,22 @@ class ManifestWriter:
 
 # a sweep file <tag>.sweep.npy holds one row (p, |error|) per order, exactly
 SWEEP_DTYPE = np.dtype([("p", "<i8"), ("abs_error", "<f8")])
+# a bounds file <tag>.bounds.npy holds one row per order p >= 2: the Theorem 1
+# bound, the measured |error| and their ratio measured / bound, exactly
+BOUNDS_DTYPE = np.dtype([("p", "<i8"), ("bound", "<f8"), ("measured", "<f8"),
+                         ("ratio", "<f8")])
+
+
+def _write_rows(writer, name: str, dtype: np.dtype, columns) -> None:
+    """Write one .npy array of dtype whose fields, in order, are the columns."""
+    rows = np.empty(len(columns[0]), dtype)
+    for field_name, column in zip(dtype.names, columns):
+        rows[field_name] = column
+    writer.npy(name, rows)
 
 
 def _write_sweep(writer, tag: str, sweep) -> None:
-    rows = np.empty(len(sweep.pvalues), SWEEP_DTYPE)
-    rows["p"], rows["abs_error"] = sweep.pvalues, sweep.abs_error
-    writer.npy(f"{tag}.sweep.npy", rows)
+    _write_rows(writer, f"{tag}.sweep.npy", SWEEP_DTYPE, [sweep.pvalues, sweep.abs_error])
 
 
 def read_sweep(path) -> ErrorSweep:
@@ -188,8 +199,7 @@ def _fit_payload(sweep, config):
 def _coeffs(config, opts, family, writer):
     series = family.series(config.pmax, config.coeff_ctx() or config.eval_ctx())
     name = f"{config.id}.coeffs.csv"
-    writer.csv(name, "k,coeff", [range(len(series.coeffs)),
-                                 [render_number(c, series.ctx) for c in series.coeffs]])
+    writer.csv(name, "k,coeff", [range(series.degree + 1), coefficient_text(series)])
     writer.json(name + ".json", series.metadata())
 
 
@@ -216,10 +226,16 @@ def _plot_rows(pvalues, abs_error) -> np.ndarray:
     """Indices of the plotted orders, increasing: in each occupied bin, the
     first order with the bin's largest nonzero error."""
     keep = np.flatnonzero(abs_error > 0)
+    if not len(keep):
+        return keep
+    err = abs_error[keep]
+    # p increases, so each bin is one run of keep; starts holds the run starts
     bins = np.floor(PLOT_BINS_PER_DECADE * np.log10(pvalues[keep]))
-    # within a bin, largest error first; ties keep the smaller p
-    order = np.lexsort((-abs_error[keep], bins))
-    return keep[order[np.flatnonzero(np.diff(bins, prepend=-np.inf))]]
+    starts = np.flatnonzero(np.diff(bins, prepend=-np.inf))
+    peak = np.repeat(np.maximum.reduceat(err, starts), np.diff(starts, append=len(err)))
+    # the least index of each run at its peak: the others read as len(err)
+    at_peak = np.where(err == peak, np.arange(len(err)), len(err))
+    return keep[np.minimum.reduceat(at_peak, starts)]
 
 
 def _sweep(config, opts, family, writer):
@@ -302,8 +318,8 @@ def _bounds(config, opts, family, writer):
         report = bounds_mod.theorem1_bound_series(f, x, config.pmax)
         sweep = error_sweep(series, family.exact, x, config.pmax, config.eval_ctx())
         report.measured = sweep.abs_error[1:]
-        writer.csv(f"{config.id}.x{x:+.7g}.bounds.csv", "p,bound,measured,ratio",
-                   [report.pvalues, report.bound, report.measured, report.ratio])
+        _write_rows(writer, f"{config.id}.x{x:+.7g}.bounds.npy", BOUNDS_DTYPE,
+                    [report.pvalues, report.bound, report.measured, report.ratio])
         writer.results[f"x={x:+.7g}"] = {
             "bound_constant": float(report.bound[-1] * report.pvalues[-1]),
             "max_ratio": float(np.max(report.ratio)),

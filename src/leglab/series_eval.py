@@ -11,9 +11,10 @@ one ndarray and the compensated running sums two ``add.accumulate`` scans
 ``neumaier_sum`` in tests/oracles.py.  In big-float mode ``_fixed_terms`` reads
 ``legendre.legendre_fixed_range`` instead: every value is an integer
 round(v 2^S), S = bits + 64, each term costs one integer product and one
-rounding, and the running sum is exact; each order's difference to the
-reference is rounded to float once, by Python's correctly rounded integer
-division.
+rounding, and the running sum is exact; the sums and each order's
+difference to the reference stream through ``itertools.accumulate`` and
+``np.fromiter`` and are rounded to float once, so no list of running sums
+is held.
 
 For the endpoint-constrained family the order-p truncation is the order-p
 constrained solution (its tail differs from the stored coefficient prefix);
@@ -23,10 +24,11 @@ a_k (P_{k+1} - P_{k-1}) / (2k+1) instead of a literal coefficient prefix.
 
 from __future__ import annotations
 
-import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, filterfalse, islice, repeat
+from operator import sub, truediv
 from typing import Optional
 
 import mpmath
@@ -116,7 +118,8 @@ def _fixed_terms(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, S:
     (C_k P_k + 2^(S-1)) >> S and a constrained bump is one rounded division
     of (A_{k-1} - A_{k+1}) (X_{k+1} - X_{k-1}) by 2 (2k+1) 2^S.  A big-float
     coefficient is read from its exact pair, rounded to ctx's bits where it
-    has more; float64 coefficients are scaled in one array pass (``_fixed_image``).
+    has more; float64 coefficients are split by one ``np.frexp`` into 53-bit
+    integers and exponents, so C_k P_k is never formed at S bits.
     """
     _check_order(series, pmax)
     if series.generator is Generator.CONSTRAINED_PVERSION:
@@ -126,24 +129,23 @@ def _fixed_terms(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, S:
         bumps = ((((a0 - a2) * (x2 - x0) + (m << (S - 1))) // m) >> S
                  for a0, a2, x0, x2, m in zip(A, A[2:], X, X[2:], range(6, 4 * pmax + 3, 4)))
         return chain([0], bumps)
+    Px = legendre_fixed_range(pmax, ctx.convert(x), S)
     if series.ctx.mode == F64:
-        coeffs = _fixed_image(series.as_floats()[: pmax + 1], S)
+        c = series.as_floats()[: pmax + 1]
+        m, q = np.frexp(c)
+        if 53 - S <= q.min(initial=0) and q.max(initial=0) <= 52:
+            # c_k = M_k 2^-r_k exactly, M_k = m_k 2^53 an int64 and 1 <= r_k = 53 - q_k <= S,
+            # so (round(c_k 2^S) P_k + 2^(S-1)) >> S is (M_k P_k + 2^(r_k-1)) >> r_k:
+            # a 53-bit factor instead of an S-bit one, rounded half up in two shifts
+            M = np.ldexp(m, 53).astype(np.int64).tolist()
+            return ((((a * p) >> s) + 1) >> 1 for a, p, s in zip(M, Px, (52 - q).tolist()))
+        # a coefficient below 2^(52-S) or of 2^52 or more: round(c_k 2^S) one at a time
+        coeffs = (to_fixed(v, S) for v in c.tolist())
     else:
         bits = ctx.bits if series.ctx.bits > ctx.bits else None  # None: taken exactly
         coeffs = (to_fixed(round_bits(*p, bits) if bits else p, S) for p in series.pairs(pmax + 1))
     half = 1 << (S - 1)
-    return ((c * p + half) >> S
-            for c, p in zip(coeffs, legendre_fixed_range(pmax, ctx.convert(x), S)))
-
-
-def _fixed_image(c: np.ndarray, S: int):
-    """round(c_k 2^S) for float64 c, one at a time: np.ldexp scales every c_k
-    exactly while 2^S |c_k| < 2^1024, and ``round`` of a float rounds to
-    nearest, ties to even, as to_fixed does; past that range to_fixed reads
-    each coefficient."""
-    if S + math.frexp(float(np.max(np.abs(c), initial=0.0)))[1] < 1024:
-        return map(round, np.ldexp(c, S).tolist())
-    return (to_fixed(v, S) for v in c.tolist())
+    return ((c * p + half) >> S for c, p in zip(coeffs, Px))
 
 
 def _neumaier_running_sums(t: np.ndarray) -> np.ndarray:
@@ -159,24 +161,46 @@ def _neumaier_running_sums(t: np.ndarray) -> np.ndarray:
     return s + np.add.accumulate(np.concatenate(([0.0], e)))[1:]
 
 
+_TINY = np.finfo(float).tiny  # the least normal float64
+
+
 def _running_sums(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, ref=None):
     """Running sums S_p(x), p = 0..pmax, of the order terms.
 
     Returns (d, S): d[p] is the float ref - S_p (S_p itself without ref) and
     S is S_pmax in the context's number type.  Float64 sums carry Neumaier
-    compensation; big-float sums are exact sums of the fixed-point terms.
+    compensation; big-float sums are exact sums of the fixed-point terms,
+    formed in one streaming pass (no list of running sums is held) whose
+    values are each rounded to float once: by float(int), which rounds to
+    nearest, and an exact ldexp by -S where every result is a normal float,
+    else by the correctly rounded division by 2^S, as the per-term loop
+    ``fixed_running_sums_loop`` of tests/oracles.py rounds every value.
     """
     if ctx.mode == BIG:
         S = ctx.bits + 64
-        scale = 1 << S
         R = None if ref is None else to_fixed(ctx.convert(ref), S)
-        sums = []
-        total = 0
-        for t in _fixed_terms(series, x, pmax, ctx, S):
-            total += t
-            sums.append(total / scale if R is None else (R - total) / scale)
+        last = deque(maxlen=1)
+
+        def values():
+            # the exact integers (R - S_p or S_p) 2^S, one at a time; filterfalse
+            # of deque.append (which returns None) passes each on and keeps the last
+            terms = _fixed_terms(series, x, pmax, ctx, S)
+            sums = (accumulate(terms) if R is None
+                    else islice(accumulate(terms, sub, initial=R), 1, None))
+            return filterfalse(last.append, sums)
+
+        try:
+            f = np.fromiter(map(float, values()), float, pmax + 1)
+            d = np.ldexp(f, -S)
+            exact = not np.any((np.abs(d) < _TINY) & (f != 0))
+        except OverflowError:
+            exact = False
+        if not exact:
+            # a value past the float range, or a subnormal result that ldexp would round again
+            d = np.fromiter(map(truediv, values(), repeat(1 << S)), float, pmax + 1)
+        total = last[0] if R is None else R - last[0]
         with ctx.active():
-            return np.array(sums), mpmath.mpf((total, -S))
+            return d, mpmath.mpf((total, -S))
     d = _neumaier_running_sums(_terms(series, x, pmax))
     return (d if ref is None else float(ref) - d), float(d[-1])
 

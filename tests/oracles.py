@@ -5,6 +5,9 @@ quantity the package produces, by a route the package does not take.
 
 * ``neumaier_sum``: the scalar compensated loop whose bits the float64
   running sums of ``series_eval`` keep;
+* ``fixed_running_sums_loop``: the big-float running sums of
+  ``series_eval`` as a per-term loop over the fixed-point terms, each
+  difference rounded by one int / int division;
 * ``binomial_moment_oracle``: the |x + 1|^beta power moments from the
   binomial expansion of (t - 1)^k, against the hypergeometric identity;
 * ``quadrature_oracle_coeffs``: c_k = (k + 1/2) int f P_k by tanh-sinh
@@ -38,7 +41,8 @@ from leglab.functions import exact_solution
 from leglab.pfem import internal_modes
 from leglab.legendre import (gauss_rule, legendre_eval, legendre_eval_range,
                              legendre_fixed_range, legendre_sums_array)
-from leglab.precision import FLOAT64, dyadic
+from leglab.precision import FLOAT64, dyadic, to_fixed
+from leglab.series_eval import _fixed_terms
 
 
 def neumaier_sum(values) -> float:
@@ -53,6 +57,23 @@ def neumaier_sum(values) -> float:
             comp += (v - t) + total
         total = t
     return total + comp
+
+
+def fixed_running_sums_loop(series, x, pmax: int, ctx, ref=None):
+    """(d, S) of ``series_eval._running_sums`` in a big-float context, one term
+    at a time: the exact running total of the terms round(t_k 2^S), S = bits
+    + 64, and after each term the float of (R - total) / 2^S (total / 2^S
+    without a reference), R = round(ref 2^S), by Python's correctly rounded
+    division; S is the last total as an mpf."""
+    S = ctx.bits + 64
+    scale = 1 << S
+    R = None if ref is None else to_fixed(ctx.convert(ref), S)
+    sums, total = [], 0
+    for t in _fixed_terms(series, x, pmax, ctx, S):
+        total += t
+        sums.append(total / scale if R is None else (R - total) / scale)
+    with ctx.active():
+        return np.array(sums), mpmath.mpf((total, -S))
 
 
 def binomial_moment_oracle(k: int, beta, prec_bits: int = 256):

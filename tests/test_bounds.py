@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from leglab.bounds import (BVFunction, Jump, abs_kink_bv, calibrate_theorem2,
                            endpoint_identity_bound, step_bv, theorem1_bound,
                            theorem1_bound_series, theorem2_bound, theorem3_bound,
                            total_variation, variation_window, window_variations)
-from leglab.runner import ExperimentConfig, run_experiment
+from leglab.runner import BOUNDS_DTYPE, ExperimentConfig, run_experiment
 
 from oracles import total_variation_loop
 
@@ -154,17 +155,20 @@ def test_bv_validation():
         total_variation(STEP, -2.0, 0.0)
 
 
-def test_bound_report_csv(tmp_path, step_sweeps):
+def test_bound_report_npy(tmp_path, step_sweeps):
     cfg = ExperimentConfig(id="b", kind="bounds", family="step", params={"a": A}, x=[0.1],
                            pmax=100)
     run_experiment(cfg, str(tmp_path))
-    path = tmp_path / "b.x+0.1.bounds.csv"
-    lines = path.read_text().splitlines()
-    assert lines[0] == "p,bound,measured,ratio"
-    assert len(lines) == 100
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    path = tmp_path / "b.x+0.1.bounds.npy"
+    data = np.load(path, allow_pickle=False)
+    assert data.dtype == BOUNDS_DTYPE and data.dtype.names == ("p", "bound", "measured", "ratio")
+    assert len(data) == 99
     rep = theorem1_bound_series(STEP, 0.1, 100)
-    assert np.array_equal(data[:, 0], rep.pvalues)
-    assert np.array_equal(data[:, 1], rep.bound)
-    assert np.array_equal(data[:, 2], step_sweeps[0.1].abs_error[1:100])
-    assert np.array_equal(data[:, 3], data[:, 2] / data[:, 1])
+    assert np.array_equal(data["p"], rep.pvalues)
+    assert np.array_equal(data["bound"], rep.bound)
+    assert np.array_equal(data["measured"], step_sweeps[0.1].abs_error[1:100])
+    assert np.array_equal(data["ratio"], data["measured"] / data["bound"])
+    # the bytes np.save writes for the same array
+    buf = io.BytesIO()
+    np.save(buf, data)
+    assert path.read_bytes() == buf.getvalue()

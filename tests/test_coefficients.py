@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leglab import coefficients
-from leglab.coefficients import (Generator, _mu_recurrence, abs_shift_coeffs, appendixA_moment,
+from leglab.coefficients import (Generator, LegendreSeries, _mu_recurrence, abs_shift_coeffs,
+                                 _nstr_pair, appendixA_moment, coefficient_text,
                                  constrained_pversion_coeffs, derivative_coeffs,
                                  legendre_monomial_rows, polynomial_legendre_coeffs,
                                  power_abs_coeffs, power_shift_coeffs,
@@ -604,3 +605,80 @@ def test_series_metadata_and_export(tmp_path):
     sidecar = json.loads((tmp_path / "series.coeffs.csv.json").read_text())
     assert sidecar["generator"] == "StepDerivative"
     assert sidecar["precision"] == "f64"
+
+
+def _nstr_of_pairs(pairs, bits):
+    """What the big-float export wrote before: mpmath.nstr of each pair's mpf."""
+    dps = int(bits * 0.30103) + 3
+    with mpmath.workprec(bits):
+        return [mpmath.nstr(mpmath.mpf(p), dps) for p in pairs]
+
+
+def _text_of_pairs(pairs, bits):
+    dps = int(bits * 0.30103) + 3
+    return [_nstr_pair(n, e, dps, {}) for n, e in pairs]
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_big_float_export_text_is_the_nstr_of_each_coefficient(bits):
+    # the coeffs kind renders each held pair; mpf coefficients are read as pairs
+    for series in (abs_shift_coeffs(-0.25, 300, bigfloat(bits)),
+                   LegendreSeries([mpmath.mpf(0), -mpmath.mpf(2) ** -3600, mpmath.mpf(1) / 3],
+                                  Generator.CUSTOM_SPEC, bigfloat(bits))):
+        assert coefficient_text(series) == _nstr_of_pairs(list(series.pairs()), bits)
+        with series.ctx.active():
+            assert coefficient_text(series) == [mpmath.nstr(c, int(bits * 0.30103) + 3)
+                                                for c in series.coeffs]
+
+
+@st.composite
+def _pairs_at_bits(draw):
+    """(bits, pairs): bits in 53..1024 and pairs (n, e) of at most that many
+    significant bits, both signs, with decimal exponents on both sides of
+    nstr's fixed/e-notation switch, near 0, past |e + bitcount| = 3500, and
+    mantissas of nines that may carry, plus zero."""
+    bits = draw(st.integers(53, 1024))
+    dps = int(bits * 0.30103) + 3
+    switch = draw(st.sampled_from([min(-(dps // 3), -5), 0, dps]))
+    pairs = [(0, draw(st.integers(-5000, 5000)))]
+    for _ in range(draw(st.integers(1, 6))):
+        m = draw(st.one_of(st.integers(1, 2 ** bits - 1),
+                           st.integers(1, 330).map(lambda k: 10 ** k - 1)))
+        top = draw(st.one_of(
+            st.integers(-3, 3).map(lambda d: math.floor((switch + d) * math.log2(10))),
+            st.integers(-4000, 4000),
+            st.sampled_from([-3502, -3501, -3500, -3499, 3499, 3500, 3501, 3502])))
+        n, e = round_bits(m, top - m.bit_length(), bits)
+        pairs.append((-n if draw(st.booleans()) else n, e))
+    return bits, pairs
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=_pairs_at_bits())
+@example(case=(53, [(2 ** 53 - 1, -53), (-(2 ** 53 - 1), 3447), (1, 3499), (1, 3500)]))
+@example(case=(256, [(10 ** 77 - 1, -300), (-(10 ** 77 - 1), 0), (3, -3600), (0, 0)]))
+@example(case=(1024, [(2 ** 1024 - 1, -1024), (-(2 ** 1023), 2476), (12345, -5000)]))
+def test_coefficient_text_is_the_nstr_of_each_pair(case):
+    bits, pairs = case
+    assert _text_of_pairs(pairs, bits) == _nstr_of_pairs(pairs, bits)
+
+
+def _largest_pair_below_power_of_ten(bits: int, K: int) -> tuple:
+    """(M, e): the largest M 2^e < 10^K with M of at most ``bits`` bits."""
+    t = Fraction(10) ** K
+    e = t.numerator.bit_length() - t.denominator.bit_length() - bits - 1
+    while math.ceil(t / Fraction(2) ** e) > 2 ** bits:
+        e += 1
+    return math.ceil(t / Fraction(2) ** e) - 1, e
+
+
+# (bits, K) where the largest pair below 10^K has nstr digits 99..9 that
+# round up to 10^K: in fixed notation (-6 and -4) and in e-notation (153)
+@pytest.mark.parametrize("bits,K", [(149, -6), (491, -4), (53, 153), (176, -13)])
+def test_coefficient_text_carries_a_run_of_nines(bits, K):
+    M, e = _largest_pair_below_power_of_ten(bits, K)
+    assert M.bit_length() <= bits and Fraction(M) * Fraction(2) ** e < Fraction(10) ** K
+    pairs = [(M, e), (-M, e)]
+    text = _text_of_pairs(pairs, bits)
+    assert text == _nstr_of_pairs(pairs, bits)
+    assert Fraction(text[0]) == Fraction(10) ** K and Fraction(text[1]) == -Fraction(10) ** K

@@ -15,8 +15,9 @@ from leglab.functions import (AbsShiftFamily, PowerAbsFamily, PowerShiftFamily, 
 from leglab.legendre import gauss_rule
 from leglab.precision import FLOAT64, PrecisionError
 from leglab.ratefit import fit_rate
-from leglab.runner import (ExperimentConfig, InfiniteNorm, _exact_norm_sq, figure_config_dir,
-                           list_figure_configs, resolve, run_experiment, run_figures)
+from leglab.runner import (BOUNDS_DTYPE, ExperimentConfig, InfiniteNorm, _exact_norm_sq,
+                           figure_config_dir, list_figure_configs, resolve, run_experiment,
+                           run_figures)
 from leglab.series_eval import error_sweep
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -316,6 +317,20 @@ def test_cli_fit_reads_only_sweep_npy_files(tmp_path, capsys):
             main(["fit", str(path)])
         assert exc.value.code == 2
         assert ".sweep.npy" in capsys.readouterr().err
+
+
+def test_cli_fit_rejects_a_bounds_file_naming_the_format(tmp_path, capsys):
+    main(["bounds", "--family", "step", "--a", "0.5", "--x", "0.1", "--pmax", "50",
+          "--out", str(tmp_path), "--id", "b"])
+    capsys.readouterr()
+    bounds_npy = tmp_path / "b.x+0.1.bounds.npy"
+    assert np.load(bounds_npy).dtype == BOUNDS_DTYPE
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", str(bounds_npy)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{bounds_npy} is not a .sweep.npy file" in err
+    assert "fields p <i8, abs_error <f8" in err
 
 
 def test_cli_conjecture_exit(tmp_path, capsys):

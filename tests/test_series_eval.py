@@ -19,7 +19,8 @@ from leglab.runner import SWEEP_DTYPE, ExperimentConfig, read_sweep, run_experim
 from leglab.series_eval import (ErrorSweep, NormSweep, _fixed_terms, _running_sums, error_sweep,
                                 norm_sweep, parseval_tail, partial_sum, partial_sum_values)
 
-from oracles import model_norm_sq, neumaier_sum, squared_error_quadrature
+from oracles import (fixed_running_sums_loop, model_norm_sq, neumaier_sum,
+                     squared_error_quadrature)
 
 A = 0.5
 
@@ -386,6 +387,42 @@ def test_bulk_fixed_point_coefficients_equal_per_coefficient_to_fixed(coeffs, x,
     Px = legendre_fixed_range(p, ctx.convert(x), S)
     want = [(to_fixed(c, S) * P + (1 << (S - 1))) >> S for c, P in zip(coeffs, Px)]
     assert list(_fixed_terms(series, x, p, ctx, S)) == want
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512, 1024])
+@pytest.mark.parametrize("pmax", [0, 1, 2, 2200])
+@pytest.mark.parametrize("coeffs", ["f64", "big"])
+def test_streamed_fixed_point_sums_equal_the_per_term_loop(bits, pmax, coeffs):
+    # the streamed differences have the bits of the per-term loop, with and
+    # without a reference; past 2^1024 (big:1024 with a reference) they are
+    # divided as the loop divides
+    ctx = bigfloat(bits)
+    family = AbsShiftFamily(a=-0.3)
+    series = family.series(max(pmax, 1), FLOAT64 if coeffs == "f64" else ctx)
+    for x, ref in ((0.1, family.exact(0.1)), (-1.0, None), (0.7, 0.25)):
+        d, S = _running_sums(series, x, pmax, ctx, ref)
+        want_d, want_S = fixed_running_sums_loop(series, x, pmax, ctx, ref)
+        assert d.tobytes() == want_d.tobytes()
+        assert S == want_S and S._mpf_ == want_S._mpf_
+
+
+def test_streamed_fixed_point_sums_round_subnormal_and_overflowing_values_once():
+    # at big:1024 (S = 1088) a sum below the least normal float is an integer
+    # that float(int) then ldexp would round twice, so the division rounds
+    # it; with a reference near 1, 2^1088 |d| does not convert to float at all
+    series = LegendreSeries([3e-320, -2.5e-321, 1e-322, 7e-321], Generator.CUSTOM_SPEC, FLOAT64)
+    for bits, x, ref in ((1024, 0.3, None), (1024, -0.9, 2e-320), (1024, 0.5, 1.0),
+                         (128, 0.3, None)):
+        ctx = bigfloat(bits)
+        d, S = _running_sums(series, x, 3, ctx, ref)
+        want_d, want_S = fixed_running_sums_loop(series, x, 3, ctx, ref)
+        assert d.tobytes() == want_d.tobytes() and S == want_S
+    assert 0 < abs(_running_sums(series, 0.3, 3, bigfloat(1024))[0][-1]) < np.finfo(float).tiny
+    # S_1 2^1088 = 2^60 + 2^13 + 1: float() rounds it to 2^60 + 2^13, which
+    # ldexp then rounds to even, 2^-1028; rounded once it is 2^-1028 + 2^-1074
+    tie = LegendreSeries([2.0 ** -1028, 2.0 ** -1074], Generator.CUSTOM_SPEC, FLOAT64)
+    d, _ = _running_sums(tie, 0.5 + 2.0 ** -14, 1, bigfloat(1024))
+    assert d[-1] == 2.0 ** -1028 + 2.0 ** -1074
 
 
 def test_sweeps_of_a_held_series_build_no_mpf_list():
