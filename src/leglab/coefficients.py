@@ -35,18 +35,23 @@ In big-float mode the step and model-solution coefficients are exact
 integer combinations of the fixed-point values of
 ``legendre.legendre_fixed_range``; in float64 they are array expressions in
 the operation order of the scalar loops kept in tests/oracles.py.  The
-integer routes return exact pairs (M, E), each rounded once to the output
-context as mpmath rounds; a series builds mpf objects, or in float64 a list
-of floats, only when ``coeffs`` is read, and ``coefficient_text`` writes
-the export text of a big-float series from the pairs.  The singularity-splitting quadrature oracle in
+integer routes return exact pairs (M, E).  A big-float series rounds them
+once to its context, as mpmath rounds, when its pairs, its mpf ``coeffs``
+or a big-float sweep first read them; its float64 image rounds the exact
+pairs to floats in bulk (``precision.pair_floats``) with the same bits, and
+``coefficient_text`` writes the export text from the rounded pairs.  The
+|x|^beta and |x - a|^beta series keep their recurrence state, so a longer
+series of the same family continues it (``Family.series``) instead of
+starting again.  The singularity-splitting quadrature oracle in
 tests/oracles.py cross-checks every generator.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
-from itertools import chain
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 import mpmath
@@ -55,7 +60,7 @@ import numpy as np
 from .functions import SingularFunctionSpec
 from .legendre import fixed_scale, legendre_fixed_range, legendre_row
 from .precision import (BIG, F64, FLOAT64, PrecisionContext, PrecisionError, bigfloat,
-                        dyadic, pair_float, round_bits, to_fixed)
+                        dyadic, pair_floats, pair_nstr, round_bits, to_fixed)
 
 
 class Generator(str, Enum):
@@ -76,16 +81,19 @@ class LegendreSeries:
     A float64 series holds its coefficients as one read-only ndarray, its
     float64 image, and builds the ``coeffs`` list on first read.  A
     big-float series from an integer recurrence holds each c_k as an exact
-    pair (M_k, E_k), c_k = M_k 2^E_k, already rounded to its context
-    (``from_pairs``); ``coeffs`` builds the mpf list from the pairs on first
-    read, and the float64 image and the fixed-point sums read the pairs.
+    pair (M_k, E_k), c_k = M_k 2^E_k (``from_pairs``).  The pairs are
+    rounded to the context only when ``pairs``, ``coeffs`` or a big-float
+    sweep reads them, and the exact integers are then dropped; the float64
+    image rounds them to floats in bulk (``precision.pair_floats``) without that
+    step, and ``coeffs`` builds the mpf list from the rounded pairs.
     """
 
     def __init__(self, coeffs, generator: Generator, ctx: PrecisionContext,
                  params: Optional[dict] = None, pairs: Optional[list] = None):
         # the float64 image: held from the start in float64, else made on
-        # first use; a prefix views its source's
-        self._f64_array = self._source = None
+        # first use; a prefix views its source's, and a grown series starts
+        # from the image of the series it continues (_f64_head)
+        self._f64_array = self._source = self._f64_head = None
         if ctx.mode == F64:
             self._f64_array = np.asarray(coeffs, dtype=float).view()
             if not np.isfinite(self._f64_array).all():
@@ -93,15 +101,26 @@ class LegendreSeries:
             self._f64_array.flags.writeable = False
             coeffs = None
         self._coeffs, self._pairs = coeffs, pairs
+        # _raw: the pairs are exact, not yet rounded to ctx; _grow: the state
+        # an integer recurrence continues from when a longer series is asked for
+        self._raw, self._grow = False, None
         self.generator, self.ctx, self.params = generator, ctx, params if params is not None else {}
 
     @classmethod
-    def from_pairs(cls, pairs, generator, ctx, params) -> "LegendreSeries":
-        """A series from exact pairs (n, e), each rounded once to ctx."""
+    def from_pairs(cls, pairs, generator, ctx, params, held=None) -> "LegendreSeries":
+        """A series from exact pairs (n, e), each to be rounded once to ctx
+        (at once in float64, else when read).  Pairs that continue ``held``,
+        a shorter series of the same recurrence, follow its pairs, rounded
+        now if its pairs have been, and keep its float64 image."""
         if ctx.mode == F64:
-            return cls(np.fromiter((pair_float(n, e) for n, e in pairs), dtype=float),
-                       generator, ctx, params)
-        return cls(None, generator, ctx, params, [round_bits(n, e, ctx.bits) for n, e in pairs])
+            return cls(pair_floats(list(pairs)), generator, ctx, params)
+        out = cls(None, generator, ctx, params, list(pairs))
+        out._raw = True
+        if held is not None:
+            if not held._raw:
+                out.pairs()
+            out._pairs[:0], out._f64_head = held._pairs, held._f64_array
+        return out
 
     @property
     def coeffs(self) -> list:
@@ -111,15 +130,21 @@ class LegendreSeries:
                 self._coeffs = self._f64_array.tolist()
             else:
                 with self.ctx.active():
-                    self._coeffs = list(map(mpmath.mpf, self._pairs))
+                    self._coeffs = list(map(mpmath.mpf, self.pairs()))
         return self._coeffs
 
     def pairs(self, stop: Optional[int] = None):
         """c_0..c_{stop-1} as exact pairs (n, e), c_k = n 2^e: the held pairs,
-        or each float or mpf read exactly as it is consumed."""
-        if self._pairs is not None:
-            return self._pairs[:stop]
-        return map(dyadic, self.coeffs[:stop])
+        rounded to the context on first read, or each float or mpf read
+        exactly as it is consumed."""
+        if self._pairs is None:
+            return map(dyadic, self.coeffs[:stop])
+        if self._raw:  # in place: each exact pair is freed as it is rounded
+            pairs, bits = self._pairs, self.ctx.bits
+            for i, (n, e) in enumerate(pairs):
+                pairs[i] = round_bits(n, e, bits)
+            self._raw = False
+        return self._pairs[:stop]
 
     @property
     def degree(self) -> int:
@@ -137,7 +162,7 @@ class LegendreSeries:
             return LegendreSeries(self._f64_array[: P + 1], self.generator, self.ctx, self.params)
         out = LegendreSeries(self._coeffs and self._coeffs[: P + 1], self.generator, self.ctx,
                              self.params, self._pairs and self._pairs[: P + 1])
-        out._source = self
+        out._source, out._raw = self, self._raw
         return out
 
     def as_floats(self) -> np.ndarray:
@@ -145,11 +170,16 @@ class LegendreSeries:
         if self._f64_array is None:
             if self._source is not None:
                 self._f64_array = self._source.as_floats()[: self.degree + 1]
+            elif self._pairs is None:
+                self._f64_array = np.fromiter(map(float, self._coeffs), dtype=float,
+                                              count=self.degree + 1)
             else:
-                floats = (map(float, self._coeffs) if self._pairs is None
-                          else (pair_float(n, e) for n, e in self._pairs))
-                self._f64_array = np.fromiter(floats, dtype=float, count=self.degree + 1)
-                self._f64_array.flags.writeable = False
+                head = self._f64_head
+                start = 0 if head is None else len(head)
+                floats = pair_floats(self._pairs[start:], self.ctx.bits if self._raw else None)
+                self._f64_array = floats if head is None else np.concatenate((head, floats))
+                self._f64_head = None
+            self._f64_array.flags.writeable = False
         return self._f64_array
 
     def metadata(self) -> dict:
@@ -165,66 +195,12 @@ class LegendreSeries:
 def coefficient_text(series: LegendreSeries) -> list:
     """The export text of each coefficient: ``repr`` of the float in float64,
     and in big-float mode the bytes of ``mpmath.nstr(c, int(bits * 0.30103) + 3)``,
-    rendered from the exact pairs by ``_nstr_pair`` without building an mpf."""
+    rendered from the exact pairs by ``precision.pair_nstr`` without building an mpf."""
     if series.ctx.mode == F64:
         return list(map(repr, series.as_floats().tolist()))
     dps = int(series.ctx.bits * 0.30103) + 3
     powers = {}  # fixdps -> 10^fixdps: a series meets a few decimal scales
-    return [_nstr_pair(n, e, dps, powers) for n, e in series.pairs()]
-
-
-_LOG2_10 = math.log(10, 2)  # the constant mpmath 1.3.0's to_digits_exp reads
-
-
-def _nstr_pair(n: int, e: int, dps: int, powers: dict) -> str:
-    """``mpmath.nstr(mpf(n 2^e), dps)`` of mpmath 1.3.0 from the integers.
-
-    It repeats ``to_digits_exp(s, dps + 3)``: floor(|v| 2^fixprec) at a
-    fixed point of bitprec = int((dps + 3) log2 10) + 10 significant bits,
-    converted to floor(|v| 10^fixdps) in one integer product and shift.
-    Then ``to_str``: round those digits half up to dps, write them fixed
-    between the exponents min(-(dps // 3), -5) and dps, else with e+/e-, and
-    strip trailing zeros.  Past |exponent + bitcount| = 3500, where
-    to_digits_exp first divides by a power of ten, mpmath itself renders.
-    ``powers`` holds the powers of ten already formed, keyed by exponent.
-    """
-    if not n:
-        return "0.0"
-    sign, m = ("-", -n) if n < 0 else ("", n)
-    top = e + m.bit_length()
-    if abs(top) > 3500:
-        with mpmath.workprec(m.bit_length()):
-            return mpmath.nstr(mpmath.mpf((n, e)), dps)
-    bitprec = int((dps + 3) * _LOG2_10) + 10
-    fixprec = max(bitprec - top, 0)
-    fixdps = int(fixprec / _LOG2_10 + 0.5)
-    shift = e + fixprec
-    fixed = m << shift if shift >= 0 else m >> -shift
-    power = powers.get(fixdps)
-    if power is None:
-        power = powers[fixdps] = 10 ** fixdps
-    digits = str(fixed * power >> fixprec)
-    exponent = len(digits) - fixdps - 1
-    if len(digits) > dps and digits[dps] in "56789":
-        digits = str(int(digits[:dps]) + 1)
-        if len(digits) > dps:  # all nines carried
-            digits = digits[:dps]
-            exponent += 1
-    else:
-        digits = digits[:dps]
-    split = 1
-    if min(-(dps // 3), -5) < exponent < dps:
-        if exponent < 0:
-            digits = "0" * -exponent + digits
-        else:
-            split = exponent + 1
-        exponent = 0
-    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
-    if digits[-1] == ".":
-        digits += "0"
-    if exponent == 0:
-        return sign + digits
-    return f"{sign}{digits}e{'+' if exponent > 0 else ''}{exponent}"
+    return [pair_nstr(n, e, dps, powers) for n, e in series.pairs()]
 
 
 def _check_center(a, ctx) -> None:
@@ -321,14 +297,17 @@ def constrained_pversion_coeffs(a, P: int, ctx: PrecisionContext = FLOAT64) -> L
     return LegendreSeries(coeffs, Generator.CONSTRAINED_PVERSION, ctx, params)
 
 
-def power_abs_coeffs(beta, P: int, ctx: Optional[PrecisionContext] = None) -> LegendreSeries:
+def power_abs_coeffs(beta, P: int, ctx: Optional[PrecisionContext] = None,
+                     grow: Optional[LegendreSeries] = None) -> LegendreSeries:
     """Expansion of |x|^beta: odd coefficients identically zero.
 
     beta <= -1/2 requires a big-float context (partial-sum
     cancellation at evaluation time dominates the coefficient error).  A
     big-float context runs the ratio recurrence on integers (``_ratio_run``,
-    bits + 64 significant bits) and rounds each coefficient to the context
-    once.
+    bits + 64 significant bits); each coefficient is rounded to the context
+    once, when read.  ``grow``, a shorter big-float series this function
+    returned for the same beta and ctx, is continued from its last ratio
+    instead of starting again at j = 0: the same integers, the same bits.
     """
     if float(beta) <= -1.0:
         raise ValueError("beta must exceed -1")
@@ -338,17 +317,24 @@ def power_abs_coeffs(beta, P: int, ctx: Optional[PrecisionContext] = None) -> Le
         ctx = bigfloat(256) if float(beta) <= -0.5 else FLOAT64
     if float(beta) <= -0.5 and ctx.mode == F64:
         raise PrecisionError("beta <= -1/2 requires a big-float context")
+    params = {"beta": float(beta)}
     # I_j = int_0^1 x^beta P_2j; c_2j = (2(2j)+1)/2 * 2 I_j = (4j+1) I_j
     if ctx.mode == BIG:
         bn, e = dyadic(ctx.convert(beta))
         bd = 1 << -e
-        # I_0 = bd / (bn + bd), I_{j+1} = I_j (bn - 2j bd) / (bn + (2j+3) bd)
-        factors = [(bd, bn + bd)] + [(bn - 2 * j * bd, bn + (2 * j + 3) * bd)
-                                     for j in range(P // 2)]
-        pairs = [(0, 0)] * (P + 1)
-        for j, (M, E) in enumerate(_ratio_run(1, 0, factors, ctx.bits + 64)):
-            pairs[2 * j] = ((4 * j + 1) * M, E)
-        return LegendreSeries.from_pairs(pairs, Generator.POWER_ABS, ctx, {"beta": float(beta)})
+        # I_{j+1} = I_j (bn - 2j bd) / (bn + (2j+3) bd), from the held I_j = M 2^E
+        # or from I_{-1} = 1 and I_0 = bd / (bn + bd)
+        j, M, E = grow._grow if grow else (-1, 1, 0)
+        factors = [(bn - 2 * i * bd, bn + (2 * i + 3) * bd) for i in range(j, P // 2)]
+        if j < 0:
+            factors[0] = (bd, bn + bd)
+        first = 0 if grow is None else grow.degree + 1
+        pairs = [(0, 0)] * (P + 1 - first)
+        for j, (M, E) in enumerate(_ratio_run(M, E, factors, ctx.bits + 64), j + 1):
+            pairs[2 * j - first] = ((4 * j + 1) * M, E)
+        series = LegendreSeries.from_pairs(pairs, Generator.POWER_ABS, ctx, params, grow)
+        series._grow = (j, M, E)
+        return series
     with ctx.active():
         b = ctx.convert(beta)
         coeffs = [ctx.zero()] * (P + 1)
@@ -356,19 +342,25 @@ def power_abs_coeffs(beta, P: int, ctx: Optional[PrecisionContext] = None) -> Le
         for j in range(P // 2 + 1):
             coeffs[2 * j] = (4 * j + 1) * I
             I = I * (b - 2 * j) / (b + 2 * j + 3)
-    return LegendreSeries(coeffs, Generator.POWER_ABS, ctx, {"beta": float(beta)})
+    return LegendreSeries(coeffs, Generator.POWER_ABS, ctx, params)
 
 
-def singular_term_coeffs(a, beta, P: int, ctx: Optional[PrecisionContext] = None) -> LegendreSeries:
+def singular_term_coeffs(a, beta, P: int, ctx: Optional[PrecisionContext] = None,
+                         grow: Optional[LegendreSeries] = None) -> LegendreSeries:
     """Expansion of |x - a|^beta from the modified-moment three-term recurrence.
 
     Runs in 256-bit big-float mode by default.  A big-float context runs the
-    recurrence in fixed point (``_mu_fixed``, 64 guard bits) and rounds each
-    coefficient to the context once; the top coefficient is certified by
-    rerunning the kernel at doubled precision, without building that run's
-    coefficient list.  Fixed point keeps an absolute error, so a top
-    coefficient below about 2^-65 (at P = 10^4, whatever the bits) fails
-    that certification.  A float64 context runs the context-generic
+    recurrence in fixed point (``_mu_fixed``, 64 guard bits), and each
+    coefficient is rounded to the context once, when read.  The top
+    coefficient is certified against a twin of the recurrence at doubled
+    precision that runs in the same loop, with the same integer step
+    coefficients; only its last two moments are kept.  Fixed point keeps an
+    absolute error, so a top coefficient below about 2^-65 (at P = 10^4,
+    whatever the bits) fails that certification.  ``grow``, a shorter
+    big-float series this function returned for the same a, beta and ctx,
+    is continued from its last two moments and its twin's instead of
+    starting again at k = 1: the same integers and the same certification
+    as a fresh run.  A float64 context runs the context-generic
     ``_mu_recurrence``.
     """
     _check_center(a, ctx or FLOAT64)
@@ -380,50 +372,65 @@ def singular_term_coeffs(a, beta, P: int, ctx: Optional[PrecisionContext] = None
     if ctx.mode != BIG:
         return LegendreSeries(_mu_recurrence(a, beta, P, ctx), Generator.SINGULAR_MOMENT, ctx,
                               params)
-    S, moments = _mu_fixed(a, beta, P, ctx.bits)
-    series = LegendreSeries.from_pairs((((2 * k + 1) * m, -S - 1) for k, m in enumerate(moments)),
-                                       Generator.SINGULAR_MOMENT, ctx, params)
-    S2, check = _mu_fixed(a, beta, P, 2 * ctx.bits)
+    S, S2 = ctx.bits + 64, 2 * ctx.bits + 64
+    k, m, twin = grow._grow if grow else (1, _mu_start(a, beta, S), _mu_start(a, beta, S2))
+    moments, twin = _mu_fixed(a, beta, k, P, m, twin)
+    # moments[i] is M_(k-1+i); the new coefficients are c_j = (2j+1) M_j 2^-(S+1),
+    # j = first..P
+    first = 0 if grow is None else grow.degree + 1
+    pairs = list(zip(map(operator.mul, range(2 * first + 1, 2 * P + 2, 2),
+                         moments[first - k + 1: P - k + 2]), repeat(-S - 1)))
+    series = LegendreSeries.from_pairs(pairs, Generator.SINGULAR_MOMENT, ctx, params, grow)
+    series._grow = (max(P, k), moments[-2:], twin)
     with mpmath.workprec(2 * ctx.bits):
-        cq = mpmath.mpf(((2 * P + 1) * check[P], -S2 - 1))
-        cp = mpmath.mpf(series._pairs[P])
+        cq = mpmath.mpf(((2 * P + 1) * twin[min(P, 1)], -S2 - 1))
+        cp = mpmath.mpf(round_bits(*series._pairs[P], ctx.bits))
         if cq != 0 and abs(cp - cq) / abs(cq) > mpmath.mpf(2) ** (16 - ctx.bits):
             raise PrecisionError("modified-moment recurrence lost precision; "
                                  "raise the context bits")
     return series
 
 
-def _mu_fixed(a, beta, P, bits):
-    """Modified moments mu_0..mu_P as integers round(mu_k 2^S), S = bits + 64.
-
-    Returns (S, [M_0, ..., M_P]).  a and beta are taken exactly as dyadic
-    rationals an/ad and bn/bd; the recurrence times ad bd is
-    ad (bn + (k+2) bd) mu_{k+1} = an bd (2k+1) mu_k + ad (bn + (1-k) bd) mu_{k-1},
-    so each step is one round-to-nearest integer division
-    (A M_k + B M_{k-1} + D) // (2 D), with A and B twice the coefficients of
-    mu_k and mu_{k-1} and D that of mu_{k+1}, each advanced by addition.
-    Only mu_0 and mu_1 need real powers.
-    """
-    S = bits + 64
-    an, ea = dyadic(float(a))
-    bn, eb = dyadic(float(beta))
-    ad, bd = 1 << -ea, 1 << -eb
+def _mu_start(a, beta, S):
+    """[round(mu_0 2^S), round(mu_1 2^S)]: only mu_0 and mu_1 need real powers."""
     with mpmath.workprec(S + 64):
         b, av = mpmath.mpf(float(beta)), mpmath.mpf(float(a))
         om, op = 1 - av, 1 + av
         mu0 = (om ** (b + 1) + op ** (b + 1)) / (b + 1)
         mu1 = av * mu0 + (om ** (b + 2) - op ** (b + 2)) / (b + 2)
-        m_prev, m = (to_fixed(v, S) for v in (mu0, mu1))
-    out = [m_prev, m]
-    # the step coefficients at k = 1, doubled where they multiply a moment,
-    # then moved by their constant differences in k
-    A, B, D = 6 * an * bd, 2 * ad * bn, ad * (bn + 3 * bd)  # D > 0 since beta > -1
+        return [to_fixed(mu0, S), to_fixed(mu1, S)]
+
+
+def _mu_fixed(a, beta, k, P, m, twin):
+    """The fixed-point modified moments from m = (M_(k-1), M_k) to M_P, and in
+    the same loop the twin (T_(k-1), T_k) at another scale.
+
+    Returns ([M_(k-1), M_k, ..., M_P], (T_(P-1), T_P)), with P read as k
+    when it is smaller.  M_k = round(mu_k 2^S) for the scale S of m.  a and
+    beta are taken exactly as dyadic rationals an/ad and bn/bd; the
+    recurrence times ad bd is
+    ad (bn + (k+2) bd) mu_{k+1} = an bd (2k+1) mu_k + ad (bn + (1-k) bd) mu_{k-1},
+    so each step of each run is one round-to-nearest integer division
+    (A M_k + B M_{k-1} + D) // (2 D), with A and B twice the coefficients of
+    mu_k and mu_{k-1} and D that of mu_{k+1}, each advanced by addition.
+    """
+    an, ea = dyadic(float(a))
+    bn, eb = dyadic(float(beta))
+    ad, bd = 1 << -ea, 1 << -eb
+    # the step coefficients at k, doubled where they multiply a moment, then
+    # moved by their constant differences in k; D > 0 since beta > -1
+    A, B, D = 2 * (2 * k + 1) * an * bd, 2 * ad * (bn + (1 - k) * bd), ad * (bn + (k + 2) * bd)
     dA, dB, dD = 4 * an * bd, -2 * ad * bd, ad * bd
-    for _ in range(1, P):
-        m_prev, m = m, (A * m + B * m_prev + D) // (2 * D)
+    m_prev, m = m
+    t_prev, t = twin
+    out = [m_prev, m]
+    for _ in range(k, P):
+        D2 = 2 * D
+        m_prev, m = m, (A * m + B * m_prev + D) // D2
+        t_prev, t = t, (A * t + B * t_prev + D) // D2
         out.append(m)
         A, B, D = A + dA, B + dB, D + dD
-    return S, out[: P + 1]
+    return out, (t_prev, t)
 
 
 def _ratio_run(M, E, factors, bits):

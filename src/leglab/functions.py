@@ -116,17 +116,20 @@ class Family:
         """Coefficients c_0..c_P; ctx None lets the family pick a safe context.
 
         A lower P is served as a prefix slice of the longest series held,
-        sharing its float64 image; a higher P regenerates and replaces it.
+        sharing its float64 image; a higher P replaces it by a series that
+        the generator may grow from the held one.
         """
         memo = vars(self).setdefault("_series_memo", {})
         held_P, held = memo.get(ctx, (-1, None))
         if held_P < P or (held_P > P and not self.prefix_stable):
-            held_P, held = memo[ctx] = (P, self._generate(P, ctx))
+            held_P, held = memo[ctx] = (P, self._generate(P, ctx, held if held_P < P else None))
         if held_P == P:
             return held
         return held.prefix(P)
 
-    def _generate(self, P: int, ctx: Optional[PrecisionContext]):
+    def _generate(self, P: int, ctx: Optional[PrecisionContext], held):
+        """c_0..c_P in ctx; held, when not None, is a shorter series this
+        family generated in ctx, which an integer recurrence continues."""
         raise NotImplementedError
 
     def singular_point(self) -> Optional[float]:
@@ -146,7 +149,7 @@ class StepDerivativeFamily(Family):
     def exact(self, x):
         return exact_solution_derivative(x, self.a)
 
-    def _generate(self, P, ctx):
+    def _generate(self, P, ctx, held):
         from .coefficients import step_derivative_coeffs
 
         return step_derivative_coeffs(self.a, P, ctx or FLOAT64)
@@ -168,7 +171,7 @@ class AbsShiftFamily(Family):
     def exact(self, x):
         return exact_solution(x, self.a)
 
-    def _generate(self, P, ctx):
+    def _generate(self, P, ctx, held):
         from .coefficients import abs_shift_coeffs
 
         return abs_shift_coeffs(self.a, P, ctx or FLOAT64)
@@ -191,7 +194,7 @@ class ConstrainedFamily(Family):
     def exact(self, x):
         return exact_solution(x, self.a)
 
-    def _generate(self, P, ctx):
+    def _generate(self, P, ctx, held):
         from .coefficients import constrained_pversion_coeffs
 
         return constrained_pversion_coeffs(self.a, P, ctx or FLOAT64)
@@ -217,13 +220,13 @@ class PowerAbsFamily(Family):
             return None if self.beta < 0 else (1.0 if self.beta == 0 else 0.0)
         return d ** self.beta
 
-    def _generate(self, P, ctx):
+    def _generate(self, P, ctx, held):
         from .coefficients import power_abs_coeffs, singular_term_coeffs
 
         # both generators pick a safe default context when ctx is None
         if self.a == 0.0:
-            return power_abs_coeffs(self.beta, P, ctx)
-        return singular_term_coeffs(self.a, self.beta, P, ctx)
+            return power_abs_coeffs(self.beta, P, ctx, held)
+        return singular_term_coeffs(self.a, self.beta, P, ctx, held)
 
     def singular_point(self):
         return self.a
@@ -247,7 +250,7 @@ class PowerShiftFamily(Family):
             return None if self.beta < 0 else (1.0 if self.beta == 0 else 0.0)
         return base ** self.beta
 
-    def _generate(self, P, ctx):
+    def _generate(self, P, ctx, held):
         from .coefficients import power_shift_coeffs
 
         return power_shift_coeffs(self.beta, P, ctx)
@@ -272,7 +275,7 @@ class SpecFamily(Family):
     def exact(self, x):
         return self.spec.value(x)
 
-    def _generate(self, P, ctx):
+    def _generate(self, P, ctx, held):
         from .coefficients import spec_coeffs
         from .precision import bigfloat
 

@@ -54,9 +54,10 @@ class ErrorSweep:
         self.abs_error = np.asarray(self.abs_error, dtype=float)
         if self.pvalues.shape != self.abs_error.shape:
             raise ValueError("pvalues and abs_error must have equal length")
-        if np.any(np.diff(self.pvalues) <= 0):
+        p = self.pvalues
+        if (p[1:] <= p[:-1]).any():
             raise ValueError("pvalues must be strictly increasing")
-        if not np.all(np.isfinite(self.abs_error)) or np.any(self.abs_error < 0):
+        if not np.isfinite(self.abs_error).all() or (self.abs_error < 0).any():
             raise ValueError("abs_error entries must be finite and nonnegative")
 
     @property

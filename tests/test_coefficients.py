@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 
 from leglab import coefficients
 from leglab.coefficients import (Generator, LegendreSeries, _mu_recurrence, abs_shift_coeffs,
-                                 _nstr_pair, appendixA_moment, coefficient_text,
+                                 appendixA_moment, coefficient_text,
                                  constrained_pversion_coeffs, derivative_coeffs,
                                  legendre_monomial_rows, polynomial_legendre_coeffs,
                                  power_abs_coeffs, power_shift_coeffs,
                                  power_shift_coeffs_appendixA, singular_term_coeffs, spec_coeffs,
                                  step_derivative_coeffs)
-from leglab.functions import (PowerShiftFamily, SingularFunctionSpec, exact_solution,
-                              exact_solution_derivative)
+from leglab.functions import (PowerAbsFamily, PowerShiftFamily, SingularFunctionSpec,
+                              exact_solution, exact_solution_derivative)
 from leglab.legendre import legendre_eval, legendre_eval_range, legendre_fixed_range
-from leglab.precision import FLOAT64, PrecisionError, bigfloat, dyadic, round_bits, to_fixed
+from leglab.precision import (FLOAT64, PrecisionError, bigfloat, dyadic, pair_float,
+                              pair_floats, pair_nstr, round_bits, to_fixed)
 from leglab.runner import ExperimentConfig, run_experiment
 from leglab.series_eval import _fixed_terms
 
@@ -31,6 +32,14 @@ def _rounded(q, ctx):
     Fraction input)."""
     with ctx.active():
         return ctx.convert(q.numerator) / q.denominator
+
+
+def _moments(a, beta, P, bits):
+    """(S, [M_0, ..., M_P]): the fixed-point moments singular_term_coeffs
+    forms at big:bits, without a twin."""
+    S = bits + 64
+    start = coefficients._mu_start(a, beta, S)
+    return S, coefficients._mu_fixed(a, beta, 1, P, start, (0, 0))[0][: P + 1]
 
 
 def test_step_examples():
@@ -231,10 +240,15 @@ def test_singular_term_fixed_point_matches_float_recurrence(a, beta, P):
 @example(a=0.5, beta=-5 / 6, P=2201, bits=256)
 def test_mu_fixed_moments_equal_the_step_formed_anew(a, beta, P, bits):
     # the step coefficients advanced by addition give the moments of the
-    # step that forms them at every k, integer for integer
-    S, moments = coefficients._mu_fixed(a, beta, P, bits)
+    # step that forms them at every k, integer for integer, and the twin run
+    # in the same loop gives the top two moments of its own scale
+    S, moments = _moments(a, beta, P, bits)
     assert S == bits + 64 and len(moments) == P + 1
-    assert moments == mu_fixed_loop(a, beta, P, *coefficients._mu_fixed(a, beta, 1, bits)[1])
+    start = coefficients._mu_start(a, beta, S)
+    assert moments == mu_fixed_loop(a, beta, P, *start)
+    twin = coefficients._mu_start(a, beta, 2 * bits + 64)
+    _, top = coefficients._mu_fixed(a, beta, 1, P, start, twin)
+    assert list(top) == mu_fixed_loop(a, beta, max(P, 1), *twin)[-2:]
 
 
 @pytest.mark.parametrize("beta", [-5 / 6, -2 / 3, -0.5, -1 / 16, 0.5, 1.0])
@@ -246,14 +260,13 @@ def test_singular_term_f64_image_unchanged_on_default_grid(beta):
 
 @pytest.mark.parametrize("shift,raises", [(110, True), (114, False)])
 def test_singular_term_certification_threshold(monkeypatch, shift, raises):
-    # the top check moment moved by 2^-shift relative, against the 2^(16-128) threshold
+    # the top moment of the doubled-precision twin moved by 2^-shift
+    # relative, against the 2^(16-128) threshold
     real = coefficients._mu_fixed
 
-    def perturbed(a, beta, P, bits):
-        S, moments = real(a, beta, P, bits)
-        if bits == 256:
-            moments[-1] += abs(moments[-1]) >> shift
-        return S, moments
+    def perturbed(*args):
+        moments, (t_prev, t) = real(*args)
+        return moments, (t_prev, t + (abs(t) >> shift))
 
     monkeypatch.setattr(coefficients, "_mu_fixed", perturbed)
     if raises:
@@ -370,7 +383,7 @@ def _mpf_route(kind, a, beta, P, bits):
     to big:bits (|x+1|^beta: exact at twice its working bits, then rounded)."""
     ctx = bigfloat(bits)
     if kind == "singular":
-        S, moments = coefficients._mu_fixed(a, beta, P, bits)
+        S, moments = _moments(a, beta, P, bits)
         with ctx.active():
             return [mpmath.mpf(((2 * k + 1) * m, -S - 1)) for k, m in enumerate(moments)]
     bn, e = dyadic(beta)
@@ -616,7 +629,7 @@ def _nstr_of_pairs(pairs, bits):
 
 def _text_of_pairs(pairs, bits):
     dps = int(bits * 0.30103) + 3
-    return [_nstr_pair(n, e, dps, {}) for n, e in pairs]
+    return [pair_nstr(n, e, dps, {}) for n, e in pairs]
 
 
 @pytest.mark.parametrize("bits", [64, 256])
@@ -682,3 +695,132 @@ def test_coefficient_text_carries_a_run_of_nines(bits, K):
     text = _text_of_pairs(pairs, bits)
     assert text == _nstr_of_pairs(pairs, bits)
     assert Fraction(text[0]) == Fraction(10) ** K and Fraction(text[1]) == -Fraction(10) ** K
+
+
+def _per_pair_floats(pairs, bits):
+    """The float64 image one pair at a time: pair_float of each pair rounded to bits."""
+    return np.array([pair_float(*round_bits(n, e, bits)) if bits else pair_float(n, e)
+                     for n, e in pairs])
+
+
+def _midpoint_case(top: int, bits: int, side: str, rest: int, low: int) -> int:
+    """A positive n whose rounding to ``bits`` bits lands on a 53-bit midpoint:
+    the 53 leading bits ``top``, then the bits - 53 bits 100...0 with
+    nonzero lower bits that round down (side "100"), or 011...1 with lower
+    bits of at least half an ulp that round up (side "011"), then ``rest``
+    lower bits, read from ``low``."""
+    w = bits - 53
+    field = 1 << (w - 1) if side == "100" else (1 << (w - 1)) - 1
+    half = 1 << (rest - 1)
+    tail = 1 + low % (half - 1) if side == "100" else half + low % half
+    return (((top << w) | field) << rest) | tail
+
+
+@st.composite
+def _float_image_cases(draw):
+    bits = draw(st.one_of(st.none(), st.integers(55, 1024)))
+    pairs = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["random", "random", "tie", "zero"]))
+        length = draw(st.integers(1, 1100))
+        n = draw(st.integers(1 << (length - 1), (1 << length) - 1))
+        if kind == "tie" and bits is not None:
+            n = _midpoint_case(draw(st.integers(1 << 52, (1 << 53) - 1)), bits,
+                               draw(st.sampled_from(["100", "011"])), draw(st.integers(2, 80)),
+                               draw(st.integers(0, 2 ** 80)))
+        # the value lies in [2^(top-1), 2^top): near 1, the least normal
+        # float or the largest float
+        top = draw(st.sampled_from([1, -1021, 1024])) + draw(st.integers(-3, 3))
+        e = top - n.bit_length()
+        if kind == "zero":
+            n, e = 0, draw(st.integers(-2200, 40))
+        pairs.append((-n if draw(st.booleans()) else n, e))
+    return bits, pairs
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=_float_image_cases())
+@example(case=(256, [(2 ** 1100 - 1, -1100), (-(2 ** 1023 + 1), -1), (5, -1076), (0, 0)]))
+@example(case=(None, [(2 ** 54 - 1, 970), (3, -1075), (1, -1074)]))
+def test_bulk_float_image_equals_the_per_pair_rounding(case):
+    # mixed exponents, both signs, zeros, tie candidates and values whose
+    # result would be subnormal or overflow; OverflowError as per pair
+    bits, pairs = case
+    try:
+        want = _per_pair_floats(pairs, bits)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            pair_floats(pairs, bits)
+        return
+    assert pair_floats(pairs, bits).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bits", [55, 56, 61, 62, 63, 64, 128, 256, 1024])
+def test_bulk_float_image_rounds_midpoints_once_to_bits_first(bits):
+    # n rounds to a 53-bit midpoint at ``bits`` and then to even, while
+    # float(n) rounds n itself the other way: the leading 53 bits are even
+    # where n lies above the midpoint and odd where it lies below
+    pairs = []
+    for top in (-300, 1, 40):  # the value lies in [2^(top-1), 2^top)
+        for rest, low in ((2, 0), (7, 5), (64, 2 ** 63 + 12345), (300, 3 ** 150)):
+            for n in (_midpoint_case((1 << 52) | 2, bits, "100", rest, low),
+                      -_midpoint_case((1 << 52) | 3, bits, "011", rest, low)):
+                pairs.append((n, top - n.bit_length()))
+    direct = _per_pair_floats(pairs, None)
+    want = _per_pair_floats(pairs, bits)
+    assert (direct != want).all()
+    assert pair_floats(pairs, bits).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bits", [53, 54])
+def test_bulk_float_image_of_a_narrow_context_takes_the_exact_path(bits):
+    # a one-bit field (54) rounds twice whenever its bit is set; at 53 the
+    # field is empty
+    top = (1 << 52) | 2
+    pairs = [(((top << 1 | 1) << 5) | 3, -60), (-(((top << 1 | 1) << 9) | 1), 0), (top, 0)]
+    assert pair_floats(pairs, bits).tobytes() == _per_pair_floats(pairs, bits).tobytes()
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("beta", [-5 / 6, 0.3])
+def test_held_ratio_run_floats_equal_the_per_pair_rounding(beta, bits):
+    # the |x|^beta ratio run: zeros and one exponent per coefficient
+    series = power_abs_coeffs(beta, 2201, bigfloat(bits))
+    raw = list(series._pairs)
+    assert series.as_floats().tobytes() == _per_pair_floats(raw, bits).tobytes()
+    assert list(series.pairs()) == [round_bits(n, e, bits) for n, e in raw]
+
+
+# the default conjecture grid's nonzero betas; |x|^beta generates in big:256
+# for beta <= -1/2 and in float64 (regenerated, not grown) above
+GRID_BETAS = [-5 / 6, -2 / 3, -0.5, -1 / 16, 0.5, 1.0]
+
+
+def _series_outcome(make):
+    try:
+        series = make()
+    except PrecisionError as exc:
+        return None, str(exc)
+    # the float64 image first, from exact pairs, then the rounded pairs
+    return (series.as_floats().tobytes(), list(series.pairs()), series.series_id), None
+
+
+@pytest.mark.parametrize("a", [0.5, 0.0])
+@pytest.mark.parametrize("beta", GRID_BETAS)
+def test_grown_series_equals_a_fresh_one(monkeypatch, a, beta):
+    family = PowerAbsFamily(beta=beta, a=a)
+    calls = []
+    for name in ("_mu_fixed", "_ratio_run"):
+        real = getattr(coefficients, name)
+        monkeypatch.setattr(coefficients, name,
+                            lambda *args, _real=real: calls.append(args) or _real(*args))
+    held = family.series(2201)
+    for P in (4401, 8801):
+        calls.clear()
+        grown = _series_outcome(lambda: family.series(P))
+        if held.ctx.bits:  # the big-float recurrence continues where it stopped
+            d = held.degree
+            assert calls and all(args[2] == d if a else len(args[2]) == (P - d) // 2
+                                 for args in calls)
+        assert grown == _series_outcome(lambda: PowerAbsFamily(beta=beta, a=a).series(P))
+        held = family.series(P) if grown[0] is not None else held

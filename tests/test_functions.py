@@ -32,6 +32,7 @@ def test_prefix_slice_equals_fresh_generation(name, ctx):
     for P in (1, 25, 59):
         short, fresh = family.series(P, ctx), FAMILIES[name]().series(P, ctx)
         assert short.coeffs == fresh.coeffs
+        assert list(short.pairs()) == list(fresh.pairs())
         assert short.series_id == fresh.series_id
     # a higher P regenerates
     assert family.series(80, ctx).coeffs == FAMILIES[name]().series(80, ctx).coeffs

@@ -162,6 +162,23 @@ def test_sweep_columns_of_unequal_length_are_rejected():
         NormSweep(np.arange(1, 51), np.ones(49))
 
 
+@pytest.mark.parametrize("p", [[1, 2, 2], [1, 3, 2], [3, 2, 1], [0, 0]])
+def test_sweep_orders_that_do_not_increase_are_rejected(p):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ErrorSweep(0.1, p, np.full(len(p), 0.5), "t", "s")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, -1.0])
+def test_sweep_errors_that_are_not_finite_and_nonnegative_are_rejected(bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        ErrorSweep(0.1, np.arange(1, 4), [0.3, bad, 0.1], "t", "s")
+
+
+def test_sweep_with_one_order_or_a_zero_error_is_accepted():
+    assert ErrorSweep(0.1, [7], [0.0], "t", "s").pmax == 7
+    assert ErrorSweep(0.1, [1, 2], [0.0, 0.0], "t", "s").pmax == 2
+
+
 def test_norm_sweep_energy_slope(step_series):
     norm_step = (1 - A * A) / 2
     ns = norm_sweep(step_series, exact_norm_sq=norm_step, pmax=100, norm="Energy")
