@@ -10,14 +10,13 @@ Closed forms:
   partial sums vanish at both endpoints for every order;
 * |x|^beta: even moments from the ratio recurrence
   I_{j+1} = I_j (beta - 2j)/(beta + 2j + 3), I_0 = 1/(beta + 1), on Python
-  integers in big-float mode (``_ratio_run``, below);
+  integers (``_ratio_run``, below);
 * |x - a|^beta: modified moments mu_k = int |x-a|^beta P_k from the
   three-term recurrence
   (beta + k + 2) mu_{k+1} = a (2k+1) mu_k + (beta + 1 - k) mu_{k-1},
-  derived from the Euler identity (x - a) f' = beta f.  In big-float mode
-  it runs in fixed point on Python integers: a and beta are dyadic
-  rationals, so after clearing their denominators every step is one
-  integer division;
+  derived from the Euler identity (x - a) f' = beta f.  It runs in fixed
+  point on Python integers: a and beta are dyadic rationals, so after
+  clearing their denominators every step is one integer division;
 * |x + 1|^beta: Rodrigues' formula and k integrations by parts give
   I_k = int (1+x)^beta P_k = 2^(beta+1) Gamma(beta+1)^2 / (Gamma(beta+k+2) Gamma(beta+1-k)),
   so I_0 = 2^(beta+1)/(beta+1), I_{k+1} = I_k (beta - k)/(beta + k + 2) and
@@ -35,14 +34,17 @@ In big-float mode the step and model-solution coefficients are exact
 integer combinations of the fixed-point values of
 ``legendre.legendre_fixed_range``; in float64 they are array expressions in
 the operation order of the scalar loops kept in tests/oracles.py.  The
-integer routes return exact pairs (M, E).  A big-float series rounds them
-once to its context, as mpmath rounds, when its pairs, its mpf ``coeffs``
-or a big-float sweep first read them; its float64 image rounds the exact
-pairs to floats in bulk (``precision.pair_floats``) with the same bits, and
-``coefficient_text`` writes the export text from the rounded pairs.  The
-|x|^beta and |x - a|^beta series keep their recurrence state, so a longer
-series of the same family continues it (``Family.series``) instead of
-starting again.  The singularity-splitting quadrature oracle in
+three power families have one route each, in both modes: the integer
+recurrence, which returns exact pairs (M, E).  A big-float series rounds
+them once to its context, as mpmath rounds, when its pairs, its mpf
+``coeffs`` or a big-float sweep first read them; its float64 image rounds
+the exact pairs to floats in bulk (``precision.pair_floats``) with the same
+bits, and ``coefficient_text`` writes the export text from the rounded
+pairs.  A float64 series rounds the pairs of a run at 128 + 64 bits once,
+at once, so its coefficients are those of a run at more bits, rounded once.
+The |x|^beta and |x - a|^beta series keep their recurrence state, so a
+longer series of the same family continues it (``Family.series``) instead
+of starting again.  The singularity-splitting quadrature oracle in
 tests/oracles.py cross-checks every generator.
 """
 
@@ -59,7 +61,7 @@ import numpy as np
 
 from .functions import SingularFunctionSpec
 from .legendre import fixed_scale, legendre_fixed_range, legendre_row
-from .precision import (BIG, F64, FLOAT64, PrecisionContext, PrecisionError, bigfloat,
+from .precision import (F64, FLOAT64, PrecisionContext, PrecisionError, bigfloat,
                         dyadic, pair_floats, pair_nstr, round_bits, to_fixed)
 
 
@@ -113,7 +115,10 @@ class LegendreSeries:
         a shorter series of the same recurrence, follow its pairs, rounded
         now if its pairs have been, and keep its float64 image."""
         if ctx.mode == F64:
-            return cls(pair_floats(list(pairs)), generator, ctx, params)
+            floats = pair_floats(list(pairs))
+            if held is not None:
+                floats = np.concatenate((held.as_floats(), floats))
+            return cls(floats, generator, ctx, params)
         out = cls(None, generator, ctx, params, list(pairs))
         out._raw = True
         if held is not None:
@@ -302,12 +307,13 @@ def power_abs_coeffs(beta, P: int, ctx: Optional[PrecisionContext] = None,
     """Expansion of |x|^beta: odd coefficients identically zero.
 
     beta <= -1/2 requires a big-float context (partial-sum
-    cancellation at evaluation time dominates the coefficient error).  A
-    big-float context runs the ratio recurrence on integers (``_ratio_run``,
-    bits + 64 significant bits); each coefficient is rounded to the context
-    once, when read.  ``grow``, a shorter big-float series this function
-    returned for the same beta and ctx, is continued from its last ratio
-    instead of starting again at j = 0: the same integers, the same bits.
+    cancellation at evaluation time dominates the coefficient error).  The
+    ratio recurrence runs on integers (``_ratio_run``) with bits + 64
+    significant bits, 128 + 64 in float64, and each coefficient is rounded
+    to the context once: when read in big-float mode, at once to float64.
+    ``grow``, a shorter series this function returned for the same beta
+    and ctx, is continued from its last ratio instead of starting again at
+    j = 0: the same integers, the same bits.
     """
     if float(beta) <= -1.0:
         raise ValueError("beta must exceed -1")
@@ -319,49 +325,40 @@ def power_abs_coeffs(beta, P: int, ctx: Optional[PrecisionContext] = None,
         raise PrecisionError("beta <= -1/2 requires a big-float context")
     params = {"beta": float(beta)}
     # I_j = int_0^1 x^beta P_2j; c_2j = (2(2j)+1)/2 * 2 I_j = (4j+1) I_j
-    if ctx.mode == BIG:
-        bn, e = dyadic(ctx.convert(beta))
-        bd = 1 << -e
-        # I_{j+1} = I_j (bn - 2j bd) / (bn + (2j+3) bd), from the held I_j = M 2^E
-        # or from I_{-1} = 1 and I_0 = bd / (bn + bd)
-        j, M, E = grow._grow if grow else (-1, 1, 0)
-        factors = [(bn - 2 * i * bd, bn + (2 * i + 3) * bd) for i in range(j, P // 2)]
-        if j < 0:
-            factors[0] = (bd, bn + bd)
-        first = 0 if grow is None else grow.degree + 1
-        pairs = [(0, 0)] * (P + 1 - first)
-        for j, (M, E) in enumerate(_ratio_run(M, E, factors, ctx.bits + 64), j + 1):
-            pairs[2 * j - first] = ((4 * j + 1) * M, E)
-        series = LegendreSeries.from_pairs(pairs, Generator.POWER_ABS, ctx, params, grow)
-        series._grow = (j, M, E)
-        return series
-    with ctx.active():
-        b = ctx.convert(beta)
-        coeffs = [ctx.zero()] * (P + 1)
-        I = ctx.one() / (b + 1)
-        for j in range(P // 2 + 1):
-            coeffs[2 * j] = (4 * j + 1) * I
-            I = I * (b - 2 * j) / (b + 2 * j + 3)
-    return LegendreSeries(coeffs, Generator.POWER_ABS, ctx, params)
+    bn, e = dyadic(ctx.convert(beta))
+    bd = 1 << -e
+    # I_{j+1} = I_j (bn - 2j bd) / (bn + (2j+3) bd), from the held I_j = M 2^E
+    # or from I_{-1} = 1 and I_0 = bd / (bn + bd)
+    j, M, E = grow._grow if grow else (-1, 1, 0)
+    factors = [(bn - 2 * i * bd, bn + (2 * i + 3) * bd) for i in range(j, P // 2)]
+    if j < 0:
+        factors[0] = (bd, bn + bd)
+    first = 0 if grow is None else grow.degree + 1
+    pairs = [(0, 0)] * (P + 1 - first)
+    for j, (M, E) in enumerate(_ratio_run(M, E, factors, (ctx.bits or 128) + 64), j + 1):
+        pairs[2 * j - first] = ((4 * j + 1) * M, E)
+    series = LegendreSeries.from_pairs(pairs, Generator.POWER_ABS, ctx, params, grow)
+    series._grow = (j, M, E)
+    return series
 
 
 def singular_term_coeffs(a, beta, P: int, ctx: Optional[PrecisionContext] = None,
                          grow: Optional[LegendreSeries] = None) -> LegendreSeries:
     """Expansion of |x - a|^beta from the modified-moment three-term recurrence.
 
-    Runs in 256-bit big-float mode by default.  A big-float context runs the
-    recurrence in fixed point (``_mu_fixed``, 64 guard bits), and each
-    coefficient is rounded to the context once, when read.  The top
-    coefficient is certified against a twin of the recurrence at doubled
-    precision that runs in the same loop, with the same integer step
+    Runs in 256-bit big-float mode by default.  The recurrence runs in fixed
+    point (``_mu_fixed``) at the scale bits + 64, 128 + 64 in float64, and
+    each coefficient is rounded to the context once: when read in big-float
+    mode, at once to float64.  The top coefficient, rounded to the output's
+    bits (53 in float64), is certified against a twin of the recurrence at
+    scale 2 bits + 64 that runs in the same loop, with the same integer step
     coefficients; only its last two moments are kept.  Fixed point keeps an
-    absolute error, so a top coefficient below about 2^-65 (at P = 10^4,
-    whatever the bits) fails that certification.  ``grow``, a shorter
-    big-float series this function returned for the same a, beta and ctx,
-    is continued from its last two moments and its twin's instead of
-    starting again at k = 1: the same integers and the same certification
-    as a fresh run.  A float64 context runs the context-generic
-    ``_mu_recurrence``.
+    absolute error, so in a big-float context a top coefficient below about
+    2^-65 (at P = 10^4, whatever the bits) fails that certification.
+    ``grow``, a shorter series this
+    function returned for the same a, beta and ctx, is continued from its
+    last two moments and its twin's instead of starting again at k = 1:
+    the same integers and the same certification as a fresh run.
     """
     _check_center(a, ctx or FLOAT64)
     if float(beta) <= -1.0:
@@ -369,10 +366,8 @@ def singular_term_coeffs(a, beta, P: int, ctx: Optional[PrecisionContext] = None
     if ctx is None:
         ctx = bigfloat(256)
     params = {"a": float(a), "beta": float(beta)}
-    if ctx.mode != BIG:
-        return LegendreSeries(_mu_recurrence(a, beta, P, ctx), Generator.SINGULAR_MOMENT, ctx,
-                              params)
-    S, S2 = ctx.bits + 64, 2 * ctx.bits + 64
+    bits = ctx.bits or 128  # 53 + 64 bits would leave float64 up to 977 ulp off
+    S, S2 = bits + 64, 2 * bits + 64
     k, m, twin = grow._grow if grow else (1, _mu_start(a, beta, S), _mu_start(a, beta, S2))
     moments, twin = _mu_fixed(a, beta, k, P, m, twin)
     # moments[i] is M_(k-1+i); the new coefficients are c_j = (2j+1) M_j 2^-(S+1),
@@ -382,10 +377,11 @@ def singular_term_coeffs(a, beta, P: int, ctx: Optional[PrecisionContext] = None
                          moments[first - k + 1: P - k + 2]), repeat(-S - 1)))
     series = LegendreSeries.from_pairs(pairs, Generator.SINGULAR_MOMENT, ctx, params, grow)
     series._grow = (max(P, k), moments[-2:], twin)
-    with mpmath.workprec(2 * ctx.bits):
+    out_bits = ctx.bits or 53
+    with mpmath.workprec(2 * bits):
         cq = mpmath.mpf(((2 * P + 1) * twin[min(P, 1)], -S2 - 1))
-        cp = mpmath.mpf(round_bits(*series._pairs[P], ctx.bits))
-        if cq != 0 and abs(cp - cq) / abs(cq) > mpmath.mpf(2) ** (16 - ctx.bits):
+        cp = mpmath.mpf(round_bits(*pairs[-1], out_bits))
+        if cq != 0 and abs(cp - cq) / abs(cq) > mpmath.mpf(2) ** (16 - out_bits):
             raise PrecisionError("modified-moment recurrence lost precision; "
                                  "raise the context bits")
     return series
@@ -453,20 +449,6 @@ def _quotient(t: int, D: int, bits: int) -> tuple:
     first so that M keeps at least ``bits`` significant bits."""
     sh = max(0, bits + D.bit_length() - t.bit_length())
     return ((t << (sh + 1)) + D) // (2 * D), -sh
-
-
-def _mu_recurrence(a, beta, P, ctx):
-    with ctx.active():
-        b = ctx.convert(beta)
-        av = ctx.convert(a)
-        om, op = 1 - av, 1 + av
-        mu_prev = (om ** (b + 1) + op ** (b + 1)) / (b + 1)
-        mu = av * mu_prev + (om ** (b + 2) - op ** (b + 2)) / (b + 2)
-        out = [mu_prev / 2, 3 * mu / 2]
-        for k in range(1, P):
-            mu_prev, mu = mu, (av * (2 * k + 1) * mu + (b + 1 - k) * mu_prev) / (b + k + 2)
-            out.append((2 * k + 3) * mu / 2)
-        return out[: P + 1]
 
 
 def legendre_monomial_rows(P: int):

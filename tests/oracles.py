@@ -26,7 +26,10 @@ quantity the package produces, by a route the package does not take.
 * ``total_variation_loop``: the variation of a bounded-variation function
   on one window, jump by jump and piece by piece in Python floats;
 * ``mu_fixed_loop``: the fixed-point modified-moment recurrence with its
-  step coefficients formed anew at every k.
+  step coefficients formed anew at every k;
+* ``mu_recurrence``: the |x - a|^beta coefficients from the same
+  modified-moment recurrence in mpf arithmetic at a big-float context's
+  precision.
 """
 
 from __future__ import annotations
@@ -271,3 +274,21 @@ def mu_fixed_loop(a: float, beta: float, P: int, M0: int, M1: int) -> list:
         m_prev, m = m, (2 * num + den) // (2 * den)
         out.append(m)
     return out[: P + 1]
+
+
+def mu_recurrence(a: float, beta: float, P: int, ctx) -> list:
+    """c_0..c_P of |x - a|^beta as mpfs of the big-float context ctx: mu_0 and
+    mu_1 from their closed forms, then
+    (beta + k + 2) mu_{k+1} = a (2k+1) mu_k + (beta + 1 - k) mu_{k-1}
+    with every operation rounded to ctx, and c_k = (2k+1) mu_k / 2."""
+    with ctx.active():
+        b = ctx.convert(beta)
+        av = ctx.convert(a)
+        om, op = 1 - av, 1 + av
+        mu_prev = (om ** (b + 1) + op ** (b + 1)) / (b + 1)
+        mu = av * mu_prev + (om ** (b + 2) - op ** (b + 2)) / (b + 2)
+        out = [mu_prev / 2, 3 * mu / 2]
+        for k in range(1, P):
+            mu_prev, mu = mu, (av * (2 * k + 1) * mu + (b + 1 - k) * mu_prev) / (b + k + 2)
+            out.append((2 * k + 3) * mu / 2)
+        return out[: P + 1]
