@@ -30,10 +30,11 @@ Closed forms:
   times the exact integer monomial coefficients of P_k, cancelling about
   1.585 bits per degree) stays as its oracle.
 
-In big-float mode the step and model-solution coefficients are exact
-integer combinations of the fixed-point values of
-``legendre.legendre_fixed_range``; in float64 they are array expressions in
-the operation order of the scalar loops kept in tests/oracles.py.  The
+In big-float mode the step, model-solution and constrained coefficients
+are exact integer combinations of the fixed-point values of
+``legendre.legendre_fixed_range``, one quotient per coefficient, rounded
+to the context once; in float64 they are array expressions in the
+operation order of the scalar loops kept in tests/oracles.py.  The
 three power families have one route each, in both modes: the integer
 recurrence, which returns exact pairs (M, E).  A big-float series rounds
 them once to its context, as mpmath rounds, when its pairs, its mpf
@@ -59,7 +60,6 @@ from typing import Optional, Sequence
 import mpmath
 import numpy as np
 
-from .functions import SingularFunctionSpec
 from .legendre import fixed_scale, legendre_fixed_range, legendre_row
 from .precision import (F64, FLOAT64, PrecisionContext, PrecisionError, bigfloat,
                         dyadic, pair_floats, pair_nstr, round_bits, to_fixed)
@@ -253,25 +253,39 @@ def step_derivative_coeffs(a, P: int, ctx: PrecisionContext = FLOAT64) -> Legend
                                      ctx, params)
 
 
-def abs_shift_coeffs(a, P: int, ctx: PrecisionContext = FLOAT64) -> LegendreSeries:
-    """Expansion of the model solution (step series integrated term by term).
+def _model_series(a, n: int, top: bool, ctx: PrecisionContext, generator) -> LegendreSeries:
+    """c_0..c_n of the model solution, c_0 = -a_1/3 and
+    c_k = a_{k-1}/(2k-1) - a_{k+1}/(2k+3); with ``top`` followed by the two
+    constrained top terms a_n/(2n+1) and a_{n+1}/(2n+3).
 
-    In big-float mode c_k = ((2k+3) d_{k-1} - (2k-1) d_{k+1}) / ((2k-1)(2k+3) 2^(S+1))
-    over the exact integers d_k of the step (``_step_fixed``): one integer
-    quotient per coefficient, with bits + 64 significant bits, rounded to
-    the context once.
+    In float64 these are array expressions over the step's a_k.  In
+    big-float mode c_k = ((2k+3) d_{k-1} - (2k-1) d_{k+1}) / ((2k-1)(2k+3) 2^(S+1))
+    and a_k = d_k 2^-(S+1) over the exact integers d_k of the step
+    (``_step_fixed``): one integer quotient per coefficient, with bits + 64
+    significant bits, rounded to the context once.
     """
     _check_center(a, ctx)
-    if P < 1:
-        raise ValueError("P must be >= 1")
     params = {"a": float(a)}
     if ctx.mode == F64:
-        return LegendreSeries(_model_f64(_step_f64(a, P + 1), P), Generator.ABS_SHIFT, ctx, params)
-    S, d = _step_fixed(a, P + 1, ctx)
+        ak = _step_f64(a, n + 1)
+        c = _model_f64(ak, n)
+        if top:
+            c = np.concatenate((c, ak[n:] / [2.0 * n + 1, 2.0 * n + 3]))
+        return LegendreSeries(c, generator, ctx, params)
+    S, d = _step_fixed(a, n + 1, ctx)
     fractions = chain([(-d[1], 3)], (((2 * k + 3) * d[k - 1] - (2 * k - 1) * d[k + 1],
-                                      (2 * k - 1) * (2 * k + 3)) for k in range(1, P + 1)))
+                                      (2 * k - 1) * (2 * k + 3)) for k in range(1, n + 1)),
+                      ((d[k], 2 * k + 1) for k in (range(n, n + 2) if top else ())))
     pairs = ((M, E - S - 1) for M, E in (_quotient(N, D, ctx.bits + 64) for N, D in fractions))
-    return LegendreSeries.from_pairs(pairs, Generator.ABS_SHIFT, ctx, params)
+    return LegendreSeries.from_pairs(pairs, generator, ctx, params)
+
+
+def abs_shift_coeffs(a, P: int, ctx: PrecisionContext = FLOAT64) -> LegendreSeries:
+    """Expansion of the model solution (step series integrated term by term),
+    c_0..c_P (``_model_series``)."""
+    if P < 1:
+        raise ValueError("P must be >= 1")
+    return _model_series(a, P, False, ctx, Generator.ABS_SHIFT)
 
 
 def constrained_pversion_coeffs(a, P: int, ctx: PrecisionContext = FLOAT64) -> LegendreSeries:
@@ -281,25 +295,14 @@ def constrained_pversion_coeffs(a, P: int, ctx: PrecisionContext = FLOAT64) -> L
     drop the coupling to degrees above P, which restores u_P(+-1) = 0
     exactly.  Partial sums of this family at lower orders p use the
     order-p tail modification, not a literal prefix (see series_eval).
-    In big-float mode the coefficients are formed in mpf arithmetic, where
-    the alternating sum of the b_k cancels exactly.
+    This is ``abs_shift_coeffs``'s route (``_model_series``) for
+    b_0..b_{P-1}, followed by a_{P-1}/(2P-1) and a_P/(2P+1): in big-float
+    mode one more integer quotient each, every b_k rounded to the context
+    once.
     """
-    _check_center(a, ctx)
     if P < 1:
         raise ValueError("P must be >= 1")
-    params = {"a": float(a)}
-    if ctx.mode == F64:
-        ak = _step_f64(a, P)
-        coeffs = np.concatenate((_model_f64(ak, P - 1), ak[P - 1:] / [2.0 * P - 1, 2.0 * P + 1]))
-        return LegendreSeries(coeffs, Generator.CONSTRAINED_PVERSION, ctx, params)
-    ak = step_derivative_coeffs(a, P, ctx).coeffs
-    with ctx.active():
-        coeffs = [-ak[1] / 3]
-        for k in range(1, P):
-            coeffs.append(ak[k - 1] / (2 * k - 1) - ak[k + 1] / (2 * k + 3))
-        coeffs.append(ak[P - 1] / (2 * P - 1))
-        coeffs.append(ak[P] / (2 * P + 1))
-    return LegendreSeries(coeffs, Generator.CONSTRAINED_PVERSION, ctx, params)
+    return _model_series(a, P - 1, True, ctx, Generator.CONSTRAINED_PVERSION)
 
 
 def power_abs_coeffs(beta, P: int, ctx: Optional[PrecisionContext] = None,
@@ -626,8 +629,9 @@ def polynomial_legendre_coeffs(poly: Sequence, P: int, ctx: PrecisionContext = F
         return acc[: P + 1]
 
 
-def spec_coeffs(spec: SingularFunctionSpec, P: int, ctx: Optional[PrecisionContext] = None) -> LegendreSeries:
-    """Expansion of a full singular-function description (linear combination)."""
+def spec_coeffs(spec, P: int, ctx: Optional[PrecisionContext] = None) -> LegendreSeries:
+    """Expansion of a full singular-function description (a
+    ``functions.SingularFunctionSpec``: a linear combination)."""
     if P < 1:
         raise ValueError("P must be >= 1")
     if ctx is None:

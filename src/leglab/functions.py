@@ -5,6 +5,15 @@ Every family knows how to report its exact value at a point (using the
 mean of one-sided limits at a jump) and which points are singular.  The
 value ``None`` signals "no finite target here": sweeps then record the
 partial-sum magnitude itself, which is how divergent cases are measured.
+
+The families share one protocol, ``Family``, in two shapes.  The model
+problem's three families, the step, the model solution and its
+endpoint-constrained approximations (the p-FEM solutions), are
+``LoadPointFamily`` subclasses that differ only in their exact values and
+generator.  The power families are |x - a|^beta and its member a = -1,
+|x + 1|^beta.  Each calls its generator as a ``coefficients`` attribute,
+looked up at call time, so a generator patched on that module is the one
+called.
 """
 
 from __future__ import annotations
@@ -12,7 +21,8 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
-from .precision import FLOAT64, PrecisionContext
+from . import coefficients
+from .precision import FLOAT64, PrecisionContext, bigfloat
 
 
 @dataclass(frozen=True)
@@ -91,10 +101,11 @@ def exact_solution_derivative(x: float, a: float) -> float:
 
 
 class Family:
-    """Common protocol: a named target with exact values and a coefficient generator.
+    """Common protocol: a named target with exact values, a coefficient
+    generator, ``singular_point()`` and ``describe()``.
 
-    Subclasses implement ``_generate``; ``series`` memoizes its result per
-    instance, keyed by the requested context.
+    Subclasses implement ``exact`` and ``_generate``; ``series`` memoizes
+    the generator's result per instance, keyed by the requested context.
     """
 
     name = "family"
@@ -132,62 +143,51 @@ class Family:
         family generated in ctx, which an integer recurrence continues."""
         raise NotImplementedError
 
-    def singular_point(self) -> Optional[float]:
-        return None
 
-    def describe(self) -> str:
-        return self.name
+@dataclass
+class LoadPointFamily(Family):
+    """A family of the model problem with its point load at a: the step,
+    the model solution and its endpoint-constrained approximations."""
+
+    a: float = 0.5
+
+    def singular_point(self):
+        return self.a
+
+    def describe(self):
+        return f"{self.name} a={self.a:g}"
 
 
 @dataclass
-class StepDerivativeFamily(Family):
+class StepDerivativeFamily(LoadPointFamily):
     """Derivative of the model solution: the unit-jump step at a."""
 
-    a: float = 0.5
     name: str = field(default="step", init=False)
 
     def exact(self, x):
         return exact_solution_derivative(x, self.a)
 
     def _generate(self, P, ctx, held):
-        from .coefficients import step_derivative_coeffs
-
-        return step_derivative_coeffs(self.a, P, ctx or FLOAT64)
-
-    def singular_point(self):
-        return self.a
-
-    def describe(self):
-        return f"step a={self.a:g}"
+        return coefficients.step_derivative_coeffs(self.a, P, ctx or FLOAT64)
 
 
 @dataclass
-class AbsShiftFamily(Family):
+class AbsShiftFamily(LoadPointFamily):
     """The model solution itself (a scaled |x - a| plus a linear function)."""
 
-    a: float = 0.5
     name: str = field(default="absshift", init=False)
 
     def exact(self, x):
         return exact_solution(x, self.a)
 
     def _generate(self, P, ctx, held):
-        from .coefficients import abs_shift_coeffs
-
-        return abs_shift_coeffs(self.a, P, ctx or FLOAT64)
-
-    def singular_point(self):
-        return self.a
-
-    def describe(self):
-        return f"absshift a={self.a:g}"
+        return coefficients.abs_shift_coeffs(self.a, P, ctx or FLOAT64)
 
 
 @dataclass
-class ConstrainedFamily(Family):
+class ConstrainedFamily(LoadPointFamily):
     """Endpoint-constrained polynomial approximations of the model solution."""
 
-    a: float = 0.5
     name: str = field(default="constrained", init=False)
     prefix_stable = False  # the top two coefficients depend on P
 
@@ -195,15 +195,7 @@ class ConstrainedFamily(Family):
         return exact_solution(x, self.a)
 
     def _generate(self, P, ctx, held):
-        from .coefficients import constrained_pversion_coeffs
-
-        return constrained_pversion_coeffs(self.a, P, ctx or FLOAT64)
-
-    def singular_point(self):
-        return self.a
-
-    def describe(self):
-        return f"constrained a={self.a:g}"
+        return coefficients.constrained_pversion_coeffs(self.a, P, ctx or FLOAT64)
 
 
 @dataclass
@@ -221,12 +213,10 @@ class PowerAbsFamily(Family):
         return d ** self.beta
 
     def _generate(self, P, ctx, held):
-        from .coefficients import power_abs_coeffs, singular_term_coeffs
-
         # both generators pick a safe default context when ctx is None
         if self.a == 0.0:
-            return power_abs_coeffs(self.beta, P, ctx, held)
-        return singular_term_coeffs(self.a, self.beta, P, ctx, held)
+            return coefficients.power_abs_coeffs(self.beta, P, ctx, held)
+        return coefficients.singular_term_coeffs(self.a, self.beta, P, ctx, held)
 
     def singular_point(self):
         return self.a
@@ -238,22 +228,18 @@ class PowerAbsFamily(Family):
 
 
 @dataclass
-class PowerShiftFamily(Family):
-    """|x + 1|^beta with the singularity at the left endpoint."""
+class PowerShiftFamily(PowerAbsFamily):
+    """|x + 1|^beta: the member a = -1, with the singularity at the left
+    endpoint (|x - (-1)| is the IEEE sum 1 + x)."""
 
-    beta: float
+    a: float = field(default=-1.0, init=False)
     name: str = field(default="powershift", init=False)
 
-    def exact(self, x):
-        base = 1.0 + x
-        if base == 0.0:
-            return None if self.beta < 0 else (1.0 if self.beta == 0 else 0.0)
-        return base ** self.beta
-
     def _generate(self, P, ctx, held):
-        from .coefficients import power_shift_coeffs
+        return coefficients.power_shift_coeffs(self.beta, P, ctx)
 
-        return power_shift_coeffs(self.beta, P, ctx)
+    def singular_point(self):
+        return None
 
     def describe(self):
         return f"|x+1|^{self.beta:g}"
@@ -276,10 +262,7 @@ class SpecFamily(Family):
         return self.spec.value(x)
 
     def _generate(self, P, ctx, held):
-        from .coefficients import spec_coeffs
-        from .precision import bigfloat
-
-        return spec_coeffs(self.spec, P, ctx or bigfloat(256))
+        return coefficients.spec_coeffs(self.spec, P, ctx or bigfloat(256))
 
     def singular_point(self):
         pts = self.spec.singular_points()
@@ -303,17 +286,13 @@ def check_keys(what: str, given, known, required=()) -> None:
         raise ValueError(f"{what}: {'; '.join(problems)}; accepted: {sorted(known)}")
 
 
-FAMILIES = {"step": StepDerivativeFamily, "stepderivative": StepDerivativeFamily,
-            "absshift": AbsShiftFamily, "abs_shift": AbsShiftFamily,
-            "constrained": ConstrainedFamily, "constrainedpversion": ConstrainedFamily,
-            "powerabs": PowerAbsFamily, "power_abs": PowerAbsFamily,
-            "powershift": PowerShiftFamily, "power_shift": PowerShiftFamily,
-            "spec": SpecFamily, "custom": SpecFamily, "customspec": SpecFamily}
+FAMILIES = {cls.name: cls for cls in (StepDerivativeFamily, AbsShiftFamily, ConstrainedFamily,
+                                       PowerAbsFamily, PowerShiftFamily, SpecFamily)}
 
 
 def family_from_config(name: str, params: dict) -> Family:
     """Instantiate a family from config-file fields; params it does not take raise."""
     cls = FAMILIES.get(name.lower())
     if cls is None:
-        raise ValueError(f"unknown family {name!r}")
+        raise ValueError(f"unknown family {name!r}; accepted: {sorted(FAMILIES)}")
     return cls.from_params(params)

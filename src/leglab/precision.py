@@ -77,9 +77,6 @@ class PrecisionContext:
     def zero(self) -> Number:
         return self.convert(0)
 
-    def one(self) -> Number:
-        return self.convert(1)
-
     def sqrt(self, x) -> Number:
         if self.mode == BIG:
             with mpmath.workprec(self.bits):

@@ -135,7 +135,7 @@ def _envelope_slope(sweep: ErrorSweep, window):
         res = float(np.sqrt(np.mean((le_all - np.polyval(coef, lp_all)) ** 2)))
         envelope = len(pw)
     else:
-        fit = _finalize(pw, ew, None, win, 0.0, len(idx))
+        fit = _finalize(pw, ew, 0.0, win, 0.0, len(idx))
         raise FitUnreliable(f"only {len(idx)} envelope maxima in window {win}", fit)
     return slope, res, envelope, pw, ew, win
 
@@ -170,14 +170,8 @@ def fit_rate(sweep: ErrorSweep, window=None) -> RateFit:
     return fit
 
 
-def _finalize(pw, ew, alpha, win, res, envelope, lower=False):
-    if alpha is None:
-        alpha = 0.0
-    if lower:
-        C = float(np.min(ew * pw ** alpha))
-    else:
-        C = float(np.max(ew * pw ** alpha))
-    return RateFit(float(alpha), C, win, float(res), int(envelope), lower)
+def _finalize(pw, ew, alpha, win, res, envelope):
+    return RateFit(float(alpha), float(np.max(ew * pw ** alpha)), win, float(res), int(envelope))
 
 
 def pinned_constant(sweep: ErrorSweep, alpha: float, window=None) -> float:

@@ -23,8 +23,8 @@ from . import bounds as bounds_mod
 from .coefficients import coefficient_text
 from .conjecture import (ToleranceProfile, check_powershift_betas, conjecture_suite,
                          powershift_suite, summarize)
-from .functions import (AbsShiftFamily, ConstrainedFamily, PowerAbsFamily, PowerShiftFamily,
-                        SpecFamily, StepDerivativeFamily, check_keys, family_from_config)
+from .functions import (LoadPointFamily, PowerAbsFamily, SpecFamily, StepDerivativeFamily,
+                        check_keys, family_from_config)
 from .precision import FLOAT64, PrecisionContext, PrecisionError, parse_precision
 from .ratefit import (FitUnreliable, GridTooCoarse, constant_growth, fit_rate, gibbs_probe,
                       pinned_constant)
@@ -329,7 +329,7 @@ def _bounds(config, opts, family, writer):
 def _fem(config, opts, family, writer):
     from .pfem import Mesh1D, assemble_and_solve, element_error_series
 
-    if not isinstance(family, (StepDerivativeFamily, AbsShiftFamily, ConstrainedFamily)):
+    if not isinstance(family, LoadPointFamily):
         raise ValueError("the FEM model problem takes its load point from the step, "
                          "absshift or constrained family")
     mesh = Mesh1D.uniform(int(opts["n"]), int(opts["degree"]))
@@ -464,14 +464,16 @@ class InfiniteNorm(ValueError):
 
 def _exact_norm_sq(family, norm: str) -> Optional[float]:
     """Squared target norm: closed forms for the power families, exact
-    piecewise Gauss quadrature for the piecewise-polynomial ones, tanh-sinh
-    quadrature between the singular points of a spec, None where none of
-    these applies (the norm sweep then warns about truncation)."""
+    piecewise Gauss quadrature for the load-point families, tanh-sinh
+    quadrature between the singular points of a spec.  None (the norm
+    sweep then warns about truncation) only for a spec's energy norm, a
+    spec whose quadrature misses its error bound, and a power family's
+    energy norm."""
     from .legendre import gauss_rule
 
     if isinstance(family, SpecFamily):
         return _spec_norm_sq(family) if norm.lower() == "l2" else None
-    if isinstance(family, (PowerAbsFamily, PowerShiftFamily)):
+    if isinstance(family, PowerAbsFamily):
         beta = family.beta
         if norm.lower() == "energy":
             # the derivative beta |x|^(beta - 1) is square integrable only for beta > 1/2
@@ -483,26 +485,14 @@ def _exact_norm_sq(family, norm: str) -> Optional[float]:
             raise InfiniteNorm(f"{family.describe()} is not square integrable for beta <= -1/2")
         # int |x - a|^(2 beta) = ((1 - a)^(2 beta + 1) + (1 + a)^(2 beta + 1))/(2 beta + 1),
         # and |x + 1|^beta is the member a = -1
-        a = family.a if isinstance(family, PowerAbsFamily) else -1.0
-        e = 2 * beta + 1
+        a, e = family.a, 2 * beta + 1
         return ((1 - a) ** e + (1 + a) ** e) / e
-    sing = family.singular_point()
-    if sing is None:
-        return None
-    if norm.lower() == "energy" and not isinstance(family, StepDerivativeFamily):
-        # the energy norm measures the derivative, which for the model
-        # solution families is the unit-jump step at the same load point
-        if not hasattr(family, "a"):
-            return None
-        fn = StepDerivativeFamily(a=family.a).exact
-    else:
-        fn = family.exact
+    # the energy norm measures the derivative, which for the model solution
+    # families is the unit-jump step at the same load point
+    fn = (StepDerivativeFamily(a=family.a) if norm.lower() == "energy" else family).exact
     rule = gauss_rule(12, FLOAT64)
-    try:
-        lo_part = rule.integrate(lambda t: fn(t) ** 2, -1.0, sing)
-        hi_part = rule.integrate(lambda t: fn(t) ** 2, sing, 1.0)
-    except TypeError:
-        return None
+    lo_part = rule.integrate(lambda t: fn(t) ** 2, -1.0, family.a)
+    hi_part = rule.integrate(lambda t: fn(t) ** 2, family.a, 1.0)
     return float(lo_part + hi_part)
 
 

@@ -577,14 +577,17 @@ def _ulps_off(pair, ref_pair, bits):
 
 
 @settings(derandomize=True, max_examples=6, deadline=None)
-@given(a=st.floats(-0.95, 0.95).filter(lambda t: t != 0), gen=st.sampled_from(["step", "absshift"]))
+@given(a=st.floats(-0.95, 0.95).filter(lambda t: t != 0),
+       gen=st.sampled_from(["step", "absshift", "constrained"]))
 @example(a=0.5, gen="absshift")
 @example(a=0.25, gen="absshift")
 @example(a=0.5, gen="step")
+@example(a=-0.7, gen="constrained")
 def test_big256_step_and_absshift_within_one_ulp_of_big512(a, gen):
     # each c_k is one exact integer combination of fixed-point values with
     # 64 guard bits, rounded to the context once
-    f = {"step": step_derivative_coeffs, "absshift": abs_shift_coeffs}[gen]
+    f = {"step": step_derivative_coeffs, "absshift": abs_shift_coeffs,
+         "constrained": constrained_pversion_coeffs}[gen]
     got, ref = f(a, 2200, bigfloat(256)), f(a, 2200, bigfloat(512))
     assert max(_ulps_off(p, q, 256) for p, q in zip(got.pairs(), ref.pairs())) <= 1
 

@@ -79,6 +79,21 @@ def test_power_abs_family_center():
     assert family_from_config("powerabs", {"beta": 0.5}).a == 0.0
 
 
+def test_power_shift_family_is_the_a_minus_one_power_abs_member():
+    family = PowerShiftFamily(beta=1.5)
+    assert isinstance(family, PowerAbsFamily) and family.a == -1.0
+    assert family.describe() == "|x+1|^1.5" and family.singular_point() is None
+    assert family.exact(-1.0) == 0.0 and PowerShiftFamily(beta=-0.5).exact(-1.0) is None
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(x=st.floats(-1.0, 1.0), beta=st.floats(-0.99, 5.0))
+def test_power_shift_value_is_the_ieee_power_of_one_plus_x(x, beta):
+    # |x - (-1)| is the same IEEE sum as 1 + x, which is >= 0 on [-1, 1]
+    if x > -1.0:
+        assert PowerShiftFamily(beta=beta).exact(x) == (1.0 + x) ** beta
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(a=st.floats(-0.999, 0.999))
 def test_step_value_at_the_jump_is_the_exact_mean_of_the_limits(a):

@@ -461,6 +461,15 @@ def test_resolve_rejects_a_precision_spec_before_any_work():
             resolve(cfg)
 
 
+def test_cli_unknown_family_exits_2_naming_the_six(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--family", "abs_shift", "--a", "0.3", "--x", "0.1", "--pmax", "50",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert ("unknown family 'abs_shift'; accepted: ['absshift', 'constrained', 'powerabs', "
+            "'powershift', 'spec', 'step']") in capsys.readouterr().err
+
+
 def test_cli_config_file_errors_exit_2(tmp_path, capsys):
     doc = {"id": "g", "kind": "growth", "options": {"point": -1.0, "fixed_alpha": 1.0,
                                                      "xii": [0.1]}}
