@@ -26,9 +26,10 @@ Closed forms:
   product and one round-to-nearest division.  Nothing cancels; with 64
   guard bits the rounding to the output context, once per coefficient, is
   the only error that shows, and the top coefficient is certified against
-  the Gamma form.  The paper's Appendix-A construction (power moments
-  times the exact integer monomial coefficients of P_k, cancelling about
-  1.585 bits per degree) stays as its oracle.
+  the Gamma form, evaluated at the run's bits + 64.  The paper's Appendix-A
+  construction (power moments times the exact integer monomial
+  coefficients of P_k, cancelling about 1.585 bits per degree) stays as
+  its oracle.
 
 In big-float mode the step, model-solution and constrained coefficients
 are exact integer combinations of the fixed-point values of
@@ -357,7 +358,12 @@ def singular_term_coeffs(a, beta, P: int, ctx: Optional[PrecisionContext] = None
     scale 2 bits + 64 that runs in the same loop, with the same integer step
     coefficients; only its last two moments are kept.  Fixed point keeps an
     absolute error, so in a big-float context a top coefficient below about
-    2^-65 (at P = 10^4, whatever the bits) fails that certification.
+    2^-65 (at P = 10^4, whatever the bits) fails that certification.  A
+    twin top moment of 0 passes next to a nonzero one (the odd moments of a
+    point near 0); two zero top moments pass only for a polynomial
+    |x - a|^beta or an |a| below the twin's resolution.  So a |beta| too
+    small for the fixed point raises instead of returning c_k = 0 for every
+    k >= 1 (float64 at beta = 1e-100).
     ``grow``, a shorter series this
     function returned for the same a, beta and ctx, is continued from its
     last two moments and its twin's instead of starting again at k = 1:
@@ -384,9 +390,29 @@ def singular_term_coeffs(a, beta, P: int, ctx: Optional[PrecisionContext] = None
     with mpmath.workprec(2 * bits):
         cq = mpmath.mpf(((2 * P + 1) * twin[min(P, 1)], -S2 - 1))
         cp = mpmath.mpf(round_bits(*pairs[-1], out_bits))
-        if cq != 0 and abs(cp - cq) / abs(cq) > mpmath.mpf(2) ** (16 - out_bits):
-            raise PrecisionError("modified-moment recurrence lost precision; "
-                                 "raise the context bits")
+        if cq != 0:
+            gap = abs(cp - cq) / abs(cq)
+            lost = gap > mpmath.mpf(2) ** (16 - out_bits)
+        else:
+            # a zero top moment next to a nonzero one is below the twin's
+            # resolution, as the odd moments of a point near 0 are.  Two
+            # zeros make every later moment 0, which only a polynomial
+            # |x - a|^beta (even integer beta < P) has; where |a| is below
+            # the twin's resolution too, the odd moment of the pair is 0
+            # by parity and the pair cannot tell
+            b = float(beta)
+            lost = cp != 0 or not (any(twin) or (b >= 0 and b % 2 == 0 and b < P)
+                                   or mpmath.ldexp(abs(float(a)), S2) < 1)
+        if lost:
+            what = f"c_{P} of |x - a|^beta at a = {float(a):g}, beta = {float(beta):g}"
+            why = (f"the fixed point at 2^-{S} resolves {what} ({mpmath.nstr(cq, 3)}) to "
+                   f"{float(-mpmath.log(gap, 2)):.1f} bits, and certifying it needs "
+                   f"{out_bits - 16}" if cq != 0 else
+                   f"{what} rounds to 0 at the fixed point 2^-{S2} and is not known to be 0")
+            # c_k for k >= 1 scales with beta; below |beta| = 1 no decay in P
+            # makes c_P this small
+            raise PrecisionError(f"modified-moment recurrence lost precision: {why}"
+                                 + ("; |beta| is too close to 0" if abs(float(beta)) < 1 else ""))
     return series
 
 
@@ -432,19 +458,27 @@ def _mu_fixed(a, beta, k, P, m, twin):
     return out, (t_prev, t)
 
 
-def _ratio_run(M, E, factors, bits):
-    """Yield I_1, I_2, ... with I_0 = M 2^E and I_{k+1} = I_k N_k / D_k over
+def _ratio_run(M, E, factors, bits) -> list:
+    """[I_1, I_2, ...] with I_0 = M 2^E and I_{k+1} = I_k N_k / D_k over
     the integer pairs (N_k, D_k), D_k > 0, each as (M_k, E_k), I_k = M_k 2^E_k.
 
     Before each round-to-nearest division the numerator is shifted left so
     that M_k keeps ``bits`` significant bits: a fixed point would drop the
     bits of a tiny ratio (beta = 1e-100 loses about 330 in its first step).
-    A zero factor gives exact zeros from there on.
+    A zero factor gives exact zeros from there on.  Each step is
+    ``_quotient``'s shift and division, written out in the loop.
     """
+    out = []
+    append = out.append
     for N, D in factors:
-        M, e = _quotient(M * N, D, bits)
-        E += e
-        yield M, E
+        t = M * N
+        sh = bits + D.bit_length() - t.bit_length()
+        if sh < 0:
+            sh = 0
+        M = ((t << (sh + 1)) + D) // (D << 1)
+        E -= sh
+        append((M, E))
+    return out
 
 
 def _quotient(t: int, D: int, bits: int) -> tuple:
@@ -573,12 +607,14 @@ def _power_shift_single(beta, k, bits):
 def power_shift_coeffs(beta, P: int, ctx: Optional[PrecisionContext] = None) -> LegendreSeries:
     """Expansion of |x + 1|^beta from the closed-form ratio recurrence.
 
-    The recurrence runs on integers (``_ratio_run``) with max(128, output
-    bits) + 64 significant bits, and each coefficient is rounded once to the
-    output context (float64 when ctx is None); c_P is certified against
-    the Gamma closed form at doubled precision.  Integer beta gives the
-    polynomial's coefficients, correctly rounded, and c_k = 0 exactly for
-    k > beta.
+    The recurrence runs on integers (``_ratio_run``) with
+    bits = max(128, output bits) + 64 significant bits, and each coefficient
+    is rounded once to the output context (float64 when ctx is None).  c_P
+    is certified against the Gamma closed form evaluated at bits + 64: the
+    exact c_P = (2P+1) M_P 2^(E-1) fits in that precision, and the Gamma
+    form's own error, about 2^-(bits + 54) relative, is far below the
+    2^(32 - bits) threshold.  Integer beta gives the polynomial's
+    coefficients, correctly rounded, and c_k = 0 exactly for k > beta.
     """
     _check_power_shift_args(beta, P)
     bits = max(128, (ctx or FLOAT64).bits) + 64
@@ -591,8 +627,10 @@ def power_shift_coeffs(beta, P: int, ctx: Optional[PrecisionContext] = None) -> 
     factors = [(bd, bn + bd)] + [(bn - k * bd, bn + (k + 2) * bd) for k in range(P)]
     # c_k = (2k+1) I_k / 2 as exact pairs
     pairs = [((2 * k + 1) * M, E - 1) for k, (M, E) in enumerate(_ratio_run(M, E, factors, bits))]
-    with mpmath.workprec(2 * bits):
-        # exact: (2P+1) M_P has far fewer than 2 * bits bits
+    with mpmath.workprec(bits + 64):
+        # exact: M_P has a few bits more than bits and 2P+1 far fewer than
+        # 50; the Gamma form's own error, about 2^-(bits + 54) relative,
+        # stays 86 bits below the threshold
         cp = mpmath.mpf(pairs[P])
         b = mpmath.mpf(beta)
         # beta + 1 - P is formed exactly: rounded, a tiny beta would vanish

@@ -18,6 +18,7 @@ called.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
@@ -290,9 +291,22 @@ FAMILIES = {cls.name: cls for cls in (StepDerivativeFamily, AbsShiftFamily, Cons
                                        PowerAbsFamily, PowerShiftFamily, SpecFamily)}
 
 
+_held = (None, None, None)  # (name, params, family) of the previous call
+
+
 def family_from_config(name: str, params: dict) -> Family:
-    """Instantiate a family from config-file fields; params it does not take raise."""
+    """Instantiate a family from config-file fields; params it does not take raise.
+
+    A call whose name and params equal the previous call's returns that
+    call's family, so a config that repeats its predecessor's family reads
+    the series it memoized (``Family.series``).  Only the one family is held.
+    """
+    global _held
+    if _held[0] == name and _held[1] == params:
+        return _held[2]
     cls = FAMILIES.get(name.lower())
     if cls is None:
         raise ValueError(f"unknown family {name!r}; accepted: {sorted(FAMILIES)}")
-    return cls.from_params(params)
+    family = cls.from_params(params)
+    _held = (name, copy.deepcopy(params), family)
+    return family

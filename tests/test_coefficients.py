@@ -305,6 +305,28 @@ def test_singular_term_certification_threshold(monkeypatch, shift, raises, ctx):
         singular_term_coeffs(0.5, -0.5, 200, ctx)
 
 
+def test_singular_term_zero_top_coefficient_raises_unless_exact():
+    # every c_k with k >= 1 of |x - 0.5|^(1e-100) is of order 1e-100 and
+    # rounds to 0 in float64's fixed point (the true c_1 is -1.37e-100);
+    # at beta = 1e-20 big:256 resolves c_P but cannot certify it, and more
+    # context bits would not change that
+    for beta, ctx in ((1e-100, FLOAT64), (-1e-100, FLOAT64), (1e-20, None)):
+        with pytest.raises(PrecisionError, match=r"\|beta\| is too close to 0") as exc:
+            singular_term_coeffs(0.5, beta, 2201, ctx)
+        assert "raise the context bits" not in str(exc.value)
+    # exact zeros pass: the constant (beta = 0, a default-grid cell), a
+    # polynomial of lower degree, and odd degrees of |x|^beta
+    for a, beta, P, ctx in ((0.5, 0.0, 2201, FLOAT64), (0.5, 0.0, 2201, None),
+                            (0.5, 2.0, 2201, FLOAT64), (0.3, 4.0, 2201, bigfloat(256)),
+                            (0.3, 4.0, 6, FLOAT64), (0.0, 0.5, 2201, FLOAT64),
+                            (0.0, -0.5, 2201, None)):
+        series = singular_term_coeffs(a, beta, P, ctx)
+        assert series.coeffs[P] == 0, (a, beta, P)
+    # float64 resolves beta = 1e-20 and big:256 beta = 1e-3: no zero, no raise
+    assert singular_term_coeffs(0.5, 1e-20, 2201, FLOAT64).coeffs[2201] != 0
+    assert singular_term_coeffs(0.5, 1e-3, 2201, bigfloat(256)).coeffs[2201] != 0
+
+
 def test_power_shift_trivial():
     c0 = power_shift_coeffs_appendixA(0.0, 4)
     assert [float(v) for v in c0.coeffs] == pytest.approx([1, 0, 0, 0, 0], abs=1e-25)
@@ -390,6 +412,30 @@ def test_power_shift_closed_form_against_gamma_form():
             ref = (2 ** b * (2 * k + 1) * mpmath.gamma(b + 1) ** 2
                    / (mpmath.gamma(b + k + 2) * mpmath.gamma(b + 1 - k)))
             assert abs(series.coeffs[k] - ref) <= abs(ref) * mpmath.mpf(2) ** -125, k
+
+
+@pytest.mark.parametrize("side,raises", [(1, True), (-1, False)], ids=["above", "below"])
+@pytest.mark.parametrize("P", [1, 801, 2201])
+@pytest.mark.parametrize("ctx", [None, bigfloat(192)], ids=["f64", "big192"])
+def test_power_shift_certification_threshold(monkeypatch, ctx, P, side, raises):
+    # c_P moved by 2^(32 - bits) (1 +- 1/16) relative, against the Gamma
+    # form's threshold 2^(32 - bits) at the run's bits = max(128, output
+    # bits) + 64; the run's own error, about P 2^-bits, is far inside 1/16
+    bits = max(128, (ctx or FLOAT64).bits) + 64
+    real = coefficients._ratio_run
+
+    def perturbed(*args):
+        run = list(real(*args))
+        M, E = run[-1]
+        run[-1] = (M + ((M * (16 + side)) >> (bits - 28)), E)
+        return run
+
+    monkeypatch.setattr(coefficients, "_ratio_run", perturbed)
+    if raises:
+        with pytest.raises(PrecisionError, match="Gamma form"):
+            power_shift_coeffs(0.5, P, ctx)
+    else:
+        power_shift_coeffs(0.5, P, ctx)
 
 
 @pytest.mark.parametrize("ctx", [None, bigfloat(192)])

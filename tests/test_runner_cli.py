@@ -285,6 +285,41 @@ def test_figures_do_not_depend_on_the_config_order(tmp_path):
     assert len(fwd) >= 6 and fwd == rev
 
 
+@pytest.mark.parametrize("first,second,reused", [
+    (("fig12b", 800), ("fig12c", 800), True),  # fig12c reads fig12b's series
+    (("fig03d", None), ("fig04", None), True),  # a prefix of a longer f64 step series
+    (("fig09a", None), ("fig09b", None), True),  # constrained: not prefix-stable
+    (("figB7b", None), ("fig06a", None), True),  # a growth whose pmax escalates, then a sweep
+    (("fig12b", 800), ("fig12d", 800), False),  # the same family name, another beta
+], ids=["fig12b-fig12c", "fig03d-fig04", "fig09a-fig09b", "figB7b-fig06a", "fig12b-fig12d"])
+def test_a_reused_family_writes_the_bytes_of_a_fresh_one(tmp_path, monkeypatch, first, second,
+                                                         reused):
+    # a config whose family name and params equal its predecessor's runs on
+    # that config's family and its memoized series; each output keeps the
+    # sha256 of a run on a fresh family
+    from leglab import functions, runner
+
+    configs = []
+    for name, pmax in (first, second):
+        config = ExperimentConfig.load(os.path.join(figure_config_dir(), name + ".json"))
+        config.pmax = pmax or config.pmax
+        configs.append(config)
+    families = []
+    monkeypatch.setattr(runner, "family_from_config",
+                        lambda *args: families.append(functions.family_from_config(*args))
+                        or families[-1])
+    monkeypatch.setattr(functions, "_held", (None, None, None))
+    for config in configs:
+        run_experiment(config, str(tmp_path / "pair" / config.id))
+    assert (families[0] is families[1]) == reused
+    for config in configs:
+        monkeypatch.setattr(functions, "_held", (None, None, None))
+        run_experiment(config, str(tmp_path / "fresh" / config.id))
+    assert families[2] is not families[3]
+    pair, fresh = _hash_tree(tmp_path / "pair"), _hash_tree(tmp_path / "fresh")
+    assert len(pair) >= 6 and pair == fresh
+
+
 def test_cli_sweep_and_exit_codes(tmp_path, capsys):
     rc = main(["sweep", "--family", "step", "--a", "0.5", "--x", "-1.0",
                "--pmax", "600", "--out", str(tmp_path / "o1"), "--id", "cli1"])
