@@ -360,10 +360,10 @@ def singular_term_coeffs(a, beta, P: int, ctx: Optional[PrecisionContext] = None
     absolute error, so in a big-float context a top coefficient below about
     2^-65 (at P = 10^4, whatever the bits) fails that certification.  A
     twin top moment of 0 passes next to a nonzero one (the odd moments of a
-    point near 0); two zero top moments pass only for a polynomial
-    |x - a|^beta or an |a| below the twin's resolution.  So a |beta| too
-    small for the fixed point raises instead of returning c_k = 0 for every
-    k >= 1 (float64 at beta = 1e-100).
+    point near 0) at P >= 2; two zero top moments, or at P = 1 a zero T_1,
+    pass only for a polynomial |x - a|^beta or an |a| below the twin's
+    resolution.  So a |beta| too small for the fixed point raises instead
+    of returning c_k = 0 for every k >= 1 (float64 at beta = 1e-100).
     ``grow``, a shorter series this
     function returned for the same a, beta and ctx, is continued from its
     last two moments and its twin's instead of starting again at k = 1:
@@ -399,9 +399,10 @@ def singular_term_coeffs(a, beta, P: int, ctx: Optional[PrecisionContext] = None
             # zeros make every later moment 0, which only a polynomial
             # |x - a|^beta (even integer beta < P) has; where |a| is below
             # the twin's resolution too, the odd moment of the pair is 0
-            # by parity and the pair cannot tell
+            # by parity and the pair cannot tell.  At P = 1 the pair is
+            # (T_0, T_1), and T_0 = mu_0 is never 0: T_1 alone must pass
             b = float(beta)
-            lost = cp != 0 or not (any(twin) or (b >= 0 and b % 2 == 0 and b < P)
+            lost = cp != 0 or not ((P > 1 and any(twin)) or (b >= 0 and b % 2 == 0 and b < P)
                                    or mpmath.ldexp(abs(float(a)), S2) < 1)
         if lost:
             what = f"c_{P} of |x - a|^beta at a = {float(a):g}, beta = {float(beta):g}"

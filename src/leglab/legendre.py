@@ -42,11 +42,6 @@ def _check_domain(x, ctx: PrecisionContext) -> Number:
     return xv
 
 
-def legendre_eval(k: int, x, ctx: PrecisionContext = FLOAT64) -> Number:
-    """Evaluate P_k(x) by the three-term recurrence in the context's arithmetic."""
-    return legendre_eval_range(k, x, ctx)[k]
-
-
 _FLOATS: list = [0.0, 1.0]  # float(k) for k = 0, 1, ...: the exact coefficients of the f64 step
 
 
@@ -200,15 +195,6 @@ def legendre_sums_array(coeffs, orders, x) -> np.ndarray:
     out = np.empty(len(x))
     out[perm] = total
     return out
-
-
-def bernstein_bound(k: int, x: float) -> float:
-    """Envelope bound (1-x^2)^(-1/4) sqrt(2/(pi k)) for |P_k(x)| on the open interval."""
-    if k < 1:
-        raise ValueError("bound requires k >= 1")
-    if not -1.0 < x < 1.0:
-        raise ValueError("bound is valid only for |x| < 1")
-    return (1.0 - x * x) ** -0.25 * math.sqrt(2.0 / (math.pi * k))
 
 
 @dataclass

@@ -15,7 +15,8 @@ read from there by every mode evaluation.  The element error sweep and
 the solution trace need no norms on the loaded element and run on the
 integer kernel in big-float mode (see ``_LoadedElement``).  Every path
 maps x to the reference element through ``Mesh1D.to_reference``, exact
-at the element's nodes.
+at the element's nodes; in big-float mode the element's lo + hi and
+hi - lo are exact too.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import bisect
 from dataclasses import dataclass
 from itertools import count
 
+import mpmath
 import numpy as np
 
 from .functions import exact_solution
@@ -73,19 +75,21 @@ class Mesh1D:
 
     def to_reference(self, e: int, x, ctx: PrecisionContext = FLOAT64):
         """xi of x on element e in ctx: exactly -1 and 1 at the element's
-        nodes, (2x - (lo + hi)) / (hi - lo) between them with lo + hi and
-        hi - lo rounded to float64, clamped to [-1, 1], since a point a
-        rounding away from a node can map just past it."""
+        nodes, (2x - (lo + hi)) / width between them, clamped to [-1, 1],
+        since a point a rounding away from a node can map just past it."""
         lo, hi = self.nodes[e], self.nodes[e + 1]
         with ctx.active():
             if x == lo or x == hi:
                 return ctx.convert(-1.0 if x == lo else 1.0)
-            xi = (2 * ctx.convert(x) - ctx.convert(lo + hi)) / ctx.convert(hi - lo)
+            mid = mpmath.fadd(lo, hi, exact=True) if ctx.mode == BIG else lo + hi
+            xi = (2 * ctx.convert(x) - mid) / self.width(e, ctx)
             return min(max(xi, ctx.convert(-1.0)), ctx.convert(1.0))
 
     def width(self, e: int, ctx: PrecisionContext = FLOAT64):
-        """hi - lo of element e, rounded to float64 as ``to_reference`` reads it."""
-        return ctx.convert(self.nodes[e + 1] - self.nodes[e])
+        """hi - lo of element e: rounded to float64 in float64, exact in a
+        big-float context, as lo + hi is in ``to_reference``."""
+        lo, hi = self.nodes[e], self.nodes[e + 1]
+        return mpmath.fsub(hi, lo, exact=True) if ctx.mode == BIG else float(hi - lo)
 
 
 # per context: the mode norms sqrt(2(2k-1)) for k = 2, 3, ..., grown on demand
@@ -141,17 +145,16 @@ class FemSolution:
     def error(self, x: float) -> float:
         return float(exact_solution(float(x), self.a) - self.evaluate(x))
 
-    def trace(self, samples_per_element: int = 20) -> tuple:
-        """Solution samples (x, u): evenly spaced from each element's left node, then x = 1.
+    def trace(self) -> tuple:
+        """Solution samples (x, u): 20 evenly spaced from each element's left node, then x = 1.
 
         In big-float arithmetic the samples on the loaded element read the
         integer kernel of ``_LoadedElement``, one xi_a row per trace, and
         each is rounded to float once, where ``evaluate`` adds the modes in mpf.
         """
         mesh, ctx = self.mesh, self.ctx
-        nodes = mesh.nodes
-        xs = [*np.concatenate([np.linspace(lo, hi, samples_per_element, endpoint=False)
-                               for lo, hi in zip(nodes, nodes[1:])]).tolist(), 1.0]
+        xs = [*np.concatenate([np.linspace(lo, hi, 20, endpoint=False)
+                               for lo, hi in zip(mesh.nodes, mesh.nodes[1:])]).tolist(), 1.0]
         s = mesh.element_of(self.a)
         if ctx.mode != BIG or not self.internal[s]:
             return xs, [float(self.evaluate(t)) for t in xs]

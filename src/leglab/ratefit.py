@@ -14,7 +14,7 @@ C p^(-alpha) dominate the window, i.e. max |error| p^alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -33,8 +33,20 @@ class FitUnreliable(RuntimeError):
         self.partial = partial
 
 
+class Record:
+    """A result dataclass whose ``to_dict`` lists its fields once, each
+    ndarray or tuple as a list."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _listed(getattr(self, f.name)) for f in fields(self)}
+
+
+def _listed(v):
+    return v.tolist() if isinstance(v, np.ndarray) else list(v) if isinstance(v, tuple) else v
+
+
 @dataclass
-class RateFit:
+class RateFit(Record):
     """Fitted decay exponent and envelope constant over a p-window."""
 
     alpha: float
@@ -46,11 +58,6 @@ class RateFit:
 
     def predict(self, p) -> np.ndarray:
         return self.C * np.asarray(p, dtype=float) ** (-self.alpha)
-
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "C": self.C, "window": list(self.window),
-                "residual": self.residual, "envelope_size": self.envelope_size,
-                "lower": self.lower}
 
 
 def _local_maxima(e: np.ndarray) -> np.ndarray:
@@ -212,20 +219,15 @@ def fit_lower_bound(sweep: ErrorSweep, window=None) -> RateFit:
 
 
 @dataclass
-class ConstantGrowthFit:
-    """Growth of the envelope constant while approaching a special point."""
+class ConstantGrowthFit(Record):
+    """Growth of the envelope constant C(xi) while approaching a special point."""
 
-    xi_values: np.ndarray
-    C_values: np.ndarray
+    xi: np.ndarray
+    C: np.ndarray
     exponent: float
     prefactor: float
     fixed_alpha: float
     dropped: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"xi": list(map(float, self.xi_values)), "C": list(map(float, self.C_values)),
-                "exponent": self.exponent, "prefactor": self.prefactor,
-                "fixed_alpha": self.fixed_alpha, "dropped": self.dropped}
 
 
 def coefficient_ctx(eval_ctx: PrecisionContext) -> Optional[PrecisionContext]:
@@ -237,7 +239,7 @@ def coefficient_ctx(eval_ctx: PrecisionContext) -> Optional[PrecisionContext]:
 def constant_growth(family, approach_point: float, side: int, xi_grid: Sequence[float],
                     fixed_alpha: float, pmax: int = 2200,
                     ctx: Optional[PrecisionContext] = None,
-                    pmax_ceiling: int = 10000, window=None,
+                    pmax_ceiling: int = 10000,
                     xi_cap: Optional[float] = None) -> ConstantGrowthFit:
     """Pinned-alpha envelope constants C(xi) at x = approach_point + side*xi.
 
@@ -277,7 +279,7 @@ def constant_growth(family, approach_point: float, side: int, xi_grid: Sequence[
         while True:
             series = family.series(pm + 1, coefficient_ctx(eval_ctx))
             sweep = error_sweep(series, family.exact, x, pm, eval_ctx)
-            pw, ew, win = _window_slice(sweep, window)
+            pw, ew, win = _window_slice(sweep, None)
             if not len(ew):
                 raise FitUnreliable(f"no nonzero error in window {win} at x = {x:g}")
             vals = ew * pw ** fixed_alpha
@@ -300,7 +302,7 @@ def constant_growth(family, approach_point: float, side: int, xi_grid: Sequence[
 
 
 @dataclass
-class GibbsReport:
+class GibbsReport(Record):
     """Overshoot location/magnitude per order plus the derived fits."""
 
     pvalues: np.ndarray
@@ -309,12 +311,6 @@ class GibbsReport:
     D: float
     decay_exponent: float
     decay_p: int
-
-    def to_dict(self) -> dict:
-        return {"pvalues": list(map(int, self.pvalues)),
-                "locations": list(map(float, self.locations)),
-                "magnitudes": list(map(float, self.magnitudes)),
-                "D": self.D, "decay_exponent": self.decay_exponent, "decay_p": self.decay_p}
 
 
 class GridTooCoarse(RuntimeError):

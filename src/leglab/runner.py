@@ -261,12 +261,9 @@ def _sweep(config, opts, family, writer):
 
 
 def _norm(config, opts, family, writer):
-    margin = 8 * config.pmax if opts["tail_margin"] is None else opts["tail_margin"]
-    series = family.series(config.pmax + margin, config.coeff_ctx())
-    exact_sq = opts["exact_norm_sq"]
-    if exact_sq is None:
-        exact_sq = _exact_norm_sq(family, opts["norm"])
-    sweep = norm_sweep(series, exact_sq, config.pmax, opts["norm"])
+    # 8 pmax coefficients beyond pmax carry the tail
+    series = family.series(9 * config.pmax, config.coeff_ctx())
+    sweep = norm_sweep(series, _exact_norm_sq(family, opts["norm"]), config.pmax, opts["norm"])
     writer.csv(f"{config.id}.norm.csv", f"p,{sweep.norm.lower()}_error",
                [sweep.pvalues, sweep.norm_error])
     p, e = sweep.pvalues[9:], sweep.norm_error[9:]
@@ -297,10 +294,9 @@ def _gibbs(config, opts, family, writer):
 def _growth(config, opts, family, writer):
     # the probes are x = point + side * xi, recorded as xi
     fit = constant_growth(family, float(opts["point"]), opts["side"], opts["xi"],
-                          float(opts["fixed_alpha"]), pmax=config.pmax, ctx=config.eval_ctx(),
-                          pmax_ceiling=opts["ceiling"])
+                          float(opts["fixed_alpha"]), pmax=config.pmax, ctx=config.eval_ctx())
     writer.json(f"{config.id}.growth.json", fit.to_dict())
-    writer.csv(f"{config.id}.growth.csv", "xi,C", [fit.xi_values, fit.C_values])
+    writer.csv(f"{config.id}.growth.csv", "xi,C", [fit.xi, fit.C])
     writer.results["exponent"] = fit.exponent
     if config.expect.get("exponent") is not None:
         writer.results["expected_exponent"] = float(config.expect["exponent"])
@@ -355,8 +351,7 @@ def _conjecture(config, opts, family, writer):
     verdicts = conjecture_suite(opts["beta_grid"], opts["a_grid"], tol, pmax=config.pmax,
                                 clauses=tuple(opts["clauses"]), jobs=int(opts["jobs"]))
     if opts["powershift_betas"]:
-        verdicts += powershift_suite(opts["powershift_betas"], tol, pmax=config.pmax,
-                                     growth_checks=opts["growth_checks"])
+        verdicts += powershift_suite(opts["powershift_betas"], tol, pmax=config.pmax)
     writer.json(f"{config.id}.verdicts.json", [v.to_dict() for v in verdicts])
     writer.results["verdicts"] = {
         status: sum(v.status == status for v in verdicts)
@@ -387,15 +382,13 @@ KINDS = {
     "coeffs": Kind(_coeffs, (*FAMILY_FIELDS, "precision", "coeff_precision")),
     "sweep": Kind(_sweep, (*FAMILY_FIELDS, "precision", "coeff_precision", "x", "window"),
                   expect=("alpha", "C")),
-    # tail_margin None: 8 pmax coefficients beyond pmax; exact_norm_sq None:
-    # the closed form or quadrature of _exact_norm_sq
     "norm": Kind(_norm, (*FAMILY_FIELDS, "coeff_precision"), expect=("slope",),
-                 options={"norm": "L2", "tail_margin": None, "exact_norm_sq": None}),
+                 options={"norm": "L2"}),
     "gibbs": Kind(_gibbs, (*FAMILY_FIELDS, "coeff_precision"),
                   options={"pvalues": (500, 707, 1000, 1414, 2000)}),
     "growth": Kind(_growth, (*FAMILY_FIELDS, "precision"), expect=("exponent",),
                    options={"point": REQUIRED, "side": 1, "xi": (1e-1, 1e-2, 1e-3, 1e-4),
-                            "fixed_alpha": REQUIRED, "ceiling": 10000}),
+                            "fixed_alpha": REQUIRED}),
     # the Theorem 1 series starts at p = 2
     "bounds": Kind(_bounds, (*FAMILY_FIELDS, "precision", "coeff_precision", "x"), min_pmax=2),
     "fem": Kind(_fem, (*FAMILY_FIELDS, "precision", "x", "window"), expect=("alpha", "C"),
@@ -404,7 +397,7 @@ KINDS = {
     "conjecture": Kind(_conjecture, ("pmax",), options={
         "beta_grid": (-5.0 / 6.0, -2.0 / 3.0, -0.5, -1.0 / 16.0, 0.0, 0.5, 1.0),
         "a_grid": (0.0, 0.5), "clauses": (1, 2, 3, 4, 5), "powershift_betas": (),
-        "tolerances": {}, "jobs": 1, "growth_checks": True}),
+        "tolerances": {}, "jobs": 1}),
 }
 
 

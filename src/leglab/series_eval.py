@@ -206,11 +206,6 @@ def _running_sums(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, r
     return (d if ref is None else float(ref) - d), float(d[-1])
 
 
-def partial_sum(series: LegendreSeries, p: int, x, ctx: Optional[PrecisionContext] = None):
-    """Evaluate the order-p approximation at x with one recurrence pass."""
-    return _running_sums(series, x, p, ctx or series.ctx)[1]
-
-
 def error_sweep(series: LegendreSeries, exact, x, pmax: int,
                 ctx: Optional[PrecisionContext] = None, target: str = "") -> ErrorSweep:
     """|exact(x) - S_p(x)| for p = 1..pmax, accumulated incrementally.
@@ -230,17 +225,6 @@ def partial_sum_values(series: LegendreSeries, x, pmax: int,
                        ctx: Optional[PrecisionContext] = None) -> np.ndarray:
     """Signed partial sums S_1..S_pmax at x (for boundedness/oscillation checks)."""
     return _running_sums(series, x, pmax, ctx or series.ctx)[0][1:]
-
-
-def parseval_tail(series: LegendreSeries, p: int, exact_norm_sq: Optional[float] = None) -> float:
-    """Squared L2 norm of the tail beyond p: sum_{k>p} c_k^2 * 2/(2k+1)."""
-    c = series.as_floats()
-    k = np.arange(len(c))
-    sq = c * c * (2.0 / (2 * k + 1))
-    tail = float(np.sum(sq[p + 1:]))
-    if exact_norm_sq is not None:
-        tail += _beyond_series(exact_norm_sq, float(np.sum(sq)))
-    return tail
 
 
 def _beyond_series(exact_norm_sq: float, total: float) -> float:

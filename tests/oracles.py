@@ -30,6 +30,18 @@ quantity the package produces, by a route the package does not take.
 * ``mu_recurrence``: the |x - a|^beta coefficients from the same
   modified-moment recurrence in mpf arithmetic at a big-float context's
   precision.
+
+The paper's point quantities that no verb prints live here too, each read
+from a package kernel:
+
+* ``legendre_eval`` and ``bernstein_bound``: P_k(x) and its envelope;
+* ``partial_sum`` and ``parseval_tail``: S_p(x) at one order and the
+  squared L2 norm of a series' tail;
+* ``abs_kink_bv`` and ``total_variation``: a kink as a bounded-variation
+  function, and the variation on one window;
+* ``theorem1_bound``, ``theorem2_bound``, ``calibrate_theorem2``,
+  ``theorem3_bound`` and ``endpoint_identity_bound``: the known results at
+  one order.
 """
 
 from __future__ import annotations
@@ -40,12 +52,96 @@ from typing import Callable, Sequence
 import mpmath
 import numpy as np
 
+from leglab.bounds import BVFunction, theorem1_bound_series, window_variations
 from leglab.functions import exact_solution
 from leglab.pfem import internal_modes
-from leglab.legendre import (gauss_rule, legendre_eval, legendre_eval_range,
-                             legendre_fixed_range, legendre_sums_array)
+from leglab.legendre import (gauss_rule, legendre_eval_range, legendre_fixed_range,
+                             legendre_sums_array)
 from leglab.precision import FLOAT64, dyadic, to_fixed
-from leglab.series_eval import _fixed_terms
+from leglab.series_eval import _beyond_series, _fixed_terms, _running_sums
+
+
+def legendre_eval(k: int, x, ctx=FLOAT64):
+    """P_k(x) by the three-term recurrence in the context's arithmetic."""
+    return legendre_eval_range(k, x, ctx)[k]
+
+
+def bernstein_bound(k: int, x: float) -> float:
+    """Envelope bound (1-x^2)^(-1/4) sqrt(2/(pi k)) for |P_k(x)| on the open interval."""
+    if k < 1:
+        raise ValueError("bound requires k >= 1")
+    if not -1.0 < x < 1.0:
+        raise ValueError("bound is valid only for |x| < 1")
+    return (1.0 - x * x) ** -0.25 * math.sqrt(2.0 / (math.pi * k))
+
+
+def partial_sum(series, p: int, x, ctx=None):
+    """The order-p approximation at x, in ctx (default the series' own)."""
+    return _running_sums(series, x, p, ctx or series.ctx)[1]
+
+
+def parseval_tail(series, p: int, exact_norm_sq=None) -> float:
+    """Squared L2 norm of the tail beyond p: sum_{k>p} c_k^2 * 2/(2k+1), plus
+    the squared norm beyond the series where exact_norm_sq is given."""
+    c = series.as_floats()
+    sq = c * c * (2.0 / (2 * np.arange(len(c)) + 1))
+    tail = float(np.sum(sq[p + 1:]))
+    if exact_norm_sq is not None:
+        tail += _beyond_series(exact_norm_sq, float(np.sum(sq)))
+    return tail
+
+
+def abs_kink_bv(a: float, slope_lo: float, slope_hi: float) -> BVFunction:
+    """Continuous piecewise-linear function, 0 at its kink a."""
+    return BVFunction(jumps=[], pieces=[(-1.0, a, lambda t: slope_lo * (t - a)),
+                                        (a, 1.0, lambda t: slope_hi * (t - a))])
+
+
+def total_variation(f, lo: float, hi: float) -> float:
+    """Exact total variation of a ``bounds.BVFunction`` on [lo, hi]."""
+    if not -1.0 <= lo <= hi <= 1.0:
+        raise ValueError("require -1 <= lo <= hi <= 1")
+    return float(window_variations(f, np.array([lo]), np.array([hi]))[0])
+
+
+def theorem1_bound(f, x: float, p: int) -> float:
+    """The Theorem 1 bound at one order p >= 2 (see ``theorem1_bound_series``)."""
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    return float(theorem1_bound_series(f, x, p).bound[-1])
+
+
+def theorem2_bound(x: float, p: int, C_cal: float, delta: float = 0.2) -> float:
+    """Envelope C / (p ((1-x^2)^(1/2) + 1/p)^(1/2)) for the symmetric step.
+
+    Valid for 2 delta < |x| <= 1; the constant is not specified by the
+    theory, so callers calibrate C_cal once (see calibrate_theorem2).
+    """
+    if not 2 * delta < abs(x) <= 1.0:
+        raise ValueError(f"theorem 2 requires 2*delta < |x| <= 1 (delta={delta})")
+    return C_cal / (p * math.sqrt(math.sqrt(1.0 - x * x) + 1.0 / p))
+
+
+def calibrate_theorem2(measured: float, x: float, p: int) -> float:
+    """C_cal making the Theorem 2 envelope touch one measured value."""
+    return measured * (p * math.sqrt(math.sqrt(1.0 - x * x) + 1.0 / p))
+
+
+def endpoint_identity_bound(a: float, p: int) -> tuple:
+    """Endpoint error level (|P_p(a)| + |P_{p+1}(a)|)/2 in float64 and its
+    closed envelope (1-a^2)^(-1/4) sqrt(2/(pi p))."""
+    Pk = legendre_eval_range(p + 1, a)
+    closed = (1.0 - a * a) ** -0.25 * math.sqrt(2.0 / (math.pi * p))
+    return (abs(Pk[p]) + abs(Pk[p + 1])) / 2, closed
+
+
+def theorem3_bound(gamma: float, p=None):
+    """Predicted decay rate gamma - 1/2 for a Lipschitz-gamma target, or
+    with p given the unit-constant envelope p^-(gamma - 1/2)."""
+    if gamma <= 0.5:
+        raise ValueError("the Lipschitz rate applies only for gamma > 1/2")
+    rate = gamma - 0.5
+    return rate if p is None else p ** -rate
 
 
 def neumaier_sum(values) -> float:

@@ -21,7 +21,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from leglab.bounds import endpoint_identity_bound, step_bv, theorem1_bound_series
+from leglab.bounds import step_bv, theorem1_bound_series
 from leglab.coefficients import (abs_shift_coeffs, constrained_pversion_coeffs,
                                  legendre_monomial_rows, power_abs_coeffs,
                                  power_shift_coeffs_appendixA, step_derivative_coeffs)
@@ -31,9 +31,10 @@ from leglab.legendre import legendre_range_array
 from leglab.precision import FLOAT64, bigfloat
 from leglab.ratefit import (bounded_oscillation_check, constant_growth, fit_rate,
                             gibbs_probe, pinned_constant)
-from leglab.series_eval import error_sweep, norm_sweep, parseval_tail, partial_sum_values
+from leglab.series_eval import error_sweep, norm_sweep, partial_sum_values
 
-from oracles import binomial_moment_oracle, model_norm_sq, squared_error_quadrature
+from oracles import (binomial_moment_oracle, endpoint_identity_bound, model_norm_sq,
+                     parseval_tail, partial_sum, squared_error_quadrature)
 
 A = 0.5
 RATE_TOL = 0.05
@@ -309,7 +310,6 @@ def test_criterion_14_endpoint_moment_construction():
 
 def test_criterion_15_fem_equivalence():
     from leglab.pfem import Mesh1D, assemble_and_solve
-    from leglab.series_eval import partial_sum
 
     sol = assemble_and_solve(Mesh1D.uniform(1, 101), A)
     series = constrained_pversion_coeffs(A, 100)

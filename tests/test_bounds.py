@@ -6,13 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leglab.bounds import (BVFunction, Jump, abs_kink_bv, calibrate_theorem2,
-                           endpoint_identity_bound, step_bv, theorem1_bound,
-                           theorem1_bound_series, theorem2_bound, theorem3_bound,
-                           total_variation, variation_window, window_variations)
+from leglab.bounds import (BVFunction, Jump, step_bv, theorem1_bound_series, variation_window,
+                           window_variations)
 from leglab.runner import BOUNDS_DTYPE, ExperimentConfig, run_experiment
 
-from oracles import total_variation_loop
+from oracles import (abs_kink_bv, calibrate_theorem2, endpoint_identity_bound, theorem1_bound,
+                     theorem2_bound, theorem3_bound, total_variation, total_variation_loop)
 
 A = 0.5
 STEP = step_bv(A, (A - 1) / 2, (1 + A) / 2)

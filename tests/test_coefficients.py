@@ -17,14 +17,14 @@ from leglab.coefficients import (Generator, LegendreSeries, abs_shift_coeffs,
                                  step_derivative_coeffs)
 from leglab.functions import (PowerAbsFamily, PowerShiftFamily, SingularFunctionSpec,
                               exact_solution, exact_solution_derivative)
-from leglab.legendre import legendre_eval, legendre_eval_range, legendre_fixed_range
+from leglab.legendre import legendre_eval_range, legendre_fixed_range
 from leglab.precision import (FLOAT64, PrecisionError, bigfloat, dyadic, pair_float,
                               pair_floats, pair_nstr, round_bits, to_fixed)
 from leglab.runner import ExperimentConfig, run_experiment
 from leglab.series_eval import _fixed_terms
 
-from oracles import (binomial_moment_oracle, model_coeffs_loop, mu_fixed_loop,
-                     piecewise_gauss_coeff, quadrature_oracle_coeffs)
+from oracles import (binomial_moment_oracle, legendre_eval, model_coeffs_loop, mu_fixed_loop,
+                     partial_sum, piecewise_gauss_coeff, quadrature_oracle_coeffs)
 # the oracle under the name the two tests that read it have always called:
 # a derandomized hypothesis test draws its examples from a digest of its source
 from oracles import mu_recurrence as _mu_recurrence
@@ -103,8 +103,6 @@ def test_abs_shift_examples():
 
 
 def test_abs_shift_boundary_sum_decays(abs_series):
-    from leglab.series_eval import partial_sum
-
     assert abs(partial_sum(abs_series, 2200, -1.0)) <= 1e-3
 
 
@@ -113,7 +111,6 @@ def test_constrained_structure():
     assert len(b.coeffs) == 14
     assert b.coeffs[0] == pytest.approx(-0.1875)
     # stored coefficients reproduce the bump-sum evaluation at full order
-    from leglab.series_eval import partial_sum
     from leglab.legendre import legendre_eval_range
 
     for x in (-1.0, -0.3, 0.5, 1.0):
@@ -123,8 +120,6 @@ def test_constrained_structure():
 
 
 def test_constrained_vanishes_at_endpoints():
-    from leglab.series_eval import partial_sum
-
     for P in (1, 2, 5, 40):
         b = constrained_pversion_coeffs(0.5, P)
         for x in (-1.0, 1.0):
@@ -325,6 +320,16 @@ def test_singular_term_zero_top_coefficient_raises_unless_exact():
     # float64 resolves beta = 1e-20 and big:256 beta = 1e-3: no zero, no raise
     assert singular_term_coeffs(0.5, 1e-20, 2201, FLOAT64).coeffs[2201] != 0
     assert singular_term_coeffs(0.5, 1e-3, 2201, bigfloat(256)).coeffs[2201] != 0
+
+
+def test_singular_term_zero_c1_at_p1_raises_unless_exact():
+    # at P = 1 the twin's pair is (mu_0, mu_1) and mu_0 is never 0, so a zero
+    # T_1 passes only where two zero moments would: a polynomial or an |a|
+    # below the twin's resolution
+    with pytest.raises(PrecisionError, match=r"beta = 1e-100.*\|beta\| is too close to 0"):
+        singular_term_coeffs(0.5, 1e-100, 1, FLOAT64)
+    for a, beta in ((0.0, 0.5), (0.5, 0.0)):
+        assert singular_term_coeffs(a, beta, 1, FLOAT64).coeffs[1] == 0
 
 
 def test_power_shift_trivial():
@@ -666,8 +671,6 @@ def test_exact_rational_generators():
 
 def test_random_polynomial_specs_reproduce_exactly():
     # polynomial targets are reproduced exactly once p reaches the degree
-    from leglab.series_eval import partial_sum
-
     rng = np.random.default_rng(3)
     for _ in range(5):
         deg = int(rng.integers(1, 7))

@@ -7,11 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leglab import legendre
-from leglab.legendre import (bernstein_bound, gauss_rule, legendre_eval,
-                             legendre_eval_range, legendre_range_array, legendre_sums_array)
+from leglab.legendre import (gauss_rule, legendre_eval_range, legendre_range_array,
+                             legendre_sums_array)
 from leglab.precision import bigfloat
 
-from oracles import legendre_mpf
+from oracles import bernstein_bound, legendre_eval, legendre_mpf
 
 
 def test_low_degree_values():

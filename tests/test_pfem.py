@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,10 @@ from leglab.legendre import gauss_rule, legendre_eval_range
 from leglab.pfem import FemSolution, Mesh1D, assemble_and_solve, element_error_series, internal_modes
 from leglab.precision import FLOAT64, bigfloat
 from leglab.runner import ExperimentConfig, run_experiment
-from leglab.series_eval import error_sweep, partial_sum
+from leglab.series_eval import error_sweep
 
-from oracles import element_error_loop, energy_norm_error, fem_derivative, mode_derivatives
+from oracles import (element_error_loop, energy_norm_error, fem_derivative, mode_derivatives,
+                     partial_sum)
 
 A = 0.5
 
@@ -260,7 +262,10 @@ def test_evaluate_equals_a_per_call_sqrt_oracle(n, degree, a, xs, big):
         e = sol.mesh.element_of(x)
         lo, hi = sol.mesh.nodes[e], sol.mesh.nodes[e + 1]
         with ctx.active():
-            xi = (2 * ctx.convert(x) - ctx.convert(lo + hi)) / ctx.convert(hi - lo)
+            # big-float geometry is exact: lo + hi and hi - lo unrounded
+            mid, width = ((mpmath.fadd(lo, hi, exact=True), mpmath.fsub(hi, lo, exact=True))
+                          if big else (lo + hi, hi - lo))
+            xi = (2 * ctx.convert(x) - mid) / width
             want = (ctx.convert(sol.nodal[e]) * (1 - xi) / 2
                     + ctx.convert(sol.nodal[e + 1]) * (1 + xi) / 2)
             coeffs = sol.internal[e]
@@ -305,3 +310,23 @@ def test_f64_element_sweep_has_the_bits_of_the_scalar_loop(n, a, t, pmax):
     x = _loaded_element_point(sol.mesh, a, t)
     got = element_error_series(sol, x, pmax).abs_error
     assert got.tobytes() == np.array(element_error_loop(sol, x, pmax)).tobytes()
+
+
+def test_big_float_geometry_is_exact_on_a_non_dyadic_mesh():
+    # the node -1/3 is not dyadic, and neither is 1 - 1/3 in float64; a
+    # big-float solve forms each element's lo + hi and hi - lo exactly, so
+    # big:192 agrees with a 512-bit closed form at N_2 and with big:512 at
+    # three points, where float64 geometry left gaps of about 1e-16
+    a, mesh = -0.6, Mesh1D.uniform(3, 30)
+    s192, s512 = (assemble_and_solve(mesh, a, bigfloat(bits)) for bits in (192, 512))
+    with mpmath.workprec(512):
+        lo, hi = (mpmath.mpf(t) for t in mesh.nodes[:2])
+        xi = (2 * mpmath.mpf(a) - (lo + hi)) / (hi - lo)
+        # -(h/2) N_2(xi), N_2 = (P_2 - P_0) / sqrt(6) = 3 (xi^2 - 1) / (2 sqrt(6))
+        n2 = -(hi - lo) / 2 * 3 * (xi * xi - 1) / (2 * mpmath.sqrt(6))
+    pairs = [(s192.internal[0][0], n2)]
+    pairs += [(s192.evaluate(x), s512.evaluate(x)) for x in (-0.9, -0.5, -0.4)]
+    for got, want in pairs:
+        with mpmath.workprec(192):
+            want = +want
+        assert abs(got - want) <= abs(want) * mpmath.mpf(2) ** -180

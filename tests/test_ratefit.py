@@ -103,7 +103,7 @@ def test_constant_growth_step_rho():
     fit = constant_growth(fam, -1.0, +1, [1e-1, 1e-2, 1e-3, 1e-4], fixed_alpha=1.0)
     assert fit.exponent == pytest.approx(-0.25, abs=0.1)
     assert fit.fixed_alpha == 1.0
-    assert len(fit.xi_values) == 4
+    assert len(fit.xi) == 4
 
 
 def test_constant_growth_step_sigma():
@@ -136,7 +136,7 @@ def test_constant_growth_drops_probes_on_other_features(point, side, reason):
     grid = [1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5]
     fit = constant_growth(fam, point, side, grid, fixed_alpha=1.0, pmax=600)
     assert fit.dropped == [(0.1, reason)]
-    assert fit.xi_values.tolist() == grid[1:]
+    assert fit.xi.tolist() == grid[1:]
 
 
 def test_constant_growth_keeps_a_probe_on_the_cap():
@@ -145,7 +145,7 @@ def test_constant_growth_keeps_a_probe_on_the_cap():
     fam = StepDerivativeFamily(a=0.6)
     grid = [1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5]
     fit = constant_growth(fam, 0.6, +1, grid, fixed_alpha=1.0, pmax=600, xi_cap=(1.0 - 0.6) / 4)
-    assert fit.dropped == [] and fit.xi_values.tolist() == grid
+    assert fit.dropped == [] and fit.xi.tolist() == grid
     fit = constant_growth(fam, 0.6, +1, grid, fixed_alpha=1.0, pmax=600, xi_cap=0.05)
     assert fit.dropped == [(0.1, "above the cap 0.05")]
 
@@ -254,3 +254,33 @@ def test_bounded_oscillation_check():
     decaying = 1.0 + 1.0 / p
     chk = bounded_oscillation_check(decaying, p, windows=((1000, 2000), (2000, 4000)))
     assert chk["bounded"] and not chk["non_cauchy"]
+
+
+def test_record_json_text_is_pinned():
+    # the sha256 of the indented JSON text of one record of each kind, with
+    # ndarrays and the window tuple written as lists; the keys follow the fields
+    import hashlib
+
+    from leglab.coefficients import step_derivative_coeffs
+    from leglab.conjecture import ToleranceProfile, clause1_interior
+    from leglab.series_eval import error_sweep
+
+    fam = StepDerivativeFamily(a=A)
+    series = step_derivative_coeffs(A, 601)
+    records = {
+        "7477c37d569c6d844d63783d41c547e3534a82a68c6b9866b47a087157089a37":
+            fit_rate(error_sweep(series, fam.exact, 0.1, 600)),
+        "744970840d5273bd7078073b26a6fdea24d58c449d8fca1c811c06a88381e5c3":
+            constant_growth(StepDerivativeFamily(a=0.9), 0.9, +1,
+                            [1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5], 1.0, pmax=600),
+        "064468584593035739308851ecde8b228e0a607ca928c7cac101d95b7cb5127c":
+            gibbs_probe(series, fam.exact, A, [300, 600]),
+        "011b3f1bf7a40981be24e2c58960c9cbe1fed4d10bb61fbdbab3ef538b2102e9":
+            clause1_interior(0.5, A, ToleranceProfile(), pmax=600)[0],
+    }
+    for digest, record in records.items():
+        text = json.dumps(record.to_dict(), indent=1, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (type(record), text)
+    growth = next(r for r in records.values() if hasattr(r, "dropped"))
+    assert list(growth.to_dict()) == ["xi", "C", "exponent", "prefactor", "fixed_alpha",
+                                      "dropped"]

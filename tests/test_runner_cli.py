@@ -557,3 +557,25 @@ def test_cli_coeffs_powerabs_takes_a(tmp_path, argv, params, a):
     rows = (tmp_path / "coeffs.coeffs.csv").read_text().splitlines()[1:]
     want = PowerAbsFamily(beta=0.5, a=a).series(4, FLOAT64).coeffs
     assert [float(r.split(",")[1]) for r in rows] == want
+
+
+# the norm tail, the exact norm, the growth ceiling and the powershift growth
+# checks are constants, and constant_rel is no tolerance: a config that sets
+# one is rejected like any unknown key
+@pytest.mark.parametrize("kind,options,name", [
+    ("norm", {"tail_margin": 800}, "tail_margin"),
+    ("norm", {"exact_norm_sq": 0.375}, "exact_norm_sq"),
+    ("growth", {"point": -1.0, "fixed_alpha": 1.0, "ceiling": 10000}, "ceiling"),
+    ("conjecture", {"growth_checks": True}, "growth_checks"),
+    ("conjecture", {"tolerances": {"constant_rel": 0.25}}, "constant_rel"),
+])
+def test_removed_options_are_rejected(tmp_path, capsys, kind, options, name):
+    doc = {"id": kind, "kind": kind, "options": options}
+    with pytest.raises(ValueError, match=f"unknown \\['{name}'\\]"):
+        run_experiment(ExperimentConfig.from_dict(doc), str(tmp_path / "api"))
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main([kind, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "api").exists() and not (tmp_path / "o").exists()

@@ -17,10 +17,10 @@ from leglab.legendre import legendre_eval_range, legendre_fixed_range
 from leglab.precision import FLOAT64, bigfloat, to_fixed
 from leglab.runner import SWEEP_DTYPE, ExperimentConfig, read_sweep, run_experiment, run_figures
 from leglab.series_eval import (ErrorSweep, NormSweep, _fixed_terms, _running_sums, error_sweep,
-                                norm_sweep, parseval_tail, partial_sum, partial_sum_values)
+                                norm_sweep, partial_sum_values)
 
-from oracles import (fixed_running_sums_loop, model_norm_sq, neumaier_sum,
-                     squared_error_quadrature)
+from oracles import (fixed_running_sums_loop, model_norm_sq, neumaier_sum, parseval_tail,
+                     partial_sum, squared_error_quadrature)
 
 A = 0.5
 
