@@ -7,7 +7,7 @@ out takes the runner's default.  Exit status is 1 when a conjecture clause
 fails outright (preasymptotic entries do not fail), and 2 when a run
 records an error in its manifest or rejects its input (an unknown option,
 family parameter or tolerance, a missing required option, a config field
-the kind does not read, a precision spec other than f64 and big:<bits>,
+the kind does not read, a precision spec other than f64, big and big:<bits>,
 or a value or point list the kind cannot run), 0 otherwise.
 """
 
@@ -30,7 +30,7 @@ def _common(parser: argparse.ArgumentParser, kind: str) -> None:
     parser.add_argument("--id")
     parser.add_argument("--pmax", type=int)
     if "precision" in reads:
-        parser.add_argument("--precision", help="f64 | big:<bits>")
+        parser.add_argument("--precision", help="f64 | big (big:256) | big:<bits>")
     if "family" in reads:
         parser.add_argument("--family",
                             help="step | absshift | constrained | powerabs | powershift | spec")
@@ -110,8 +110,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("conjecture", help="run the five-clause verification suite")
     _common(p, "conjecture")
-    # the suite evaluates in float64; its grid points can run in parallel
-    p.add_argument("--jobs", type=int)
     p.add_argument("--beta-grid", nargs="+", type=float)
     p.add_argument("--a-grid", nargs="+", type=float)
     p.add_argument("--clauses", nargs="+", type=int)
@@ -122,7 +120,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("figures", help="regenerate plot data for the shipped figure configs")
     p.add_argument("--only", nargs="+", help="subset of config names (e.g. fig01a)")
     p.add_argument("--out", default="out")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--list", action="store_true", help="list available figure configs")
 
     args = parser.parse_args(argv)
@@ -135,7 +132,7 @@ def main(argv=None) -> int:
                 print(name[:-5])
             return 0
         try:
-            manifests = run_figures(args.out, only=args.only, jobs=args.jobs)
+            manifests = run_figures(args.out, only=args.only)
         except ValueError as exc:
             parser.error(str(exc))
         for m in manifests:

@@ -17,13 +17,12 @@ failed.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .functions import Family, PowerAbsFamily, PowerShiftFamily, StepDerivativeFamily
+from .functions import Family, PowerShiftFamily, family_from_config
 from .precision import FLOAT64, PrecisionContext, PrecisionError, bigfloat
 from .ratefit import (FitUnreliable, Record, bounded_oscillation_check, coefficient_ctx,
                       constant_growth, fit_rate)
@@ -54,13 +53,13 @@ class ConjectureVerdict(Record):
     detail: str = ""
 
 
-@functools.lru_cache(maxsize=1)
 def conjecture_family(beta: float, a: float) -> Family:
-    """The target at one grid point; repeated calls share one instance, so
-    the clauses of a point share its memoized coefficient series."""
+    """The target at one grid point; ``family_from_config`` holds the previous
+    call's family, so the clauses of a point share its memoized coefficient
+    series."""
     if beta == 0.0:
-        return StepDerivativeFamily(a=a)
-    return PowerAbsFamily(beta=beta, a=a)
+        return family_from_config("step", {"a": a})
+    return family_from_config("powerabs", {"beta": beta, "a": a})
 
 
 def measured_rate(family: Family, x: float, pmax: int = 2200, ceiling: int = 10000,
@@ -96,14 +95,11 @@ def _rate_verdict(clause, params, fit_status, expected, tol) -> ConjectureVerdic
 
 
 def clause1_interior(beta: float, a: float, tol: ToleranceProfile,
-                     x_points: Optional[Sequence[float]] = None,
                      pmax: int = 2200) -> list:
     family = conjecture_family(beta, a)
     expected = beta + 1.0
-    if x_points is None:
-        x_points = [(a - 1.0) / 2.0, (a + 1.0) / 2.0]
     out = []
-    for x in x_points:
+    for x in ((a - 1.0) / 2.0, (a + 1.0) / 2.0):
         fs = measured_rate(family, x, pmax)
         out.append(_rate_verdict(1, {"beta": beta, "a": a, "x": x}, fs, expected,
                                  tol.rate_tol(beta)))
@@ -208,8 +204,7 @@ def _bounded_verdict(clause, params, series, x, pmax) -> ConjectureVerdict:
                              detail=f"rate 0, bounded non-convergence check: {chk}")
 
 
-def _run_parameter_point(args):
-    beta, a, clauses, tol, pmax = args
+def _run_parameter_point(beta, a, clauses, tol, pmax) -> list:
     runners = {1: lambda: clause1_interior(beta, a, tol, pmax=pmax),
                2: lambda: clause2_boundary_growth(beta, a, tol, pmax=pmax),
                3: lambda: clause3_singular_growth(beta, a, tol, pmax=pmax),
@@ -229,30 +224,24 @@ def _run_parameter_point(args):
 
 def conjecture_suite(beta_grid: Sequence[float], a_grid: Sequence[float],
                      tolerance_profile: Optional[ToleranceProfile] = None,
-                     pmax: int = 2200, clauses: Sequence[int] = (1, 2, 3, 4, 5),
-                     jobs: int = 1) -> list:
-    """Run the requested clauses over the parameter grid.
+                     pmax: int = 2200, clauses: Sequence[int] = (1, 2, 3, 4, 5)) -> list:
+    """Run the requested clauses over the parameter grid, in grid order.
 
-    Parameter points are independent; with jobs > 1 they run on a process
-    pool.  Verdict order is deterministic either way (grid order).
+    Raises ValueError, before any point runs, for a beta at most -1, an a
+    outside (-1, 1) or a clause outside 1..5.
     """
     tol = tolerance_profile or ToleranceProfile()
-    points = []
+    for clause in clauses:
+        if clause not in (1, 2, 3, 4, 5):
+            raise ValueError(f"clause {clause!r} is not one of 1, 2, 3, 4, 5")
     for beta in beta_grid:
         if beta <= -1.0:
             raise ValueError("beta must exceed -1")
-        for a in a_grid:
-            if not -1.0 < a < 1.0:
-                raise ValueError("a must lie strictly inside (-1, 1)")
-            points.append((beta, a, tuple(clauses), tol, pmax))
-    if jobs > 1 and len(points) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(_run_parameter_point, points))
-    else:
-        batches = [_run_parameter_point(pt) for pt in points]
-    return [v for batch in batches for v in batch]
+    for a in a_grid:
+        if not -1.0 < a < 1.0:
+            raise ValueError("a must lie strictly inside (-1, 1)")
+    return [v for beta in beta_grid for a in a_grid
+            for v in _run_parameter_point(beta, a, clauses, tol, pmax)]
 
 
 def check_powershift_betas(beta_grid: Sequence[float]) -> None:
@@ -267,14 +256,12 @@ def check_powershift_betas(beta_grid: Sequence[float]) -> None:
 
 def powershift_suite(beta_grid: Sequence[float],
                      tolerance_profile: Optional[ToleranceProfile] = None,
-                     pmax: int = 2200, growth_checks: bool = True) -> list:
+                     pmax: int = 2200) -> list:
     """Rates for the endpoint-singular family |x + 1|^beta.
 
     Expectations: 2 beta at -1 (beta > 0 only), 2 beta + 1 at +1, and
     2 beta + 3/2 at the interior point x = -0.1; near-edge constant growth
-    exponents 3/4 (left) and 1/4 (right) when growth_checks is set.  The
-    conjecture verb always sets it; the flag exists only so that the tests
-    can skip the growth fits and stay fast.  Everything runs at the given
+    exponents 3/4 (left) and 1/4 (right).  Everything runs at the given
     pmax, without escalation.
     """
     check_powershift_betas(beta_grid)
@@ -296,13 +283,12 @@ def powershift_suite(beta_grid: Sequence[float],
                 continue
             fs = measured_rate(family, x, pmax, ceiling=pmax, ctx=eval_ctx)
             verdicts.append(_rate_verdict(clause, params, fs, expected, tol.rate))
-        if growth_checks:
-            fixed = 2.0 * beta + 1.5
-            for point, side, expected in ((-1.0, +1, -0.75), (1.0, -1, -0.25)):
-                params = {"beta": beta, "point": point, "family": "powershift"}
-                verdicts.append(_growth_verdict(2, params, point, side, family, fixed, expected,
-                                                tol.growth, HALF_DECADES, pmax, ctx=eval_ctx,
-                                                pmax_ceiling=pmax))
+        fixed = 2.0 * beta + 1.5
+        for point, side, expected in ((-1.0, +1, -0.75), (1.0, -1, -0.25)):
+            params = {"beta": beta, "point": point, "family": "powershift"}
+            verdicts.append(_growth_verdict(2, params, point, side, family, fixed, expected,
+                                            tol.growth, HALF_DECADES, pmax, ctx=eval_ctx,
+                                            pmax_ceiling=pmax))
     return verdicts
 
 

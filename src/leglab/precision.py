@@ -97,13 +97,15 @@ def bigfloat(bits: int = 256) -> PrecisionContext:
 
 
 def parse_precision(text: str) -> PrecisionContext:
-    """Parse a CLI precision spec: ``f64`` or ``big:<bits>``."""
+    """Parse a CLI precision spec: ``f64``, ``big`` (``big:256``) or ``big:<bits>``."""
     text = text.strip().lower()
     if text == F64:
         return FLOAT64
-    if text.startswith("big"):
-        _, _, b = text.partition(":")
-        return bigfloat(int(b) if b else 256)
+    mode, colon, bits = text.partition(":")
+    if mode == BIG and not colon:
+        return bigfloat(256)
+    if mode == BIG and bits.isdecimal():
+        return bigfloat(int(bits))
     raise ValueError(f"cannot parse precision spec {text!r}")
 
 

@@ -427,7 +427,7 @@ def weighted_sup_norm(series: LegendreSeries, exact: Callable[[float], float],
 
 
 def bounded_oscillation_check(values: np.ndarray, pvalues: np.ndarray,
-                              windows: Sequence[tuple] = ((500, 1000), (1000, 2000))) -> dict:
+                              windows: Sequence[tuple]) -> dict:
     """Sup-boundedness plus non-Cauchy oscillation over dyadic windows.
 
     Implements the meaning of "rate 0": the partial sums stay bounded but

@@ -205,15 +205,22 @@ def _coeffs(config, opts, family, writer):
 
 def _points(config, lo: float, hi: float, closed: bool = True, required: bool = True) -> list:
     """config.x as floats, each checked to lie in [lo, hi] (closed) or
-    (lo, hi); raises ValueError naming the first point outside, or an empty
-    list where a point is required."""
+    (lo, hi); raises ValueError naming the first point outside, two points
+    whose output tags x{x:+.7g} coincide, or an empty list where a point is
+    required."""
     if required and not config.x:
         raise ValueError(f"{config.kind} needs at least one point x")
     xs = [float(x) for x in config.x]
+    tagged = {}
     for x in xs:
         if not (lo <= x <= hi if closed else lo < x < hi):
             span = f"[{lo:g}, {hi:g}]" if closed else f"({lo:g}, {hi:g})"
             raise ValueError(f"{config.kind} point x = {x!r} lies outside {span}")
+        tag = f"x{x:+.7g}"
+        if tag in tagged:
+            raise ValueError(f"{config.kind} points x = {tagged[tag]!r} and x = {x!r} share "
+                             f"the output tag {tag}")
+        tagged[tag] = x
     return xs
 
 
@@ -349,7 +356,7 @@ def _conjecture(config, opts, family, writer):
     # reject a bad powershift list before the grid spends its time
     check_powershift_betas(opts["powershift_betas"])
     verdicts = conjecture_suite(opts["beta_grid"], opts["a_grid"], tol, pmax=config.pmax,
-                                clauses=tuple(opts["clauses"]), jobs=int(opts["jobs"]))
+                                clauses=tuple(opts["clauses"]))
     if opts["powershift_betas"]:
         verdicts += powershift_suite(opts["powershift_betas"], tol, pmax=config.pmax)
     writer.json(f"{config.id}.verdicts.json", [v.to_dict() for v in verdicts])
@@ -397,7 +404,7 @@ KINDS = {
     "conjecture": Kind(_conjecture, ("pmax",), options={
         "beta_grid": (-5.0 / 6.0, -2.0 / 3.0, -0.5, -1.0 / 16.0, 0.0, 0.5, 1.0),
         "a_grid": (0.0, 0.5), "clauses": (1, 2, 3, 4, 5), "powershift_betas": (),
-        "tolerances": {}, "jobs": 1}),
+        "tolerances": {}}),
 }
 
 
@@ -515,7 +522,7 @@ def list_figure_configs() -> list:
     return sorted(f for f in os.listdir(d) if f.endswith(".json"))
 
 
-def run_figures(outdir: str, only=None, jobs: int = 1) -> list:
+def run_figures(outdir: str, only=None) -> list:
     """Regenerate plot data for the shipped figure configs (deterministic order)."""
     names = list_figure_configs()
     if only:
@@ -525,16 +532,4 @@ def run_figures(outdir: str, only=None, jobs: int = 1) -> list:
         if missing:
             raise ValueError(f"unknown figure configs: {sorted(missing)}")
     configs = [ExperimentConfig.load(os.path.join(figure_config_dir(), n)) for n in names]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            manifests = list(pool.map(_run_one, [(c, outdir) for c in configs]))
-    else:
-        manifests = [_run_one((c, outdir)) for c in configs]
-    return manifests
-
-
-def _run_one(args):
-    config, outdir = args
-    return run_experiment(config, os.path.join(outdir, config.id))
+    return [run_experiment(c, os.path.join(outdir, c.id)) for c in configs]

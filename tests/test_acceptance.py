@@ -210,12 +210,14 @@ def test_criterion_07_power_singularity_grid(powerabs_series):
 
 
 def test_criterion_08_endpoint_power_family():
-    verdicts = powershift_suite([-0.5, 0.5, 1.5], ToleranceProfile(rate=RATE_TOL), pmax=2200,
-                                growth_checks=False)
+    verdicts = powershift_suite([-0.5, 0.5, 1.5], ToleranceProfile(rate=RATE_TOL), pmax=2200)
     bad = [v for v in verdicts if v.status != "pass"]
     assert not bad, f"failing endpoint-family verdicts: {[v.to_dict() for v in bad]}"
-    lines = [f"beta={v.params['beta']:+.2f} x={v.params['x']:+.2f}: "
-             + (f"alpha={v.measured:.4f} (exp {v.conjectured})" if v.measured is not None
+    # rate verdicts carry x; the near-edge growth verdicts carry their point
+    lines = [f"beta={v.params['beta']:+.2f} "
+             + (f"x={v.params['x']:+.2f}: " if "x" in v.params
+                else f"growth toward {v.params['point']:+.0f}: ")
+             + (f"{v.measured:.4f} (exp {v.conjectured})" if v.measured is not None
                 else "rate 0 bounded") for v in verdicts]
     report(8, "; ".join(lines))
 

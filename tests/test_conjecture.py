@@ -89,8 +89,8 @@ def test_clause5_modes():
 
 def test_verdict_embeds_reproducible_fit():
     tol = ToleranceProfile()
-    [v] = clause1_interior(0.75, 0.0, tol, x_points=[0.5])
-    assert v.status == "pass" and v.fit is not None
+    v = clause1_interior(0.75, 0.0, tol)[1]
+    assert v.params["x"] == 0.5 and v.status == "pass" and v.fit is not None
     fam = conjecture_family(0.75, 0.0)
     series = fam.series(2201, None)
     from leglab.precision import FLOAT64
@@ -120,23 +120,21 @@ def test_suite_grid_and_errors():
 
 
 def test_powershift_suite_small():
-    verdicts = powershift_suite([0.5], ToleranceProfile(rate=0.1), pmax=600,
-                                growth_checks=False)
-    assert [v.conjectured for v in verdicts] == pytest.approx([1.0, 2.0, 2.5])
-    assert all(v.status == "pass" for v in verdicts)
+    verdicts = powershift_suite([0.5], ToleranceProfile(rate=0.1), pmax=600)
+    rates = [v for v in verdicts if "x" in v.params]
+    assert [v.conjectured for v in rates] == pytest.approx([1.0, 2.0, 2.5])
+    assert all(v.status == "pass" for v in rates)
 
 
 def test_powershift_near_edge_growth():
-    verdicts = powershift_suite([0.5], ToleranceProfile(rate=0.1), pmax=600,
-                                growth_checks=True)
+    verdicts = powershift_suite([0.5], ToleranceProfile(rate=0.1), pmax=600)
     growth = [v for v in verdicts if "point" in v.params]
     assert [v.conjectured for v in growth] == pytest.approx([-0.75, -0.25])
     assert all(v.status == "pass" for v in growth)
 
 
 def test_powershift_rate_zero_bounded():
-    verdicts = powershift_suite([-0.5], ToleranceProfile(rate=0.1), pmax=700,
-                                growth_checks=False)
+    verdicts = powershift_suite([-0.5], ToleranceProfile(rate=0.1), pmax=700)
     at_plus1 = [v for v in verdicts if v.params.get("x") == 1.0]
     assert len(at_plus1) == 1 and at_plus1[0].status == "pass"
     assert "rate 0" in at_plus1[0].detail
@@ -146,6 +144,7 @@ def test_powershift_rate_zero_bounded():
 @pytest.mark.parametrize("beta,sizes", [(-0.5, [2201]), (0.5, [2201, 4401])])
 def test_conjecture_point_generates_each_series_once(monkeypatch, beta, sizes):
     import leglab.coefficients as coefficients
+    import leglab.functions as functions
 
     calls = []
     original = coefficients.singular_term_coeffs
@@ -155,7 +154,7 @@ def test_conjecture_point_generates_each_series_once(monkeypatch, beta, sizes):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(coefficients, "singular_term_coeffs", counted)
-    conjecture_family.cache_clear()
+    monkeypatch.setattr(functions, "_held", (None, None, None))
     verdicts = conjecture_suite([beta], [0.5])
     assert len(verdicts) == 9 and all(v.status == "pass" for v in verdicts)
     assert calls == sizes
@@ -203,6 +202,6 @@ def test_default_grid_verdicts_do_not_depend_on_the_point_order():
     for order in (points, points[::-1]):
         legendre._ROWS.clear()
         legendre._held = 0
-        runs.append({pt[:2]: json.dumps([v.to_dict() for v in _run_parameter_point(pt)],
+        runs.append({pt[:2]: json.dumps([v.to_dict() for v in _run_parameter_point(*pt)],
                                         sort_keys=True) for pt in order})
     assert len(runs[0]) == 14 and runs[0] == runs[1]

@@ -27,8 +27,9 @@ def test_parse_precision():
     assert parse_precision("f64") is FLOAT64
     assert parse_precision("big:512").bits == 512
     assert parse_precision("big").bits == 256
-    with pytest.raises(ValueError):
-        parse_precision("quad")
+    for spec in ("quad", "big999", "bigfoo", "big:"):
+        with pytest.raises(ValueError, match=f"cannot parse precision spec '{spec}'"):
+            parse_precision(spec)
 
 
 def test_exact_rationals_are_not_a_mode():

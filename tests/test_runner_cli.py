@@ -262,13 +262,6 @@ def test_run_figures_subset(tmp_path):
         run_figures(str(tmp_path), only=["nope"])
 
 
-def test_run_figures_parallel_jobs(tmp_path):
-    manifests = run_figures(str(tmp_path), only=["fig02", "fig05"], jobs=2)
-    assert [m["experiment"] for m in manifests] == ["fig02", "fig05"]
-    assert all(not m["errors"] for m in manifests)
-    assert all(m["tool_version"] for m in manifests)
-
-
 def test_figures_do_not_depend_on_the_config_order(tmp_path):
     # configs sharing a = 0.5 and their sweep points, run in order and in
     # reverse, each from an empty Legendre row memo, write the same bytes
@@ -418,10 +411,10 @@ def test_cli_gibbs(tmp_path, capsys):
 
 
 def test_cli_rejects_ignored_flags(capsys):
-    # single-config verbs run serially and the conjecture suite evaluates in
-    # float64, so these flags would be accepted and then ignored
+    # every verb runs serially and the conjecture suite evaluates in float64,
+    # so these flags would be accepted and then ignored
     verbs = [["coeffs"], ["sweep"], ["norm"], ["gibbs"], ["bounds", "--x", "0.1"], ["fem"],
-             ["growth", "--point", "-1", "--fixed-alpha", "1"]]
+             ["growth", "--point", "-1", "--fixed-alpha", "1"], ["conjecture"], ["figures"]]
     for argv in [v + ["--jobs", "2"] for v in verbs] + [["conjecture", "--precision", "big:999"]]:
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -472,6 +465,19 @@ def test_cli_rejects_ignored_flags(capsys):
      "norm reads coefficient prefixes, and the order-p approximations of constrained a=0.5"),
     (["gibbs", "--family", "constrained"],
      "gibbs reads coefficient prefixes, and the order-p approximations of constrained a=0.5"),
+    # a precision spec is f64, big (big:256) or big:<bits>
+    (["coeffs", "--family", "step", "--a", "0.5", "--pmax", "3", "--precision", "big999"],
+     "cannot parse precision spec 'big999'"),
+    (["coeffs", "--precision", "bigfoo"], "cannot parse precision spec 'bigfoo'"),
+    (["coeffs", "--precision", "big:"], "cannot parse precision spec 'big:'"),
+    # each point names its output files by the tag x{x:+.7g}
+    (["sweep", "--family", "step", "--a", "0.5", "--pmax", "300", "--x", "0.1", "0.10000000001"],
+     "sweep points x = 0.1 and x = 0.10000000001 share the output tag x+0.1"),
+    (["bounds", "--x", "-0.25", "0.5", "-0.25", "--pmax", "50"],
+     "bounds points x = -0.25 and x = -0.25 share the output tag x-0.25"),
+    (["fem", "--x", "0.3", "0.29999999999", "--pmax", "50"],
+     "fem points x = 0.3 and x = 0.29999999999 share the output tag x+0.3"),
+    (["conjecture", "--clauses", "1", "6"], "clause 6 is not one of 1, 2, 3, 4, 5"),
 ])
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
@@ -559,15 +565,16 @@ def test_cli_coeffs_powerabs_takes_a(tmp_path, argv, params, a):
     assert [float(r.split(",")[1]) for r in rows] == want
 
 
-# the norm tail, the exact norm, the growth ceiling and the powershift growth
-# checks are constants, and constant_rel is no tolerance: a config that sets
-# one is rejected like any unknown key
+# the norm tail, the exact norm, the growth ceiling, the powershift growth
+# checks and the worker count are constants, and constant_rel is no
+# tolerance: a config that sets one is rejected like any unknown key
 @pytest.mark.parametrize("kind,options,name", [
     ("norm", {"tail_margin": 800}, "tail_margin"),
     ("norm", {"exact_norm_sq": 0.375}, "exact_norm_sq"),
     ("growth", {"point": -1.0, "fixed_alpha": 1.0, "ceiling": 10000}, "ceiling"),
     ("conjecture", {"growth_checks": True}, "growth_checks"),
     ("conjecture", {"tolerances": {"constant_rel": 0.25}}, "constant_rel"),
+    ("conjecture", {"jobs": 2}, "jobs"),
 ])
 def test_removed_options_are_rejected(tmp_path, capsys, kind, options, name):
     doc = {"id": kind, "kind": kind, "options": options}
