@@ -83,12 +83,14 @@ class LegendreSeries:
 
     A float64 series holds its coefficients as one read-only ndarray, its
     float64 image, and builds the ``coeffs`` list on first read.  A
-    big-float series from an integer recurrence holds each c_k as an exact
-    pair (M_k, E_k), c_k = M_k 2^E_k (``from_pairs``).  The pairs are
-    rounded to the context only when ``pairs``, ``coeffs`` or a big-float
-    sweep reads them, and the exact integers are then dropped; the float64
-    image rounds them to floats in bulk (``precision.pair_floats``) without that
-    step, and ``coeffs`` builds the mpf list from the rounded pairs.
+    big-float series holds each c_k as an exact pair (M_k, E_k),
+    c_k = M_k 2^E_k: the pairs of an integer recurrence (``from_pairs``),
+    or a list of mpf or floats read exactly at once (``dyadic``).  The pairs
+    are rounded to the context only when ``pairs``, ``coeffs`` or a
+    big-float sweep reads them, and the exact integers are then dropped;
+    the float64 image rounds them to floats in bulk
+    (``precision.pair_floats``) without that step, and ``coeffs`` builds
+    the mpf list from the rounded pairs.
     """
 
     def __init__(self, coeffs, generator: Generator, ctx: PrecisionContext,
@@ -102,11 +104,12 @@ class LegendreSeries:
             if not np.isfinite(self._f64_array).all():
                 raise ValueError("series coefficients must be finite")
             self._f64_array.flags.writeable = False
-            coeffs = None
-        self._coeffs, self._pairs = coeffs, pairs
+        elif coeffs is not None:
+            pairs = list(map(dyadic, coeffs))
+        self._coeffs, self._pairs = None, pairs
         # _raw: the pairs are exact, not yet rounded to ctx; _grow: the state
         # an integer recurrence continues from when a longer series is asked for
-        self._raw, self._grow = False, None
+        self._raw, self._grow = ctx.mode != F64, None
         self.generator, self.ctx, self.params = generator, ctx, params if params is not None else {}
 
     @classmethod
@@ -121,7 +124,6 @@ class LegendreSeries:
                 floats = np.concatenate((held.as_floats(), floats))
             return cls(floats, generator, ctx, params)
         out = cls(None, generator, ctx, params, list(pairs))
-        out._raw = True
         if held is not None:
             if not held._raw:
                 out.pairs()
@@ -141,10 +143,10 @@ class LegendreSeries:
 
     def pairs(self, stop: Optional[int] = None):
         """c_0..c_{stop-1} as exact pairs (n, e), c_k = n 2^e: the held pairs,
-        rounded to the context on first read, or each float or mpf read
-        exactly as it is consumed."""
+        rounded to the context on first read, or each float64 coefficient
+        read exactly as it is consumed."""
         if self._pairs is None:
-            return map(dyadic, self.coeffs[:stop])
+            return map(dyadic, self._f64_array[:stop].tolist())
         if self._raw:  # in place: each exact pair is freed as it is rounded
             pairs, bits = self._pairs, self.ctx.bits
             for i, (n, e) in enumerate(pairs):
@@ -154,8 +156,7 @@ class LegendreSeries:
 
     @property
     def degree(self) -> int:
-        held = next(h for h in (self._pairs, self._coeffs, self._f64_array) if h is not None)
-        return len(held) - 1
+        return len(self._f64_array if self._pairs is None else self._pairs) - 1
 
     @property
     def series_id(self) -> str:
@@ -166,8 +167,7 @@ class LegendreSeries:
         """c_0..c_P as a series that shares this one's float64 image."""
         if self.ctx.mode == F64:
             return LegendreSeries(self._f64_array[: P + 1], self.generator, self.ctx, self.params)
-        out = LegendreSeries(self._coeffs and self._coeffs[: P + 1], self.generator, self.ctx,
-                             self.params, self._pairs and self._pairs[: P + 1])
+        out = LegendreSeries(None, self.generator, self.ctx, self.params, self._pairs[: P + 1])
         out._source, out._raw = self, self._raw
         return out
 
@@ -176,9 +176,6 @@ class LegendreSeries:
         if self._f64_array is None:
             if self._source is not None:
                 self._f64_array = self._source.as_floats()[: self.degree + 1]
-            elif self._pairs is None:
-                self._f64_array = np.fromiter(map(float, self._coeffs), dtype=float,
-                                              count=self.degree + 1)
             else:
                 head = self._f64_head
                 start = 0 if head is None else len(head)

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .functions import Family, PowerShiftFamily, family_from_config
+from .functions import Family, PowerShiftFamily, check_distinct, family_from_config
 from .precision import FLOAT64, PrecisionContext, PrecisionError, bigfloat
 from .ratefit import (FitUnreliable, Record, bounded_oscillation_check, coefficient_ctx,
                       constant_growth, fit_rate)
@@ -228,9 +228,11 @@ def conjecture_suite(beta_grid: Sequence[float], a_grid: Sequence[float],
     """Run the requested clauses over the parameter grid, in grid order.
 
     Raises ValueError, before any point runs, for a beta at most -1, an a
-    outside (-1, 1) or a clause outside 1..5.
+    outside (-1, 1), a clause outside 1..5 or an entry listed twice.
     """
     tol = tolerance_profile or ToleranceProfile()
+    for what, values in (("clauses", clauses), ("beta_grid", beta_grid), ("a_grid", a_grid)):
+        check_distinct(what, values)
     for clause in clauses:
         if clause not in (1, 2, 3, 4, 5):
             raise ValueError(f"clause {clause!r} is not one of 1, 2, 3, 4, 5")
@@ -245,7 +247,9 @@ def conjecture_suite(beta_grid: Sequence[float], a_grid: Sequence[float],
 
 
 def check_powershift_betas(beta_grid: Sequence[float]) -> None:
-    """Raise ValueError for a beta that powershift_suite cannot measure."""
+    """Raise ValueError for a beta that powershift_suite cannot measure or
+    that the list repeats."""
+    check_distinct("powershift_betas", beta_grid)
     for beta in beta_grid:
         if beta <= -1.0:
             raise ValueError("beta must exceed -1")

@@ -287,6 +287,13 @@ def check_keys(what: str, given, known, required=()) -> None:
         raise ValueError(f"{what}: {'; '.join(problems)}; accepted: {sorted(known)}")
 
 
+def check_distinct(what: str, values) -> None:
+    """Raise ValueError naming an entry that the sequence ``values`` repeats."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ValueError(f"{what} lists {repeated[0]!r} more than once")
+
+
 FAMILIES = {cls.name: cls for cls in (StepDerivativeFamily, AbsShiftFamily, ConstrainedFamily,
                                        PowerAbsFamily, PowerShiftFamily, SpecFamily)}
 

@@ -10,28 +10,28 @@ the solved problem's exact solution is the piecewise-linear function in
 generators and the solver then agree sign for sign.
 
 Point loads are evaluated exactly: the load vector holds basis values at a.
-The mode norms sqrt(2(2k-1)) are computed once per precision context and
-read from there by every mode evaluation.  The element error sweep and
-the solution trace need no norms on the loaded element and run on the
-integer kernel in big-float mode (see ``_LoadedElement``).  Every path
-maps x to the reference element through ``Mesh1D.to_reference``, exact
-at the element's nodes; in big-float mode the element's lo + hi and
-hi - lo are exact too.
+The mode norms sqrt(2(2k-1)) are formed per solve and held on the
+solution.  The element error sweep and the solution trace need no norms on
+the loaded element and in big-float mode read ``series_eval.mode_terms``,
+the kernel of the constrained expansion's bumps.  Every path maps x to the
+reference element through ``Mesh1D.to_reference``, exact at the element's
+nodes; in big-float mode the element's lo + hi and hi - lo are exact too.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import count
+from functools import cached_property
+from itertools import accumulate, islice
 
 import mpmath
 import numpy as np
 
 from .functions import exact_solution
-from .legendre import fixed_scale, legendre_eval_range, legendre_fixed_range
-from .precision import BIG, FLOAT64, PrecisionContext, dyadic, to_fixed
-from .series_eval import ErrorSweep
+from .legendre import legendre_eval_range
+from .precision import BIG, FLOAT64, PrecisionContext, to_fixed
+from .series_eval import ErrorSweep, fixed_floats, mode_terms
 
 
 @dataclass
@@ -92,23 +92,19 @@ class Mesh1D:
         return mpmath.fsub(hi, lo, exact=True) if ctx.mode == BIG else float(hi - lo)
 
 
-# per context: the mode norms sqrt(2(2k-1)) for k = 2, 3, ..., grown on demand
-_MODE_NORMS: dict = {}
-
-
 def _mode_norms(p: int, ctx: PrecisionContext) -> list:
-    """sqrt(2(2k-1)) in ctx for k = 2..p (and possibly beyond), computed once per context."""
-    norms = _MODE_NORMS.setdefault(ctx, [])
-    norms.extend(ctx.sqrt(ctx.convert(2 * (2 * k - 1))) for k in range(len(norms) + 2, p + 1))
-    return norms
+    """sqrt(2(2k-1)) in ctx for k = 2..p, each a correctly rounded square root."""
+    if ctx.mode == BIG:
+        with ctx.active():
+            return [mpmath.sqrt(m) for m in range(6, 4 * p - 1, 4)]
+    return np.sqrt(np.arange(6.0, 4 * p - 1, 4.0)).tolist()
 
 
 def internal_modes(p: int, xi, ctx: PrecisionContext = FLOAT64) -> list:
     """Integrated-Legendre shapes N_2..N_p at xi; each vanishes at xi = -1, 1."""
     Pk = legendre_eval_range(p, xi, ctx)
-    norms = _mode_norms(p, ctx)
     with ctx.active():
-        return [(pk - pk2) / nk for pk, pk2, nk in zip(Pk[2:], Pk, norms)]
+        return [(pk - pk2) / nk for pk, pk2, nk in zip(Pk[2:], Pk, _mode_norms(p, ctx))]
 
 
 @dataclass
@@ -138,9 +134,14 @@ class FemSolution:
             p = len(coeffs) + 1
             Pk = legendre_eval_range(p, xi, ctx)
             with ctx.active():
-                for ck, pk, pk2, nk in zip(coeffs, Pk[2:], Pk, _mode_norms(p, ctx)):
+                for ck, pk, pk2, nk in zip(coeffs, Pk[2:], Pk, self._norms):
                     val += ck * (pk - pk2) / nk
         return val
+
+    @cached_property
+    def _norms(self) -> list:
+        """The mode norms of the element with the most modes, held for every evaluate."""
+        return _mode_norms(max(map(len, self.internal)) + 1, self.ctx)
 
     def error(self, x: float) -> float:
         return float(exact_solution(float(x), self.a) - self.evaluate(x))
@@ -148,9 +149,9 @@ class FemSolution:
     def trace(self) -> tuple:
         """Solution samples (x, u): 20 evenly spaced from each element's left node, then x = 1.
 
-        In big-float arithmetic the samples on the loaded element read the
-        integer kernel of ``_LoadedElement``, one xi_a row per trace, and
-        each is rounded to float once, where ``evaluate`` adds the modes in mpf.
+        In big-float arithmetic the samples on the loaded element read
+        ``series_eval.mode_terms``, one xi_a row per trace, and each is
+        rounded to float once, where ``evaluate`` adds the modes in mpf.
         """
         mesh, ctx = self.mesh, self.ctx
         xs = [*np.concatenate([np.linspace(lo, hi, 20, endpoint=False)
@@ -158,47 +159,16 @@ class FemSolution:
         s = mesh.element_of(self.a)
         if ctx.mode != BIG or not self.internal[s]:
             return xs, [float(self.evaluate(t)) for t in xs]
-        kernel = _LoadedElement(self, len(self.internal[s]) + 1)
-        return xs, [kernel.value(t) if mesh.element_of(t) == s else float(self.evaluate(t))
-                    for t in xs]
+        S = ctx.bits + 64
+        terms = mode_terms(mesh.width(s, ctx), mesh.to_reference(s, self.a, ctx),
+                           len(self.internal[s]) + 1, ctx.bits)
 
+        def loaded(t) -> float:
+            # u(t) with all the element's modes, rounded to float once
+            xi = mesh.to_reference(s, t, ctx)
+            return (to_fixed(self._linear(s, xi), S) - sum(terms(xi))) / (1 << S)
 
-class _LoadedElement:
-    """The modes of the element that holds the load point, on the integer kernel.
-
-    The mode norms cancel in the term of mode k,
-    (he/2) N_k(xi_a) N_k(xi_x) = (he/2) (P_k - P_{k-2})(xi_a) (P_k - P_{k-2})(xi_x) / (2(2k-1)),
-    so the kernel reads one ``legendre_fixed_range`` row at xi_a, held for
-    every x, and one at xi_x, and forms each term in units of 2^-S by one
-    rounded integer division (big-float contexts only).
-    """
-
-    def __init__(self, sol: FemSolution, kmax: int):
-        mesh, ctx = sol.mesh, sol.ctx
-        self.sol, self.kmax, self.bits = sol, kmax, ctx.bits
-        self.s = mesh.element_of(sol.a)
-        self.S = ctx.bits + 64
-        # he / 2 = hn 2^(e-1)
-        self.hn, self.e = dyadic(mesh.width(self.s, ctx))
-        xi_a = mesh.to_reference(self.s, sol.a, ctx)
-        self.Sa = fixed_scale(xi_a, ctx.bits)
-        self.A = legendre_fixed_range(kmax, xi_a, self.Sa)
-
-    def terms(self, xi_x):
-        """The term of each mode k = 2..kmax at xi_x, in units of 2^-S."""
-        Sx = fixed_scale(xi_x, self.bits)
-        A, X, hn = self.A, legendre_fixed_range(self.kmax, xi_x, Sx), self.hn
-        # hn (A_k - A_{k-2}) (X_k - X_{k-2}) / (m 2^sh), m = 2 (2k - 1)
-        sh = self.Sa + Sx + 1 - self.e - self.S
-        # floor(floor(t / m) / 2^sh) = floor(t / (m 2^sh)): one rounding
-        return (((hn * (a2 - a0) * (x2 - x0) + (m << (sh - 1))) // m) >> sh
-                for a0, a2, x0, x2, m in zip(A, A[2:], X, X[2:], count(6, 4)))
-
-    def value(self, x) -> float:
-        """u(x) with all kmax - 1 modes, rounded to float once."""
-        xi = self.sol.mesh.to_reference(self.s, x, self.sol.ctx)
-        total = to_fixed(self.sol._linear(self.s, xi), self.S) - sum(self.terms(xi))
-        return total / (1 << self.S)
+        return xs, [loaded(t) if mesh.element_of(t) == s else float(self.evaluate(t)) for t in xs]
 
 
 def _thomas(diag, off, rhs, ctx):
@@ -267,9 +237,10 @@ def element_error_series(sol: FemSolution, x: float, pmax: int) -> ErrorSweep:
     p + 1), matching the order-p endpoint-constrained expansion under the
     affine map; on a single element the two sweeps coincide identically.
 
-    A big-float sweep reads the integer kernel of ``_LoadedElement``, keeps
-    the running error exactly and rounds each error to float once.  A
-    float64 sweep is one array pass over two ``legendre_eval_range`` rows,
+    A big-float sweep keeps the running error to_fixed(exact) -
+    to_fixed(linear) + the terms of ``series_eval.mode_terms`` exactly and
+    rounds each to float once (``fixed_floats``).
+    A float64 sweep is one array pass over two ``legendre_eval_range`` rows,
     its running sum an ``add.accumulate`` scan with the bits of the scalar
     loop.
     """
@@ -283,11 +254,11 @@ def element_error_series(sol: FemSolution, x: float, pmax: int) -> ErrorSweep:
     with ctx.active():
         exact = ctx.convert(exact_solution(float(x), a))
     if ctx.mode == BIG:
-        kernel = _LoadedElement(sol, pmax + 1)
-        err, scale, errs = to_fixed(exact, kernel.S) - to_fixed(linear, kernel.S), 1 << kernel.S, []
-        for t in kernel.terms(xi_x):
-            err += t
-            errs.append(abs(err) / scale)
+        S = ctx.bits + 64
+        terms = mode_terms(mesh.width(s, ctx), mesh.to_reference(s, a, ctx), pmax + 1, ctx.bits)
+        err = to_fixed(exact, S) - to_fixed(linear, S)
+        errs = np.abs(fixed_floats(lambda: islice(accumulate(terms(xi_x), initial=err), 1, None),
+                                   pmax, S))
     else:
         he, xi_a = mesh.width(s), mesh.to_reference(s, a)
         # xi_x is a point of its own, so the rows are not held in the row memo

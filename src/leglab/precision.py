@@ -77,12 +77,6 @@ class PrecisionContext:
     def zero(self) -> Number:
         return self.convert(0)
 
-    def sqrt(self, x) -> Number:
-        if self.mode == BIG:
-            with mpmath.workprec(self.bits):
-                return mpmath.sqrt(x)
-        return math.sqrt(x)
-
     def describe(self) -> str:
         if self.mode == BIG:
             return f"big:{self.bits}"

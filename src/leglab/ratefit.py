@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .coefficients import LegendreSeries
+from .functions import check_distinct
 from .legendre import _array_step, legendre_sums_array
 from .precision import F64, FLOAT64, PrecisionContext
 from .series_eval import ErrorSweep, error_sweep
@@ -250,10 +251,11 @@ def constant_growth(family, approach_point: float, side: int, xi_grid: Sequence[
     ``xi_cap``, outside [-1, 1], at an endpoint or at the family's singular
     point measures another feature and is dropped too.  A window with no
     nonzero error, or fewer than three probes left, raises FitUnreliable; a
-    side other than -1 or 1 raises ValueError.
+    side other than -1 or 1, or a xi listed twice, raises ValueError.
     """
     if side not in (-1, 1):
         raise ValueError(f"growth side must be -1 or 1, not {side!r}")
+    check_distinct("growth xi", xi_grid)
     eval_ctx = ctx or FLOAT64
     xi_values, C_values, dropped = [], [], []
     for xi in xi_grid:

@@ -24,7 +24,7 @@ from .coefficients import coefficient_text
 from .conjecture import (ToleranceProfile, check_powershift_betas, conjecture_suite,
                          powershift_suite, summarize)
 from .functions import (LoadPointFamily, PowerAbsFamily, SpecFamily, StepDerivativeFamily,
-                        check_keys, family_from_config)
+                        check_distinct, check_keys, family_from_config)
 from .precision import FLOAT64, PrecisionContext, PrecisionError, parse_precision
 from .ratefit import (FitUnreliable, GridTooCoarse, constant_growth, fit_rate, gibbs_probe,
                       pinned_constant)
@@ -197,7 +197,7 @@ def _fit_payload(sweep, config):
 
 
 def _coeffs(config, opts, family, writer):
-    series = family.series(config.pmax, config.coeff_ctx() or config.eval_ctx())
+    series = family.series(config.pmax, config.eval_ctx())
     name = f"{config.id}.coeffs.csv"
     writer.csv(name, "k,coeff", [range(series.degree + 1), coefficient_text(series)])
     writer.json(name + ".json", series.metadata())
@@ -289,6 +289,7 @@ def _gibbs(config, opts, family, writer):
     if not pvalues or not all(1 <= p <= config.pmax for p in pvalues):
         raise ValueError(f"gibbs pvalues {list(pvalues)} must be non-empty and lie in "
                          f"[1, pmax = {config.pmax}]")
+    check_distinct("gibbs pvalues", pvalues)
     if family.singular_point() is None:
         raise ValueError(f"{family.describe()} has no interior singular point to probe")
     series = family.series(config.pmax + 1, config.coeff_ctx())
@@ -386,7 +387,7 @@ class Kind:
 FAMILY_FIELDS = ("family", "params", "pmax")
 
 KINDS = {
-    "coeffs": Kind(_coeffs, (*FAMILY_FIELDS, "precision", "coeff_precision")),
+    "coeffs": Kind(_coeffs, (*FAMILY_FIELDS, "precision")),
     "sweep": Kind(_sweep, (*FAMILY_FIELDS, "precision", "coeff_precision", "x", "window"),
                   expect=("alpha", "C")),
     "norm": Kind(_norm, (*FAMILY_FIELDS, "coeff_precision"), expect=("slope",),

@@ -13,13 +13,14 @@ one ndarray and the compensated running sums two ``add.accumulate`` scans
 round(v 2^S), S = bits + 64, each term costs one integer product and one
 rounding, and the running sum is exact; the sums and each order's
 difference to the reference stream through ``itertools.accumulate`` and
-``np.fromiter`` and are rounded to float once, so no list of running sums
+are rounded to float once by ``fixed_floats``, so no list of running sums
 is held.
 
 For the endpoint-constrained family the order-p truncation is the order-p
 constrained solution (its tail differs from the stored coefficient prefix);
 partial sums are therefore accumulated from the endpoint-vanishing bumps
-a_k (P_{k+1} - P_{k-1}) / (2k+1) instead of a literal coefficient prefix.
+a_k (P_{k+1} - P_{k-1}) / (2k+1) instead of a literal coefficient prefix:
+the loaded p-FEM element's terms negated, so ``pfem`` reads ``mode_terms``.
 """
 
 from __future__ import annotations
@@ -27,16 +28,16 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, filterfalse, islice, repeat
-from operator import sub, truediv
+from itertools import accumulate, chain, count, filterfalse, islice, repeat
+from operator import neg, sub, truediv
 from typing import Optional
 
 import mpmath
 import numpy as np
 
 from .coefficients import Generator, LegendreSeries, derivative_coeffs
-from .legendre import legendre_fixed_range, legendre_row
-from .precision import BIG, F64, PrecisionContext, round_bits, to_fixed
+from .legendre import fixed_scale, legendre_fixed_range, legendre_row
+from .precision import BIG, F64, PrecisionContext, dyadic, round_bits, to_fixed
 
 
 @dataclass
@@ -111,25 +112,43 @@ def _terms(series: LegendreSeries, x, pmax: int) -> np.ndarray:
     return series.as_floats()[: pmax + 1] * legendre_row(pmax, x)
 
 
+def mode_terms(he, xi_a, kmax: int, bits: int):
+    """The loaded element's terms as a function of xi: for the element of
+    width he = hn 2^e (exact) that holds the load at xi_a, round((he/2)
+    N_k(xi_a) N_k(xi) 2^(bits+64)) for k = 2..kmax, the norms cancelled, by
+    one division of hn (P_k - P_{k-2})(xi_a) (P_k - P_{k-2})(xi) each.  The
+    xi_a row is formed once, every row at its point's ``fixed_scale``; with
+    he = 2 the terms negated are the constrained family's bumps."""
+    Sa, (hn, e) = fixed_scale(xi_a, bits), dyadic(he)
+    A = legendre_fixed_range(kmax, xi_a, Sa)
+
+    def terms(xi):
+        Sx = fixed_scale(xi, bits)
+        X = legendre_fixed_range(kmax, xi, Sx)
+        # hn (A_k - A_{k-2}) (X_k - X_{k-2}) / (m 2^sh), m = 2 (2k - 1), he / 2 = hn 2^(e-1)
+        sh = Sa + Sx + 1 - e - (bits + 64)
+        # floor(floor(t / m) / 2^sh) = floor(t / (m 2^sh)): one rounding
+        return (((hn * (a2 - a0) * (x2 - x0) + (m << (sh - 1))) // m) >> sh
+                for a0, a2, x0, x2, m in zip(A, A[2:], X, X[2:], count(6, 4)))
+
+    return terms
+
+
 def _fixed_terms(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, S: int):
     """The terms of _terms for a big-float context, as integers round(t_k 2^S).
 
     x (and a) are rounded to the context as a big-float kernel would take
-    them, P_k(x) and P_k(a) come from legendre_fixed_range, a prefix term is
-    (C_k P_k + 2^(S-1)) >> S and a constrained bump is one rounded division
-    of (A_{k-1} - A_{k+1}) (X_{k+1} - X_{k-1}) by 2 (2k+1) 2^S.  A big-float
+    them and P_k(x) comes from legendre_fixed_range.  A constrained bump
+    is a loaded-element term of ``mode_terms`` negated, on the element
+    [-1, 1]; a prefix term is (C_k P_k + 2^(S-1)) >> S.  A big-float
     coefficient is read from its exact pair, rounded to ctx's bits where it
     has more; float64 coefficients are split by one ``np.frexp`` into 53-bit
     integers and exponents, so C_k P_k is never formed at S bits.
     """
     _check_order(series, pmax)
     if series.generator is Generator.CONSTRAINED_PVERSION:
-        A = legendre_fixed_range(pmax + 1, ctx.convert(series.params["a"]), S)
-        X = legendre_fixed_range(pmax + 1, ctx.convert(x), S)
-        # floor(floor(t / m) / 2^S) = floor(t / (m 2^S)): one rounding; m = 2 (2k + 1)
-        bumps = ((((a0 - a2) * (x2 - x0) + (m << (S - 1))) // m) >> S
-                 for a0, a2, x0, x2, m in zip(A, A[2:], X, X[2:], range(6, 4 * pmax + 3, 4)))
-        return chain([0], bumps)
+        terms = mode_terms(2, ctx.convert(series.params["a"]), pmax + 1, ctx.bits)
+        return chain([0], map(neg, terms(ctx.convert(x))))
     Px = legendre_fixed_range(pmax, ctx.convert(x), S)
     if series.ctx.mode == F64:
         c = series.as_floats()[: pmax + 1]
@@ -162,7 +181,21 @@ def _neumaier_running_sums(t: np.ndarray) -> np.ndarray:
     return s + np.add.accumulate(np.concatenate(([0.0], e)))[1:]
 
 
-_TINY = np.finfo(float).tiny  # the least normal float64
+def fixed_floats(values, n: int, S: int) -> np.ndarray:
+    """The n exact integers of ``values()`` over 2^S, each rounded to float
+    once: by float(int), which rounds to nearest, and an exact ldexp by -S
+    where every result is a normal float, else by the correctly rounded
+    division by 2^S.  ``values`` is called again for that second pass, so
+    no list of the integers is held."""
+    try:
+        f = np.fromiter(map(float, values()), float, n)
+        d = np.ldexp(f, -S)
+        if not np.any((np.abs(d) < np.finfo(float).tiny) & (f != 0)):
+            return d
+    except OverflowError:
+        pass
+    # a value past the float range, or a subnormal result that ldexp would round again
+    return np.fromiter(map(truediv, values(), repeat(1 << S)), float, n)
 
 
 def _running_sums(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, ref=None):
@@ -172,9 +205,7 @@ def _running_sums(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, r
     S is S_pmax in the context's number type.  Float64 sums carry Neumaier
     compensation; big-float sums are exact sums of the fixed-point terms,
     formed in one streaming pass (no list of running sums is held) whose
-    values are each rounded to float once: by float(int), which rounds to
-    nearest, and an exact ldexp by -S where every result is a normal float,
-    else by the correctly rounded division by 2^S, as the per-term loop
+    values ``fixed_floats`` rounds to float once each, as the per-term loop
     ``fixed_running_sums_loop`` of tests/oracles.py rounds every value.
     """
     if ctx.mode == BIG:
@@ -190,15 +221,7 @@ def _running_sums(series: LegendreSeries, x, pmax: int, ctx: PrecisionContext, r
                     else islice(accumulate(terms, sub, initial=R), 1, None))
             return filterfalse(last.append, sums)
 
-        try:
-            f = np.fromiter(map(float, values()), float, pmax + 1)
-            d = np.ldexp(f, -S)
-            exact = not np.any((np.abs(d) < _TINY) & (f != 0))
-        except OverflowError:
-            exact = False
-        if not exact:
-            # a value past the float range, or a subnormal result that ldexp would round again
-            d = np.fromiter(map(truediv, values(), repeat(1 << S)), float, pmax + 1)
+        d = fixed_floats(values, pmax + 1, S)
         total = last[0] if R is None else R - last[0]
         with ctx.active():
             return d, mpmath.mpf((total, -S))

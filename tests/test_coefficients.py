@@ -725,6 +725,20 @@ def test_big_float_export_text_is_the_nstr_of_each_coefficient(bits):
                                                 for c in series.coeffs]
 
 
+def test_a_big_float_series_of_mpf_values_holds_their_exact_pairs():
+    # one form: the values are read exactly at once and every view reads the pairs
+    ctx = bigfloat(128)
+    with ctx.active():
+        values = [mpmath.mpf(1) / 3, mpmath.mpf(0), -mpmath.mpf(2) ** -1100, mpmath.sqrt(2)]
+    series = LegendreSeries(values, Generator.CUSTOM_SPEC, ctx)
+    assert series._coeffs is None and series.degree == 3
+    assert series.pairs() == [dyadic(v) for v in values]
+    assert [c._mpf_ for c in series.coeffs] == [v._mpf_ for v in values]
+    assert series.as_floats().tolist() == [float(v) for v in values]
+    assert series.prefix(1).pairs() == [dyadic(v) for v in values[:2]]
+    assert series.prefix(2).as_floats().tolist() == [float(v) for v in values[:3]]
+
+
 @st.composite
 def _pairs_at_bits(draw):
     """(bits, pairs): bits in 53..1024 and pairs (n, e) of at most that many

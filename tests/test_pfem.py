@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leglab
 from leglab.coefficients import constrained_pversion_coeffs, step_derivative_coeffs
 from leglab.functions import exact_solution
 from leglab.legendre import gauss_rule, legendre_eval_range
@@ -235,7 +240,10 @@ def test_solution_export(tmp_path):
 
 
 def _norm(k, ctx):
-    return ctx.sqrt(ctx.convert(2 * (2 * k - 1)))
+    if ctx.mode == "f64":
+        return math.sqrt(2 * (2 * k - 1))
+    with ctx.active():
+        return mpmath.sqrt(ctx.convert(2 * (2 * k - 1)))
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
@@ -330,3 +338,50 @@ def test_big_float_geometry_is_exact_on_a_non_dyadic_mesh():
         with mpmath.workprec(192):
             want = +want
         assert abs(got - want) <= abs(want) * mpmath.mpf(2) ** -180
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(a=st.floats(-0.95, 0.95),
+       x=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1e-3, 1e-3), st.floats(-1.0, 1.0)),
+       bits=st.sampled_from([64, 128, 192, 256]), pmax=st.integers(1, 900))
+def test_bigfloat_constrained_sweep_is_the_one_element_fem_sweep(a, x, bits, pmax):
+    # on the element [-1, 1] the FEM solution of degree p + 1 is the order-p
+    # constrained expansion, and both sweeps read one integer kernel
+    ctx = bigfloat(bits)
+    sol = assemble_and_solve(Mesh1D.uniform(1, pmax + 1), a, ctx)
+    fem = element_error_series(sol, x, pmax)
+    series = constrained_pversion_coeffs(a, pmax + 1, ctx)
+    con = error_sweep(series, lambda t: exact_solution(t, a), x, pmax, ctx)
+    assert fem.abs_error.tobytes() == con.abs_error.tobytes()
+
+
+FEM_RUNS = [{"id": "f64", "params": {"a": 0.5}, "x": [-0.2, 0.6],
+             "options": {"n": 1, "degree": 40}, "pmax": 30},
+            {"id": "big128", "params": {"a": -0.5}, "x": [-0.9, -0.4], "precision": "big:128",
+             "options": {"n": 3, "degree": 60}, "pmax": 50},
+            {"id": "big192", "params": {"a": 0.3}, "x": [0.1], "precision": "big:192",
+             "options": {"n": 2, "degree": 25}, "pmax": 20}]
+
+
+def _fem_bytes(outdir, run) -> dict:
+    name = f"{run['id']}.fem.csv"
+    return {n: (outdir / n).read_bytes() for n in (name, name + ".trace.csv")}
+
+
+def test_fem_outputs_do_not_depend_on_the_solves_before(tmp_path):
+    # each run alone in a fresh process, then all in one process in both
+    # orders: no norms held at another degree or in another context
+    src = os.path.dirname(os.path.dirname(leglab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import json, sys; from leglab.runner import ExperimentConfig, run_experiment; "
+            "run_experiment(ExperimentConfig(kind='fem', **json.loads(sys.argv[1])), sys.argv[2])")
+    alone = {}
+    for run in FEM_RUNS:
+        out = tmp_path / "alone" / run["id"]
+        subprocess.run([sys.executable, "-c", code, json.dumps(run), str(out)], env=env, check=True)
+        alone[run["id"]] = _fem_bytes(out, run)
+    for order in (FEM_RUNS, FEM_RUNS[::-1]):
+        for run in order:
+            out = tmp_path / "together" / run["id"]
+            run_experiment(ExperimentConfig(kind="fem", **run), str(out))
+            assert _fem_bytes(out, run) == alone[run["id"]], run["id"]

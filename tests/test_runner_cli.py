@@ -234,6 +234,9 @@ def test_benchmark_specs_validate(monkeypatch):
      r"bounds point x = 1.0 lies outside \(-1, 1\)"),
     ({"kind": "fem", "params": {"a": 0.3}, "x": [0.1, 0.6], "options": {"n": 4}},
      r"fem point x = 0.6 lies outside \[0, 0.5\]"),
+    # coeffs reads one precision field
+    ({"kind": "coeffs", "precision": "f64", "coeff_precision": "big:256"},
+     r"coeffs does not read the config fields \['coeff_precision'\]"),
 ])
 def test_run_rejects_input_it_would_not_honour(tmp_path, doc, match):
     # rejected before any work: no output directory, no manifest
@@ -411,11 +414,12 @@ def test_cli_gibbs(tmp_path, capsys):
 
 
 def test_cli_rejects_ignored_flags(capsys):
-    # every verb runs serially and the conjecture suite evaluates in float64,
-    # so these flags would be accepted and then ignored
+    # every verb runs serially, the conjecture suite evaluates in float64 and
+    # coeffs exports in --precision, so these flags would be accepted and then ignored
     verbs = [["coeffs"], ["sweep"], ["norm"], ["gibbs"], ["bounds", "--x", "0.1"], ["fem"],
              ["growth", "--point", "-1", "--fixed-alpha", "1"], ["conjecture"], ["figures"]]
-    for argv in [v + ["--jobs", "2"] for v in verbs] + [["conjecture", "--precision", "big:999"]]:
+    for argv in [v + ["--jobs", "2"] for v in verbs] + [["conjecture", "--precision", "big:999"],
+                                                         ["coeffs", "--coeff-precision", "big:256"]]:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -478,6 +482,21 @@ def test_cli_rejects_ignored_flags(capsys):
     (["fem", "--x", "0.3", "0.29999999999", "--pmax", "50"],
      "fem points x = 0.3 and x = 0.29999999999 share the output tag x+0.3"),
     (["conjecture", "--clauses", "1", "6"], "clause 6 is not one of 1, 2, 3, 4, 5"),
+    # a repeated entry would run again and be counted again
+    (["conjecture", "--beta-grid", "0.5", "--a-grid", "0.5", "--clauses", "5", "5", "--pmax", "600"],
+     "clauses lists 5 more than once"),
+    (["conjecture", "--beta-grid", "0.5", "0.5", "--a-grid", "0.5", "--clauses", "5"],
+     "beta_grid lists 0.5 more than once"),
+    (["conjecture", "--a-grid", "0.5", "0.0", "0.5"], "a_grid lists 0.5 more than once"),
+    (["conjecture", "--powershift-betas", "0.5", "0.5"],
+     "powershift_betas lists 0.5 more than once"),
+    (["growth", "--family", "step", "--a", "0.5", "--point", "-1.0", "--fixed-alpha", "1.0",
+      "--xi", "0.1", "0.1", "0.1"], "growth xi lists 0.1 more than once"),
+    (["gibbs", "--family", "step", "--a", "0.5", "--pvalues", "500", "500", "1000"],
+     "gibbs pvalues lists 500 more than once"),
+    # coeffs exports in its one precision field
+    (["coeffs", "--precision", "f64", "--coeff-precision", "big:256"],
+     "unrecognized arguments: --coeff-precision big:256"),
 ])
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
