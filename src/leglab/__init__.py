@@ -16,8 +16,7 @@ from .ratefit import (ConstantGrowthFit, FitUnreliable, GibbsReport, RateFit,
                       fit_rate, gibbs_probe, pinned_constant, weighted_sup_norm)
 from .bounds import BoundReport, BVFunction, Jump, step_bv, theorem1_bound_series
 from .pfem import FemSolution, Mesh1D, assemble_and_solve, element_error_series
-from .conjecture import (ConjectureVerdict, ToleranceProfile, conjecture_suite,
-                         powershift_suite)
+from .conjecture import ConjectureVerdict, conjecture_suite, powershift_suite
 from .runner import ExperimentConfig, run_experiment, run_figures
 
 __version__ = "0.1.0"

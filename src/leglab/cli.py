@@ -3,12 +3,14 @@
 Verbs: coeffs, sweep, fit, gibbs, bounds, fem, norm, growth, conjecture,
 figures.  Every run verb accepts --config pointing at a JSON experiment
 file; otherwise the flags given assemble the same document, and a flag left
-out takes the runner's default.  Exit status is 1 when a conjecture clause
+out takes the runner's default.  Exit status is 1 when a conjecture cell
 fails outright (preasymptotic entries do not fail), and 2 when a run
-records an error in its manifest or rejects its input (an unknown option,
-family parameter or tolerance, a missing required option, a config field
-the kind does not read, a precision spec other than f64, big and big:<bits>,
-or a value or point list the kind cannot run), 0 otherwise.
+records an error in its manifest, a conjecture cell cannot certify its
+precision, or a run rejects its input (an unknown option or family
+parameter, a missing required option, a config field the kind does not
+read, a config value of another JSON type than its default, a precision
+spec other than f64, big and big:<bits>, or a value or point list the kind
+cannot run), 0 otherwise.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ def _common(parser: argparse.ArgumentParser, kind: str) -> None:
 
 def _build_config(args) -> ExperimentConfig:
     """The config file, or the flags the user set copied by dest name: config
-    fields stay on top, --a and --beta go to params, dests 'tolerances.<name>'
-    to options['tolerances'], and every other flag to options."""
+    fields stay on top, --a and --beta go to params, and every other flag to
+    options."""
     given = {k: v for k, v in vars(args).items()
              if v is not None and k not in ("verb", "config", "out")}
     if args.config:
@@ -53,10 +55,7 @@ def _build_config(args) -> ExperimentConfig:
         return ExperimentConfig.load(args.config)
     doc = {"id": args.verb, "kind": args.verb, "params": {}, "options": {}}
     for key, value in given.items():
-        group, _, name = key.rpartition(".")
-        if group:
-            doc["options"].setdefault(group, {})[name] = value
-        elif key in ("a", "beta"):
+        if key in ("a", "beta"):
             doc["params"][key] = value
         elif key in ExperimentConfig.__dataclass_fields__:
             doc[key] = value
@@ -114,8 +113,6 @@ def main(argv=None) -> int:
     p.add_argument("--a-grid", nargs="+", type=float)
     p.add_argument("--clauses", nargs="+", type=int)
     p.add_argument("--powershift-betas", nargs="+", type=float)
-    p.add_argument("--rate-tol", dest="tolerances.rate", type=float)
-    p.add_argument("--growth-tol", dest="tolerances.growth", type=float)
 
     p = sub.add_parser("figures", help="regenerate plot data for the shipped figure configs")
     p.add_argument("--only", nargs="+", help="subset of config names (e.g. fig01a)")

@@ -19,6 +19,7 @@ called.
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
@@ -292,6 +293,31 @@ def check_distinct(what: str, values) -> None:
     repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
         raise ValueError(f"{what} lists {repeated[0]!r} more than once")
+
+
+def check_type(what: str, value, default) -> None:
+    """Raise ValueError naming what unless value has the JSON type of default.
+
+    A sequence default takes a list of numbers, of ints where the default's
+    members are ints (an empty default takes numbers); an int default takes
+    an int and a float default a number, and bools are neither; a string or
+    object default takes a string or an object."""
+    def number(v, whole):
+        kind = numbers.Integral if whole else numbers.Real
+        return isinstance(v, kind) and not isinstance(v, bool)
+
+    if isinstance(default, (list, tuple)):
+        whole = bool(default) and all(isinstance(d, int) for d in default)
+        ok = isinstance(value, (list, tuple)) and all(number(v, whole) for v in value)
+        want = "a list of " + ("ints" if whole else "numbers")
+    elif isinstance(default, (int, float)):
+        whole = isinstance(default, int)
+        ok, want = number(value, whole), "an int" if whole else "a number"
+    else:
+        ok, want = isinstance(value, type(default)), ("a string" if isinstance(default, str)
+                                                      else "an object")
+    if not ok:
+        raise ValueError(f"{what} must be {want}, not {value!r}")
 
 
 FAMILIES = {cls.name: cls for cls in (StepDerivativeFamily, AbsShiftFamily, ConstrainedFamily,

@@ -67,11 +67,6 @@ def _local_maxima(e: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _local_minima(e: np.ndarray) -> np.ndarray:
-    idx = np.nonzero((e[1:-1] < e[:-2]) & (e[1:-1] <= e[2:]))[0] + 1
-    return idx
-
-
 def _upper_hull(lp: np.ndarray, le: np.ndarray) -> np.ndarray:
     """Upper convex hull (monotone chain) of points already sorted by lp.
 
@@ -86,6 +81,12 @@ def _upper_hull(lp: np.ndarray, le: np.ndarray) -> np.ndarray:
                 break
         hull.append((x, y))
     return np.array(hull)
+
+
+def _least_squares(lp: np.ndarray, le: np.ndarray):
+    """Slope and rms residual of the least-squares line through (lp, le)."""
+    coef = np.polyfit(lp, le, 1)
+    return float(coef[0]), float(np.sqrt(np.mean((le - np.polyval(coef, lp)) ** 2)))
 
 
 def _dominant_edge_fit(lp: np.ndarray, le: np.ndarray):
@@ -108,9 +109,7 @@ def _dominant_edge_fit(lp: np.ndarray, le: np.ndarray):
         ref = interior
         res = float(np.sqrt(np.mean((ref[:, 1] - (y0 + slope * (ref[:, 0] - x0))) ** 2)))
         return slope, res
-    coef = np.polyfit(lp, le, 1)
-    res = float(np.sqrt(np.mean((le - np.polyval(coef, lp)) ** 2)))
-    return float(coef[0]), res
+    return _least_squares(lp, le)
 
 
 def _window_slice(sweep: ErrorSweep, window):
@@ -138,9 +137,7 @@ def _envelope_slope(sweep: ErrorSweep, window):
         envelope = len(idx)
     elif len(idx) <= 2:
         # smooth, non-oscillatory decay: every point is its own envelope
-        coef = np.polyfit(lp_all, le_all, 1)
-        slope = float(coef[0])
-        res = float(np.sqrt(np.mean((le_all - np.polyval(coef, lp_all)) ** 2)))
+        slope, res = _least_squares(lp_all, le_all)
         envelope = len(pw)
     else:
         fit = _finalize(pw, ew, 0.0, win, 0.0, len(idx))
@@ -200,7 +197,7 @@ def fit_lower_bound(sweep: ErrorSweep, window=None) -> RateFit:
     if len(pw) < 20:
         raise FitUnreliable(f"window {win} holds only {len(pw)} usable points")
     upper = fit_rate(sweep, window)
-    idx = _local_minima(ew)
+    idx = _local_maxima(-ew)  # the local minima of ew
     if len(idx) <= 2:
         # no oscillation: the lower envelope coincides with the upper fit
         return RateFit(upper.alpha, float(np.min(ew * pw ** upper.alpha)), win,
@@ -235,6 +232,19 @@ def coefficient_ctx(eval_ctx: PrecisionContext) -> Optional[PrecisionContext]:
     """Coefficient context for a sweep evaluated in eval_ctx: float64 sweeps
     let the family pick its own safe context, big-float sweeps ask for their own."""
     return None if eval_ctx.mode == F64 else eval_ctx
+
+
+def escalated_sweeps(family, exact, x: float, pmax: int, ceiling: int,
+                     ctx: PrecisionContext = FLOAT64):
+    """The error sweeps at x of one pmax escalation: at pmax first, then at
+    double the previous pmax, capped at the ceiling, ending with the
+    ceiling's sweep; the reader stops at the first sweep that serves."""
+    pm = pmax
+    while True:
+        yield error_sweep(family.series(pm + 1, coefficient_ctx(ctx)), exact, x, pm, ctx)
+        if pm >= ceiling:
+            return
+        pm = min(2 * pm, ceiling)
 
 
 def constant_growth(family, approach_point: float, side: int, xi_grid: Sequence[float],
@@ -277,20 +287,16 @@ def constant_growth(family, approach_point: float, side: int, xi_grid: Sequence[
         if x == family.singular_point():
             dropped.append((float(xi), "at the singular point"))
             continue
-        pm = pmax
-        while True:
-            series = family.series(pm + 1, coefficient_ctx(eval_ctx))
-            sweep = error_sweep(series, family.exact, x, pm, eval_ctx)
+        for sweep in escalated_sweeps(family, family.exact, x, pmax, pmax_ceiling, eval_ctx):
             pw, ew, win = _window_slice(sweep, None)
             if not len(ew):
                 raise FitUnreliable(f"no nonzero error in window {win} at x = {x:g}")
             vals = ew * pw ** fixed_alpha
             imax = int(np.argmax(vals))
-            if imax < len(vals) - 3 or pm >= pmax_ceiling:
+            if imax < len(vals) - 3:
                 break
-            pm = min(2 * pm, pmax_ceiling)
-        if imax >= len(vals) - 3:
-            dropped.append((float(xi), f"preasymptotic at pmax {pm}"))
+        else:
+            dropped.append((float(xi), f"preasymptotic at pmax {sweep.pmax}"))
             continue
         xi_values.append(float(xi))
         C_values.append(float(vals[imax]))

@@ -21,10 +21,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .coefficients import coefficient_text
-from .conjecture import (ToleranceProfile, check_powershift_betas, conjecture_suite,
-                         powershift_suite, summarize)
+from .conjecture import check_powershift_betas, conjecture_suite, powershift_suite, summarize
 from .functions import (LoadPointFamily, PowerAbsFamily, SpecFamily, StepDerivativeFamily,
-                        check_distinct, check_keys, family_from_config)
+                        check_distinct, check_keys, check_type, family_from_config)
 from .precision import FLOAT64, PrecisionContext, PrecisionError, parse_precision
 from .ratefit import (FitUnreliable, GridTooCoarse, constant_growth, fit_rate, gibbs_probe,
                       pinned_constant)
@@ -353,13 +352,12 @@ def _fem(config, opts, family, writer):
 
 
 def _conjecture(config, opts, family, writer):
-    tol = ToleranceProfile(**opts["tolerances"])
     # reject a bad powershift list before the grid spends its time
     check_powershift_betas(opts["powershift_betas"])
-    verdicts = conjecture_suite(opts["beta_grid"], opts["a_grid"], tol, pmax=config.pmax,
+    verdicts = conjecture_suite(opts["beta_grid"], opts["a_grid"], pmax=config.pmax,
                                 clauses=tuple(opts["clauses"]))
     if opts["powershift_betas"]:
-        verdicts += powershift_suite(opts["powershift_betas"], tol, pmax=config.pmax)
+        verdicts += powershift_suite(opts["powershift_betas"], pmax=config.pmax)
     writer.json(f"{config.id}.verdicts.json", [v.to_dict() for v in verdicts])
     writer.results["verdicts"] = {
         status: sum(v.status == status for v in verdicts)
@@ -367,7 +365,7 @@ def _conjecture(config, opts, family, writer):
     writer.results["summary"] = summarize(verdicts)
 
 
-REQUIRED = object()  # marks an option without a default
+REQUIRED = object()  # marks an option without a default; its value is a number
 
 
 @dataclass(frozen=True)
@@ -404,25 +402,37 @@ KINDS = {
     # the suite builds its own families and evaluates in float64
     "conjecture": Kind(_conjecture, ("pmax",), options={
         "beta_grid": (-5.0 / 6.0, -2.0 / 3.0, -0.5, -1.0 / 16.0, 0.0, 0.5, 1.0),
-        "a_grid": (0.0, 0.5), "clauses": (1, 2, 3, 4, 5), "powershift_betas": (),
-        "tolerances": {}}),
+        "a_grid": (0.0, 0.5), "clauses": (1, 2, 3, 4, 5), "powershift_betas": ()}),
 }
+
+
+# for each config field whose default is None: a value of the JSON type it takes when set
+OPTIONAL_FIELDS = {"coeff_precision": "", "window": (0, 0)}
 
 
 def resolve(config: ExperimentConfig):
     """The kind's handler and its options, the config's over the defaults.
 
-    Raises ValueError naming an unknown kind, a config field the kind does
-    not read that is set off its default, a precision spec that does not
-    parse, a pmax below the kind's least, an unknown expect key, option or
-    tolerance, and every missing required option; config.options itself is
-    left as given.
+    Raises ValueError naming a config field or option whose value does not
+    have the JSON type of its default (of OPTIONAL_FIELDS where the default
+    is None; ``window`` is two ints), an unknown kind, a config field
+    the kind does not read that is set off its default, a precision spec
+    that does not parse, a pmax below the kind's least, an unknown expect
+    key or option, and every missing required option; config.options itself
+    is left as given.
     """
+    blank = ExperimentConfig("", "")
+    for name in config.__dataclass_fields__:
+        value = getattr(config, name)
+        if value is not None or name not in OPTIONAL_FIELDS:
+            check_type(f"config field {name!r}", value,
+                       OPTIONAL_FIELDS.get(name, getattr(blank, name)))
+    if config.window is not None and len(config.window) != 2:
+        raise ValueError(f"config field 'window' must be two ints, not {config.window!r}")
     if config.kind not in KINDS:
         raise ValueError(f"unknown experiment kind {config.kind!r}; choose from {sorted(KINDS)}")
     kind = KINDS[config.kind]
     reads = {"id", "kind", "options", *kind.reads, *(("expect",) if kind.expect else ())}
-    blank = ExperimentConfig(config.id, config.kind)
     unread = sorted(name for name in config.__dataclass_fields__
                     if name not in reads and getattr(config, name) != getattr(blank, name))
     if unread:
@@ -433,10 +443,11 @@ def resolve(config: ExperimentConfig):
     check_keys(f"{config.kind} expect", config.expect, kind.expect)
     check_keys(f"{config.kind} options", config.options, [*kind.options, "note"],
                [k for k, v in kind.options.items() if v is REQUIRED])
-    opts = {**kind.options, **config.options}
-    if "tolerances" in opts:
-        check_keys("tolerances", opts["tolerances"], ToleranceProfile.__dataclass_fields__)
-    return kind.handler, opts
+    for name, value in config.options.items():
+        default = kind.options.get(name, "")  # "note" is free text
+        check_type(f"{config.kind} option {name!r}", value,
+                   0.0 if default is REQUIRED else default)
+    return kind.handler, {**kind.options, **config.options}
 
 
 def run_experiment(config: ExperimentConfig, outdir: str) -> dict:

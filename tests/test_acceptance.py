@@ -25,7 +25,7 @@ from leglab.bounds import step_bv, theorem1_bound_series
 from leglab.coefficients import (abs_shift_coeffs, constrained_pversion_coeffs,
                                  legendre_monomial_rows, power_abs_coeffs,
                                  power_shift_coeffs_appendixA, step_derivative_coeffs)
-from leglab.conjecture import ToleranceProfile, powershift_suite
+from leglab.conjecture import RATE_TOL as CHECKER_RATE_TOL, powershift_suite
 from leglab.functions import AbsShiftFamily, ConstrainedFamily, StepDerivativeFamily
 from leglab.legendre import legendre_range_array
 from leglab.precision import FLOAT64, bigfloat
@@ -210,7 +210,9 @@ def test_criterion_07_power_singularity_grid(powerabs_series):
 
 
 def test_criterion_08_endpoint_power_family():
-    verdicts = powershift_suite([-0.5, 0.5, 1.5], ToleranceProfile(rate=RATE_TOL), pmax=2200)
+    # the checker's fixed rate band is this suite's
+    assert CHECKER_RATE_TOL == RATE_TOL
+    verdicts = powershift_suite([-0.5, 0.5, 1.5], pmax=2200)
     bad = [v for v in verdicts if v.status != "pass"]
     assert not bad, f"failing endpoint-family verdicts: {[v.to_dict() for v in bad]}"
     # rate verdicts carry x; the near-edge growth verdicts carry their point

@@ -3,8 +3,7 @@ import json
 import pytest
 
 from leglab import legendre
-from leglab.conjecture import (ToleranceProfile, _run_parameter_point,
-                               clause1_interior, clause2_boundary_growth, clause3_singular_growth,
+from leglab.conjecture import (clause1_interior, clause2_boundary_growth, clause3_singular_growth,
                                clause4_endpoints, clause5_singular_point,
                                conjecture_family, conjecture_suite, measured_rate,
                                powershift_suite, summarize)
@@ -25,8 +24,7 @@ def test_family_dispatch():
 
 
 def test_clause1_pass():
-    tol = ToleranceProfile()
-    verdicts = clause1_interior(0.5, 0.5, tol)
+    verdicts = clause1_interior(0.5, 0.5)
     assert all(v.status == "pass" for v in verdicts)
     assert all(abs(v.measured - 1.5) <= 0.05 for v in verdicts)
 
@@ -35,9 +33,8 @@ def test_growth_probes_keep_a_quarter_of_the_distance_to_the_next_feature():
     # at a = 0.9 the default grids reach other features: clause 3's first
     # probe 0.9 + 0.1 is the endpoint, clause 2's 1 - 0.1 is a; the caps
     # (1 - |a|)/4 and |e - a|/4 drop every probe beyond them, and say why
-    tol = ToleranceProfile()
-    left, right = clause2_boundary_growth(2.5, 0.9, tol)
-    singular = clause3_singular_growth(2.5, 0.9, tol)
+    left, right = clause2_boundary_growth(2.5, 0.9)
+    singular = clause3_singular_growth(2.5, 0.9)
     assert all(v.status == "pass" for v in [left, right])
     assert left.fit["dropped"] == [] and len(left.fit["xi"]) == 4
     assert right.fit["dropped"] == [(0.1, "above the cap 0.025")]
@@ -52,7 +49,7 @@ def test_growth_probes_keep_a_quarter_of_the_distance_to_the_next_feature():
 def test_singular_growth_on_two_probes_is_preasymptotic(beta):
     # a line through two points has no residual, so the two probes left
     # below the cap at a = 0.9 cannot confirm the xi^-1 law: not a pass
-    verdicts = clause3_singular_growth(beta, 0.9, ToleranceProfile())
+    verdicts = clause3_singular_growth(beta, 0.9)
     assert [v.status for v in verdicts] == ["preasymptotic", "preasymptotic"]
 
 
@@ -60,36 +57,33 @@ def test_empty_growth_window_is_a_preasymptotic_verdict():
     # at beta = 4.5 the float64 error toward x = 1 is exactly 0 over the
     # whole window (2200, 4400): the cell reads preasymptotic, and the run
     # goes on instead of ending in an argmax of an empty sequence
-    left, right = clause2_boundary_growth(4.5, 0.001, ToleranceProfile())
+    left, right = clause2_boundary_growth(4.5, 0.001)
     assert left.status == "pass"
     assert right.status == "preasymptotic"
     assert right.detail == "no nonzero error in window (2200, 4400) at x = 0.9"
 
 
 def test_clause4_divergent_and_bounded():
-    tol = ToleranceProfile()
-    div = clause4_endpoints(-2.0 / 3.0, 0.0, tol)
+    div = clause4_endpoints(-2.0 / 3.0, 0.0)
     assert all(v.status == "pass" for v in div)
     assert all(v.measured == pytest.approx(-1.0 / 6.0, abs=0.05) for v in div)
-    bnd = clause4_endpoints(-0.5, 0.0, tol)
+    bnd = clause4_endpoints(-0.5, 0.0)
     assert all(v.status == "pass" for v in bnd)
     assert all("bounded" in v.detail for v in bnd)
 
 
 def test_clause5_modes():
-    tol = ToleranceProfile()
-    v = clause5_singular_point(1.0, 0.5, tol)
+    [v] = clause5_singular_point(1.0, 0.5)
     assert v.status == "pass" and v.measured == pytest.approx(1.0, abs=0.05)
-    v = clause5_singular_point(-0.5, 0.5, tol)
+    [v] = clause5_singular_point(-0.5, 0.5)
     assert v.status == "pass" and v.measured == pytest.approx(-0.5, abs=0.05)
-    v = clause5_singular_point(0.0, 0.5, tol)
+    [v] = clause5_singular_point(0.0, 0.5)
     assert v.status == "pass" and v.measured == pytest.approx(1.0, abs=0.05)
     assert "limit mean" in v.detail
 
 
 def test_verdict_embeds_reproducible_fit():
-    tol = ToleranceProfile()
-    v = clause1_interior(0.75, 0.0, tol)[1]
+    v = clause1_interior(0.75, 0.0)[1]
     assert v.params["x"] == 0.5 and v.status == "pass" and v.fit is not None
     fam = conjecture_family(0.75, 0.0)
     series = fam.series(2201, None)
@@ -99,6 +93,43 @@ def test_verdict_embeds_reproducible_fit():
     refit = fit_rate(sweep, tuple(v.fit["window"]))
     assert refit.alpha == pytest.approx(v.fit["alpha"], abs=1e-12)
     assert refit.C == pytest.approx(v.fit["C"], rel=1e-12)
+
+
+def test_a_cell_that_cannot_be_certified_is_its_own_verdict(monkeypatch):
+    # a PrecisionError on one side of a growth probe, or at one endpoint, is
+    # that cell's error verdict; its sibling keeps its measurement
+    import leglab.conjecture as conjecture
+    from leglab.precision import PrecisionError
+
+    growth, rate = conjecture.constant_growth, conjecture.measured_rate
+
+    def growth_failing_on_the_left(family, point, side, *args, **kwargs):
+        if side == -1:
+            raise PrecisionError("cannot certify")
+        return growth(family, point, side, *args, **kwargs)
+
+    def rate_failing_at_one(family, x, *args, **kwargs):
+        if x == 1.0:
+            raise PrecisionError("cannot certify")
+        return rate(family, x, *args, **kwargs)
+
+    monkeypatch.setattr(conjecture, "constant_growth", growth_failing_on_the_left)
+    monkeypatch.setattr(conjecture, "measured_rate", rate_failing_at_one)
+    verdicts = conjecture_suite([0.5], [0.5], clauses=(2, 3, 4))
+    assert [(v.clause, v.status) for v in verdicts] == [
+        (2, "pass"), (2, "error"), (3, "pass"), (3, "error"), (4, "pass"), (4, "error")]
+    errors = [v.to_dict() for v in verdicts if v.status == "error"]
+    assert errors == [
+        {"clause": 2, "params": {"beta": 0.5, "a": 0.5, "point": 1.0, "side": -1},
+         "measured": None, "conjectured": -0.25, "tolerance": 0.1, "status": "error",
+         "fit": None, "detail": "cannot certify"},
+        {"clause": 3, "params": {"beta": 0.5, "a": 0.5, "point": 0.5, "side": -1},
+         "measured": None, "conjectured": -1.0, "tolerance": 0.1, "status": "error",
+         "fit": None, "detail": "cannot certify"},
+        {"clause": 4, "params": {"beta": 0.5, "a": 0.5, "x": 1.0},
+         "measured": None, "conjectured": 1.0, "tolerance": 0.05, "status": "error",
+         "fit": None, "detail": "cannot certify"}]
+    assert all(v.measured is not None for v in verdicts if v.status == "pass")
 
 
 def test_measured_rate_exact_degenerate():
@@ -120,21 +151,21 @@ def test_suite_grid_and_errors():
 
 
 def test_powershift_suite_small():
-    verdicts = powershift_suite([0.5], ToleranceProfile(rate=0.1), pmax=600)
+    verdicts = powershift_suite([0.5], pmax=600)
     rates = [v for v in verdicts if "x" in v.params]
     assert [v.conjectured for v in rates] == pytest.approx([1.0, 2.0, 2.5])
     assert all(v.status == "pass" for v in rates)
 
 
 def test_powershift_near_edge_growth():
-    verdicts = powershift_suite([0.5], ToleranceProfile(rate=0.1), pmax=600)
+    verdicts = powershift_suite([0.5], pmax=600)
     growth = [v for v in verdicts if "point" in v.params]
     assert [v.conjectured for v in growth] == pytest.approx([-0.75, -0.25])
     assert all(v.status == "pass" for v in growth)
 
 
 def test_powershift_rate_zero_bounded():
-    verdicts = powershift_suite([-0.5], ToleranceProfile(rate=0.1), pmax=700)
+    verdicts = powershift_suite([-0.5], pmax=700)
     at_plus1 = [v for v in verdicts if v.params.get("x") == 1.0]
     assert len(at_plus1) == 1 and at_plus1[0].status == "pass"
     assert "rate 0" in at_plus1[0].detail
@@ -196,12 +227,11 @@ def test_default_grid_verdicts_do_not_depend_on_the_point_order():
     from leglab.runner import ExperimentConfig, resolve
 
     _, opts = resolve(ExperimentConfig(id="c", kind="conjecture"))
-    points = [(beta, a, (1, 2, 3, 4, 5), ToleranceProfile(), 2200)
-              for beta in opts["beta_grid"] for a in opts["a_grid"]]
+    points = [(beta, a) for beta in opts["beta_grid"] for a in opts["a_grid"]]
     runs = []
     for order in (points, points[::-1]):
         legendre._ROWS.clear()
         legendre._held = 0
-        runs.append({pt[:2]: json.dumps([v.to_dict() for v in _run_parameter_point(*pt)],
-                                        sort_keys=True) for pt in order})
+        runs.append({pt: json.dumps([v.to_dict() for v in conjecture_suite([pt[0]], [pt[1]])],
+                                    sort_keys=True) for pt in order})
     assert len(runs[0]) == 14 and runs[0] == runs[1]

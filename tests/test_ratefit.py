@@ -262,7 +262,7 @@ def test_record_json_text_is_pinned():
     import hashlib
 
     from leglab.coefficients import step_derivative_coeffs
-    from leglab.conjecture import ToleranceProfile, clause1_interior
+    from leglab.conjecture import clause1_interior
     from leglab.series_eval import error_sweep
 
     fam = StepDerivativeFamily(a=A)
@@ -276,7 +276,7 @@ def test_record_json_text_is_pinned():
         "064468584593035739308851ecde8b228e0a607ca928c7cac101d95b7cb5127c":
             gibbs_probe(series, fam.exact, A, [300, 600]),
         "011b3f1bf7a40981be24e2c58960c9cbe1fed4d10bb61fbdbab3ef538b2102e9":
-            clause1_interior(0.5, A, ToleranceProfile(), pmax=600)[0],
+            clause1_interior(0.5, A, pmax=600)[0],
     }
     for digest, record in records.items():
         text = json.dumps(record.to_dict(), indent=1, sort_keys=True)

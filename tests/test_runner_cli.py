@@ -208,8 +208,8 @@ def test_benchmark_specs_validate(monkeypatch):
     ({"kind": "growth", "options": {"point": -1.0, "fixed_alpha": 1.0, "xii": [0.1]}},
      r"growth options: unknown \['xii'\]"),
     ({"kind": "growth", "options": {"point": -1.0}}, r"growth options: missing \['fixed_alpha'\]"),
-    ({"kind": "conjecture", "options": {"tolerances": {"rate_tl": 0.5}}},
-     r"tolerances: unknown \['rate_tl'\]"),
+    ({"kind": "conjecture", "options": {"tolerances": {"rate": 0.1}}},
+     r"conjecture options: unknown \['tolerances'\]"),
     ({"kind": "fit", "x": [0.1]}, r"unknown experiment kind 'fit'"),
     ({"kind": "coeffs", "family": "step", "params": {"beta": 0.7}},
      r"family 'step' params: unknown \['beta'\]"),
@@ -237,6 +237,20 @@ def test_benchmark_specs_validate(monkeypatch):
     # coeffs reads one precision field
     ({"kind": "coeffs", "precision": "f64", "coeff_precision": "big:256"},
      r"coeffs does not read the config fields \['coeff_precision'\]"),
+    # a value of another JSON type than its default's
+    ({"kind": "sweep", "x": [0.1], "pmax": "300"}, r"config field 'pmax' must be an int, not '300'"),
+    ({"kind": "sweep", "x": [0.1], "pmax": 300.5}, r"config field 'pmax' must be an int, not 300.5"),
+    ({"kind": "sweep", "x": 0.1}, r"config field 'x' must be a list of numbers, not 0.1"),
+    ({"kind": "sweep", "x": [0.1], "window": [100]},
+     r"config field 'window' must be two ints, not \[100\]"),
+    ({"kind": "sweep", "x": [0.1], "precision": 256},
+     r"config field 'precision' must be a string, not 256"),
+    ({"kind": "conjecture", "options": {"beta_grid": ["0.5"]}},
+     r"conjecture option 'beta_grid' must be a list of numbers, not \['0.5'\]"),
+    ({"kind": "growth", "options": {"point": -1.0, "fixed_alpha": 1.0, "xi": 0.1}},
+     r"growth option 'xi' must be a list of numbers, not 0.1"),
+    ({"kind": "gibbs", "options": {"pvalues": [500.5]}},
+     r"gibbs option 'pvalues' must be a list of ints, not \[500.5\]"),
 ])
 def test_run_rejects_input_it_would_not_honour(tmp_path, doc, match):
     # rejected before any work: no output directory, no manifest
@@ -497,6 +511,9 @@ def test_cli_rejects_ignored_flags(capsys):
     # coeffs exports in its one precision field
     (["coeffs", "--precision", "f64", "--coeff-precision", "big:256"],
      "unrecognized arguments: --coeff-precision big:256"),
+    # the acceptance bands are fixed
+    (["conjecture", "--rate-tol", "0.1"], "unrecognized arguments: --rate-tol 0.1"),
+    (["conjecture", "--growth-tol", "0.1"], "unrecognized arguments: --growth-tol 0.1"),
 ])
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
@@ -585,14 +602,14 @@ def test_cli_coeffs_powerabs_takes_a(tmp_path, argv, params, a):
 
 
 # the norm tail, the exact norm, the growth ceiling, the powershift growth
-# checks and the worker count are constants, and constant_rel is no
-# tolerance: a config that sets one is rejected like any unknown key
+# checks, the worker count and the acceptance bands are constants: a config
+# that sets one is rejected like any unknown key
 @pytest.mark.parametrize("kind,options,name", [
     ("norm", {"tail_margin": 800}, "tail_margin"),
     ("norm", {"exact_norm_sq": 0.375}, "exact_norm_sq"),
     ("growth", {"point": -1.0, "fixed_alpha": 1.0, "ceiling": 10000}, "ceiling"),
     ("conjecture", {"growth_checks": True}, "growth_checks"),
-    ("conjecture", {"tolerances": {"constant_rel": 0.25}}, "constant_rel"),
+    ("conjecture", {"tolerances": {"rate": 0.1}}, "tolerances"),
     ("conjecture", {"jobs": 2}, "jobs"),
 ])
 def test_removed_options_are_rejected(tmp_path, capsys, kind, options, name):
