@@ -2,7 +2,7 @@
 functions and the one-dimensional p-version finite element method."""
 
 from .precision import FLOAT64, PrecisionContext, PrecisionError, bigfloat, parse_precision
-from .legendre import QuadratureRule, gauss_rule, legendre_eval_range
+from .legendre import legendre_eval_range
 from .functions import (AbsShiftFamily, ConstrainedFamily, PowerAbsFamily,
                         PowerShiftFamily, SingularFunctionSpec, SpecFamily,
                         StepDerivativeFamily, exact_solution, exact_solution_derivative)
@@ -14,7 +14,7 @@ from .series_eval import ErrorSweep, NormSweep, error_sweep, norm_sweep, partial
 from .ratefit import (ConstantGrowthFit, FitUnreliable, GibbsReport, RateFit,
                       bounded_oscillation_check, constant_growth, fit_lower_bound,
                       fit_rate, gibbs_probe, pinned_constant, weighted_sup_norm)
-from .bounds import BoundReport, BVFunction, Jump, step_bv, theorem1_bound_series
+from .bounds import BoundReport, theorem1_bound_series
 from .pfem import FemSolution, Mesh1D, assemble_and_solve, element_error_series
 from .conjecture import ConjectureVerdict, conjecture_suite, powershift_suite
 from .runner import ExperimentConfig, run_experiment, run_figures

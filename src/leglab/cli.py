@@ -8,9 +8,10 @@ fails outright (preasymptotic entries do not fail), and 2 when a run
 records an error in its manifest, a conjecture cell cannot certify its
 precision, or a run rejects its input (an unknown option or family
 parameter, a missing required option, a config field the kind does not
-read, a config value of another JSON type than its default, a precision
-spec other than f64, big and big:<bits>, or a value or point list the kind
-cannot run), 0 otherwise.
+read, a config value of another JSON type than its default, a family
+parameter or expect value that is not a number, a precision spec other
+than f64, big and big:<bits>, or a value or point list the kind cannot
+run), 0 otherwise.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _build_config(args) -> ExperimentConfig:
     return ExperimentConfig(**doc)
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="leglab",
                                      description="Legendre expansion and 1D p-FEM convergence laboratory")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -99,6 +100,7 @@ def main(argv=None) -> int:
     p.add_argument("--n", type=int, help="number of mesh elements")
     p.add_argument("--degree", type=int)
     p.add_argument("--x", nargs="+", type=float)
+    p.add_argument("--window", nargs=2, type=int)
 
     p = sub.add_parser("growth", help="envelope-constant growth toward a point")
     _common(p, "growth")
@@ -118,7 +120,11 @@ def main(argv=None) -> int:
     p.add_argument("--only", nargs="+", help="subset of config names (e.g. fig01a)")
     p.add_argument("--out", default="out")
     p.add_argument("--list", action="store_true", help="list available figure configs")
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.verb == "figures":

@@ -123,6 +123,8 @@ class Family:
         declared = [f for f in fields(cls) if f.init]
         check_keys(f"family {cls.name!r} params", params, [f.name for f in declared],
                    [f.name for f in declared if f.default is MISSING])
+        for name, value in params.items():
+            check_type(f"family {cls.name!r} param {name!r}", value, 0.0)
         return cls(**{k: float(v) for k, v in params.items()})
 
     def series(self, P: int, ctx: Optional[PrecisionContext] = None):
@@ -257,8 +259,16 @@ class SpecFamily(Family):
     @classmethod
     def from_params(cls, params):
         check_keys("family 'spec' params", params, ["terms", "poly"])
-        return cls(SingularFunctionSpec(terms=tuple(tuple(t) for t in params.get("terms", ())),
-                                        analytic_part=tuple(params.get("poly", ()))))
+        terms, poly = params.get("terms", ()), params.get("poly", ())
+        if not (isinstance(terms, (list, tuple))
+                and all(isinstance(t, (list, tuple)) and len(t) == 3 for t in terms)):
+            raise ValueError("family 'spec' param 'terms' must be a list of [weight, center, "
+                             f"exponent] lists, not {terms!r}")
+        for term in terms:
+            check_type("family 'spec' param 'terms' entry", term, ())
+        check_type("family 'spec' param 'poly'", poly, ())
+        return cls(SingularFunctionSpec(terms=tuple(tuple(t) for t in terms),
+                                        analytic_part=tuple(poly)))
 
     def exact(self, x):
         return self.spec.value(x)

@@ -1,4 +1,4 @@
-"""Legendre polynomial kernels and Gauss quadrature.
+"""Legendre polynomial kernels.
 
 Everything is built on the three-term recurrence
 ``(n+1) P_{n+1}(x) = (2n+1) x P_n(x) - n P_{n-1}(x)``,
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from itertools import islice
 
 import mpmath
@@ -195,71 +194,3 @@ def legendre_sums_array(coeffs, orders, x) -> np.ndarray:
     out = np.empty(len(x))
     out[perm] = total
     return out
-
-
-@dataclass
-class QuadratureRule:
-    """Gauss-Legendre nodes/weights; exact for polynomials of degree <= 2*order - 1."""
-
-    nodes: list = field(repr=False)
-    weights: list = field(repr=False)
-    order: int = 0
-    ctx: PrecisionContext = FLOAT64
-
-    def integrate(self, f, lo=None, hi=None) -> Number:
-        """Integrate a callable over [lo, hi] (default [-1, 1]) by affine mapping."""
-        ctx = self.ctx
-        with ctx.active():
-            if lo is None and hi is None:
-                return sum(w * f(t) for t, w in zip(self.nodes, self.weights))
-            lo = ctx.convert(lo)
-            hi = ctx.convert(hi)
-            half = (hi - lo) / 2
-            mid = (hi + lo) / 2
-            return half * sum(w * f(mid + half * t) for t, w in zip(self.nodes, self.weights))
-
-
-def gauss_rule(order: int, ctx: PrecisionContext = FLOAT64) -> QuadratureRule:
-    """Gauss-Legendre rule by Newton iteration from Chebyshev initial guesses.
-
-    Nodes are symmetrized about 0 so mirrored nodes agree bit for bit.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if order == 1:
-        return QuadratureRule([ctx.zero()], [ctx.convert(2)], 1, ctx)
-
-    def leg_and_deriv(x):
-        P = legendre_eval_range(order, x, ctx)
-        return P[order], order * (P[order - 1] - x * P[order]) / (1 - x * x)
-
-    with ctx.active():
-        if ctx.mode == "f64":
-            guesses = np.cos(np.pi * (4 * np.arange(order // 2) + 3) / (4 * order + 2))
-            tol = 1e-15
-        else:
-            guesses = [mpmath.cos(mpmath.pi * (4 * i + 3) / (4 * order + 2)) for i in range(order // 2)]
-            tol = ctx.eps * 256
-        nodes_pos = []
-        weights_pos = []
-        for x0 in np.atleast_1d(guesses):
-            x = ctx.convert(x0)
-            for _ in range(400):
-                pk, dpk = leg_and_deriv(x)
-                dx = pk / dpk
-                x = x - dx
-                if abs(dx) <= tol * max(abs(x), 1):
-                    break
-            pk, dpk = leg_and_deriv(x)
-            nodes_pos.append(x)
-            weights_pos.append(2 / ((1 - x * x) * dpk * dpk))
-        # nodes_pos is descending; assemble ascending with mirrored negatives
-        nodes = [-t for t in nodes_pos]
-        weights = list(weights_pos)
-        if order % 2 == 1:
-            _, dp0 = leg_and_deriv(ctx.zero())
-            nodes.append(ctx.zero())
-            weights.append(ctx.convert(2) / (dp0 * dp0))
-        nodes.extend(reversed(nodes_pos))
-        weights.extend(reversed(weights_pos))
-        return QuadratureRule(nodes, weights, order, ctx)

@@ -51,13 +51,6 @@ class PrecisionContext:
         if self.mode != BIG and self.bits:
             raise ValueError("bits is only meaningful in big-float mode")
 
-    @property
-    def eps(self) -> float:
-        """Unit roundoff of the context."""
-        if self.mode == F64:
-            return 2.0 ** -52
-        return 2.0 ** (1 - self.bits)
-
     @contextmanager
     def active(self) -> Iterator[None]:
         """Activate the mpmath working precision for the duration of a block."""

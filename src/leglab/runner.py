@@ -19,12 +19,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import bounds as bounds_mod
+from .bounds import theorem1_bound_series
 from .coefficients import coefficient_text
 from .conjecture import check_powershift_betas, conjecture_suite, powershift_suite, summarize
 from .functions import (LoadPointFamily, PowerAbsFamily, SpecFamily, StepDerivativeFamily,
                         check_distinct, check_keys, check_type, family_from_config)
-from .precision import FLOAT64, PrecisionContext, PrecisionError, parse_precision
+from .precision import PrecisionContext, PrecisionError, parse_precision
 from .ratefit import (FitUnreliable, GridTooCoarse, constant_growth, fit_rate, gibbs_probe,
                       pinned_constant)
 from .series_eval import ErrorSweep, error_sweep, norm_sweep
@@ -183,12 +183,12 @@ def _fit_payload(sweep, config):
         payload["fit"] = None
         payload["fit_error"] = str(exc)
         return payload
-    if expect.get("alpha") is not None:
+    if "alpha" in expect:
         alpha0 = float(expect["alpha"])
         payload["expected_alpha"] = alpha0
         payload["alpha_dev"] = fit.alpha - alpha0
         payload["C_pinned"] = pinned_constant(sweep, alpha0, window)
-    if expect.get("C") is not None:
+    if "C" in expect:
         payload["expected_C"] = float(expect["C"])
         ref = payload.get("C_pinned", payload["fit"]["C"])
         payload["C_ratio"] = ref / float(expect["C"])
@@ -279,7 +279,7 @@ def _norm(config, opts, family, writer):
                             "no slope to fit")
     coef = np.polyfit(np.log(p[e > 0]), np.log(e[e > 0]), 1)
     writer.results["slope"] = float(coef[0])
-    if config.expect.get("slope") is not None:
+    if "slope" in config.expect:
         writer.results["expected_slope"] = float(config.expect["slope"])
 
 
@@ -305,7 +305,7 @@ def _growth(config, opts, family, writer):
     writer.json(f"{config.id}.growth.json", fit.to_dict())
     writer.csv(f"{config.id}.growth.csv", "xi,C", [fit.xi, fit.C])
     writer.results["exponent"] = fit.exponent
-    if config.expect.get("exponent") is not None:
+    if "exponent" in config.expect:
         writer.results["expected_exponent"] = float(config.expect["exponent"])
 
 
@@ -314,11 +314,9 @@ def _bounds(config, opts, family, writer):
         raise ValueError("bound reports are implemented for the jump family")
     # the Theorem 1 bound holds strictly inside the interval
     xs = _points(config, -1.0, 1.0, closed=False)
-    a = family.a
-    f = bounds_mod.step_bv(a, (a - 1.0) / 2.0, (a + 1.0) / 2.0)
     series = family.series(config.pmax + 1, config.coeff_ctx())
     for x in xs:
-        report = bounds_mod.theorem1_bound_series(f, x, config.pmax)
+        report = theorem1_bound_series(family.a, x, config.pmax)
         sweep = error_sweep(series, family.exact, x, config.pmax, config.eval_ctx())
         report.measured = sweep.abs_error[1:]
         _write_rows(writer, f"{config.id}.x{x:+.7g}.bounds.npy", BOUNDS_DTYPE,
@@ -418,8 +416,8 @@ def resolve(config: ExperimentConfig):
     is None; ``window`` is two ints), an unknown kind, a config field
     the kind does not read that is set off its default, a precision spec
     that does not parse, a pmax below the kind's least, an unknown expect
-    key or option, and every missing required option; config.options itself
-    is left as given.
+    key or one whose value is not a number, an unknown option, and every
+    missing required option; config.options itself is left as given.
     """
     blank = ExperimentConfig("", "")
     for name in config.__dataclass_fields__:
@@ -441,6 +439,8 @@ def resolve(config: ExperimentConfig):
     if config.pmax < kind.min_pmax:
         raise ValueError(f"{config.kind} needs pmax >= {kind.min_pmax}, not {config.pmax}")
     check_keys(f"{config.kind} expect", config.expect, kind.expect)
+    for name, value in config.expect.items():
+        check_type(f"{config.kind} expect {name!r}", value, 0.0)
     check_keys(f"{config.kind} options", config.options, [*kind.options, "note"],
                [k for k, v in kind.options.items() if v is REQUIRED])
     for name, value in config.options.items():
@@ -475,14 +475,11 @@ class InfiniteNorm(ValueError):
 
 
 def _exact_norm_sq(family, norm: str) -> Optional[float]:
-    """Squared target norm: closed forms for the power families, exact
-    piecewise Gauss quadrature for the load-point families, tanh-sinh
-    quadrature between the singular points of a spec.  None (the norm
-    sweep then warns about truncation) only for a spec's energy norm, a
-    spec whose quadrature misses its error bound, and a power family's
-    energy norm."""
-    from .legendre import gauss_rule
-
+    """Squared target norm: closed forms for the power and load-point
+    families, tanh-sinh quadrature between the singular points of a spec.
+    None (the norm sweep then warns about truncation) only for a spec's
+    energy norm, a spec whose quadrature misses its error bound, and a
+    power family's energy norm."""
     if isinstance(family, SpecFamily):
         return _spec_norm_sq(family) if norm.lower() == "l2" else None
     if isinstance(family, PowerAbsFamily):
@@ -499,13 +496,14 @@ def _exact_norm_sq(family, norm: str) -> Optional[float]:
         # and |x + 1|^beta is the member a = -1
         a, e = family.a, 2 * beta + 1
         return ((1 - a) ** e + (1 + a) ** e) / e
-    # the energy norm measures the derivative, which for the model solution
-    # families is the unit-jump step at the same load point
-    fn = (StepDerivativeFamily(a=family.a) if norm.lower() == "energy" else family).exact
-    rule = gauss_rule(12, FLOAT64)
-    lo_part = rule.integrate(lambda t: fn(t) ** 2, -1.0, family.a)
-    hi_part = rule.integrate(lambda t: fn(t) ** 2, family.a, 1.0)
-    return float(lo_part + hi_part)
+    # the step (the model solution's derivative, so every load-point family's
+    # energy norm) has int s^2 = (1 - a^2)/2, the model solution int u^2 =
+    # (1 - a^2)^2/6; with a = n/d, each is one correctly rounded int division
+    n, d = float(family.a).as_integer_ratio()
+    w, dd = d * d - n * n, d * d
+    if isinstance(family, StepDerivativeFamily) or norm.lower() == "energy":
+        return w / (2 * dd)
+    return w * w / (6 * dd * dd)
 
 
 def _spec_norm_sq(family) -> Optional[float]:

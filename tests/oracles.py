@@ -10,21 +10,30 @@ quantity the package produces, by a route the package does not take.
   difference rounded by one int / int division;
 * ``binomial_moment_oracle``: the |x + 1|^beta power moments from the
   binomial expansion of (t - 1)^k, against the hypergeometric identity;
+* ``gauss_rule``: Gauss-Legendre rules by Newton iteration, in float64 or
+  big-float, as ``QuadratureRule`` objects;
 * ``quadrature_oracle_coeffs``: c_k = (k + 1/2) int f P_k by tanh-sinh
   quadrature, split at the singular points;
 * ``piecewise_gauss_coeff``: the same integral by a Gauss rule on each side
   of one breakpoint, exact for the piecewise-polynomial families;
 * ``squared_error_quadrature``: ||f - S_p||^2 by piecewise Gauss rules;
-* ``model_norm_sq``: the squared L2 norm of the model solution, by a Gauss
-  rule on each side of its kink;
+* ``piecewise_norm_sq`` and ``model_norm_sq``: squared L2 norms of the
+  load-point targets by a Gauss rule on each side of the load point, the
+  route the closed forms of ``runner._exact_norm_sq`` replaced;
 * ``mode_derivatives``, ``fem_derivative`` and ``energy_norm_error``: the
   derivative of a FEM solution and its energy-norm error;
 * ``element_error_loop``: the FEM element sweep as a scalar loop over the
   normalized modes, in the context's own arithmetic;
 * ``model_coeffs_loop``: the float64 model-solution and constrained
   coefficients as scalar loops over the step coefficients;
-* ``total_variation_loop``: the variation of a bounded-variation function
-  on one window, jump by jump and piece by piece in Python floats;
+* ``Jump``, ``BVFunction``, ``step_bv`` and ``window_variations``: general
+  bounded-variation functions and their exact variation on arrays of
+  windows, with ``theorem1_bv_series``, the Theorem 1 bound of any of them;
+  the closed form of ``bounds.theorem1_bound_series`` for the unit jump
+  replaced this route;
+* ``total_variation_loop`` and ``theorem1_bound_loop``: the variation of a
+  bounded-variation function on one window, jump by jump and piece by piece
+  in Python floats, and the Theorem 1 bound as the k loop of such windows;
 * ``mu_fixed_loop``: the fixed-point modified-moment recurrence with its
   step coefficients formed anew at every k;
 * ``mu_recurrence``: the |x - a|^beta coefficients from the same
@@ -32,7 +41,7 @@ quantity the package produces, by a route the package does not take.
   precision.
 
 The paper's point quantities that no verb prints live here too, each read
-from a package kernel:
+from a package kernel or from the oracles above:
 
 * ``legendre_eval`` and ``bernstein_bound``: P_k(x) and its envelope;
 * ``partial_sum`` and ``parseval_tail``: S_p(x) at one order and the
@@ -47,17 +56,17 @@ from a package kernel:
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import mpmath
 import numpy as np
 
-from leglab.bounds import BVFunction, theorem1_bound_series, window_variations
+from leglab.bounds import variation_window
 from leglab.functions import exact_solution
 from leglab.pfem import internal_modes
-from leglab.legendre import (gauss_rule, legendre_eval_range, legendre_fixed_range,
-                             legendre_sums_array)
-from leglab.precision import FLOAT64, dyadic, to_fixed
+from leglab.legendre import legendre_eval_range, legendre_fixed_range, legendre_sums_array
+from leglab.precision import FLOAT64, PrecisionContext, dyadic, to_fixed
 from leglab.series_eval import _beyond_series, _fixed_terms, _running_sums
 
 
@@ -91,24 +100,104 @@ def parseval_tail(series, p: int, exact_norm_sq=None) -> float:
     return tail
 
 
+@dataclass(frozen=True)
+class Jump:
+    location: float
+    left: float
+    right: float
+
+    @property
+    def size(self) -> float:
+        return abs(self.right - self.left)
+
+
+@dataclass
+class BVFunction:
+    """Piecewise description with jumps and monotone analytic pieces.
+
+    ``pieces`` are (lo, hi, f) with f monotone on [lo, hi] and applicable to
+    an array elementwise; the variation of a monotone piece over a window is
+    the absolute endpoint difference.
+    """
+
+    jumps: list = field(default_factory=list)
+    pieces: list = field(default_factory=list)
+
+    def __post_init__(self):
+        for j in self.jumps:
+            if not -1.0 < j.location < 1.0:
+                raise ValueError("jump locations must lie strictly inside (-1, 1)")
+
+    def jump_at(self, x: float) -> float:
+        for j in self.jumps:
+            if j.location == x:
+                return j.right - j.left
+        return 0.0
+
+
+def step_bv(a: float, low: float, high: float) -> BVFunction:
+    """Piecewise-constant function with one jump at a."""
+    return BVFunction(jumps=[Jump(a, low, high)],
+                      pieces=[(-1.0, a, lambda t: low), (a, 1.0, lambda t: high)])
+
+
 def abs_kink_bv(a: float, slope_lo: float, slope_hi: float) -> BVFunction:
     """Continuous piecewise-linear function, 0 at its kink a."""
     return BVFunction(jumps=[], pieces=[(-1.0, a, lambda t: slope_lo * (t - a)),
                                         (a, 1.0, lambda t: slope_hi * (t - a))])
 
 
+def window_variations(f: BVFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Exact total variation on each window [lo[i], hi[i]] inside [-1, 1],
+    for the supported piecewise families; each piece's g is applied to the
+    arrays of window edges elementwise."""
+    total = np.zeros(np.shape(lo))
+    for j in f.jumps:
+        inside = (lo < j.location) & (j.location < hi)
+        # a window edge sees the half-jump against the mean value convention
+        edge = (j.location == lo) | (j.location == hi)
+        total += np.where(inside, j.size, np.where(edge, 0.5 * j.size, 0.0))
+    for (plo, phi, g) in f.pieces:
+        wlo, whi = np.maximum(lo, plo), np.minimum(hi, phi)
+        total += np.where(wlo < whi, np.abs(g(whi) - g(wlo)), 0.0)
+    return total
+
+
 def total_variation(f, lo: float, hi: float) -> float:
-    """Exact total variation of a ``bounds.BVFunction`` on [lo, hi]."""
+    """Exact total variation of a ``BVFunction`` on [lo, hi]."""
     if not -1.0 <= lo <= hi <= 1.0:
         raise ValueError("require -1 <= lo <= hi <= 1")
     return float(window_variations(f, np.array([lo]), np.array([hi]))[0])
 
 
+def theorem1_bv_series(f: BVFunction, x: float, pmax: int) -> np.ndarray:
+    """The Theorem 1 bound of any ``BVFunction`` at an interior x for p = 2..pmax:
+    28/p (1-x^2)^(-3/2) sum_{k<=p} V(window_k) + (pi p)^(-1) (1-x^2)^(-1) |jump at x|,
+    the windows of every k one array pass through ``window_variations``."""
+    if not -1.0 < x < 1.0:
+        raise ValueError("the variation bound applies only strictly inside (-1, 1)")
+    lo, hi = variation_window(x, np.arange(1, pmax + 1))
+    cum = np.cumsum(window_variations(f, np.maximum(lo, -1.0), np.minimum(hi, 1.0)))
+    pv = np.arange(2, pmax + 1)
+    first = 28.0 / pv * (1.0 - x * x) ** -1.5 * cum[1:]
+    return first + abs(f.jump_at(x)) / (math.pi * pv * (1.0 - x * x))
+
+
+def theorem1_bound_loop(f: BVFunction, x: float, pmax: int) -> np.ndarray:
+    """The same bound for p = 2..pmax from the k loop of scalar windows,
+    each clipped to [-1, 1] and measured by ``total_variation_loop``."""
+    vars_k = [total_variation_loop(f, max(lo, -1.0), min(hi, 1.0))
+              for lo, hi in (variation_window(x, k) for k in range(1, pmax + 1))]
+    pv = np.arange(2, pmax + 1)
+    return (28.0 / pv * (1.0 - x * x) ** -1.5 * np.cumsum(vars_k)[1:]
+            + abs(f.jump_at(x)) / (math.pi * pv * (1.0 - x * x)))
+
+
 def theorem1_bound(f, x: float, p: int) -> float:
-    """The Theorem 1 bound at one order p >= 2 (see ``theorem1_bound_series``)."""
+    """The Theorem 1 bound at one order p >= 2 (see ``theorem1_bv_series``)."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    return float(theorem1_bound_series(f, x, p).bound[-1])
+    return float(theorem1_bv_series(f, x, p)[-1])
 
 
 def theorem2_bound(x: float, p: int, C_cal: float, delta: float = 0.2) -> float:
@@ -216,6 +305,74 @@ def quadrature_oracle_coeffs(f: Callable, P: int, singular_points: Sequence[floa
     return coeffs
 
 
+@dataclass
+class QuadratureRule:
+    """Gauss-Legendre nodes/weights; exact for polynomials of degree <= 2*order - 1."""
+
+    nodes: list = field(repr=False)
+    weights: list = field(repr=False)
+    order: int = 0
+    ctx: PrecisionContext = FLOAT64
+
+    def integrate(self, f, lo=None, hi=None):
+        """Integrate a callable over [lo, hi] (default [-1, 1]) by affine mapping."""
+        ctx = self.ctx
+        with ctx.active():
+            if lo is None and hi is None:
+                return sum(w * f(t) for t, w in zip(self.nodes, self.weights))
+            lo = ctx.convert(lo)
+            hi = ctx.convert(hi)
+            half = (hi - lo) / 2
+            mid = (hi + lo) / 2
+            return half * sum(w * f(mid + half * t) for t, w in zip(self.nodes, self.weights))
+
+
+def gauss_rule(order: int, ctx: PrecisionContext = FLOAT64) -> QuadratureRule:
+    """Gauss-Legendre rule by Newton iteration from Chebyshev initial guesses.
+
+    Nodes are symmetrized about 0 so mirrored nodes agree bit for bit.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if order == 1:
+        return QuadratureRule([ctx.zero()], [ctx.convert(2)], 1, ctx)
+
+    def leg_and_deriv(x):
+        P = legendre_eval_range(order, x, ctx)
+        return P[order], order * (P[order - 1] - x * P[order]) / (1 - x * x)
+
+    with ctx.active():
+        if ctx.mode == "f64":
+            guesses = np.cos(np.pi * (4 * np.arange(order // 2) + 3) / (4 * order + 2))
+            tol = 1e-15
+        else:
+            guesses = [mpmath.cos(mpmath.pi * (4 * i + 3) / (4 * order + 2)) for i in range(order // 2)]
+            tol = 2.0 ** (1 - ctx.bits) * 256
+        nodes_pos = []
+        weights_pos = []
+        for x0 in np.atleast_1d(guesses):
+            x = ctx.convert(x0)
+            for _ in range(400):
+                pk, dpk = leg_and_deriv(x)
+                dx = pk / dpk
+                x = x - dx
+                if abs(dx) <= tol * max(abs(x), 1):
+                    break
+            pk, dpk = leg_and_deriv(x)
+            nodes_pos.append(x)
+            weights_pos.append(2 / ((1 - x * x) * dpk * dpk))
+        # nodes_pos is descending; assemble ascending with mirrored negatives
+        nodes = [-t for t in nodes_pos]
+        weights = list(weights_pos)
+        if order % 2 == 1:
+            _, dp0 = leg_and_deriv(ctx.zero())
+            nodes.append(ctx.zero())
+            weights.append(ctx.convert(2) / (dp0 * dp0))
+        nodes.extend(reversed(nodes_pos))
+        weights.extend(reversed(weights_pos))
+        return QuadratureRule(nodes, weights, order, ctx)
+
+
 def piecewise_gauss_coeff(f: Callable[[float], float], a: float, k: int) -> float:
     """(k + 1/2) int f P_k by a Gauss rule on [-1, a] and on [a, 1].
 
@@ -251,15 +408,21 @@ def squared_error_quadrature(series, exact_fn: Callable[[float], float],
     return total
 
 
+def piecewise_norm_sq(fn: Callable[[float], float], a: float, order: int = 6) -> float:
+    """int fn(t)^2 over [-1, 1] by a Gauss rule of the given order on [-1, a]
+    and on [a, 1], exact where fn is linear on each piece."""
+    rule = gauss_rule(order)
+
+    def sq(t):
+        return fn(t) ** 2
+
+    return float(rule.integrate(sq, -1, a) + rule.integrate(sq, a, 1))
+
+
 def model_norm_sq(a: float) -> float:
     """int exact_solution(t, a)^2 over [-1, 1] by a 6-point Gauss rule on
     [-1, a] and on [a, 1], exact for the piecewise-quadratic integrand."""
-    rule = gauss_rule(6)
-
-    def sq(t):
-        return exact_solution(t, a) ** 2
-
-    return float(rule.integrate(sq, -1, a) + rule.integrate(sq, a, 1))
+    return piecewise_norm_sq(lambda t: exact_solution(t, a), a)
 
 
 def mode_derivatives(p: int, xi: float, he: float) -> list:

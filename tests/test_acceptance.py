@@ -21,7 +21,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from leglab.bounds import step_bv, theorem1_bound_series
+from leglab.bounds import theorem1_bound_series
 from leglab.coefficients import (abs_shift_coeffs, constrained_pversion_coeffs,
                                  legendre_monomial_rows, power_abs_coeffs,
                                  power_shift_coeffs_appendixA, step_derivative_coeffs)
@@ -236,8 +236,7 @@ def test_criterion_09_variation_bound_closed_constant():
                    "(28/p (1-x^2)^(-3/2) sum_k V) evaluates to 56.85 with the exact "
                    "variation routine (two windows contain the jump).")
 def test_criterion_09_variation_bound_published_constant():
-    f = step_bv(A, (A - 1) / 2, (1 + A) / 2)
-    rep = theorem1_bound_series(f, 0.1, 2200)
+    rep = theorem1_bound_series(A, 0.1, 2200)
     constant = float(rep.bound[-1] * rep.pvalues[-1])
     assert constant == pytest.approx(32.793, rel=0.01)
 
@@ -335,13 +334,12 @@ def test_criterion_15_fem_equivalence():
 
 
 def test_criterion_16_bound_soundness(step_sweeps, big_step_sweep_x6, legendre_at_a):
-    f = step_bv(A, (A - 1) / 2, (1 + A) / 2)
     fam = StepDerivativeFamily(a=A)
     series = step_derivative_coeffs(A, 2201)
     grid = (-0.9, -0.5, 0.1, A, 0.9)
     worst = 0.0
     for x in grid:
-        rep = theorem1_bound_series(f, x, 2200)
+        rep = theorem1_bound_series(A, x, 2200)
         sweep = step_sweeps.get(x) or error_sweep(series, fam.exact, x, 2200)
         rep.measured = sweep.abs_error[1:]
         assert np.all(rep.measured <= rep.bound), f"bound violated at x={x}"

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leglab.bounds import (BVFunction, Jump, step_bv, theorem1_bound_series, variation_window,
-                           window_variations)
+from leglab.bounds import theorem1_bound_series, variation_window
 from leglab.runner import BOUNDS_DTYPE, ExperimentConfig, run_experiment
 
-from oracles import (abs_kink_bv, calibrate_theorem2, endpoint_identity_bound, theorem1_bound,
-                     theorem2_bound, theorem3_bound, total_variation, total_variation_loop)
+from oracles import (BVFunction, Jump, abs_kink_bv, calibrate_theorem2, endpoint_identity_bound,
+                     step_bv, theorem1_bound, theorem1_bound_loop, theorem1_bv_series,
+                     theorem2_bound, theorem3_bound, total_variation, total_variation_loop,
+                     window_variations)
 
 A = 0.5
 STEP = step_bv(A, (A - 1) / 2, (1 + A) / 2)
@@ -62,7 +63,7 @@ def test_theorem1_domain():
 
 
 def test_theorem1_series_matches_scalar():
-    rep = theorem1_bound_series(STEP, 0.1, 50)
+    rep = theorem1_bound_series(A, 0.1, 50)
     for i, p in enumerate(rep.pvalues):
         assert rep.bound[i] == pytest.approx(theorem1_bound(STEP, 0.1, int(p)), rel=1e-13)
 
@@ -92,20 +93,36 @@ def test_window_variations_have_the_bits_of_the_scalar_loop(kind, a, ends, on_ed
 @pytest.mark.parametrize("kind", ["step", "kink"])
 @pytest.mark.parametrize("x", [-0.9, -0.5, 0.1, A, 0.75, 0.999])
 def test_theorem1_series_has_the_bits_of_the_window_loop(kind, x):
-    # the k loop of scalar windows, clipped to [-1, 1], that the array pass replaced
+    # the k loop of scalar windows, clipped to [-1, 1], that the array pass
+    # replaced; the unit jump's closed form has the bits of both
     f = _bv(kind, A)
-    pmax = 2200
-    vars_k = [total_variation_loop(f, max(lo, -1.0), min(hi, 1.0))
-              for lo, hi in (variation_window(x, k) for k in range(1, pmax + 1))]
-    pv = np.arange(2, pmax + 1)
-    want = (28.0 / pv * (1.0 - x * x) ** -1.5 * np.cumsum(vars_k)[1:]
-            + abs(f.jump_at(x)) / (math.pi * pv * (1.0 - x * x)))
-    assert theorem1_bound_series(f, x, pmax).bound.tolist() == want.tolist()
+    want = theorem1_bound_loop(f, x, 2200).tolist()
+    assert theorem1_bv_series(f, x, 2200).tolist() == want
+    if kind == "step":
+        assert theorem1_bound_series(A, x, 2200).bound.tolist() == want
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(a=st.floats(-0.99, 0.99), x=st.floats(-0.99, 0.99), pmax=st.integers(50, 400),
+       at=st.sampled_from(["x", "lo", "hi", None]), k=st.integers(2, 50))
+@example(a=-0.25, x=0.5, pmax=400, at=None, k=2)  # window k = 2 of x = 0.5 is [-0.25, 0.75]
+@example(a=-0.3, x=-0.3, pmax=400, at=None, k=2)  # the jump at the point x
+def test_theorem1_closed_form_has_the_bits_of_the_bv_loop(a, x, pmax, at, k):
+    # the jump at x itself, or on an edge of window k
+    if at == "x":
+        a = x
+    elif at is not None:
+        a = variation_window(x, k)[0 if at == "lo" else 1]
+        if not -1.0 < a < 1.0:
+            a = x
+    f = step_bv(a, (a - 1) / 2, (a + 1) / 2)
+    want = theorem1_bound_loop(f, x, pmax).tolist()
+    assert theorem1_bound_series(a, x, pmax).bound.tolist() == want
 
 
 def test_theorem1_soundness(step_sweeps):
     for x in (-0.9, -0.5, 0.1, A):
-        rep = theorem1_bound_series(STEP, x, 2200)
+        rep = theorem1_bound_series(A, x, 2200)
         sweep = step_sweeps.get(x)
         if sweep is None:
             continue
@@ -162,7 +179,7 @@ def test_bound_report_npy(tmp_path, step_sweeps):
     data = np.load(path, allow_pickle=False)
     assert data.dtype == BOUNDS_DTYPE and data.dtype.names == ("p", "bound", "measured", "ratio")
     assert len(data) == 99
-    rep = theorem1_bound_series(STEP, 0.1, 100)
+    rep = theorem1_bound_series(A, 0.1, 100)
     assert np.array_equal(data["p"], rep.pvalues)
     assert np.array_equal(data["bound"], rep.bound)
     assert np.array_equal(data["measured"], step_sweeps[0.1].abs_error[1:100])

@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 import leglab
 from leglab.coefficients import constrained_pversion_coeffs, step_derivative_coeffs
 from leglab.functions import exact_solution
-from leglab.legendre import gauss_rule, legendre_eval_range
+from leglab.legendre import legendre_eval_range
 from leglab.pfem import FemSolution, Mesh1D, assemble_and_solve, element_error_series, internal_modes
 from leglab.precision import FLOAT64, bigfloat
 from leglab.runner import ExperimentConfig, run_experiment
 from leglab.series_eval import error_sweep
 
-from oracles import (element_error_loop, energy_norm_error, fem_derivative, mode_derivatives,
-                     partial_sum)
+from oracles import (element_error_loop, energy_norm_error, fem_derivative, gauss_rule,
+                     mode_derivatives, partial_sum)
 
 A = 0.5
 

@@ -13,7 +13,7 @@ from oracles import neumaier_sum
 
 
 def test_modes_and_validation():
-    assert FLOAT64.mode == "f64" and FLOAT64.eps == 2.0 ** -52
+    assert FLOAT64.mode == "f64" and FLOAT64.bits == 0
     assert bigfloat(256).bits == 256
     with pytest.raises(ValueError):
         PrecisionContext("big", 32)

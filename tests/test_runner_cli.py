@@ -1,24 +1,31 @@
+import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from leglab.cli import main
+from leglab.cli import build_parser, main
 from leglab.coefficients import power_abs_coeffs, power_shift_coeffs
-from leglab.functions import (AbsShiftFamily, PowerAbsFamily, PowerShiftFamily, StepDerivativeFamily,
+from leglab.functions import (AbsShiftFamily, ConstrainedFamily, PowerAbsFamily, PowerShiftFamily,
+                              StepDerivativeFamily, exact_solution, exact_solution_derivative,
                               family_from_config)
-from leglab.legendre import gauss_rule
 from leglab.precision import FLOAT64, PrecisionError
 from leglab.ratefit import fit_rate
-from leglab.runner import (BOUNDS_DTYPE, ExperimentConfig, InfiniteNorm, _exact_norm_sq,
+from leglab.runner import (BOUNDS_DTYPE, KINDS, ExperimentConfig, InfiniteNorm, _exact_norm_sq,
                            figure_config_dir, list_figure_configs, resolve, run_experiment,
                            run_figures)
 from leglab.series_eval import error_sweep
+
+from oracles import gauss_rule, piecewise_norm_sq
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -97,9 +104,40 @@ def test_exact_norm_closed_forms():
     split = (rule.integrate(lambda t: abs(t - 0.3), -1.0, 0.3)
              + rule.integrate(lambda t: abs(t - 0.3), 0.3, 1.0))
     assert _exact_norm_sq(PowerAbsFamily(beta=0.5, a=0.3), "L2") == pytest.approx(split, rel=1e-14)
-    # the piecewise-polynomial families keep their exact Gauss route
-    assert _exact_norm_sq(StepDerivativeFamily(a=0.5), "L2") == pytest.approx(0.375, rel=1e-14)
-    assert _exact_norm_sq(AbsShiftFamily(a=0.5), "Energy") == pytest.approx(0.375, rel=1e-14)
+    # the load-point families have closed forms: (1 - a^2)/2 = 0.375 at a = 0.5,
+    # where the 12-point Gauss rule on each side of a gave 0.3750000000000001
+    assert _exact_norm_sq(StepDerivativeFamily(a=0.5), "L2") == 0.375
+    assert _exact_norm_sq(AbsShiftFamily(a=0.5), "Energy") == 0.375
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(a=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+@example(a=0.5)
+@example(a=0.3)
+@example(a=-0.5)
+@example(a=-0.9999999999999998)  # where the Gauss rule read the step's norm 19% low
+def test_load_point_norms_are_the_exact_integrals_rounded_once(a):
+    # the piecewise integrals in rationals: the step is c below a and 1 + c
+    # above, c = (a - 1)/2, and the model solution is linear from 0 at -1 to
+    # c (a + 1) at a and back to 0 at 1
+    fa = Fraction(a)
+    c = (fa - 1) / 2
+    step_sq = c * c * (fa + 1) + (1 + c) ** 2 * (1 - fa)
+    peak = c * (fa + 1)
+    model_sq = peak * peak * (fa + 1) / 3 + peak * peak * (1 - fa) / 3
+    step, model = (step_sq, exact_solution_derivative), (model_sq, exact_solution)
+    cases = [(StepDerivativeFamily(a=a), "L2", step), (StepDerivativeFamily(a=a), "Energy", step),
+             (AbsShiftFamily(a=a), "Energy", step), (ConstrainedFamily(a=a), "Energy", step),
+             (AbsShiftFamily(a=a), "L2", model), (ConstrainedFamily(a=a), "L2", model)]
+    for family, norm, (exact, fn) in cases:
+        got = _exact_norm_sq(family, norm)
+        assert got == float(exact), (family, norm)
+        # the 12-point Gauss rule on each side of a that the closed forms
+        # replaced reads up to 14 ulp off for |a| <= 0.9 (20000 random a); nearer
+        # the ends its nodes round onto a and the float target loses 1 + c
+        if abs(a) <= 0.9:
+            gauss = piecewise_norm_sq(lambda t: fn(t, a), a, 12)
+            assert abs(got - gauss) <= 32 * math.ulp(got), (family, norm, gauss)
 
 
 def test_exact_norm_of_a_spec_integrates_between_its_singular_points():
@@ -251,6 +289,19 @@ def test_benchmark_specs_validate(monkeypatch):
      r"growth option 'xi' must be a list of numbers, not 0.1"),
     ({"kind": "gibbs", "options": {"pvalues": [500.5]}},
      r"gibbs option 'pvalues' must be a list of ints, not \[500.5\]"),
+    # family params and expect values are numbers, as their declarations give
+    ({"kind": "sweep", "x": [0.1], "params": {"a": "0.5"}},
+     r"family 'step' param 'a' must be a number, not '0.5'"),
+    ({"kind": "sweep", "x": [0.1], "params": {"a": True}},
+     r"family 'step' param 'a' must be a number, not True"),
+    ({"kind": "sweep", "x": [0.1], "expect": {"alpha": "1"}},
+     r"sweep expect 'alpha' must be a number, not '1'"),
+    ({"kind": "coeffs", "family": "spec", "params": {"terms": [[1.0, 0.3]]}},
+     r"family 'spec' param 'terms' must be a list of \[weight, center, exponent\] lists"),
+    ({"kind": "coeffs", "family": "spec", "params": {"terms": [[1.0, "0.3", 0.5]]}},
+     r"family 'spec' param 'terms' entry must be a list of numbers, not \[1.0, '0.3', 0.5\]"),
+    ({"kind": "coeffs", "family": "spec", "params": {"poly": 1.0}},
+     r"family 'spec' param 'poly' must be a list of numbers, not 1.0"),
 ])
 def test_run_rejects_input_it_would_not_honour(tmp_path, doc, match):
     # rejected before any work: no output directory, no manifest
@@ -529,6 +580,18 @@ def test_cli_input_errors_exit_2(tmp_path, capsys, argv, message):
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_each_run_verb_offers_a_flag_for_exactly_what_its_kind_reads(kind):
+    # --a and --beta set params; --config, --out and --id belong to every run verb
+    verbs = next(a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {a.dest for a in verbs[kind]._actions} - {"help", "config", "out", "id"}
+    reads = set(KINDS[kind].reads) | set(KINDS[kind].options)
+    if "params" in reads:
+        reads = reads - {"params"} | {"a", "beta"}
+    assert flags == reads
 
 
 def test_resolve_rejects_a_precision_spec_before_any_work():
