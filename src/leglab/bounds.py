@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class BoundReport:
     """Theoretical bound against measured error over a p-range at one point."""
 

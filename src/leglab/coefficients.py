@@ -20,34 +20,28 @@ Closed forms:
 * |x + 1|^beta: Rodrigues' formula and k integrations by parts give
   I_k = int (1+x)^beta P_k = 2^(beta+1) Gamma(beta+1)^2 / (Gamma(beta+k+2) Gamma(beta+1-k)),
   so I_0 = 2^(beta+1)/(beta+1), I_{k+1} = I_k (beta - k)/(beta + k + 2) and
-  c_k = (2k+1) I_k / 2.  The ratio recurrences run on Python integers:
-  I_k is held as M_k 2^E_k with a fixed number of significant bits, beta
-  enters exactly as a dyadic rational, and every step is one integer
-  product and one round-to-nearest division.  Nothing cancels; with 64
-  guard bits the rounding to the output context, once per coefficient, is
-  the only error that shows, and the top coefficient is certified against
-  the Gamma form, evaluated at the run's bits + 64.  The paper's Appendix-A
-  construction (power moments times the exact integer monomial
-  coefficients of P_k, cancelling about 1.585 bits per degree) stays as
-  its oracle.
+  c_k = (2k+1) I_k / 2, on Python integers (``_ratio_run``), with c_P
+  certified against the Gamma form.  The paper's Appendix-A construction
+  (power moments times the exact integer monomial coefficients of P_k,
+  cancelling about 1.585 bits per degree) stays as its oracle;
+* derivative of a series: d_k = (2k+1) sum_{j >= 0} c_{k+1+2j}, suffix sums
+  over each parity class;
+* a spec: its terms' |x - a|^beta coefficients times their dyadic weights,
+  plus its polynomial's (Horner in the Legendre basis, on ``Fraction``s).
 
-In big-float mode the step, model-solution and constrained coefficients
-are exact integer combinations of the fixed-point values of
-``legendre.legendre_fixed_range``, one quotient per coefficient, rounded
-to the context once; in float64 they are array expressions in the
-operation order of the scalar loops kept in tests/oracles.py.  The
-three power families have one route each, in both modes: the integer
-recurrence, which returns exact pairs (M, E).  A big-float series rounds
-them once to its context, as mpmath rounds, when its pairs, its mpf
+Each generator above forms every coefficient exactly on integers, or with
+64 guard bits, and rounds it to its context once; only the float64 step,
+model-solution and constrained coefficients are array expressions, in the
+operation order of the scalar loops kept in tests/oracles.py.  The power
+families run one integer recurrence in both modes, at bits + 64 bits
+(128 + 64 in float64).  A big-float series holds exact pairs (M, E) and
+rounds them to its context, as mpmath rounds, when its pairs, its mpf
 ``coeffs`` or a big-float sweep first read them; its float64 image rounds
-the exact pairs to floats in bulk (``precision.pair_floats``) with the same
-bits, and ``coefficient_text`` writes the export text from the rounded
-pairs.  A float64 series rounds the pairs of a run at 128 + 64 bits once,
-at once, so its coefficients are those of a run at more bits, rounded once.
-The |x|^beta and |x - a|^beta series keep their recurrence state, so a
-longer series of the same family continues it (``Family.series``) instead
-of starting again.  The singularity-splitting quadrature oracle in
-tests/oracles.py cross-checks every generator.
+them in bulk (``precision.pair_floats``), and ``coefficient_text`` writes
+the export text from the rounded pairs.  The |x|^beta and |x - a|^beta
+series keep their recurrence state, so a longer series of the same family
+continues it (``Family.series``).  The singularity-splitting quadrature
+oracle in tests/oracles.py cross-checks every generator.
 """
 
 from __future__ import annotations
@@ -355,12 +349,13 @@ def singular_term_coeffs(a, beta, P: int, ctx: Optional[PrecisionContext] = None
     scale 2 bits + 64 that runs in the same loop, with the same integer step
     coefficients; only its last two moments are kept.  Fixed point keeps an
     absolute error, so in a big-float context a top coefficient below about
-    2^-65 (at P = 10^4, whatever the bits) fails that certification.  A
-    twin top moment of 0 passes next to a nonzero one (the odd moments of a
-    point near 0) at P >= 2; two zero top moments, or at P = 1 a zero T_1,
-    pass only for a polynomial |x - a|^beta or an |a| below the twin's
-    resolution.  So a |beta| too small for the fixed point raises instead
-    of returning c_k = 0 for every k >= 1 (float64 at beta = 1e-100).
+    2^-65 (at P = 10^4, whatever the bits) fails that certification.  Where
+    c_P reads 0 next to a nonzero twin T_(P-1), as the odd moments of a
+    point near 0 do (at P = 1 only where |a| is below the twin's resolution),
+    c_(P-1) is certified instead; two zero top moments pass only for a
+    polynomial |x - a|^beta.  So a |beta| too small for the fixed point
+    raises instead of returning c_k = 0 for every k >= 1 (float64 at
+    beta = 1e-100, or a = 0 at beta = 8e-300).
     ``grow``, a shorter series this
     function returned for the same a, beta and ctx, is continued from its
     last two moments and its twin's instead of starting again at k = 1:
@@ -385,24 +380,22 @@ def singular_term_coeffs(a, beta, P: int, ctx: Optional[PrecisionContext] = None
     series._grow = (max(P, k), moments[-2:], twin)
     out_bits = ctx.bits or 53
     with mpmath.workprec(2 * bits):
-        cq = mpmath.mpf(((2 * P + 1) * twin[min(P, 1)], -S2 - 1))
-        cp = mpmath.mpf(round_bits(*pairs[-1], out_bits))
+        # c_P, or c_(P-1) under a c_P that reads 0 by parity (the docstring)
+        j, tj = P, twin[min(P, 1)]
+        if (P and not (tj or pairs[-1][0]) and twin[0]
+                and (P > 1 or mpmath.ldexp(abs(float(a)), S2) < 1)):
+            j, tj = P - 1, twin[0]
+        cq = mpmath.mpf(((2 * j + 1) * tj, -S2 - 1))
+        cp = mpmath.mpf(round_bits((2 * j + 1) * moments[j - k + 1], -S - 1, out_bits))
         if cq != 0:
             gap = abs(cp - cq) / abs(cq)
             lost = gap > mpmath.mpf(2) ** (16 - out_bits)
         else:
-            # a zero top moment next to a nonzero one is below the twin's
-            # resolution, as the odd moments of a point near 0 are.  Two
-            # zeros make every later moment 0, which only a polynomial
-            # |x - a|^beta (even integer beta < P) has; where |a| is below
-            # the twin's resolution too, the odd moment of the pair is 0
-            # by parity and the pair cannot tell.  At P = 1 the pair is
-            # (T_0, T_1), and T_0 = mu_0 is never 0: T_1 alone must pass
+            # two zero moments make all later ones 0, as a polynomial's only
             b = float(beta)
-            lost = cp != 0 or not ((P > 1 and any(twin)) or (b >= 0 and b % 2 == 0 and b < P)
-                                   or mpmath.ldexp(abs(float(a)), S2) < 1)
+            lost = cp != 0 or not (b >= 0 and b % 2 == 0 and b < P)
         if lost:
-            what = f"c_{P} of |x - a|^beta at a = {float(a):g}, beta = {float(beta):g}"
+            what = f"c_{j} of |x - a|^beta at a = {float(a):g}, beta = {float(beta):g}"
             why = (f"the fixed point at 2^-{S} resolves {what} ({mpmath.nstr(cq, 3)}) to "
                    f"{float(-mpmath.log(gap, 2)):.1f} bits, and certifying it needs "
                    f"{out_bits - 16}" if cq != 0 else
@@ -644,56 +637,63 @@ def power_shift_coeffs(beta, P: int, ctx: Optional[PrecisionContext] = None) -> 
                                      {"beta": float(beta)})
 
 
-def polynomial_legendre_coeffs(poly: Sequence, P: int, ctx: PrecisionContext = FLOAT64) -> list:
-    """Exact Legendre coefficients of a polynomial given by monomial coefficients.
+def polynomial_legendre_coeffs(poly: Sequence, P: int) -> list:
+    """c_0..c_P of a polynomial given by monomial coefficients, lowest degree
+    first, as exact ``Fraction``s.
 
-    Horner in the Legendre basis: multiply-by-x uses
-    x P_k = ((k+1) P_{k+1} + k P_{k-1}) / (2k+1).
+    Horner in the Legendre basis up to the polynomial's degree: multiply-by-x
+    uses x P_k = ((k+1) P_{k+1} + k P_{k-1}) / (2k+1).
     """
-    with ctx.active():
-        acc = [ctx.zero() for _ in range(max(P + 1, len(poly) + 1))]
-        for cm in reversed(list(poly)):
-            shifted = [ctx.zero() for _ in acc]
-            for k, ck in enumerate(acc):
-                if ck == 0:
-                    continue
-                shifted[k + 1] += (k + 1) * ck / (2 * k + 1)
-                if k >= 1:
-                    shifted[k - 1] += k * ck / (2 * k + 1)
-            acc = shifted
-            acc[0] += ctx.convert(cm)
-        return acc[: P + 1]
+    from fractions import Fraction  # here: it imports decimal, which nothing else needs
+
+    acc = []
+    for cm in reversed(poly):
+        shifted = [Fraction(0)] * (len(acc) + 1)
+        for k, ck in enumerate(acc):
+            shifted[k + 1] += (k + 1) * ck / (2 * k + 1)
+            if k:
+                shifted[k - 1] += k * ck / (2 * k + 1)
+        shifted[0] += Fraction(cm)
+        acc = shifted
+    return (acc + [Fraction(0)] * (P + 1))[: P + 1]
 
 
 def spec_coeffs(spec, P: int, ctx: Optional[PrecisionContext] = None) -> LegendreSeries:
     """Expansion of a full singular-function description (a
-    ``functions.SingularFunctionSpec``: a linear combination)."""
+    ``functions.SingularFunctionSpec``: a linear combination).
+
+    Each term's coefficients (``singular_term_coeffs``, rounded to ctx) times
+    its exact dyadic weight, and the polynomial part to bits + 64 significant
+    bits (128 + 64 in float64), are summed exactly at one exponent; each sum
+    is rounded to ctx once.
+    """
     if P < 1:
         raise ValueError("P must be >= 1")
     if ctx is None:
         ctx = bigfloat(256)
-    with ctx.active():
-        total = [ctx.zero() for _ in range(P + 1)]
-        for (c, a, b) in spec.terms:
-            term = singular_term_coeffs(a, b, P, ctx)
-            cv = ctx.convert(c)
-            for k in range(P + 1):
-                total[k] += cv * term.coeffs[k]
-        if spec.analytic_part:
-            for k, ck in enumerate(polynomial_legendre_coeffs(spec.analytic_part, P, ctx)):
-                total[k] += ck
-    return LegendreSeries(total, Generator.CUSTOM_SPEC, ctx, {"spec": spec.describe()})
+    parts = []
+    for (c, a, b) in spec.terms:
+        wn, we = dyadic(c)
+        parts += [(wn * n, we + e) for n, e in singular_term_coeffs(a, b, P, ctx).pairs()]
+    if spec.analytic_part:
+        bits = (ctx.bits or 128) + 64
+        parts += [_quotient(q.numerator, q.denominator, bits)
+                  for q in polynomial_legendre_coeffs(spec.analytic_part, P)]
+    E = min((e for _, e in parts), default=0)  # the sums are exact at the least exponent
+    ns = [n << (e - E) for n, e in parts]
+    return LegendreSeries.from_pairs(((sum(ns[k::P + 1]), E) for k in range(P + 1)),
+                                     Generator.CUSTOM_SPEC, ctx, {"spec": spec.describe()})
 
 
 def derivative_coeffs(series: LegendreSeries) -> LegendreSeries:
-    """Coefficients of the derivative series via the backward relation
-    d_k = (2k+1) (c_{k+1} + d_{k+2} / (2k+5))."""
-    ctx = series.ctx
-    c = series.coeffs
-    n = len(c)
-    with ctx.active():
-        d = [ctx.zero() for _ in range(n + 1)]
-        for k in range(n - 2, -1, -1):
-            d[k] = (2 * k + 1) * (c[k + 1] + d[k + 2] / (2 * k + 5))
-    return LegendreSeries(d[: n - 1] if n > 1 else d[:1], series.generator, ctx,
-                          dict(series.params, derivative=1))
+    """Coefficients d_0..d_{P-1} of the derivative of c_0..c_P from
+    d_k = (2k+1) sum_{j >= 0} c_{k+1+2j}: suffix sums over each parity class
+    of the exact pairs at one exponent, each d_k rounded to the series'
+    context once."""
+    pairs = list(series.pairs())
+    E = min(e for _, e in pairs)
+    s = [n << (e - E) for n, e in pairs] + [0, 0]
+    for k in range(len(pairs) - 1, -1, -1):
+        s[k] += s[k + 2]
+    return LegendreSeries.from_pairs((((2 * k + 1) * s[k + 1], E) for k in range(max(len(pairs) - 1, 1))),
+                                     series.generator, series.ctx, dict(series.params, derivative=1))

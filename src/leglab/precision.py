@@ -2,13 +2,13 @@
 
 Two modes are supported: plain IEEE double (the workhorse) and mpmath
 big-floats with a configurable significand.  A context converts inputs
-into its native number type; arithmetic then happens through ordinary
-Python operators, so the same recurrence code serves both modes.
+into its native number type; in ``pfem`` arithmetic then happens through
+ordinary Python operators, so the same code serves both modes.
 
-The big-float hot paths (partial sums, the modified-moment and ratio
-recurrences) run instead on Python integers in fixed point, a value v held
-as round(v 2^S); ``dyadic`` and ``to_fixed`` are the one conversion into
-that form, and mpmath is left for the transcendental starting values.  A
+Everywhere else the big-float paths (coefficients, partial sums) run on
+Python integers, exactly or in fixed point, a value v held as
+round(v 2^S); ``dyadic`` and ``to_fixed`` are the one conversion into that
+form, and mpmath is left for the transcendental starting values.  A
 result leaves them as an exact pair (n, e), v = n 2^e, which ``round_bits``
 and ``pair_float`` round as mpmath rounds an mpf to a context or a float;
 ``pair_floats`` rounds a list of pairs to floats in bulk, with those bits,

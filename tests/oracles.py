@@ -38,7 +38,12 @@ quantity the package produces, by a route the package does not take.
   step coefficients formed anew at every k;
 * ``mu_recurrence``: the |x - a|^beta coefficients from the same
   modified-moment recurrence in mpf arithmetic at a big-float context's
-  precision.
+  precision;
+* ``derivative_loop``, ``polynomial_horner_loop`` and ``spec_sum_loop``:
+  the derivative series by the backward recurrence, a polynomial's
+  Legendre coefficients by Horner over P + 1 numbers per monomial, and a
+  spec's expansion as a running sum, each in the context's own arithmetic,
+  the routes the exact sums of ``coefficients`` replaced.
 
 The paper's point quantities that no verb prints live here too, each read
 from a package kernel or from the oracles above:
@@ -63,6 +68,7 @@ import mpmath
 import numpy as np
 
 from leglab.bounds import variation_window
+from leglab.coefficients import singular_term_coeffs
 from leglab.functions import exact_solution
 from leglab.pfem import internal_modes
 from leglab.legendre import legendre_eval_range, legendre_fixed_range, legendre_sums_array
@@ -551,3 +557,54 @@ def mu_recurrence(a: float, beta: float, P: int, ctx) -> list:
             mu_prev, mu = mu, (av * (2 * k + 1) * mu + (b + 1 - k) * mu_prev) / (b + k + 2)
             out.append((2 * k + 3) * mu / 2)
         return out[: P + 1]
+
+
+def derivative_loop(series) -> list:
+    """d_0..d_{P-1} of the derivative of a series c_0..c_P (a single 0 at
+    P = 0) by the backward recurrence d_k = (2k+1) (c_{k+1} + d_{k+2} / (2k+5)),
+    every operation rounded to the series' context."""
+    ctx, c = series.ctx, series.coeffs
+    n = len(c)
+    with ctx.active():
+        d = [ctx.zero() for _ in range(n + 1)]
+        for k in range(n - 2, -1, -1):
+            d[k] = (2 * k + 1) * (c[k + 1] + d[k + 2] / (2 * k + 5))
+    return d[: max(n - 1, 1)]
+
+
+def polynomial_horner_loop(poly, P: int, convert=float) -> list:
+    """c_0..c_P of a polynomial given by monomial coefficients, lowest degree
+    first, by Horner in the Legendre basis over max(P + 1, deg + 2) numbers,
+    each made by ``convert`` (``float``, ``Fraction``, or a context's
+    ``convert`` inside its ``active()``)."""
+    zero = convert(0)
+    acc = [zero] * max(P + 1, len(poly) + 1)
+    for cm in reversed(list(poly)):
+        shifted = [zero] * len(acc)
+        for k, ck in enumerate(acc):
+            if ck == 0:
+                continue
+            shifted[k + 1] += (k + 1) * ck / (2 * k + 1)
+            if k >= 1:
+                shifted[k - 1] += k * ck / (2 * k + 1)
+        acc = shifted
+        acc[0] += convert(cm)
+    return acc[: P + 1]
+
+
+def spec_sum_loop(spec, P: int, ctx, work=None) -> list:
+    """c_0..c_P of a ``functions.SingularFunctionSpec`` as a running sum in
+    the context ``work`` (ctx when None): each term's weight times its
+    ``singular_term_coeffs`` coefficients in ctx, then
+    ``polynomial_horner_loop`` in ``work``."""
+    work = work or ctx
+    with work.active():
+        total = [work.zero()] * (P + 1)
+        for (c, a, b) in spec.terms:
+            term = singular_term_coeffs(a, b, P, ctx).coeffs
+            cv = work.convert(c)
+            total = [t + cv * ck for t, ck in zip(total, term)]
+        if spec.analytic_part:
+            poly = polynomial_horner_loop(spec.analytic_part, P, work.convert)
+            total = [t + ck for t, ck in zip(total, poly)]
+        return total

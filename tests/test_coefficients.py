@@ -23,8 +23,9 @@ from leglab.precision import (FLOAT64, PrecisionError, bigfloat, dyadic, pair_fl
 from leglab.runner import ExperimentConfig, run_experiment
 from leglab.series_eval import _fixed_terms
 
-from oracles import (binomial_moment_oracle, legendre_eval, model_coeffs_loop, mu_fixed_loop,
-                     partial_sum, piecewise_gauss_coeff, quadrature_oracle_coeffs)
+from oracles import (binomial_moment_oracle, derivative_loop, legendre_eval, model_coeffs_loop,
+                     mu_fixed_loop, partial_sum, piecewise_gauss_coeff, polynomial_horner_loop,
+                     quadrature_oracle_coeffs, spec_sum_loop)
 # the oracle under the name the two tests that read it have always called:
 # a derandomized hypothesis test draws its examples from a digest of its source
 from oracles import mu_recurrence as _mu_recurrence
@@ -35,6 +36,23 @@ def _rounded(q, ctx):
     Fraction input)."""
     with ctx.active():
         return ctx.convert(q.numerator) / q.denominator
+
+
+def _refusal(c, beta, bits: int):
+    """What ``singular_term_coeffs`` at ``big:bits`` must do where the
+    reference coefficients are c_0..c_P, mpfs: "raise" where both top
+    moments mu_k = 2 c_k / (2k + 1) lie far below its twin's resolution
+    2^-(2 bits + 64) and |x - a|^beta is no polynomial (beta an even integer
+    below P), so that c_P is not known to be 0; "may raise" where mu_P lies
+    below 2^-68, so that the fixed point at 2^-(bits + 64) may not resolve
+    c_P to the bits - 16 bits its certification asks, with 12 bits to spare
+    for the recurrence's own error; None where it must return its series."""
+    P = len(c) - 1
+    mu = [abs(2 * c[k] / (2 * k + 1)) for k in range(max(P - 1, 0), P + 1)]
+    if (P >= 1 and not (beta >= 0 and beta % 2 == 0 and beta < P)
+            and max(mu) < mpmath.ldexp(1, -2 * bits - 64 - 16)):
+        return "raise"
+    return "may raise" if mu[-1] < mpmath.ldexp(1, -68) else None
 
 
 def _moments(a, beta, P, bits):
@@ -100,6 +118,79 @@ def test_abs_shift_examples():
     s = step_derivative_coeffs(0.5, 30)
     for k in range(31):
         assert float(d.coeffs[k]) == pytest.approx(float(s.coeffs[k]), abs=(2 * k + 1) * 1e-5)
+
+
+def _value(pair) -> Fraction:
+    return Fraction(pair[0]) * Fraction(2) ** pair[1]
+
+
+def test_f64_derivative_of_absshift_is_correctly_rounded():
+    # the backward recurrence this replaced read d_0 = 8.439053690591225e-05,
+    # 254 ulp off, and 60 of these 108 cells were not correctly rounded
+    series = abs_shift_coeffs(0.5, 108)
+    d = derivative_coeffs(series)
+    c = [Fraction(v) for v in series.coeffs]
+    assert d.coeffs[0] == 8.439053690591569e-05
+    assert d.coeffs == [float((2 * k + 1) * sum(c[k + 1::2])) for k in range(108)]
+    assert d.params == {"a": 0.5, "derivative": 1} and d.generator is Generator.ABS_SHIFT
+    assert derivative_loop(series)[0] == 8.439053690591225e-05
+    # the recurrence over the same floats at 512 bits, rounded once
+    wide = LegendreSeries(series.coeffs, series.generator, bigfloat(512))
+    assert [float(v) for v in derivative_loop(wide)] == d.coeffs
+
+
+_normal = st.one_of(st.just(0.0), st.floats(1e-200, 1e300), st.floats(-1e300, -1e-200))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(floats=st.lists(_normal, min_size=1, max_size=40),
+       pairs=st.lists(st.tuples(st.integers(-2 ** 400, 2 ** 400), st.integers(-700, 0)),
+                      min_size=1, max_size=40),
+       big=st.booleans())
+def test_derivative_is_the_exact_parity_sum_rounded_once(floats, pairs, big):
+    # d_k = (2k+1) sum_j c_{k+1+2j}; in float64 the values stay normal, where
+    # a float is rounded once
+    if big:
+        series = LegendreSeries.from_pairs(pairs, Generator.CUSTOM_SPEC, bigfloat(256), {})
+    else:
+        series = LegendreSeries(floats, Generator.CUSTOM_SPEC, FLOAT64)
+    c = list(map(_value, series.pairs()))
+    want = [(2 * k + 1) * sum(c[k + 1::2]) for k in range(max(len(c) - 1, 1))]
+    got = derivative_coeffs(series)
+    if big:
+        rounded = [round_bits(q.numerator, 1 - q.denominator.bit_length(), 256) for q in want]
+        assert list(map(_value, got.pairs())) == list(map(_value, rounded))
+    else:
+        assert got.coeffs == list(map(float, want))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(poly=st.lists(st.floats(-1e3, 1e3), max_size=9), P=st.integers(0, 12))
+def test_polynomial_coefficients_are_the_horner_loop_in_fractions(poly, P):
+    got = polynomial_legendre_coeffs(poly, P)
+    assert len(got) == P + 1 and all(type(q) is Fraction for q in got)
+    assert got == polynomial_horner_loop(poly, P, Fraction)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(terms=st.lists(st.tuples(st.floats(-4, 4), st.floats(-0.9, 0.9), st.floats(-0.9, 3.5)),
+                      max_size=3),
+       poly=st.lists(st.floats(-2, 2), max_size=5), P=st.integers(1, 40),
+       ctx=st.sampled_from([FLOAT64, bigfloat(256)]))
+def test_spec_coefficients_are_the_running_sum_to_one_ulp(terms, poly, P, ctx):
+    # the running sum formed 64 bits wider than ctx, over the same rounded
+    # term coefficients, and rounded to ctx, is within 1 ulp of the exact sum
+    spec = SingularFunctionSpec(terms=tuple(terms), analytic_part=tuple(poly))
+    bits = ctx.bits or 53
+    try:
+        got = spec_coeffs(spec, P, ctx).pairs()
+    except PrecisionError:
+        with pytest.raises(PrecisionError):
+            spec_sum_loop(spec, P, ctx)
+        return
+    ref = [_value(dyadic(r)) for r in spec_sum_loop(spec, P, ctx, bigfloat(bits + 64))]
+    for g, r in zip(map(_value, got), ref):
+        assert abs(g - r) <= abs(r) * Fraction(2) ** (1 - bits)
 
 
 def test_abs_shift_boundary_sum_decays(abs_series):
@@ -221,9 +312,16 @@ def test_singular_term_against_quadrature_oracle():
 @given(a=st.floats(min_value=-0.9, max_value=0.9, exclude_min=True, exclude_max=True),
        beta=st.floats(min_value=-0.95, max_value=3.0, exclude_min=True, exclude_max=True),
        P=st.integers(min_value=0, max_value=300))
+@example(a=0.0, beta=8e-300, P=2)
 def test_singular_term_fixed_point_matches_float_recurrence(a, beta, P):
-    fixed = singular_term_coeffs(a, beta, P, bigfloat(192)).coeffs
     ref = _mu_recurrence(a, beta, P, bigfloat(512))
+    refusal = _refusal(ref, beta, 192)
+    try:
+        fixed = singular_term_coeffs(a, beta, P, bigfloat(192)).coeffs
+    except PrecisionError:
+        assert refusal is not None
+        return
+    assert refusal != "raise"
     with mpmath.workprec(512):
         envelope = max(abs(c) for c in ref)
         gap = max(abs(c - r) for c, r in zip(fixed, ref))
@@ -274,6 +372,18 @@ def test_f64_power_coefficients_are_the_big_float_ones_rounded_once(a, beta):
         reject()
     got = PowerAbsFamily(beta=beta, a=a).series(2201, FLOAT64).as_floats()
     assert got.tobytes() == pair_floats(list(ref.pairs())).tobytes()
+
+
+def test_a_top_coefficient_zero_by_parity_certifies_the_one_under_it():
+    # at an |a| below the twin's resolution the odd c_2201 reads 0 by parity;
+    # c_2200 holds 27 of the 37 bits its certification asks, and unchecked,
+    # 1100 even coefficients came out up to 1.2e8 ulp off in float64
+    with pytest.raises(PrecisionError, match="c_2200"):
+        singular_term_coeffs(2.2250738585e-313, 1.401298464324817e-45, 2201, FLOAT64)
+    # where c_2200 is resolved the series passes, with c_2201 = 0
+    got = singular_term_coeffs(1e-300, 0.5, 2201, FLOAT64).as_floats()
+    ref = singular_term_coeffs(1e-300, 0.5, 2201, bigfloat(256))
+    assert got[-1] == 0 and got.tobytes() == pair_floats(list(ref.pairs())).tobytes()
 
 
 @pytest.mark.parametrize("shift,raises,ctx", [
