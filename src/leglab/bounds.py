@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 
-@dataclass(eq=False, repr=False)
+@dataclass
 class BoundReport:
     """Theoretical bound against measured error over a p-range at one point."""
 

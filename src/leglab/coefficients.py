@@ -77,9 +77,8 @@ class LegendreSeries:
 
     A float64 series holds its coefficients as one read-only ndarray, its
     float64 image, and builds the ``coeffs`` list on first read.  A
-    big-float series holds each c_k as an exact pair (M_k, E_k),
-    c_k = M_k 2^E_k: the pairs of an integer recurrence (``from_pairs``),
-    or a list of mpf or floats read exactly at once (``dyadic``).  The pairs
+    big-float series is built from exact pairs (``from_pairs``) and holds
+    each c_k as one, (M_k, E_k) with c_k = M_k 2^E_k.  The pairs
     are rounded to the context only when ``pairs``, ``coeffs`` or a
     big-float sweep reads them, and the exact integers are then dropped;
     the float64 image rounds them to floats in bulk
@@ -98,8 +97,6 @@ class LegendreSeries:
             if not np.isfinite(self._f64_array).all():
                 raise ValueError("series coefficients must be finite")
             self._f64_array.flags.writeable = False
-        elif coeffs is not None:
-            pairs = list(map(dyadic, coeffs))
         self._coeffs, self._pairs = None, pairs
         # _raw: the pairs are exact, not yet rounded to ctx; _grow: the state
         # an integer recurrence continues from when a longer series is asked for

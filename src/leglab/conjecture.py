@@ -43,7 +43,7 @@ def rate_tol(beta: float) -> float:
     return RATE_TOL_DEEP_SINGULAR if beta <= -0.7 else RATE_TOL
 
 
-@dataclass(eq=False, repr=False)
+@dataclass
 class ConjectureVerdict(Record):
     clause: int
     params: dict

@@ -27,7 +27,7 @@ from . import coefficients
 from .precision import FLOAT64, PrecisionContext, bigfloat
 
 
-@dataclass(eq=False, repr=False, frozen=True)
+@dataclass(frozen=True)
 class SingularFunctionSpec:
     """Sum of weighted power singularities c_i |x - a_i|^(b_i) plus a polynomial.
 
@@ -148,7 +148,7 @@ class Family:
         raise NotImplementedError
 
 
-@dataclass(eq=False, repr=False)
+@dataclass
 class LoadPointFamily(Family):
     """A family of the model problem with its point load at a: the step,
     the model solution and its endpoint-constrained approximations."""
@@ -162,7 +162,7 @@ class LoadPointFamily(Family):
         return f"{self.name} a={self.a:g}"
 
 
-@dataclass(eq=False, repr=False)
+@dataclass
 class StepDerivativeFamily(LoadPointFamily):
     """Derivative of the model solution: the unit-jump step at a."""
 
@@ -175,7 +175,7 @@ class StepDerivativeFamily(LoadPointFamily):
         return coefficients.step_derivative_coeffs(self.a, P, ctx or FLOAT64)
 
 
-@dataclass(eq=False, repr=False)
+@dataclass
 class AbsShiftFamily(LoadPointFamily):
     """The model solution itself (a scaled |x - a| plus a linear function)."""
 
@@ -188,7 +188,7 @@ class AbsShiftFamily(LoadPointFamily):
         return coefficients.abs_shift_coeffs(self.a, P, ctx or FLOAT64)
 
 
-@dataclass(eq=False, repr=False)
+@dataclass
 class ConstrainedFamily(LoadPointFamily):
     """Endpoint-constrained polynomial approximations of the model solution."""
 
@@ -202,7 +202,7 @@ class ConstrainedFamily(LoadPointFamily):
         return coefficients.constrained_pversion_coeffs(self.a, P, ctx or FLOAT64)
 
 
-@dataclass(eq=False, repr=False)
+@dataclass
 class PowerAbsFamily(Family):
     """|x - a|^beta; the beta = 0 member degenerates to the constant 1."""
 
@@ -231,7 +231,7 @@ class PowerAbsFamily(Family):
         return f"|x-({self.a:g})|^{self.beta:g}"
 
 
-@dataclass(eq=False, repr=False)
+@dataclass
 class PowerShiftFamily(PowerAbsFamily):
     """|x + 1|^beta: the member a = -1, with the singularity at the left
     endpoint (|x - (-1)| is the IEEE sum 1 + x)."""
@@ -249,7 +249,7 @@ class PowerShiftFamily(PowerAbsFamily):
         return f"|x+1|^{self.beta:g}"
 
 
-@dataclass(eq=False, repr=False)
+@dataclass
 class SpecFamily(Family):
     """General piecewise-analytic target built from a SingularFunctionSpec."""
 

@@ -34,7 +34,7 @@ from .precision import BIG, FLOAT64, PrecisionContext, to_fixed
 from .series_eval import ErrorSweep, fixed_floats, mode_terms
 
 
-@dataclass(eq=False, repr=False)
+@dataclass
 class Mesh1D:
     """Strictly increasing nodes spanning [-1, 1] with per-element degrees."""
 
@@ -107,7 +107,7 @@ def internal_modes(p: int, xi, ctx: PrecisionContext = FLOAT64) -> list:
         return [(pk - pk2) / nk for pk, pk2, nk in zip(Pk[2:], Pk, _mode_norms(p, ctx))]
 
 
-@dataclass(eq=False, repr=False)
+@dataclass
 class FemSolution:
     """Nodal values plus per-element internal-mode coefficients."""
 

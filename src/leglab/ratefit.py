@@ -46,7 +46,7 @@ def _listed(v):
     return v.tolist() if isinstance(v, np.ndarray) else list(v) if isinstance(v, tuple) else v
 
 
-@dataclass(eq=False, repr=False)
+@dataclass
 class RateFit(Record):
     """Fitted decay exponent and envelope constant over a p-window."""
 
@@ -216,7 +216,7 @@ def fit_lower_bound(sweep: ErrorSweep, window=None) -> RateFit:
     return fit
 
 
-@dataclass(eq=False, repr=False)
+@dataclass
 class ConstantGrowthFit(Record):
     """Growth of the envelope constant C(xi) while approaching a special point."""
 
@@ -309,7 +309,7 @@ def constant_growth(family, approach_point: float, side: int, xi_grid: Sequence[
                              float(coef[0]), float(math.exp(coef[1])), fixed_alpha, dropped)
 
 
-@dataclass(eq=False, repr=False)
+@dataclass
 class GibbsReport(Record):
     """Overshoot location/magnitude per order plus the derived fits."""
 

@@ -30,7 +30,7 @@ from .ratefit import (FitUnreliable, GridTooCoarse, constant_growth, fit_rate, g
 from .series_eval import ErrorSweep, error_sweep, norm_sweep
 
 
-@dataclass(eq=False, repr=False)
+@dataclass
 class ExperimentConfig:
     """Declarative description of one run; every field has a config-file key."""
 
@@ -366,7 +366,7 @@ def _conjecture(config, opts, family, writer):
 REQUIRED = object()  # marks an option without a default; its value is a number
 
 
-@dataclass(eq=False, repr=False, frozen=True)
+@dataclass(frozen=True)
 class Kind:
     """One experiment kind: its handler, the ExperimentConfig fields it reads
     besides id, kind and options, the keys of config.expect it reads, its

@@ -40,7 +40,7 @@ from .legendre import fixed_scale, legendre_fixed_range, legendre_row
 from .precision import BIG, F64, PrecisionContext, dyadic, round_bits, to_fixed
 
 
-@dataclass(eq=False)
+@dataclass
 class ErrorSweep:
     """|error| at a fixed point x over increasing truncation order."""
 
@@ -70,7 +70,7 @@ class ErrorSweep:
                 "pmax": self.pmax, "n": len(self.pvalues)}
 
 
-@dataclass(eq=False, repr=False)
+@dataclass
 class NormSweep:
     """Norm of the truncation error over p, from Parseval tail sums."""
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -38,21 +39,37 @@ def _rounded(q, ctx):
         return ctx.convert(q.numerator) / q.denominator
 
 
-def _refusal(c, beta, bits: int):
-    """What ``singular_term_coeffs`` at ``big:bits`` must do where the
-    reference coefficients are c_0..c_P, mpfs: "raise" where both top
-    moments mu_k = 2 c_k / (2k + 1) lie far below its twin's resolution
-    2^-(2 bits + 64) and |x - a|^beta is no polynomial (beta an even integer
-    below P), so that c_P is not known to be 0; "may raise" where mu_P lies
-    below 2^-68, so that the fixed point at 2^-(bits + 64) may not resolve
-    c_P to the bits - 16 bits its certification asks, with 12 bits to spare
-    for the recurrence's own error; None where it must return its series."""
+def _refusals(c, a, beta, bits: int):
+    """(must, refusals): what ``singular_term_coeffs(a, beta, P, big:bits)``
+    may refuse, from the reference coefficients c_0..c_P (mpfs), with
+    mu_k = 2 c_k / (2k + 1).  It certifies c_P against a twin run at scale
+    2^-(2 bits + 64), or c_(P-1) where mu_P reads 0 there (at P = 1 only for
+    an |a| below that scale).  The twin may read a moment below 2^16 of its
+    scale as 0.  Below 2^-16 of it, the moment of a non-polynomial comes
+    from a tiny |a| or beta and reads 0, while a polynomial's zero moments
+    (beta an even integer below P) may read as the recurrence's noise.  A
+    refusal (j, "resolves") names a certified c_j with |mu_j| below 2^-74,
+    which the fixed point at 2^-(bits + 64) may not resolve to the bits - 16
+    bits the certification asks (2^-80), with 6 bits to spare for its own
+    error (up to 8 of its units, measured over P <= 300); (P, "rounds to
+    0") a certified c_P the twin may read as 0.  ``must``: no polynomial,
+    and the certified c_P reads 0 (also c_(P-1) where it could stand in)."""
     P = len(c) - 1
-    mu = [abs(2 * c[k] / (2 * k + 1)) for k in range(max(P - 1, 0), P + 1)]
-    if (P >= 1 and not (beta >= 0 and beta % 2 == 0 and beta < P)
-            and max(mu) < mpmath.ldexp(1, -2 * bits - 64 - 16)):
-        return "raise"
-    return "may raise" if mu[-1] < mpmath.ldexp(1, -68) else None
+    mu = [abs(2 * ck / (2 * k + 1)) for k, ck in enumerate(c)]
+    S2 = 2 * bits + 64
+    poly = beta >= 0 and beta % 2 == 0 and beta < P
+    faint = [m < mpmath.ldexp(1, 16 - S2) for m in mu]
+    zero = [not poly and m < mpmath.ldexp(1, -S2 - 16) for m in mu]
+    under = P > 1 or (P == 1 and mpmath.ldexp(abs(a), S2) < 1)  # c_(P-1) may stand in
+    if not faint[P]:
+        js = {P}
+    elif under and zero[P] and not faint[P - 1]:
+        js = {P - 1}
+    else:
+        js = {P - 1, P} if under else {P}
+    refusals = {(j, "resolves") for j in js if mu[j] < mpmath.ldexp(1, -74) and not zero[j]}
+    refusals |= {(P, "rounds to 0")} if P in js and faint[P] else set()
+    return zero[P] and (zero[P - 1] or not under), refusals
 
 
 def _moments(a, beta, P, bits):
@@ -135,7 +152,8 @@ def test_f64_derivative_of_absshift_is_correctly_rounded():
     assert d.params == {"a": 0.5, "derivative": 1} and d.generator is Generator.ABS_SHIFT
     assert derivative_loop(series)[0] == 8.439053690591225e-05
     # the recurrence over the same floats at 512 bits, rounded once
-    wide = LegendreSeries(series.coeffs, series.generator, bigfloat(512))
+    wide = LegendreSeries.from_pairs(map(dyadic, series.coeffs), series.generator,
+                                     bigfloat(512), series.params)
     assert [float(v) for v in derivative_loop(wide)] == d.coeffs
 
 
@@ -315,13 +333,18 @@ def test_singular_term_against_quadrature_oracle():
 @example(a=0.0, beta=8e-300, P=2)
 def test_singular_term_fixed_point_matches_float_recurrence(a, beta, P):
     ref = _mu_recurrence(a, beta, P, bigfloat(512))
-    refusal = _refusal(ref, beta, 192)
+    must, refusals = _refusals(ref, a, beta, 192)
     try:
         fixed = singular_term_coeffs(a, beta, P, bigfloat(192)).coeffs
-    except PrecisionError:
-        assert refusal is not None
+    except PrecisionError as err:
+        # only the certification's own refusal, of a coefficient it certifies
+        m = re.search(r"resolves c_(\d+) of .* to (-?[\d.]+) bits|c_(\d+) of .* rounds to 0",
+                      str(err))
+        assert m, err
+        assert ((int(m[1]), "resolves") if m[1] else (int(m[3]), "rounds to 0")) in refusals, err
+        assert m[2] is None or float(m[2]) <= 192 - 16  # printed to 0.1 bit
         return
-    assert refusal != "raise"
+    assert not must
     with mpmath.workprec(512):
         envelope = max(abs(c) for c in ref)
         gap = max(abs(c - r) for c, r in zip(fixed, ref))
@@ -825,10 +848,11 @@ def _text_of_pairs(pairs, bits):
 
 @pytest.mark.parametrize("bits", [64, 256])
 def test_big_float_export_text_is_the_nstr_of_each_coefficient(bits):
-    # the coeffs kind renders each held pair; mpf coefficients are read as pairs
+    # the coeffs kind renders each held pair, also those of mpf values
+    values = [mpmath.mpf(0), -mpmath.mpf(2) ** -3600, mpmath.mpf(1) / 3]
     for series in (abs_shift_coeffs(-0.25, 300, bigfloat(bits)),
-                   LegendreSeries([mpmath.mpf(0), -mpmath.mpf(2) ** -3600, mpmath.mpf(1) / 3],
-                                  Generator.CUSTOM_SPEC, bigfloat(bits))):
+                   LegendreSeries.from_pairs(map(dyadic, values), Generator.CUSTOM_SPEC,
+                                             bigfloat(bits), {})):
         assert coefficient_text(series) == _nstr_of_pairs(list(series.pairs()), bits)
         with series.ctx.active():
             assert coefficient_text(series) == [mpmath.nstr(c, int(bits * 0.30103) + 3)
@@ -836,11 +860,11 @@ def test_big_float_export_text_is_the_nstr_of_each_coefficient(bits):
 
 
 def test_a_big_float_series_of_mpf_values_holds_their_exact_pairs():
-    # one form: the values are read exactly at once and every view reads the pairs
+    # the values are read exactly as pairs, and every view reads the pairs
     ctx = bigfloat(128)
     with ctx.active():
         values = [mpmath.mpf(1) / 3, mpmath.mpf(0), -mpmath.mpf(2) ** -1100, mpmath.sqrt(2)]
-    series = LegendreSeries(values, Generator.CUSTOM_SPEC, ctx)
+    series = LegendreSeries.from_pairs(map(dyadic, values), Generator.CUSTOM_SPEC, ctx, {})
     assert series._coeffs is None and series.degree == 3
     assert series.pairs() == [dyadic(v) for v in values]
     assert [c._mpf_ for c in series.coeffs] == [v._mpf_ for v in values]
